@@ -61,13 +61,9 @@ int main(int argc, char** argv) {
 
         // Full rebuild on the live subgraph for comparison.
         const graph::Graph live = g.without_nodes(failed);
-        auto live_demands = domination::clamp_demands(live, d);
-        for (graph::NodeId f : failed) {
-          live_demands[static_cast<std::size_t>(f)] = 0;
-        }
-        rebuilt.add(
-            static_cast<double>(algo::greedy_kmds(live, live_demands)
-                                    .set.size()));
+        rebuilt.add(static_cast<double>(
+            algo::greedy_kmds(live, domination::live_demands(live, failed, d))
+                .set.size()));
       }
       out.row({util::fmt(k), util::fmt(fail_p, 1), util::fmt(s0.mean(), 0),
                util::fmt(failed_n.mean(), 0), util::fmt(promoted.mean(), 0),

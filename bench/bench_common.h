@@ -8,8 +8,10 @@
 #pragma once
 
 #include <chrono>
+#include <cstdint>
 #include <functional>
 #include <iostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -20,6 +22,7 @@
 #include "alloc_hooks.h"
 #include "obs/metrics.h"
 #include "obs/perf.h"
+#include "sim/network.h"
 #include "util/cli.h"
 #include "util/csv.h"
 #include "util/stats.h"
@@ -95,6 +98,58 @@ inline std::string perf_attribution_json(const obs::PerfPlane& perf) {
   }
   s += "}}";
   return s;
+}
+
+/// The engine benches' measured workload (bench_p1_simcore,
+/// bench_simcore_mt, bench_obs_overhead): every round, fold the inbox into
+/// local state and broadcast two words derived from it. Runs for a fixed
+/// number of rounds, so rounds/sec is a pure engine measurement.
+class FloodProcess final : public sim::Process {
+ public:
+  explicit FloodProcess(std::int64_t rounds) : rounds_(rounds) {}
+
+  void on_round(sim::Context& ctx) override {
+    std::int64_t acc = 0;
+    for (const sim::Message& msg : ctx.inbox()) {
+      acc += msg.words[0] + msg.from;
+    }
+    state_ ^= static_cast<std::uint64_t>(acc) + ctx.rng()();
+    ctx.broadcast({static_cast<sim::Word>(state_ & 0xFFFF),
+                   static_cast<sim::Word>(ctx.round())});
+    if (ctx.round() + 1 >= rounds_) halt();
+  }
+
+  std::uint64_t state_ = 1;
+
+ private:
+  std::int64_t rounds_;
+};
+
+/// FNV-style digest of all node states plus the message counters; equal
+/// digests mean bitwise-equal executions.
+inline std::uint64_t flood_digest(std::span<const std::uint64_t> states,
+                                  std::int64_t messages, std::int64_t words) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (std::uint64_t s : states) {
+    h ^= s;
+    h *= 1099511628211ULL;
+  }
+  h ^= static_cast<std::uint64_t>(messages);
+  h *= 1099511628211ULL;
+  h ^= static_cast<std::uint64_t>(words);
+  return h;
+}
+
+/// flood_digest of a network whose every node runs FloodProcess.
+inline std::uint64_t flood_digest(sim::SyncNetwork& net) {
+  const graph::NodeId n = net.graph().n();
+  std::vector<std::uint64_t> states;
+  states.reserve(static_cast<std::size_t>(n));
+  for (graph::NodeId v = 0; v < n; ++v) {
+    states.push_back(net.process_as<FloodProcess>(v).state_);
+  }
+  return flood_digest(states, net.metrics().messages_sent,
+                      net.metrics().words_sent);
 }
 
 /// Collects `seeds` samples of `measure(seed)` and summarizes them.

@@ -43,54 +43,17 @@
 #include "geom/udg.h"
 #include "graph/graph.h"
 #include "obs/plane.h"
-#include "sim/message.h"
 #include "sim/network.h"
 #include "util/rng.h"
 
 namespace {
 
 using namespace ftc;
+using bench::FloodProcess;
 using graph::NodeId;
-using sim::Word;
 
 constexpr std::uint64_t kGraphSeed = 42;
 constexpr std::uint64_t kNetSeed = 7;
-
-/// Same measured workload as bench_p1_simcore: fold the inbox, broadcast
-/// two derived words, run a fixed number of rounds.
-class FloodProcess final : public sim::Process {
- public:
-  explicit FloodProcess(std::int64_t rounds) : rounds_(rounds) {}
-
-  void on_round(sim::Context& ctx) override {
-    std::int64_t acc = 0;
-    for (const sim::Message& msg : ctx.inbox()) {
-      acc += msg.words[0] + msg.from;
-    }
-    state_ ^= static_cast<std::uint64_t>(acc) + ctx.rng()();
-    ctx.broadcast({static_cast<Word>(state_ & 0xFFFF),
-                   static_cast<Word>(ctx.round())});
-    if (ctx.round() + 1 >= rounds_) halt();
-  }
-
-  std::uint64_t state_ = 1;
-
- private:
-  std::int64_t rounds_;
-};
-
-std::uint64_t digest_states(const std::vector<std::uint64_t>& states,
-                            std::int64_t messages, std::int64_t words) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (std::uint64_t s : states) {
-    h ^= s;
-    h *= 1099511628211ULL;
-  }
-  h ^= static_cast<std::uint64_t>(messages);
-  h *= 1099511628211ULL;
-  h ^= static_cast<std::uint64_t>(words);
-  return h;
-}
 
 enum class Mode { kOff, kMetrics, kTrace, kPerf };
 
@@ -133,13 +96,7 @@ ModeResult run_mode(const geom::UnitDiskGraph& udg, std::int64_t rounds,
     bench::WallClock clock;
     const std::int64_t executed = net.run(rounds + 1);
     const double seconds = clock.seconds();
-    std::vector<std::uint64_t> states;
-    states.reserve(static_cast<std::size_t>(udg.n()));
-    for (NodeId v = 0; v < udg.n(); ++v) {
-      states.push_back(net.process_as<FloodProcess>(v).state_);
-    }
-    const std::uint64_t digest = digest_states(
-        states, net.metrics().messages_sent, net.metrics().words_sent);
+    const std::uint64_t digest = bench::flood_digest(net);
     if (rep == 0 || seconds < best.seconds) {
       best.rounds = executed;
       best.messages = net.metrics().messages_sent;

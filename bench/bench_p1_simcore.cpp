@@ -35,7 +35,6 @@
 #include "bench_common.h"
 #include "geom/udg.h"
 #include "graph/graph.h"
-#include "sim/message.h"
 #include "sim/network.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -43,50 +42,12 @@
 namespace {
 
 using namespace ftc;
+using bench::FloodProcess;
 using graph::NodeId;
 using sim::Word;
 
 constexpr std::uint64_t kGraphSeed = 42;
 constexpr std::uint64_t kNetSeed = 7;
-
-/// The measured workload: every round, fold the inbox into local state and
-/// broadcast two words derived from it. Runs for a fixed number of rounds,
-/// so rounds/sec is a pure engine measurement.
-class FloodProcess final : public sim::Process {
- public:
-  explicit FloodProcess(std::int64_t rounds) : rounds_(rounds) {}
-
-  void on_round(sim::Context& ctx) override {
-    std::int64_t acc = 0;
-    for (const sim::Message& msg : ctx.inbox()) {
-      acc += msg.words[0] + msg.from;
-    }
-    state_ ^= static_cast<std::uint64_t>(acc) + ctx.rng()();
-    ctx.broadcast({static_cast<Word>(state_ & 0xFFFF),
-                   static_cast<Word>(ctx.round())});
-    if (ctx.round() + 1 >= rounds_) halt();
-  }
-
-  std::uint64_t state_ = 1;
-
- private:
-  std::int64_t rounds_;
-};
-
-/// FNV-style digest of all node states plus the message counters; equal
-/// digests mean bitwise-equal executions.
-std::uint64_t digest_states(const std::vector<std::uint64_t>& states,
-                            std::int64_t messages, std::int64_t words) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (std::uint64_t s : states) {
-    h ^= s;
-    h *= 1099511628211ULL;
-  }
-  h ^= static_cast<std::uint64_t>(messages);
-  h *= 1099511628211ULL;
-  h ^= static_cast<std::uint64_t>(words);
-  return h;
-}
 
 struct EngineResult {
   std::int64_t rounds = 0;
@@ -155,7 +116,7 @@ EngineResult run_legacy(const geom::UnitDiskGraph& udg, std::int64_t rounds) {
     if (!any_running) break;
   }
   result.seconds = clock.seconds();
-  result.digest = digest_states(states, result.messages, result.words);
+  result.digest = bench::flood_digest(states, result.messages, result.words);
   return result;
 }
 
@@ -174,12 +135,7 @@ EngineResult run_sync(const geom::UnitDiskGraph& udg, std::int64_t rounds,
   result.seconds = clock.seconds();
   result.messages = net.metrics().messages_sent;
   result.words = net.metrics().words_sent;
-  std::vector<std::uint64_t> states;
-  states.reserve(static_cast<std::size_t>(udg.n()));
-  for (NodeId v = 0; v < udg.n(); ++v) {
-    states.push_back(net.process_as<FloodProcess>(v).state_);
-  }
-  result.digest = digest_states(states, result.messages, result.words);
+  result.digest = bench::flood_digest(net);
   return result;
 }
 

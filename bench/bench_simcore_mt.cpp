@@ -36,7 +36,6 @@
 #include "geom/udg.h"
 #include "graph/graph.h"
 #include "obs/plane.h"
-#include "sim/message.h"
 #include "sim/network.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -44,33 +43,11 @@
 namespace {
 
 using namespace ftc;
+using bench::FloodProcess;
 using graph::NodeId;
-using sim::Word;
 
 constexpr std::uint64_t kGraphSeed = 42;
 constexpr std::uint64_t kNetSeed = 7;
-
-/// Same flood shape as bench_p1: fold the inbox, broadcast two words.
-class FloodProcess final : public sim::Process {
- public:
-  explicit FloodProcess(std::int64_t rounds) : rounds_(rounds) {}
-
-  void on_round(sim::Context& ctx) override {
-    std::int64_t acc = 0;
-    for (const sim::Message& msg : ctx.inbox()) {
-      acc += msg.words[0] + msg.from;
-    }
-    state_ ^= static_cast<std::uint64_t>(acc) + ctx.rng()();
-    ctx.broadcast({static_cast<Word>(state_ & 0xFFFF),
-                   static_cast<Word>(ctx.round())});
-    if (ctx.round() + 1 >= rounds_) halt();
-  }
-
-  std::uint64_t state_ = 1;
-
- private:
-  std::int64_t rounds_;
-};
 
 struct MtResult {
   std::int64_t rounds = 0;    // measured (post-warmup) rounds
@@ -81,19 +58,6 @@ struct MtResult {
   double allocs_per_round = 0.0;
   std::uint64_t digest = 0;
 };
-
-/// FNV digest over final node states plus the global message counters.
-std::uint64_t digest_states(sim::SyncNetwork& net, NodeId n) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (NodeId v = 0; v < n; ++v) {
-    h ^= net.process_as<FloodProcess>(v).state_;
-    h *= 1099511628211ULL;
-  }
-  h ^= static_cast<std::uint64_t>(net.metrics().messages_sent);
-  h *= 1099511628211ULL;
-  h ^= static_cast<std::uint64_t>(net.metrics().words_sent);
-  return h;
-}
 
 MtResult run_flood(const geom::UnitDiskGraph& udg, std::int64_t total_rounds,
                    std::int64_t warmup, int threads) {
@@ -119,7 +83,7 @@ MtResult run_flood(const geom::UnitDiskGraph& udg, std::int64_t total_rounds,
       static_cast<double>(allocs_after - allocs_before) /
       static_cast<double>(std::max<std::int64_t>(result.rounds, 1));
   result.rss_mb = bench::peak_rss_mb();
-  result.digest = digest_states(net, udg.n());
+  result.digest = bench::flood_digest(net);
   return result;
 }
 

@@ -51,9 +51,8 @@ LifetimeResult simulate(const geom::UnitDiskGraph& udg, std::int32_t k,
       if (dead[v]) dead_list.push_back(static_cast<NodeId>(v));
     }
     const graph::Graph live = udg.graph.without_nodes(dead_list);
-    auto demands = domination::clamp_demands(
-        live, domination::uniform_demands(live.n(), k));
-    for (NodeId v : dead_list) demands[static_cast<std::size_t>(v)] = 0;
+    const auto demands = domination::live_demands(
+        live, dead_list, domination::uniform_demands(live.n(), k));
 
     // Elect cluster heads.
     std::vector<NodeId> heads;

@@ -36,11 +36,8 @@ std::vector<std::uint8_t> build_backbone(const graph::Graph& g,
     if (dead[v]) dead_list.push_back(static_cast<graph::NodeId>(v));
   }
   const graph::Graph live = g.without_nodes(dead_list);
-  auto demands = domination::clamp_demands(
-      live, domination::uniform_demands(live.n(), k));
-  for (graph::NodeId v : dead_list) {
-    demands[static_cast<std::size_t>(v)] = 0;
-  }
+  const auto demands = domination::live_demands(
+      live, dead_list, domination::uniform_demands(live.n(), k));
   const auto greedy = algo::greedy_kmds(live, demands);
   auto members = domination::to_membership(g, greedy.set);
   for (std::size_t v = 0; v < dead.size(); ++v) {

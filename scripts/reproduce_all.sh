@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Reproduces every experiment (E1..E11, A1..A7) with the default
-# parameters, mirroring EXPERIMENTS.md. CSVs and the console transcript
-# land in results/.
+# Runs every bench binary with its default parameters: the experiments
+# E1..E11 and A1..A7 of EXPERIMENTS.md, the A8 soak, and the perf benches
+# (P1, MT, obs overhead, transport, dynamic). CSVs and the console
+# transcript land in results/.
 #
 #   scripts/reproduce_all.sh [build-dir] [results-dir]
 set -euo pipefail
@@ -22,11 +23,7 @@ LOG="$RESULTS_DIR/bench_transcript.txt"
 for bench in "$BUILD_DIR"/bench/bench_*; do
   name="$(basename "$bench")"
   echo "===== $name =====" | tee -a "$LOG"
-  if [ "$name" = "bench_e11_kernels" ]; then
-    "$bench" --benchmark_min_time=0.2 2>&1 | tee -a "$LOG"
-  else
-    "$bench" --csv="$RESULTS_DIR/$name.csv" 2>&1 | tee -a "$LOG"
-  fi
+  "$bench" --csv="$RESULTS_DIR/$name.csv" 2>&1 | tee -a "$LOG"
   echo | tee -a "$LOG"
 done
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "algo/extensions/repair.h"
 #include "obs/plane.h"
 
 namespace ftc::algo {
@@ -105,33 +106,9 @@ MaintainResult IncrementalMaintainer::apply_batch(
   // ball2 = ball1 + 1 hop (where promotion candidates live). Both in the
   // post-mutation graph.
   std::vector<NodeId> ball1;
-  for (NodeId s : seeds) {
-    ball_[static_cast<std::size_t>(s)] = 2;
-    ball1.push_back(s);
-  }
-  const std::size_t seed_count = ball1.size();
-  for (std::size_t i = 0; i < seed_count; ++i) {
-    for (NodeId w : g.neighbors(ball1[i])) {
-      auto& mark = ball_[static_cast<std::size_t>(w)];
-      if (mark != 2) {
-        mark = 2;
-        ball1.push_back(w);
-      }
-    }
-  }
-  std::vector<NodeId> ball2 = ball1;
-  for (std::size_t i = 0; i < ball1.size(); ++i) {
-    for (NodeId w : g.neighbors(ball1[i])) {
-      auto& mark = ball_[static_cast<std::size_t>(w)];
-      if (mark == 0) {
-        mark = 1;
-        ball2.push_back(w);
-      }
-    }
-  }
+  result.ball2 = mark_two_hop_ball(g, seeds, ball_, ball1);
   std::sort(ball1.begin(), ball1.end());
   result.ball1 = static_cast<std::int64_t>(ball1.size());
-  result.ball2 = static_cast<std::int64_t>(ball2.size());
 
   // Effective demand: the clamp_demands convention, recomputed against the
   // current degree (a move can change what is satisfiable).
@@ -155,65 +132,33 @@ MaintainResult IncrementalMaintainer::apply_batch(
     return std::max(0, eff_demand(v) - cover_[vi]);
   };
 
-  // Promotion wave: same greedy as repair_after_failures — promote the
-  // closed neighbor spanning the most deficient nodes, ties toward the
-  // smaller id, re-examining only N[best].
-  std::set<NodeId> deficient;
-  for (NodeId v : ball1) {
-    if (residual_of(v) > 0) deficient.insert(v);
-  }
-  if (!options_.promote) {
+  // Promotion wave: the shared span-then-id core in repair.h, with the
+  // cached cover_ of N[best] bumped on each promotion.
+  if (options_.promote) {
+    const PromotionWave wave = promotion_wave(
+        g, ball1, residual_of,
+        [&](NodeId c) {
+          const auto ci = static_cast<std::size_t>(c);
+          return active[ci] && !member_[ci];
+        },
+        [&](NodeId best) {
+          member_[static_cast<std::size_t>(best)] = 1;
+          promoted_now_[static_cast<std::size_t>(best)] = 1;
+          changed.push_back(best);
+          auto bump = [&](NodeId u) {
+            const auto ui = static_cast<std::size_t>(u);
+            if (ball_[ui] == 2) ++cover_[ui];
+          };
+          bump(best);
+          for (NodeId w : g.neighbors(best)) bump(w);
+        });
+    result.promoted = wave.promoted;
+    result.fully_satisfied = wave.fully_satisfied;
+  } else {
     // Mutant-harness mode: report the deficiency but leave it unrepaired.
-    result.fully_satisfied = deficient.empty();
-    deficient.clear();
-  }
-  while (!deficient.empty()) {
-    const NodeId v = *deficient.begin();
-    if (residual_of(v) <= 0) {
-      deficient.erase(deficient.begin());
-      continue;
-    }
-    NodeId best = -1;
-    std::int64_t best_span = -1;
-    auto consider = [&](NodeId c) {
-      const auto ci = static_cast<std::size_t>(c);
-      if (!active[ci] || member_[ci]) return;
-      std::int64_t span = residual_of(c) > 0 ? 1 : 0;
-      for (NodeId w : g.neighbors(c)) {
-        if (residual_of(w) > 0) ++span;
-      }
-      if (span > best_span) {
-        best_span = span;
-        best = c;
-      }
-    };
-    consider(v);
-    for (NodeId w : g.neighbors(v)) consider(w);
-
-    if (best == -1) {
-      // Unreachable under clamped demands (a deficient node always has a
-      // non-member in its closed neighborhood); defensive parity with the
-      // repair oracle.
-      result.fully_satisfied = false;
-      deficient.erase(deficient.begin());
-      continue;
-    }
-
-    member_[static_cast<std::size_t>(best)] = 1;
-    promoted_now_[static_cast<std::size_t>(best)] = 1;
-    ++result.promoted;
-    changed.push_back(best);
-    auto reexamine = [&](NodeId u) {
-      const auto ui = static_cast<std::size_t>(u);
-      if (ball_[ui] == 2) ++cover_[ui];
-      if (residual_of(u) <= 0) {
-        deficient.erase(u);
-      } else {
-        deficient.insert(u);
-      }
-    };
-    reexamine(best);
-    for (NodeId w : g.neighbors(best)) reexamine(w);
+    result.fully_satisfied =
+        std::none_of(ball1.begin(), ball1.end(),
+                     [&](NodeId v) { return residual_of(v) > 0; });
   }
 
   // Demotion wave: release members the batch made redundant (a join or a

@@ -1,11 +1,12 @@
 // Incremental maintenance of a k-fold dominating set under live churn
 // (DESIGN.md §13).
 //
-// repair_after_failures (PR 1) restores coverage after crashes; this
-// generalizes it to the full mutation vocabulary of sim::DynamicWorld —
-// joins, departures, moves, edge flips — while keeping the same locality
-// story: per mutation batch, only the affected two-hop ball is examined and
-// only nodes inside it change membership. A full greedy re-solve recomputes
+// repair_after_failures restores coverage after crashes; this generalizes
+// it to the full mutation vocabulary of sim::DynamicWorld — joins,
+// departures, moves, edge flips — on the same local-repair core (the
+// two-hop ball and span-then-id promotion wave in repair.h): per mutation
+// batch, only the affected two-hop ball is examined and only nodes inside
+// it change membership. A full greedy re-solve recomputes
 // every node's decision; the maintainer's work (and its membership churn)
 // scales with the damage, not with n. bench_dynamic measures the gap.
 //
@@ -24,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
 #include <span>
 #include <vector>
 

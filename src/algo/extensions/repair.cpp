@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <queue>
-#include <set>
 
 namespace ftc::algo {
 
@@ -27,22 +25,17 @@ RepairResult repair_after_failures(const graph::Graph& g,
     if (!dead[i]) member[i] = 1;
   }
 
-  // Damage region: live nodes within 2 hops of a failed dominator — only
-  // they can have lost coverage (1 hop) or be promotion candidates whose
-  // spans changed (2 hops). Everything else is untouched.
-  std::vector<std::uint8_t> touched(n, 0);
-  for (NodeId f : failed) {
-    for (NodeId u : g.neighbors(f)) {
-      const auto ui = static_cast<std::size_t>(u);
-      if (dead[ui]) continue;
-      if (!touched[ui]) touched[ui] = 1;
-      for (NodeId w : g.neighbors(u)) {
-        const auto wi = static_cast<std::size_t>(w);
-        if (!dead[wi]) touched[wi] = 1;
-      }
-    }
+  // Damage region: the live part of the failed nodes' two-hop ball — only
+  // those nodes can have lost coverage (1 hop) or be promotion candidates
+  // whose spans changed (2 hops). Everything else is untouched.
+  std::vector<std::uint8_t> ball(n, 0);
+  std::vector<NodeId> ball1;
+  mark_two_hop_ball(g, failed, ball, ball1);
+  std::vector<NodeId> touched;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (ball[i] && !dead[i]) touched.push_back(static_cast<NodeId>(i));
   }
-  for (std::uint8_t t : touched) result.touched += t;
+  result.touched = static_cast<std::int64_t>(touched.size());
 
   // Live coverage and residual demand of a node.
   auto live_coverage = [&](NodeId v) {
@@ -61,62 +54,15 @@ RepairResult repair_after_failures(const graph::Graph& g,
     return std::max(0, demands[vi] - live_coverage(v));
   };
 
-  // Deficient nodes are confined to the damage region.
-  std::set<NodeId> deficient;
-  for (NodeId v = 0; v < g.n(); ++v) {
-    if (touched[static_cast<std::size_t>(v)] && residual_of(v) > 0) {
-      deficient.insert(v);
-    }
-  }
-
-  while (!deficient.empty()) {
-    const NodeId v = *deficient.begin();
-    const std::int32_t need = residual_of(v);
-    if (need <= 0) {
-      deficient.erase(deficient.begin());
-      continue;
-    }
-    // Promote the live non-member closed neighbor covering the most
-    // deficient nodes (ties toward the smaller id).
-    NodeId best = -1;
-    std::int64_t best_span = -1;
-    auto consider = [&](NodeId c) {
-      const auto ci = static_cast<std::size_t>(c);
-      if (dead[ci] || member[ci]) return;
-      std::int64_t span = residual_of(c) > 0 ? 1 : 0;
-      for (NodeId w : g.neighbors(c)) {
-        if (residual_of(w) > 0) ++span;
-      }
-      if (span > best_span) {
-        best_span = span;
-        best = c;
-      }
-    };
-    consider(v);
-    for (NodeId w : g.neighbors(v)) consider(w);
-
-    if (best == -1) {
-      // v's whole live closed neighborhood is already in the set: the
-      // demand became unsatisfiable (or, in open mode, v must join itself
-      // — handled by `consider(v)` above, so this is genuinely stuck).
-      result.fully_satisfied = false;
-      deficient.erase(deficient.begin());
-      continue;
-    }
-
-    member[static_cast<std::size_t>(best)] = 1;
-    ++result.promoted;
-    // Promotion changes residuals only in N[best]; re-examine them.
-    auto reexamine = [&](NodeId u) {
-      if (residual_of(u) <= 0) {
-        deficient.erase(u);
-      } else if (!dead[static_cast<std::size_t>(u)]) {
-        deficient.insert(u);
-      }
-    };
-    reexamine(best);
-    for (NodeId w : g.neighbors(best)) reexamine(w);
-  }
+  const PromotionWave wave = promotion_wave(
+      g, touched, residual_of,
+      [&](NodeId c) {
+        const auto ci = static_cast<std::size_t>(c);
+        return !dead[ci] && !member[ci];
+      },
+      [&](NodeId c) { member[static_cast<std::size_t>(c)] = 1; });
+  result.promoted = wave.promoted;
+  result.fully_satisfied = wave.fully_satisfied;
 
   result.set = domination::to_node_list(member);
   return result;

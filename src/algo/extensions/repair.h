@@ -16,8 +16,15 @@
 // This is a centralized statement of what a distributed repair would do in
 // O(1) rounds per promotion wave; the bench (A4) compares its cost against
 // full re-clustering.
+//
+// The locality ball and the promotion wave below are the one local-repair
+// core: repair_after_failures runs them on the pre-failure Graph with honest
+// live coverage, and IncrementalMaintainer (maintainer.h) runs them on the
+// post-mutation MutableGraph with its cached ball1 coverage.
 #pragma once
 
+#include <cstdint>
+#include <set>
 #include <span>
 #include <vector>
 
@@ -25,6 +32,113 @@
 #include "graph/graph.h"
 
 namespace ftc::algo {
+
+/// Marks the two-hop locality ball of `seeds`: ball1 = seeds ∪ N(seeds) gets
+/// mark 2, ball2 \ ball1 (ball2 = ball1 ∪ N(ball1)) gets mark 1. `mark` must
+/// be all-zero and cover every id. Sets `ball1` to ball1 in discovery order
+/// and returns |ball2|. `G` is any graph whose neighbors(v) is a span of ids
+/// (Graph, MutableGraph).
+template <class G>
+std::int64_t mark_two_hop_ball(const G& g, std::span<const graph::NodeId> seeds,
+                               std::span<std::uint8_t> mark,
+                               std::vector<graph::NodeId>& ball1) {
+  ball1.clear();
+  auto reach = [&](graph::NodeId v) {
+    auto& m = mark[static_cast<std::size_t>(v)];
+    if (m != 2) {
+      m = 2;
+      ball1.push_back(v);
+    }
+  };
+  for (graph::NodeId s : seeds) reach(s);
+  const std::size_t seed_count = ball1.size();
+  for (std::size_t i = 0; i < seed_count; ++i) {
+    for (graph::NodeId w : g.neighbors(ball1[i])) reach(w);
+  }
+  auto ball2 = static_cast<std::int64_t>(ball1.size());
+  for (graph::NodeId v : ball1) {
+    for (graph::NodeId w : g.neighbors(v)) {
+      auto& m = mark[static_cast<std::size_t>(w)];
+      if (m == 0) {
+        m = 1;
+        ++ball2;
+      }
+    }
+  }
+  return ball2;
+}
+
+/// Outcome of one promotion wave.
+struct PromotionWave {
+  std::int64_t promoted = 0;
+  bool fully_satisfied = true;  ///< false iff some deficient node had no
+                                ///< candidate left in its closed nbhd
+};
+
+/// The span-then-id promotion wave. Starting from the nodes of `region` with
+/// residual_of(v) > 0, repeatedly take the smallest deficient id v and
+/// promote the candidate in N[v] whose closed neighborhood holds the most
+/// deficient nodes (ties toward the smaller id); promotion changes
+/// residuals only in N[best], so only those are re-examined.
+///   residual_of(v)  -> int32  unmet demand of v (<= 0 = satisfied)
+///   is_candidate(c) -> bool   c may join (live non-member)
+///   promote(c)                admit c; afterwards residual_of must reflect
+///                             the extra unit of coverage on N[c]
+/// Deterministic for deterministic callbacks.
+template <class G, class Residual, class Candidate, class Promote>
+PromotionWave promotion_wave(const G& g, std::span<const graph::NodeId> region,
+                             Residual&& residual_of, Candidate&& is_candidate,
+                             Promote&& promote) {
+  using graph::NodeId;
+  PromotionWave wave;
+  std::set<NodeId> deficient;
+  for (NodeId v : region) {
+    if (residual_of(v) > 0) deficient.insert(v);
+  }
+  while (!deficient.empty()) {
+    const NodeId v = *deficient.begin();
+    if (residual_of(v) <= 0) {
+      deficient.erase(deficient.begin());
+      continue;
+    }
+    NodeId best = -1;
+    std::int64_t best_span = -1;
+    auto consider = [&](NodeId c) {
+      if (!is_candidate(c)) return;
+      std::int64_t span = residual_of(c) > 0 ? 1 : 0;
+      for (NodeId w : g.neighbors(c)) {
+        if (residual_of(w) > 0) ++span;
+      }
+      if (span > best_span) {
+        best_span = span;
+        best = c;
+      }
+    };
+    consider(v);
+    for (NodeId w : g.neighbors(v)) consider(w);
+
+    if (best == -1) {
+      // v's whole live closed neighborhood is already in the set: the
+      // demand is unsatisfiable.
+      wave.fully_satisfied = false;
+      deficient.erase(deficient.begin());
+      continue;
+    }
+
+    promote(best);
+    ++wave.promoted;
+    auto reexamine = [&](NodeId u) {
+      if (residual_of(u) > 0) {
+        deficient.insert(u);
+      } else {
+        deficient.erase(u);
+      }
+    };
+    reexamine(best);
+    for (NodeId w : g.neighbors(best)) reexamine(w);
+  }
+  return wave;
+}
 
 /// Outcome of a repair.
 struct RepairResult {

@@ -198,10 +198,8 @@ SoakReport run_soak(const graph::Graph& g, const geom::UnitDiskGraph* udg,
   report.final_set_size = static_cast<std::int64_t>(final_set.size());
 
   const graph::Graph live = g.without_nodes(crashed_final);
-  auto live_demands = domination::clamp_demands(live, demands);
-  for (NodeId v : crashed_final) {
-    live_demands[static_cast<std::size_t>(v)] = 0;
-  }
+  const auto live_demands =
+      domination::live_demands(live, crashed_final, demands);
   report.rebuild_set_size = static_cast<std::int64_t>(
       greedy_kmds(live, live_demands).set.size());
 

@@ -41,10 +41,8 @@ bool CoverageWatchdog::poll(const sim::SyncNetwork& net) {
   // closed neighborhoods can still satisfy (unsatisfiable residue is an
   // instance property, not an SLO violation).
   const graph::Graph live = g.without_nodes(failed);
-  domination::Demands live_demands = domination::clamp_demands(live, demands_);
-  for (const NodeId f : failed) {
-    live_demands[static_cast<std::size_t>(f)] = 0;
-  }
+  const domination::Demands live_demands =
+      domination::live_demands(live, failed, demands_);
   uncovered_demand_ =
       domination::deficiency(live, members, live_demands, options_.mode);
 

@@ -86,4 +86,11 @@ Demands clamp_demands(const graph::Graph& g, const Demands& demands) {
   return out;
 }
 
+Demands live_demands(const graph::Graph& live, std::span<const NodeId> dead,
+                     const Demands& demands) {
+  Demands out = clamp_demands(live, demands);
+  for (NodeId v : dead) out[static_cast<std::size_t>(v)] = 0;
+  return out;
+}
+
 }  // namespace ftc::domination

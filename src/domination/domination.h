@@ -84,4 +84,11 @@ enum class Mode {
 [[nodiscard]] Demands clamp_demands(const graph::Graph& g,
                                     const Demands& demands);
 
+/// The demands that survive node failures: clamp_demands on the live graph
+/// (typically g.without_nodes(dead)), and 0 for every dead node — the dead
+/// neither need nor provide coverage.
+[[nodiscard]] Demands live_demands(const graph::Graph& live,
+                                   std::span<const graph::NodeId> dead,
+                                   const Demands& demands);
+
 }  // namespace ftc::domination

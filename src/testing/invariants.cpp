@@ -498,8 +498,7 @@ void check_repair(const FuzzCase& c, const Instance& inst,
 
   const auto oracle = algo::repair_after_failures(g, base, failed, demands);
   const Graph live = g.without_nodes(failed);
-  auto live_demands = domination::clamp_demands(live, demands);
-  for (NodeId f : failed) live_demands[static_cast<std::size_t>(f)] = 0;
+  const auto live_demands = domination::live_demands(live, failed, demands);
   if (!domination::is_k_dominating(live, serial.final_set, live_demands,
                                    domination::Mode::kClosedNeighborhood,
                                    scratch)) {
