@@ -15,15 +15,20 @@ nonzero. Rows present on only one side produce warnings, not failures, so
 grid changes don't mask real regressions on the surviving rows.
 
 Machine context: if both files record `hardware_threads` and they differ,
-the comparison is apples-to-oranges; a warning is printed (the gate still
-runs — a slower machine fails loudly rather than silently passing).
+the comparison is apples-to-oranges and the script refuses it (nonzero exit,
+one-line diagnosis): re-record the baseline on the machine that runs the
+gate. A row whose `threads` exceeds `hardware_threads` measures time-slicing,
+not scaling: it is printed with an `oversubscribed` label and left out of
+the gate.
 
 `--selftest` exercises the gate against synthetic fixtures (pass, fail,
-missing file, malformed JSON, no-metric baseline) and exits nonzero on any
-deviation — `check.sh selftest` runs it so the gate itself is regression-
-guarded.
+missing file, malformed JSON, no-metric baseline, hardware mismatch,
+oversubscribed rows) and exits nonzero on any deviation — `check.sh
+selftest` runs it so the gate itself is regression-guarded.
 """
 
+import contextlib
+import io
 import json
 import os
 import sys
@@ -92,9 +97,10 @@ def compare(committed_path, fresh_path, tolerance):
     hw_old = committed_doc.get("hardware_threads")
     hw_new = fresh_doc.get("hardware_threads")
     if hw_old is not None and hw_new is not None and hw_old != hw_new:
-        print(f"bench_check: WARNING hardware_threads differ "
-              f"(committed {hw_old}, fresh {hw_new}) — "
-              f"throughputs may not be comparable")
+        sys.exit(f"bench_check: hardware_threads differ (committed {hw_old}, "
+                 f"fresh {hw_new}) — refusing to compare across machines; "
+                 f"re-record {committed_path} on this host")
+    hw = hw_new if hw_new is not None else hw_old
 
     regressions = []
     compared = 0
@@ -103,6 +109,11 @@ def compare(committed_path, fresh_path, tolerance):
         if old_row is None:
             print(f"bench_check: WARNING fresh row not in committed baseline: "
                   f"{fmt_id(key)}")
+            continue
+        threads = new_row.get("threads")
+        if hw is not None and isinstance(threads, int) and threads > hw:
+            print(f"  {fmt_id(key)}: oversubscribed ({threads} threads > "
+                  f"{hw} hardware threads) — not gated")
             continue
         for metric in sorted(new_row):
             if not metric.endswith("_per_sec") or metric not in old_row:
@@ -146,8 +157,6 @@ def selftest():
     def run(committed, fresh, tolerance=0.05):
         """Runs compare() in-process with its chatter suppressed, capturing
         SystemExit; returns the effective exit code."""
-        import contextlib
-        import io
         try:
             with contextlib.redirect_stdout(io.StringIO()):
                 return compare(committed, fresh, tolerance)
@@ -223,6 +232,35 @@ def selftest():
             {"section": "x", "n": 20, "ops_per_sec": 50.0},
         ]})
 
+        # hardware_threads: equal values compare; differing ones refuse;
+        # rows above the host's thread count never gate.
+        hw_base = write("hw_base.json", {"hardware_threads": 4, "results": [
+            {"n": 10, "threads": 1, "ops_per_sec": 100.0},
+            {"n": 10, "threads": 4, "ops_per_sec": 300.0},
+            {"n": 10, "threads": 8, "ops_per_sec": 320.0},
+        ]})
+        hw_other = write("hw_other.json", {"hardware_threads": 1, "results": [
+            {"n": 10, "threads": 1, "ops_per_sec": 100.0},
+            {"n": 10, "threads": 4, "ops_per_sec": 300.0},
+            {"n": 10, "threads": 8, "ops_per_sec": 320.0},
+        ]})
+        hw_oversub_slow = write("hw_oversub_slow.json", {
+            "hardware_threads": 4, "results": [
+                {"n": 10, "threads": 1, "ops_per_sec": 100.0},
+                {"n": 10, "threads": 4, "ops_per_sec": 300.0},
+                {"n": 10, "threads": 8, "ops_per_sec": 100.0},
+            ]})
+        hw_gated_slow = write("hw_gated_slow.json", {
+            "hardware_threads": 4, "results": [
+                {"n": 10, "threads": 1, "ops_per_sec": 100.0},
+                {"n": 10, "threads": 4, "ops_per_sec": 200.0},
+                {"n": 10, "threads": 8, "ops_per_sec": 320.0},
+            ]})
+        hw_only_oversub = write("hw_only_oversub.json", {
+            "hardware_threads": 4, "results": [
+                {"n": 10, "threads": 8, "ops_per_sec": 320.0},
+            ]})
+
         expect("within tolerance", run(base, same), want_fail=False)
         expect("regression detected", run(base, slow), want_fail=True)
         expect("regression inside loose tolerance",
@@ -240,13 +278,29 @@ def selftest():
                run(attrib_base, attrib_same), want_fail=False)
         expect("regression caught despite matching attribution",
                run(attrib_base, attrib_slow), want_fail=True)
+        expect("same hardware_threads compared", run(hw_base, hw_base),
+               want_fail=False)
+        expect("differing hardware_threads refused", run(hw_base, hw_other),
+               want_fail=True)
+        expect("oversubscribed regression not gated",
+               run(hw_base, hw_oversub_slow), want_fail=False)
+        expect("regression below hardware_threads still gated",
+               run(hw_base, hw_gated_slow), want_fail=True)
+        expect("only oversubscribed rows leave nothing to gate",
+               run(hw_base, hw_only_oversub), want_fail=True)
+        # The oversubscribed label must reach the printed report.
+        report = io.StringIO()
+        with contextlib.redirect_stdout(report):
+            compare(hw_base, hw_oversub_slow, 0.05)
+        if "threads=8: oversubscribed" not in report.getvalue():
+            failures.append("oversubscribed row not labelled in the report")
 
     if failures:
         print("bench_check --selftest: FAILED")
         for f in failures:
             print(f"  {f}")
         return 1
-    print("bench_check --selftest: OK — 12 fixtures behaved as expected")
+    print("bench_check --selftest: OK — 18 fixtures behaved as expected")
     return 0
 
 

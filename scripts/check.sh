@@ -43,6 +43,15 @@
 #                                           row-subset of the committed
 #                                           grid) under the same >5% gate,
 #                                           with a history line
+#   scripts/check.sh bench-smoke            repository benchmark smoke:
+#                                           benchmark/run.sh --smoke builds
+#                                           ftc-bench, runs every workload
+#                                           of BENCHMARK.json at a tiny
+#                                           size, checks each output and
+#                                           compares fingerprints with
+#                                           benchmark/pinned.json; fails
+#                                           unless every workload reports
+#                                           "correct": true, "failed": 0
 #   scripts/check.sh selftest               verify that a failing ctest
 #                                           propagates to this script's exit
 #                                           code, and that bench_check.py's
@@ -115,6 +124,31 @@ if [ "${1:-}" = "selftest" ]; then
   else
     echo "check.sh selftest: python3 not found — skipping bench_check selftest"
   fi
+  exit 0
+fi
+
+if [ "${1:-}" = "bench-smoke" ]; then
+  # run.sh exits nonzero on a build failure or a pinned-fingerprint
+  # mismatch; a wrong output only shows in its per-workload verdict line
+  # ("<workload>: "correct": ..., "failed": N"), so every workload named in
+  # BENCHMARK.json must print a clean one.
+  status=0
+  out="$(bash benchmark/run.sh --smoke)" || status=$?
+  printf '%s\n' "$out"
+  if [ "$status" -ne 0 ]; then
+    echo "check.sh: benchmark/run.sh --smoke failed (exit $status)" >&2
+    exit 1
+  fi
+  bad=0
+  for w in $(python3 -c 'import json
+for w in json.load(open("BENCHMARK.json"))["workloads"]: print(w["name"])'); do
+    if ! grep -q "^$w: \"correct\": true, .*\"failed\": 0\$" <<< "$out"; then
+      echo "check.sh: bench-smoke workload $w did not report a clean run" >&2
+      bad=1
+    fi
+  done
+  [ "$bad" -ne 0 ] && exit 1
+  echo "check.sh: bench-smoke OK — every workload correct, fingerprints pinned"
   exit 0
 fi
 
@@ -257,11 +291,12 @@ if [ "$MODE" = "thread" ]; then
   cmake --build "$BUILD_DIR" -j "$(nproc)" --target ftc_tests bench_p1_simcore
   # The concurrency surface: the thread pool itself, the determinism suites
   # (which drive SyncNetwork — with and without an observability plane — at
-  # many widths), the reliable-transport suite (per-process ARQ state under
-  # the parallel engine), and the simcore bench smoke (the parallel engine
-  # against a live workload).
+  # many widths), the broadcast fan-out equivalence suite (fan-out entries
+  # expanded by parallel delivery passes), the reliable-transport suite
+  # (per-process ARQ state under the parallel engine), and the simcore bench
+  # smoke (the parallel engine against a live workload).
   run_ctest --test-dir "$BUILD_DIR" --output-on-failure \
-    -R 'ThreadPool|ParallelDeterminism|TraceDeterminism|ReliableTransport|smoke_p1'
+    -R 'ThreadPool|ParallelDeterminism|TraceDeterminism|BroadcastFanOut|ReliableTransport|smoke_p1'
 else
   BUILD_DIR="${1:-build-asan}"
   configure -B "$BUILD_DIR" -S . \

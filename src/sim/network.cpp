@@ -194,9 +194,11 @@ void SyncNetwork::backend_send(graph::NodeId from, graph::NodeId to,
   const auto shards = static_cast<std::uint32_t>(threads_);
   auto& list = xfer_cur_[static_cast<std::size_t>(s) * shards + d];
 #ifndef NDEBUG
-  // `from`'s entries are the tail run of every list it touched this round.
+  // `from`'s entries are the tail run of every list it touched this round;
+  // a fan-out entry already covers every neighbour of `from`.
   for (auto it = list.rbegin(); it != list.rend() && it->from == from; ++it) {
-    assert(it->to != to && "send: at most one message per neighbor per round");
+    assert(it->to != to && it->to != kFanOut &&
+           "send: at most one message per neighbor per round");
   }
 #endif
   auto& arena = arena_cur_[s];
@@ -221,18 +223,34 @@ void SyncNetwork::backend_broadcast(graph::NodeId from,
   check_arena_capacity(arena.size(), words.size());
   const auto offset = static_cast<std::uint32_t>(arena.size());
   const auto len = static_cast<std::uint32_t>(words.size());
-  // The payload is written once; every receiver's view aliases it.
+  // The payload is written once; every receiver's view aliases it. When
+  // every receiver sits in one destination shard — always, with one shard
+  // — a single fan-out entry stands for the whole row. Otherwise each
+  // receiver gets its own entry: splitting the row into per-shard runs
+  // costs a mispredicted branch per run in staging and in both delivery
+  // passes, which loses to per-receiver entries at deg / shards of a few
+  // receivers per run (DESIGN.md §10).
   arena.insert(arena.end(), words.begin(), words.end());
-  for (NodeId w : nbrs) {
-    auto& list = xfer_cur_[static_cast<std::size_t>(s) * shards + shard_of(w)];
+  const std::uint32_t d = shard_of(nbrs.front());
+  if (d == shard_of(nbrs.back())) {
+    auto& list = xfer_cur_[static_cast<std::size_t>(s) * shards + d];
+    // Any earlier entry of `from` in this list reaches one of its receivers.
+    assert((list.empty() || list.back().from != from) &&
+           "broadcast: at most one message per neighbor per round");
+    list.push_back({from, kFanOut, offset, len});
+  } else {
+    for (NodeId w : nbrs) {
+      auto& list =
+          xfer_cur_[static_cast<std::size_t>(s) * shards + shard_of(w)];
 #ifndef NDEBUG
-    for (auto it = list.rbegin(); it != list.rend() && it->from == from;
-         ++it) {
-      assert(it->to != w &&
-             "broadcast: at most one message per neighbor per round");
-    }
+      for (auto it = list.rbegin(); it != list.rend() && it->from == from;
+           ++it) {
+        assert(it->to != w && it->to != kFanOut &&
+               "broadcast: at most one message per neighbor per round");
+      }
 #endif
-    list.push_back({from, w, offset, len});
+      list.push_back({from, w, offset, len});
+    }
   }
   ShardStats& st = shard_stats_[s];
   const auto deg = static_cast<std::int64_t>(nbrs.size());
@@ -352,7 +370,7 @@ void SyncNetwork::crash(graph::NodeId v) {
         list.begin(), list.end(), v,
         [](const XferEntry& e, graph::NodeId id) { return e.from < id; });
     for (; it != list.end() && it->from == v; ++it) {
-      erase_inbox_entries(v, it->to);
+      for_each_receiver(*it, [&](NodeId to) { erase_inbox_entries(v, to); });
     }
   }
   // Channel-delayed traffic is not indexed by xfer_prev_: drop pending
@@ -502,36 +520,40 @@ void SyncNetwork::deliver_round(int shards) {
     for (std::size_t s = 0; s < s_count; ++s) {
       const Word* const arena = arena_cur_[s].data();
       for (const XferEntry& e : xfer_cur_[s * s_count + du]) {
-        if (crashed(e.to)) {  // crashed receivers drop silently, no verdict
-          if (impaired) fates.push_back(0);
-          continue;
-        }
-        if (impaired) {
-          // Per-message decide cost is only clocked when perf is on (two
-          // clock reads per message); the clean-channel path never pays it.
-          const std::int64_t t_decide =
-              pf != nullptr ? obs::PerfPlane::now_ns() : 0;
-          const Channel::Fate fate = channel_.decide(e.from, e.to, round_, cs);
-          if (pf != nullptr) decide_ns += obs::PerfPlane::now_ns() - t_decide;
-          if (fate.dropped) {
-            fates.push_back(0);
-            continue;
+        for_each_receiver(e, [&](NodeId to) {
+          if (crashed(to)) {  // crashed receivers drop silently, no verdict
+            if (impaired) fates.push_back(0);
+            return;
           }
-          const Word* const payload = arena + e.offset;
-          if (fate.duplicate) {
-            pending.push_back({round_ + 1 + fate.dup_delay, e.from, e.to,
-                               std::vector<Word>(payload, payload + e.len)});
+          if (impaired) {
+            // Per-message decide cost is only clocked when perf is on (two
+            // clock reads per message); the clean-channel path never pays.
+            const std::int64_t t_decide =
+                pf != nullptr ? obs::PerfPlane::now_ns() : 0;
+            const Channel::Fate fate = channel_.decide(e.from, to, round_, cs);
+            if (pf != nullptr) {
+              decide_ns += obs::PerfPlane::now_ns() - t_decide;
+            }
+            if (fate.dropped) {
+              fates.push_back(0);
+              return;
+            }
+            const Word* const payload = arena + e.offset;
+            if (fate.duplicate) {
+              pending.push_back({round_ + 1 + fate.dup_delay, e.from, to,
+                                 std::vector<Word>(payload, payload + e.len)});
+            }
+            if (fate.delay > 0) {
+              pending.push_back({round_ + 1 + fate.delay, e.from, to,
+                                 std::vector<Word>(payload, payload + e.len)});
+              fates.push_back(0);
+              return;
+            }
+            fates.push_back(1);
           }
-          if (fate.delay > 0) {
-            pending.push_back({round_ + 1 + fate.delay, e.from, e.to,
-                               std::vector<Word>(payload, payload + e.len)});
-            fates.push_back(0);
-            continue;
-          }
-          fates.push_back(1);
-        }
-        ++inbox_count_[static_cast<std::size_t>(e.to)];
-        ++total;
+          ++inbox_count_[static_cast<std::size_t>(to)];
+          ++total;
+        });
       }
     }
     // Delayed copies due now (enqueued in earlier rounds; copies staged
@@ -593,12 +615,13 @@ void SyncNetwork::deliver_round(int shards) {
     for (std::size_t s = 0; s < s_count; ++s) {
       const Word* const arena = arena_cur_[s].data();
       for (const XferEntry& e : xfer_cur_[s * s_count + du]) {
-        const bool deliver =
-            impaired ? fates[fate_idx++] != 0 : !crashed(e.to);
-        if (!deliver) continue;
-        const auto to = static_cast<std::size_t>(e.to);
-        store[inbox_off_[to] + inbox_cursor_[to]++] =
-            Message{e.from, WordSpan(arena + e.offset, e.len)};
+        const Message msg{e.from, WordSpan(arena + e.offset, e.len)};
+        for_each_receiver(e, [&](NodeId w) {
+          const bool deliver = impaired ? fates[fate_idx++] != 0 : !crashed(w);
+          if (!deliver) return;
+          const auto to = static_cast<std::size_t>(w);
+          store[inbox_off_[to] + inbox_cursor_[to]++] = msg;
+        });
       }
     }
     auto& pending = delayed_pending_[du];

@@ -35,12 +35,13 @@
 //     it — no per-neighbor copies.
 //   * Two-phase shard-owned delivery: during the compute phase each sender
 //     shard stages (from, to, payload) transfer entries into per-destination
-//     -shard lists it exclusively owns. Delivery is then two parallel passes
-//     over destination shards — count (incoming messages per receiver,
-//     channel verdicts) and place (counting-sort into the flat inbox store)
-//     — separated only by an O(shards) sequential prefix sum. No phase
-//     writes another shard's state and no serial section is proportional to
-//     the message count.
+//     -shard lists it exclusively owns; a broadcast whose receivers all sit
+//     in one shard stages a single fan-out entry for its whole row.
+//     Delivery is then two parallel passes over destination shards —
+//     count (incoming messages per receiver, channel verdicts) and place
+//     (counting-sort into the flat inbox store) — separated only by an
+//     O(shards) sequential prefix sum. No phase writes another shard's
+//     state and no serial section is proportional to the message count.
 //   * Inboxes come out sorted by sender with no per-inbox sort: shards own
 //     ascending contiguous node ranges and nodes execute in ascending order
 //     within a shard, so concatenating a receiver's incoming per-shard lists
@@ -376,18 +377,38 @@ class SyncNetwork final : public NetworkBackend {
   static constexpr std::uint8_t kNodeHalted = 1u << 1;
   static constexpr std::uint8_t kNodeHasProcess = 1u << 2;
 
-  /// One staged message: sender, receiver, and the payload's location in
-  /// the sending shard's arena. Lists are kept per (sender shard,
+  /// One staged transfer: sender, receivers, and the payload's location in
+  /// the sending shard's arena. A send() entry names its one receiver in
+  /// `to`. A broadcast() whose neighbours all lie in one destination shard
+  /// (always, with one shard) stages a single fan-out entry, to == kFanOut,
+  /// that stands for every neighbour of `from`; other broadcasts stage one
+  /// entry per receiver (see backend_broadcast for why). Every reader
+  /// (count and place passes, crash(), the debug one-message-per-neighbour
+  /// check) expands entries through for_each_receiver(), so a fan-out entry
+  /// enumerates exactly the (from, to) pairs, in the same order, that
+  /// per-receiver entries would. Lists are kept per (sender shard,
   /// destination shard) pair; within a list entries are sender-ascending
   /// (nodes execute in ascending order within their shard), which (a) makes
   /// per-receiver sender-sorted inboxes a counting sort, and (b) lets
   /// crash() binary-search a sender's in-flight messages.
   struct XferEntry {
     graph::NodeId from = -1;
-    graph::NodeId to = -1;
+    graph::NodeId to = -1;  ///< receiver, or kFanOut
     std::uint32_t offset = 0;
     std::uint32_t len = 0;
   };
+  static constexpr graph::NodeId kFanOut = -1;
+
+  /// Calls fn(to) for every receiver of `e`, in ascending id order: the
+  /// named receiver, or every neighbour of `from` for a fan-out entry.
+  template <typename Fn>
+  void for_each_receiver(const XferEntry& e, Fn&& fn) const {
+    if (e.to != kFanOut) {
+      fn(e.to);
+      return;
+    }
+    for (const graph::NodeId w : graph_->neighbors(e.from)) fn(w);
+  }
 
   /// Per-shard accumulators staged during the parallel phase of a round and
   /// merged sequentially afterwards (fixed order ⇒ determinism).
