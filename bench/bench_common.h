@@ -100,10 +100,11 @@ inline std::string perf_attribution_json(const obs::PerfPlane& perf) {
   return s;
 }
 
-/// The engine benches' measured workload (bench_p1_simcore,
-/// bench_simcore_mt, bench_obs_overhead): every round, fold the inbox into
-/// local state and broadcast two words derived from it. Runs for a fixed
-/// number of rounds, so rounds/sec is a pure engine measurement.
+/// The engine benches' measured workload (bench_simcore_mt,
+/// bench_obs_overhead): every round, fold the inbox into local state and
+/// broadcast two words derived from it. Runs for a fixed number of rounds,
+/// so rounds/sec is a pure engine measurement.
+/// tests/sim/flood_reference_test.cpp pins it against a naive engine.
 class FloodProcess final : public sim::Process {
  public:
   explicit FloodProcess(std::int64_t rounds) : rounds_(rounds) {}

@@ -39,6 +39,7 @@
 #include "sim/mutation.h"
 #include "util/cli.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -206,6 +207,8 @@ int main(int argc, char** argv) {
          << "  \"workload\": \"udg_uniform_churn\",\n"
          << "  \"degree\": " << util::fmt(degree, 1) << ",\n"
          << "  \"k\": " << k << ",\n"
+         << "  \"hardware_threads\": "
+         << util::ThreadPool::hardware_threads() << ",\n"
          << "  \"results\": [\n";
     for (std::size_t i = 0; i < json_rows.size(); ++i) {
       json << json_rows[i] << (i + 1 < json_rows.size() ? ",\n" : "\n");

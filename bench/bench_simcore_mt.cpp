@@ -1,10 +1,11 @@
 // MT — threads×n scaling of the parallel round engine.
 //
-// Sweeps the shard-owned two-phase delivery engine (sim::SyncNetwork) over
-// a grid of thread counts and node counts on the standard UDG flood
-// workload, at the engine's SHIPPED configuration (default parallel grain,
-// so the small-n auto-fallback is part of what is measured — bench_p1
-// forces the pool when pricing it in isolation). For every cell it reports
+// The one bench that times the detached flood engine. Sweeps the
+// shard-owned two-phase delivery engine (sim::SyncNetwork) over a grid of
+// thread counts and node counts on the standard UDG flood workload, at the
+// engine's SHIPPED configuration (default parallel grain, so the small-n
+// auto-fallback is part of what is measured; the pool-forced path is
+// checked by tests/sim/flood_reference_test.cpp). For every cell it reports
 // rounds/sec, messages/sec, words/sec, peak RSS, steady-state allocations
 // per round, speedup over the single-thread run of the same n, and scaling
 // efficiency normalized by min(threads, hardware_threads) — oversubscribed
@@ -13,10 +14,11 @@
 // comparable.
 //
 // The determinism contract is asserted in passing: every width must produce
-// the exact digest of the single-thread run, or the bench aborts.
+// the exact digest of the single-thread run, or the bench exits nonzero.
 //
 // --sizes=10000,100000,1000000  node counts
-// --threads=1,2,4,8             engine widths (must include 1 for baselines)
+// --threads=1,2,4,8             engine widths; must start with 1 (the digest
+//                               and speedup baseline), else the bench exits 1
 // --degree=12                   target average UDG degree
 // --rounds=0                    measured rounds per run (0 = auto:
 //                               ~4M node-rounds, clamped to [5, 400])
@@ -140,6 +142,11 @@ int main(int argc, char** argv) {
   const std::string json_path =
       args.get_string("json", "BENCH_simcore_mt.json");
   const int hw = util::ThreadPool::hardware_threads();
+  if (widths.empty() || widths.front() != 1) {
+    std::cerr << "bench_simcore_mt: --threads must start with 1 (the "
+                 "single-thread run is the digest and speedup baseline)\n";
+    return 1;
+  }
 
   bench::Output out({"n", "threads", "rounds", "msgs/sec", "words/sec",
                      "rounds/sec", "allocs/rnd", "speedup", "eff"},
@@ -166,15 +173,14 @@ int main(int argc, char** argv) {
       if (threads == 1) {
         seq_round_seconds = r.seconds / static_cast<double>(r.rounds);
         seq_digest = r.digest;
-      } else if (seq_digest != 0 && r.digest != seq_digest) {
+      } else if (r.digest != seq_digest) {
         std::cerr << "FATAL: digest diverged at n=" << n
                   << " threads=" << threads
                   << " (determinism contract violated)\n";
         all_deterministic = false;
       }
       const double per_round = r.seconds / static_cast<double>(r.rounds);
-      const double speedup =
-          seq_round_seconds > 0.0 ? seq_round_seconds / per_round : 1.0;
+      const double speedup = seq_round_seconds / per_round;
       // Normalize by the parallelism the machine can actually grant.
       const double efficiency = speedup / std::min(threads, std::max(hw, 1));
       out.row({util::fmt(static_cast<long long>(n)), util::fmt(threads),

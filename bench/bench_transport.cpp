@@ -42,6 +42,7 @@
 #include "sim/network.h"
 #include "sim/transport.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -270,6 +271,8 @@ int main(int argc, char** argv) {
     json << "{\n  \"bench\": \"transport\",\n"
          << "  \"workload\": \"udg_flood_and_closed_loop_pump\",\n"
          << "  \"degree\": " << util::fmt(degree, 1) << ",\n"
+         << "  \"hardware_threads\": "
+         << util::ThreadPool::hardware_threads() << ",\n"
          << "  \"budget\": \"channel(loss=0) >= 0.95 * plane\",\n"
          << "  \"within_budget\": " << (within_budget ? "true" : "false")
          << ",\n  \"results\": [\n";

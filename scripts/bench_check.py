@@ -38,8 +38,8 @@ import tempfile
 MEASUREMENT_KEYS = frozenset({
     "seconds", "rounds", "messages", "words",
     "peak_rss_mb", "allocs_per_round", "allocs_per_trial", "wall_s",
-    "speedup_vs_legacy", "speedup_vs_1t", "speedup_vs_scalar",
-    "speedup_vs_reference", "efficiency", "vs_off", "vs_reference",
+    "speedup_vs_1t", "speedup_vs_scalar", "speedup_vs_reference",
+    "efficiency", "vs_off",
     # Perf-attribution block and its components (bench_common.h
     # perf_attribution_json): where the time went, never which row it is.
     "phase_attribution", "coverage", "imbalance_mean", "imbalance_max",

@@ -20,8 +20,8 @@
 #                                           with a bench_history.jsonl
 #                                           verdict line
 #   scripts/check.sh perf [build-dir]       opt-in perf gate: Release-build
-#                                           the whole bench fleet (simcore,
-#                                           simcore_mt, transport,
+#                                           the whole bench fleet
+#                                           (simcore_mt, transport,
 #                                           obs-overhead, algo kernels),
 #                                           re-run each on its committed
 #                                           grid, fail on a >5% throughput
@@ -215,11 +215,10 @@ if [ "${1:-}" = "perf" ]; then
   BUILD_DIR="${2:-build}"
   configure -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
   cmake --build "$BUILD_DIR" -j "$(nproc)" \
-    --target bench_p1_simcore bench_simcore_mt bench_transport \
-             bench_obs_overhead bench_algo_kernels
+    --target bench_simcore_mt bench_transport bench_obs_overhead \
+             bench_algo_kernels
   # name : binary : committed baseline (binaries take the default grid).
-  FLEET="simcore:bench_p1_simcore:BENCH_simcore.json
-simcore_mt:bench_simcore_mt:BENCH_simcore_mt.json
+  FLEET="simcore_mt:bench_simcore_mt:BENCH_simcore_mt.json
 transport:bench_transport:BENCH_transport.json
 obs_overhead:bench_obs_overhead:BENCH_obs_overhead.json
 algo:bench_algo_kernels:BENCH_algo.json"
@@ -288,15 +287,16 @@ if [ "$MODE" = "thread" ]; then
   configure -B "$BUILD_DIR" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DFTC_SANITIZE=thread
-  cmake --build "$BUILD_DIR" -j "$(nproc)" --target ftc_tests bench_p1_simcore
+  cmake --build "$BUILD_DIR" -j "$(nproc)" --target ftc_tests
   # The concurrency surface: the thread pool itself, the determinism suites
   # (which drive SyncNetwork — with and without an observability plane — at
   # many widths), the broadcast fan-out equivalence suite (fan-out entries
   # expanded by parallel delivery passes), the reliable-transport suite
-  # (per-process ARQ state under the parallel engine), and the simcore bench
-  # smoke (the parallel engine against a live workload).
+  # (per-process ARQ state under the parallel engine), and the flood
+  # reference suite (the bench flood workload on a pool forced on by
+  # set_parallel_grain(0), against a naive engine).
   run_ctest --test-dir "$BUILD_DIR" --output-on-failure \
-    -R 'ThreadPool|ParallelDeterminism|TraceDeterminism|BroadcastFanOut|ReliableTransport|smoke_p1'
+    -R 'ThreadPool|ParallelDeterminism|TraceDeterminism|BroadcastFanOut|ReliableTransport|FloodReference'
 else
   BUILD_DIR="${1:-build-asan}"
   configure -B "$BUILD_DIR" -S . \

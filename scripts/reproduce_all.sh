@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Runs every bench binary with its default parameters: the experiments
 # E1..E11 and A1..A7 of EXPERIMENTS.md, the A8 soak, and the perf benches
-# (P1, MT, obs overhead, transport, dynamic). CSVs and the console
+# (MT, obs overhead, transport, dynamic). CSVs and the console
 # transcript land in results/.
 #
 #   scripts/reproduce_all.sh [build-dir] [results-dir]

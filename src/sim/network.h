@@ -254,9 +254,10 @@ class SyncNetwork final : public NetworkBackend {
   /// pool. Below it the same sharded phases run inline on the caller —
   /// bitwise-identically, since the parallel phases only write shard-owned
   /// state merged in fixed order either way — which is faster when shards
-  /// are too small to repay a pool wakeup (the small-n regression in
-  /// BENCH_simcore.json). 0 forces the pool whenever threads() > 1; tests
-  /// use that to compare both paths. Default: kDefaultParallelGrain.
+  /// are too small to repay a pool wakeup (a 4-thread pool ran the
+  /// 1000-node flood at ~0.6x the sequential rounds/sec). 0 forces the pool
+  /// whenever threads() > 1; tests use that to compare both paths.
+  /// Default: kDefaultParallelGrain.
   void set_parallel_grain(std::size_t nodes_per_shard) noexcept {
     parallel_grain_ = nodes_per_shard;
   }
