@@ -13,6 +13,9 @@
 // JSON records hardware_threads so results from different machines are
 // comparable.
 //
+// Topology ingest is timed too: `build_s` is one uniform_udg_with_degree call
+// (point generation plus build_udg) per n, repeated on that n's rows.
+//
 // The determinism contract is asserted in passing: every width must produce
 // the exact digest of the single-thread run, or the bench exits nonzero.
 //
@@ -110,10 +113,11 @@ std::string run_phase_attribution(const geom::UnitDiskGraph& udg,
   return bench::perf_attribution_json(*plane.perf());
 }
 
-std::string json_row(NodeId n, int threads, const MtResult& r, double speedup,
-                     double efficiency) {
+std::string json_row(NodeId n, double build_s, int threads, const MtResult& r,
+                     double speedup, double efficiency) {
   std::string row = "    {";
   row += "\"n\": " + std::to_string(n);
+  row += ", \"build_s\": " + util::fmt(build_s, 6);
   row += ", \"threads\": " + std::to_string(threads);
   row += ", \"rounds\": " + std::to_string(r.rounds);
   row += ", \"messages\": " + std::to_string(r.messages);
@@ -148,8 +152,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  bench::Output out({"n", "threads", "rounds", "msgs/sec", "words/sec",
-                     "rounds/sec", "allocs/rnd", "speedup", "eff"},
+  bench::Output out({"n", "build s", "threads", "rounds", "msgs/sec",
+                     "words/sec", "rounds/sec", "allocs/rnd", "speedup", "eff"},
                     args);
   std::vector<std::string> json_rows;
   bool all_deterministic = true;
@@ -162,8 +166,10 @@ int main(int argc, char** argv) {
             : std::clamp<std::int64_t>(4'000'000 / std::max<NodeId>(n, 1), 5,
                                        400);
     util::Rng graph_rng(kGraphSeed);
+    const bench::WallClock build_clock;
     const geom::UnitDiskGraph udg =
         geom::uniform_udg_with_degree(n, degree, graph_rng);
+    const double build_s = build_clock.seconds();
 
     double seq_round_seconds = 0.0;
     std::uint64_t seq_digest = 0;
@@ -183,7 +189,8 @@ int main(int argc, char** argv) {
       const double speedup = seq_round_seconds / per_round;
       // Normalize by the parallelism the machine can actually grant.
       const double efficiency = speedup / std::min(threads, std::max(hw, 1));
-      out.row({util::fmt(static_cast<long long>(n)), util::fmt(threads),
+      out.row({util::fmt(static_cast<long long>(n)), util::fmt(build_s, 4),
+               util::fmt(threads),
                util::fmt(r.rounds), util::fmt(r.messages / r.seconds, 0),
                util::fmt(r.words / r.seconds, 0),
                util::fmt(r.rounds / r.seconds, 2),
@@ -193,7 +200,8 @@ int main(int argc, char** argv) {
       // BENCH row records where its round time goes (capped at 20 rounds —
       // run-wide means stabilize long before the timed pass's length).
       const std::int64_t perf_rounds = std::min<std::int64_t>(rounds, 20);
-      std::string row_json = json_row(n, threads, r, speedup, efficiency);
+      std::string row_json =
+          json_row(n, build_s, threads, r, speedup, efficiency);
       row_json.insert(row_json.size() - 1,
                       ", \"phase_attribution\": " +
                           run_phase_attribution(udg, perf_rounds, threads));

@@ -22,8 +22,8 @@ not scaling: it is printed with an `oversubscribed` label and left out of
 the gate.
 
 `--selftest` exercises the gate against synthetic fixtures (pass, fail,
-missing file, malformed JSON, no-metric baseline, hardware mismatch,
-oversubscribed rows) and exits nonzero on any deviation — `check.sh
+missing file, malformed JSON, no-metric baseline, ungated build_s, hardware
+mismatch, oversubscribed rows) and exits nonzero on any deviation — `check.sh
 selftest` runs it so the gate itself is regression-guarded.
 """
 
@@ -40,6 +40,8 @@ MEASUREMENT_KEYS = frozenset({
     "peak_rss_mb", "allocs_per_round", "allocs_per_trial", "wall_s",
     "speedup_vs_1t", "speedup_vs_scalar", "speedup_vs_reference",
     "efficiency", "vs_off",
+    # Topology ingest time (bench_simcore_mt): reported, never gated.
+    "build_s",
     # Perf-attribution block and its components (bench_common.h
     # perf_attribution_json): where the time went, never which row it is.
     "phase_attribution", "coverage", "imbalance_mean", "imbalance_max",
@@ -232,6 +234,17 @@ def selftest():
             {"section": "x", "n": 20, "ops_per_sec": 50.0},
         ]})
 
+        # build_s differs tenfold and is missing from one fresh row: rows
+        # still match on n, and the slower ingest is not a regression.
+        build_base = write("build_base.json", {"results": [
+            {"n": 10, "build_s": 0.01, "ops_per_sec": 100.0},
+            {"n": 20, "build_s": 0.02, "ops_per_sec": 50.0},
+        ]})
+        build_slow = write("build_slow.json", {"results": [
+            {"n": 10, "build_s": 0.1, "ops_per_sec": 100.0},
+            {"n": 20, "ops_per_sec": 50.0},
+        ]})
+
         # hardware_threads: equal values compare; differing ones refuse;
         # rows above the host's thread count never gate.
         hw_base = write("hw_base.json", {"hardware_threads": 4, "results": [
@@ -278,6 +291,8 @@ def selftest():
                run(attrib_base, attrib_same), want_fail=False)
         expect("regression caught despite matching attribution",
                run(attrib_base, attrib_slow), want_fail=True)
+        expect("build_s neither identity nor gated",
+               run(build_base, build_slow), want_fail=False)
         expect("same hardware_threads compared", run(hw_base, hw_base),
                want_fail=False)
         expect("differing hardware_threads refused", run(hw_base, hw_other),
@@ -300,7 +315,7 @@ def selftest():
         for f in failures:
             print(f"  {f}")
         return 1
-    print("bench_check --selftest: OK — 18 fixtures behaved as expected")
+    print("bench_check --selftest: OK — 19 fixtures behaved as expected")
     return 0
 
 

@@ -1,10 +1,11 @@
 // Incrementally maintained unit disk graph (DESIGN.md §13).
 //
-// build_udg() computes a UDG from scratch with a spatial hash grid. The
-// dynamic-clustering layer mutates the deployment one node at a time —
-// joins, departures, waypoint moves — and rebuilding the whole topology per
-// mutation would cost O(n + m). DynamicUdg keeps the same grid (cells of
-// side `radius`, 3x3 neighbor-cell scans) live across mutations, so each
+// build_udg() computes a UDG from scratch over a flat grid fitted to the
+// bounding box. The dynamic-clustering layer mutates the deployment one node
+// at a time — joins, departures, waypoint moves — and rebuilding the whole
+// topology per mutation would cost O(n + m). A join can land anywhere in the
+// plane, so DynamicUdg keeps its own unbounded hash grid (cells of side
+// `radius`, 3x3 neighbor-cell scans) live across mutations, and each
 // mutation touches only the mutated node's geometric neighborhood: expected
 // O(local density) per operation for bounded densities.
 //
@@ -82,7 +83,7 @@ class DynamicUdg {
   };
   struct CellHash {
     std::size_t operator()(const CellKey& k) const noexcept {
-      // Same splitmix64-based mixing as build_udg.
+      // splitmix64-based 2D -> 1D mixing.
       std::uint64_t h =
           static_cast<std::uint64_t>(k.cx) * 0x9E3779B97F4A7C15ULL;
       h ^= static_cast<std::uint64_t>(k.cy) * 0xBF58476D1CE4E5B9ULL;

@@ -41,8 +41,10 @@ struct UnitDiskGraph {
 };
 
 /// Builds the unit disk graph over `points` with communication radius
-/// `radius`. Uses spatial grid hashing: O(n + m) expected for bounded
-/// densities.
+/// `radius`: {u, v} is an edge iff dist_sq(u, v) <= radius². Bins nodes into
+/// a flat grid over the bounding box and writes CSR rows directly, O(n + m)
+/// for bounded densities. Throws std::invalid_argument on a non-finite
+/// coordinate or a radius that is not finite and > 0.
 [[nodiscard]] UnitDiskGraph build_udg(std::vector<Point> points,
                                       double radius = 1.0);
 
@@ -81,7 +83,8 @@ struct UnitDiskGraph {
 void save_udg(const std::string& path, const UnitDiskGraph& udg);
 
 /// Loads a deployment saved by save_udg and rebuilds its graph.
-/// Throws std::runtime_error on malformed input.
+/// Throws std::runtime_error on malformed input, including input build_udg
+/// rejects.
 [[nodiscard]] UnitDiskGraph load_udg(const std::string& path);
 
 /// "Quasi unit disk" radio graph: real propagation is not a clean disk

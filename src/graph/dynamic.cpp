@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 namespace ftc::graph {
 
@@ -85,6 +86,15 @@ std::vector<Edge> MutableGraph::edges() const {
   return out;
 }
 
-Graph MutableGraph::to_graph() const { return Graph::from_edges(n(), edges()); }
+Graph MutableGraph::to_graph() const {
+  std::vector<std::uint32_t> offsets(adj_.size() + 1, 0);
+  std::vector<NodeId> adjacency(arcs_);
+  auto out = adjacency.begin();
+  for (std::size_t v = 0; v < adj_.size(); ++v) {
+    out = std::copy(adj_[v].begin(), adj_[v].end(), out);
+    offsets[v + 1] = static_cast<std::uint32_t>(out - adjacency.begin());
+  }
+  return Graph(std::move(offsets), std::move(adjacency));
+}
 
 }  // namespace ftc::graph

@@ -7,9 +7,9 @@
 // O(deg) edge insertion/removal while preserving Graph's invariants
 // (simple, undirected, sorted neighbor lists, ids dense in [0, n)).
 //
-// to_graph() freezes the current adjacency back into a CSR Graph, and the
-// rebuild is guaranteed equivalent to Graph::from_edges over the same edge
-// set — the PackedAdjacency round-trip tests pin that contract.
+// to_graph() freezes the current adjacency back into a CSR Graph by adopting
+// the already-sorted rows; the result is equivalent to Graph::from_edges over
+// the same edge set — the PackedAdjacency round-trip tests pin that contract.
 //
 // The uint32 CSR bound (2m must fit 32-bit offsets) is enforced here too,
 // at mutation time, through the same predicate Graph::from_edges uses:

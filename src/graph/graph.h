@@ -15,7 +15,16 @@
 #include <utility>
 #include <vector>
 
+// build_udg writes CSR rows straight into a Graph (a friend, see below).
+namespace ftc::geom {
+struct Point;
+struct UnitDiskGraph;
+UnitDiskGraph build_udg(std::vector<Point> points, double radius);
+}  // namespace ftc::geom
+
 namespace ftc::graph {
+
+class MutableGraph;
 
 /// Dense node identifier. Node ids are indices in [0, Graph::n()).
 using NodeId = std::int32_t;
@@ -34,9 +43,11 @@ class Graph {
   /// Empty graph with zero nodes.
   Graph() = default;
 
-  /// Builds a graph on `num_nodes` nodes from an edge list. Self-loops are
-  /// rejected (assert); duplicate edges (in either orientation) are merged.
-  /// Edge endpoints must lie in [0, num_nodes).
+  /// Builds a graph on `num_nodes` nodes from an edge list in O(n + m).
+  /// Duplicate edges (in either orientation) are merged. Throws
+  /// std::invalid_argument on a negative `num_nodes`, an endpoint outside
+  /// [0, num_nodes) or a self-loop, and std::length_error when the merged
+  /// 2m exceeds the uint32 offsets.
   static Graph from_edges(NodeId num_nodes, std::span<const Edge> edges);
 
   /// Convenience overload taking (u, v) pairs.
@@ -89,6 +100,19 @@ class Graph {
   [[nodiscard]] Graph without_nodes(std::span<const NodeId> removed) const;
 
  private:
+  friend class MutableGraph;
+  friend geom::UnitDiskGraph geom::build_udg(std::vector<geom::Point>, double);
+
+  /// Adopts a finished CSR: ascending, duplicate-free rows. Computes Δ and
+  /// throws std::length_error when 2m exceeds the uint32 offsets.
+  Graph(std::vector<std::uint32_t> offsets, std::vector<NodeId> adjacency);
+
+  /// Sorts neighbour rows by transposition and adopts them. Row v is
+  /// rows[offsets[v], offsets[v + 1]) in any order; the arc multiset must be
+  /// symmetric, with ids in [0, n) and no self-loops. Duplicates are merged.
+  static Graph from_symmetric_rows(std::span<const std::size_t> offsets,
+                                   std::span<const NodeId> rows);
+
   std::vector<std::uint32_t> offsets_;  // size n+1; offsets_[n] == 2m
   std::vector<NodeId> adjacency_;       // size 2m, sorted per node
   NodeId max_degree_ = 0;

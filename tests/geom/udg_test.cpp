@@ -209,5 +209,18 @@ TEST(UdgIo, TruncatedPointsThrow) {
   std::remove(path.c_str());
 }
 
+TEST(UdgIo, OversizedOrDegenerateHeaderThrows) {
+  const std::string path = ::testing::TempDir() + "/ftc_udg_huge.udg";
+  for (const char* header : {"3000000000 1.0\n0 0\n", "2 0\n0 0\n1 1\n",
+                             "2 1e999\n0 0\n1 1\n"}) {
+    {
+      std::ofstream out(path);
+      out << header;
+    }
+    EXPECT_THROW((void)load_udg(path), std::runtime_error) << header;
+  }
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace ftc::geom
