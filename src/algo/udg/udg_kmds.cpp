@@ -81,15 +81,17 @@ UdgResult solve_udg_kmds(const geom::UnitDiskGraph& udg,
     }
     std::fill(elected.begin(), elected.end(), 0);
     // Every active node elects the highest-id active node within θ
-    // (ties broken toward the larger node id), possibly itself.
+    // (ties broken toward the larger node id), possibly itself. "Within θ"
+    // is the sensed distance compared with θ, the process's own test;
+    // comparing squares instead disagrees when the distance rounds to θ.
     for (NodeId v = 0; v < g.n(); ++v) {
       const auto vi = static_cast<std::size_t>(v);
       if (!active[vi]) continue;
       NodeId best = v;
       std::uint64_t best_id = id[vi];
-      for (NodeId w : udg.neighbors_within(v, theta)) {
+      for (NodeId w : g.neighbors(v)) {
         const auto wi = static_cast<std::size_t>(w);
-        if (!active[wi]) continue;
+        if (!active[wi] || udg.distance(v, w) > theta) continue;
         if (id[wi] > best_id || (id[wi] == best_id && w > best)) {
           best = w;
           best_id = id[wi];

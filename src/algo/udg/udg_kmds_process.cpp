@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
+#include <utility>
 
 #include "algo/udg/udg_kmds.h"
 #include "obs/plane.h"
@@ -11,11 +13,13 @@ namespace ftc::algo {
 using graph::NodeId;
 using sim::Word;
 
-UdgKmdsProcess::UdgKmdsProcess(std::int32_t k) : k_(k) { assert(k >= 1); }
+UdgKmdsProcess::UdgKmdsProcess(std::int32_t k)
+    : UdgKmdsProcess(UdgOptions{.k = k}) {}
 
 UdgKmdsProcess::UdgKmdsProcess(const UdgOptions& options)
     : k_(options.k), xi_(options.xi), theta_scale_(options.theta_scale) {
   assert(options.k >= 1);
+  known_leaders_.reserve(static_cast<std::size_t>(k_));
 }
 
 void UdgKmdsProcess::ensure_initialized(sim::Context& ctx) {
@@ -26,6 +30,12 @@ void UdgKmdsProcess::ensure_initialized(sim::Context& ctx) {
   rounds_part1_ = udg_part1_rounds_ex(ctx.n(), xi_);
   id_max_ = udg_id_range(ctx.n());
   theta_ = udg_initial_theta_ex(ctx.n(), xi_, theta_scale_);
+  // Positions are fixed, so one sensing pass bounds every later probe: no
+  // neighbour is within θ while θ < nearest_.
+  nearest_ = std::numeric_limits<double>::infinity();
+  for (NodeId w : ctx.neighbors()) {
+    nearest_ = std::min(nearest_, ctx.distance_to(w));
+  }
 }
 
 void UdgKmdsProcess::part1_even(sim::Context& ctx, std::int64_t part1_round) {
@@ -50,6 +60,7 @@ void UdgKmdsProcess::part1_even(sim::Context& ctx, std::int64_t part1_round) {
   elected_ = false;
   if (!active_) return;
   my_id_ = ctx.rng().uniform_u64(1, id_max_);
+  if (theta_ < nearest_) return;  // the loop below would send nothing
   for (NodeId w : ctx.neighbors()) {
     if (ctx.distance_to(w) <= theta_) {
       ctx.send(w, {Word{1}, static_cast<Word>(my_id_)});
@@ -91,7 +102,10 @@ void UdgKmdsProcess::part2(sim::Context& ctx, std::int64_t phase) {
       break;
     }
     case 1: {  // B1: coverage + deficiency.
+      // Only coverage < k is ever asked, and leadership never reverts, so
+      // k known leaders settle it for good.
       for (const sim::Message& msg : ctx.inbox()) {
+        if (std::cmp_greater_equal(known_leaders_.size(), k_)) break;
         if (msg.words.size() != 1) continue;
         if (msg.words[0] == 1) {
           const auto it = std::lower_bound(known_leaders_.begin(),

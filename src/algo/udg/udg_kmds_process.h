@@ -8,6 +8,9 @@
 //   round 2r:   [r > 0: process election messages; unelected actives go
 //               passive] active nodes draw a fresh id from [1, n⁴] and send
 //               (active, id) to every neighbor within θ.        [2 words]
+//               Neighbour distances are sensed once, at round 0; while θ is
+//               below the nearest of them the probe is skipped, since it
+//               would reach nobody (the id is still drawn).
 //   round 2r+1: active nodes elect the highest-id active sender within θ
 //               (possibly themselves) and send M to it.          [1 word]
 //
@@ -18,6 +21,8 @@
 //       flag.                                                    [1 word]
 //   B1: update the cumulative known-leader set; compute coverage c(v) and
 //       the deficiency flag (!leader && c < k); broadcast it.    [1 word]
+//       Only c < k is asked, so the set stops growing at k ids; it is
+//       reserved at construction, and no round allocates in the process.
 //   B2: leaders send PROMOTE to their (up to) k lowest-id deficient
 //       neighbors. A node halts here once neither it nor any neighbor is
 //       deficient.                                               [1 word]
@@ -65,6 +70,7 @@ class UdgKmdsProcess final : public sim::Process {
   std::int64_t rounds_part1_ = 0;  // R
   std::uint64_t id_max_ = 0;
   double theta_ = 0.0;
+  double nearest_ = 0.0;  // min neighbour distance; +∞ when isolated
 
   // Part I state.
   bool active_ = true;
@@ -75,7 +81,7 @@ class UdgKmdsProcess final : public sim::Process {
   // Part II state.
   bool leader_ = false;
   bool deficient_ = false;
-  std::vector<graph::NodeId> known_leaders_;  // cumulative, sorted
+  std::vector<graph::NodeId> known_leaders_;  // cumulative, sorted, ≤ k ids
 
   std::int64_t step_ = 0;
 };

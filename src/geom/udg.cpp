@@ -17,19 +17,6 @@ namespace ftc::geom {
 using graph::Edge;
 using graph::NodeId;
 
-std::vector<NodeId> UnitDiskGraph::neighbors_within(NodeId v,
-                                                    double tau) const {
-  std::vector<NodeId> out;
-  const double tau_sq = tau * tau;
-  const Point pv = positions[static_cast<std::size_t>(v)];
-  for (NodeId w : graph.neighbors(v)) {
-    if (dist_sq(pv, positions[static_cast<std::size_t>(w)]) <= tau_sq) {
-      out.push_back(w);
-    }
-  }
-  return out;
-}
-
 UnitDiskGraph build_udg(std::vector<Point> points, double radius) {
   if (!(radius > 0.0) || !std::isfinite(radius)) {
     throw std::invalid_argument("build_udg: radius must be finite and > 0");

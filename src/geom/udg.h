@@ -32,12 +32,6 @@ struct UnitDiskGraph {
     return dist(positions[static_cast<std::size_t>(u)],
                 positions[static_cast<std::size_t>(v)]);
   }
-
-  /// Graph neighbors of v within distance tau — the paper's N_v(τ),
-  /// excluding v itself. Only correct for tau <= radius (which is all the
-  /// algorithms need: Algorithm 3 uses θ <= 1/2 <= radius).
-  [[nodiscard]] std::vector<graph::NodeId> neighbors_within(
-      graph::NodeId v, double tau) const;
 };
 
 /// Builds the unit disk graph over `points` with communication radius

@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "algo/udg/udg_kmds_process.h"
 #include "domination/domination.h"
+#include "geom/point.h"
 #include "geom/udg.h"
 #include "sim/network.h"
 #include "util/rng.h"
@@ -235,6 +240,227 @@ TEST(UdgProcess, RunsInExpectedRoundBudget) {
   EXPECT_LE(rounds, 2 * R + 3 * 40) << "Part II took implausibly long";
 }
 
+
+// ---- The θ boundary and the process's fast paths ----
+//
+// Each case runs UdgKmdsProcess to quiescence and compares it with the
+// mirror (Part I leaders, final leaders). The process's traffic is pinned
+// as sim::Metrics: the nearest-neighbour probe skip and the k-capped
+// leader set must not change a single message. The n = 2 counts are
+// derived by hand below; the others were recorded from the plain probe
+// loop, which tests every neighbour's distance in every round.
+
+struct Alg3Run {
+  std::vector<NodeId> part1_leaders;
+  std::vector<NodeId> leaders;
+  sim::Metrics metrics;
+};
+
+Alg3Run run_alg3_process(const geom::UnitDiskGraph& udg, std::int32_t k,
+                         std::uint64_t seed) {
+  sim::SyncNetwork net(udg, seed);
+  net.set_all_processes(
+      [&](NodeId) { return std::make_unique<UdgKmdsProcess>(k); });
+  net.run(2 * udg_part1_rounds(udg.n()) + 3 * (udg.n() + 3));
+  Alg3Run run;
+  for (NodeId v = 0; v < udg.n(); ++v) {
+    const auto& p = net.process_as<UdgKmdsProcess>(v);
+    EXPECT_TRUE(p.halted()) << "node " << v << " did not halt";
+    if (p.part1_leader()) run.part1_leaders.push_back(v);
+    if (p.leader()) run.leaders.push_back(v);
+  }
+  run.metrics = net.metrics();
+  return run;
+}
+
+/// Pinned traffic of a run: every Alg 3 message is 1 or 2 words, and each
+/// case below sends at least one probe.
+sim::Metrics traffic(std::int64_t rounds, std::int64_t messages,
+                     std::int64_t words) {
+  return {.rounds = rounds,
+          .messages_sent = messages,
+          .words_sent = words,
+          .max_message_words = 2};
+}
+
+/// Runs process and mirror; expects equal leader sets and the pinned
+/// traffic. Returns the mirror's result.
+UdgResult expect_process_matches_mirror(const geom::UnitDiskGraph& udg,
+                                        std::int32_t k, std::uint64_t seed,
+                                        const sim::Metrics& expected) {
+  UdgOptions opts;
+  opts.k = k;
+  const UdgResult mirror = solve_udg_kmds(udg, opts, seed);
+  const Alg3Run run = run_alg3_process(udg, k, seed);
+  EXPECT_EQ(run.part1_leaders, mirror.part1_leaders);
+  EXPECT_EQ(run.leaders, mirror.leaders);
+  EXPECT_EQ(run.metrics, expected)
+      << "rounds " << run.metrics.rounds << " messages "
+      << run.metrics.messages_sent << " words " << run.metrics.words_sent
+      << " max " << run.metrics.max_message_words;
+  return mirror;
+}
+
+/// The Part I probe radii θ_0..θ_{R-1} for n nodes, doubled as the process
+/// and the mirror double them.
+std::vector<double> scheduled_thetas(NodeId n) {
+  std::vector<double> thetas;
+  double theta = udg_initial_theta(n);
+  for (std::int64_t r = 0; r < udg_part1_rounds(n); ++r, theta *= 2.0) {
+    thetas.push_back(theta);
+  }
+  return thetas;
+}
+
+TEST(UdgBoundary, PairAtRoundedThetaMergesInBoth) {
+  // n = 2: one Part I round at θ = 1/2. The sensed distance
+  // sqrt(0.25 + 3.6e-17) rounds to exactly 0.5, but the squared distance
+  // is one ulp above 0.25, so a d² <= θ² test keeps the nodes apart.
+  const auto udg = geom::build_udg({{0.0, 0.0}, {0.5, 6e-9}}, 1.0);
+  ASSERT_EQ(scheduled_thetas(2), (std::vector<double>{0.5}));
+  ASSERT_EQ(udg.distance(0, 1), 0.5);
+  ASSERT_GT(geom::dist_sq(udg.positions[0], udg.positions[1]), 0.25);
+  // Round 0: two probes (2 words each); round 1: the loser elects the
+  // winner. Then one Part II iteration (leader flags, deficiency flags, a
+  // halting B2) at k = 1; at k = 2 the deficient node is promoted in the
+  // first B2 and a second iteration follows.
+  const sim::Metrics k1 = traffic(5, 7, 9);
+  const sim::Metrics k2 = traffic(8, 12, 14);
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const auto m1 = expect_process_matches_mirror(udg, 1, seed, k1);
+    EXPECT_EQ(m1.part1_leaders.size(), 1u);
+    EXPECT_EQ(m1.leaders.size(), 1u);
+    const auto m2 = expect_process_matches_mirror(udg, 2, seed, k2);
+    EXPECT_EQ(m2.part1_leaders.size(), 1u);
+    EXPECT_EQ(m2.leaders, (std::vector<NodeId>{0, 1}));
+  }
+}
+
+TEST(UdgBoundary, SearchedOffsetAtLastThetaMergesInBoth) {
+  // n = 4, R = 2. Node 1 sits at a searched offset from node 0 where
+  // sqrt(d²) <= θ_1 but d² > θ_1², so the pair first meets in the last
+  // Part I round under the process's test and never under the squared
+  // one. Nodes 2 and 3 are a second pair far away.
+  const NodeId n = 4;
+  const double theta = scheduled_thetas(n).back();
+  const geom::Point origin{0.0, 0.0};
+  geom::Point offset{theta, 0.0};
+  bool found = false;
+  for (int i = 1; i <= 2000 && !found; ++i) {
+    offset = {theta, theta * 1e-9 * i};
+    found = geom::dist(origin, offset) <= theta &&
+            !(geom::dist_sq(origin, offset) <= theta * theta);
+  }
+  ASSERT_TRUE(found) << "no disagreeing offset for theta " << theta;
+  const auto udg =
+      geom::build_udg({origin, offset, {3.0, 0.0}, {3.0, 0.1}}, 1.0);
+  ASSERT_EQ(udg.distance(0, 1), udg.distance(1, 0));
+  const sim::Metrics k1 = traffic(7, 15, 20);
+  const sim::Metrics k2 = traffic(10, 25, 30);
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const auto m1 = expect_process_matches_mirror(udg, 1, seed, k1);
+    EXPECT_EQ(m1.part1_leaders.size(), 2u);  // one per pair
+    expect_process_matches_mirror(udg, 2, seed, k2);
+  }
+}
+
+TEST(UdgFastPath, IsolatedNodeNeverProbes) {
+  // Node 2 has no neighbour (nearest distance +∞): it skips every probe,
+  // stays active to the end of Part I and is a leader.
+  const auto udg =
+      geom::build_udg({{0.0, 0.0}, {0.1, 0.0}, {5.0, 5.0}}, 1.0);
+  ASSERT_EQ(udg.graph.degree(2), 0);
+  // Node 2 adds nothing: the pair's traffic is that of the n = 2 case.
+  const sim::Metrics k1 = traffic(5, 7, 9);
+  const sim::Metrics k3 = traffic(8, 12, 14);
+  for (std::uint64_t seed : {4u, 5u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const auto m1 = expect_process_matches_mirror(udg, 1, seed, k1);
+    EXPECT_TRUE(std::binary_search(m1.part1_leaders.begin(),
+                                   m1.part1_leaders.end(), NodeId{2}));
+    expect_process_matches_mirror(udg, 3, seed, k3);
+  }
+}
+
+TEST(UdgFastPath, NeighbourExactlyAtScheduledThetaIsProbed) {
+  // Node 1 is at exactly θ_r from node 0 (sqrt of a square is exact), so
+  // the nearest distance equals θ_r: rounds before r skip the probe, round
+  // r must not. Skipping on θ <= nearest would leave the pair apart.
+  const NodeId n = 4;
+  const auto thetas = scheduled_thetas(n);
+  // Meeting at r = 0, the winner probes the passive loser again at r = 1.
+  const std::vector<sim::Metrics> expected{traffic(7, 8, 11),
+                                           traffic(7, 7, 9)};
+  ASSERT_EQ(thetas.size(), expected.size());
+  for (std::size_t r = 0; r < thetas.size(); ++r) {
+    SCOPED_TRACE("r " + std::to_string(r));
+    const auto udg = geom::build_udg(
+        {{0.0, 0.0}, {thetas[r], 0.0}, {4.0, 4.0}, {8.0, 8.0}}, 1.0);
+    ASSERT_EQ(udg.distance(0, 1), thetas[r]);
+    const auto mirror =
+        expect_process_matches_mirror(udg, 1, 7, expected[r]);
+    EXPECT_EQ(mirror.part1_leaders.size(), 3u);  // the pair merged
+  }
+}
+
+TEST(UdgFastPath, DenseClustersExerciseTheLeaderCap) {
+  // Tight clusters in a sparse field: cluster nodes hear more than k
+  // distinct leaders, and leaders whose neighbourhood is satisfied halt
+  // while deficient field nodes nearby still run.
+  util::Rng rng(2024);
+  auto points = geom::clustered_points(300, 3, 6.0, 0.35, rng);
+  for (const geom::Point& p : geom::uniform_points(100, 6.0, rng)) {
+    points.push_back(p);
+  }
+  const auto udg = geom::build_udg(points, 1.0);
+  const std::uint64_t seed = 31;
+  const std::vector<std::pair<std::int32_t, sim::Metrics>> cases{
+      {1, traffic(15, 66406, 70171)},
+      {3, traffic(18, 66424, 70189)},
+      {6, traffic(18, 101479, 105244)},
+  };
+  for (const auto& [k, expected] : cases) {
+    SCOPED_TRACE("k " + std::to_string(k));
+    const auto mirror = expect_process_matches_mirror(udg, k, seed, expected);
+
+    // Some node has more than k leader neighbours, so its set hits the cap.
+    std::vector<std::uint8_t> is_leader(static_cast<std::size_t>(udg.n()), 0);
+    for (NodeId v : mirror.leaders) is_leader[static_cast<std::size_t>(v)] = 1;
+    std::int32_t most = 0;
+    for (NodeId v = 0; v < udg.n(); ++v) {
+      std::int32_t c = 0;
+      for (NodeId w : udg.graph.neighbors(v)) {
+        c += is_leader[static_cast<std::size_t>(w)];
+      }
+      most = std::max(most, c);
+    }
+    EXPECT_GT(most, k);
+
+    // Some leader halts in a round where a neighbour is still running.
+    sim::SyncNetwork net(udg, seed);
+    net.set_all_processes(
+        [&](NodeId) { return std::make_unique<UdgKmdsProcess>(k); });
+    bool early_leader_halt = false;
+    while (net.round() < 2 * udg_part1_rounds(udg.n()) + 3 * udg.n() &&
+           net.step()) {
+      for (NodeId v = 0; v < udg.n() && !early_leader_halt; ++v) {
+        const auto& p = net.process_as<UdgKmdsProcess>(v);
+        if (!p.leader() || !p.halted()) continue;
+        for (NodeId w : udg.graph.neighbors(v)) {
+          if (!net.process_as<UdgKmdsProcess>(w).halted()) {
+            early_leader_halt = true;
+            break;
+          }
+        }
+      }
+    }
+    // At k = 1 the Part I leaders already dominate (Lemma 5.1), so every
+    // node halts in the first B2.
+    EXPECT_EQ(early_leader_halt, k > 1);
+  }
+}
 
 TEST(UdgParams, ExtendedHelpersReduceToDefaults) {
   for (NodeId n : {10, 100, 5000, 100000}) {

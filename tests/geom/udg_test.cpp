@@ -60,15 +60,6 @@ TEST(UnitDiskGraph, DistanceMatchesPoints) {
   EXPECT_NEAR(udg.distance(0, 1), 1.0, 1e-12);
 }
 
-TEST(UnitDiskGraph, NeighborsWithinFiltersByDistance) {
-  const std::vector<Point> pts{{0, 0}, {0.2, 0}, {0.9, 0}, {3, 3}};
-  const UnitDiskGraph udg = build_udg(pts, 1.0);
-  const auto close = udg.neighbors_within(0, 0.5);
-  EXPECT_EQ(close, (std::vector<NodeId>{1}));
-  const auto all = udg.neighbors_within(0, 1.0);
-  EXPECT_EQ(all, (std::vector<NodeId>{1, 2}));
-}
-
 TEST(UniformPoints, StayInSquare) {
   util::Rng rng(1);
   for (const Point& p : uniform_points(500, 3.0, rng)) {

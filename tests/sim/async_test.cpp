@@ -201,6 +201,42 @@ TEST_P(AsyncEquivalence, UdgProcessSameResultUnderDelays) {
 }
 
 
+TEST_P(AsyncEquivalence, UdgProcessFastPathsMatchSyncRun) {
+  // Dense clusters (nodes hear more than k leaders, so the leader set hits
+  // its cap) plus one isolated node (no probe ever reaches a neighbour).
+  // Delays reorder deliveries, never the sends, so every node makes the
+  // same choices as in the synchronous run.
+  const int max_delay = GetParam();
+  util::Rng rng(15);
+  auto points = geom::clustered_points(150, 3, 4.0, 0.3, rng);
+  points.push_back({20.0, 20.0});
+  const auto udg = geom::build_udg(points, 1.0);
+  const std::int32_t k = 3;
+  const std::int64_t budget =
+      2 * algo::udg_part1_rounds(udg.n()) + 3 * (udg.n() + 3);
+
+  SyncNetwork sync(udg, 78);
+  sync.set_all_processes(
+      [&](NodeId) { return std::make_unique<algo::UdgKmdsProcess>(k); });
+  sync.run(budget);
+
+  AsyncOptions opts;
+  opts.max_delay = max_delay;
+  AsyncNetwork net(udg, 78, opts);
+  net.set_all_processes(
+      [&](NodeId) { return std::make_unique<algo::UdgKmdsProcess>(k); });
+  net.run(budget);
+
+  for (NodeId v = 0; v < udg.n(); ++v) {
+    const auto& a = net.process_as<algo::UdgKmdsProcess>(v);
+    const auto& s = sync.process_as<algo::UdgKmdsProcess>(v);
+    EXPECT_TRUE(a.halted()) << "node " << v;
+    EXPECT_EQ(a.part1_leader(), s.part1_leader()) << "node " << v;
+    EXPECT_EQ(a.leader(), s.leader()) << "node " << v;
+  }
+  EXPECT_TRUE(sync.process_as<algo::UdgKmdsProcess>(udg.n() - 1).leader());
+}
+
 TEST_P(AsyncEquivalence, LubyProcessSameResultUnderDelays) {
   const int max_delay = GetParam();
   util::Rng rng(13);
