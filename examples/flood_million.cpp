@@ -2,10 +2,9 @@
 //
 // Builds a uniform unit disk graph (default one million nodes at average
 // degree 12 — the canonical dense sensor deployment of the paper's
-// experiments), reports the topology's memory footprint in raw CSR and
-// varint-packed form, then drives a broadcast flood through the
-// shard-owned parallel engine and prints per-round wall time and
-// throughput. On commodity hardware a full 1M-node round — every live
+// experiments), reports the topology's CSR memory footprint, then drives
+// a broadcast flood through the shard-owned parallel engine and prints
+// per-round wall time and throughput. On commodity hardware a full 1M-node round — every live
 // node folding its inbox and broadcasting to ~12 neighbors — completes in
 // well under a second.
 //
@@ -24,7 +23,6 @@
 
 #include "geom/udg.h"
 #include "graph/graph.h"
-#include "graph/packed.h"
 #include "sim/message.h"
 #include "sim/network.h"
 #include "util/cli.h"
@@ -101,14 +99,8 @@ int main(int argc, char** argv) {
   std::cout << "topology: " << g.n() << " nodes, " << g.m() << " edges, built in "
             << util::fmt(now_seconds() - t0, 2) << " s\n";
 
-  const graph::PackedAdjacency packed(g);
   const double csr_mb = static_cast<double>(g.memory_bytes()) / 1048576.0;
-  const double packed_mb =
-      static_cast<double>(packed.memory_bytes()) / 1048576.0;
-  std::cout << "adjacency: CSR " << util::fmt(csr_mb, 1) << " MiB, packed "
-            << util::fmt(packed_mb, 1) << " MiB ("
-            << util::fmt(100.0 * packed_mb / std::max(csr_mb, 1e-9), 0)
-            << "% of raw)\n";
+  std::cout << "adjacency: CSR " << util::fmt(csr_mb, 1) << " MiB\n";
 
   sim::SyncNetwork net(udg, 7);
   net.set_threads(threads);

@@ -290,13 +290,16 @@ if [ "$MODE" = "thread" ]; then
   cmake --build "$BUILD_DIR" -j "$(nproc)" --target ftc_tests
   # The concurrency surface: the thread pool itself, the determinism suites
   # (which drive SyncNetwork — with and without an observability plane — at
-  # many widths), the broadcast fan-out equivalence suite (fan-out entries
-  # expanded by parallel delivery passes), the reliable-transport suite
-  # (per-process ARQ state under the parallel engine), and the flood
-  # reference suite (the bench flood workload on a pool forced on by
-  # set_parallel_grain(0), against a naive engine).
+  # many widths; TraceDeterminism.PooledRecorderStagingIsWidthInvariant
+  # forces the pool so workers stage into obs::Recorder), the obs wiring
+  # suites (a plane, and a perf plane, attached with the pool forced on),
+  # the broadcast fan-out equivalence suite (fan-out entries expanded by
+  # parallel delivery passes), the reliable-transport suite (per-process ARQ
+  # state under the parallel engine), and the flood reference suite (the
+  # bench flood workload on a pool forced on by set_parallel_grain(0),
+  # against a naive engine).
   run_ctest --test-dir "$BUILD_DIR" --output-on-failure \
-    -R 'ThreadPool|ParallelDeterminism|TraceDeterminism|BroadcastFanOut|ReliableTransport|FloodReference'
+    -R 'ThreadPool|ParallelDeterminism|TraceDeterminism|ObsWiring|PerfWiring|BroadcastFanOut|ReliableTransport|FloodReference'
 else
   BUILD_DIR="${1:-build-asan}"
   configure -B "$BUILD_DIR" -S . \

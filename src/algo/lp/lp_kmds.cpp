@@ -251,7 +251,7 @@ LpResult solve_fractional_kmds(const graph::Graph& g, const Demands& demands,
       pf->add(obs::PerfPhase::kBarrierWait, pc.barrier_wait_ns);
       pf->add(obs::PerfPhase::kClaimStall, pc.claim_stall_ns);
     }
-    pf->end_round(perf_iter++, t_mark - iter_t0);
+    pf->end_round(perf_iter++, t_mark - iter_t0, {});
   };
 
   for (int p = t - 1; p >= 0; --p) {

@@ -9,7 +9,8 @@
 //
 // to_graph() freezes the current adjacency back into a CSR Graph by adopting
 // the already-sorted rows; the result is equivalent to Graph::from_edges over
-// the same edge set — the PackedAdjacency round-trip tests pin that contract.
+// the same edge set — MutableGraph.FreezeAfterChurnMatchesFromEdgesRebuild
+// and the fuzzer's dynamic.rebuild_roundtrip pin that contract.
 //
 // The uint32 CSR bound (2m must fit 32-bit offsets) is enforced here too,
 // at mutation time, through the same predicate Graph::from_edges uses:
@@ -26,7 +27,7 @@
 namespace ftc::graph {
 
 /// True iff a topology with `directed_arcs` = 2m directed arcs fits the
-/// 32-bit CSR offsets Graph and PackedAdjacency use. Shared by
+/// 32-bit CSR offsets Graph uses. Shared by
 /// Graph::from_edges and MutableGraph::add_edge so the static and dynamic
 /// paths reject exactly the same sizes.
 [[nodiscard]] bool csr_arcs_fit(std::size_t directed_arcs) noexcept;

@@ -107,69 +107,6 @@ void Registry::record(MetricId id, double value) {
   ++h.counts[bucket_of(h.bounds, value)];
 }
 
-void Registry::set_shards(int shards) {
-  assert(shards >= 1);
-  if (static_cast<int>(staged_.size()) == shards) return;
-  // Growing or shrinking between barriers is safe: staging is empty then.
-  for (const ShardSlots& s : staged_) {
-    assert(s.touched.empty() && "set_shards with staged data pending");
-    (void)s;
-  }
-  staged_.resize(static_cast<std::size_t>(shards));
-}
-
-void Registry::ensure_shard_capacity(ShardSlots& slots) const {
-  if (slots.scalars.size() < scalars_.size()) {
-    slots.scalars.resize(scalars_.size(), 0);
-  }
-  if (slots.hist_counts.size() < hists_.size()) {
-    slots.hist_counts.resize(hists_.size());
-  }
-}
-
-void Registry::shard_add(int shard, MetricId id, std::int64_t delta) {
-  assert(def(id).kind == MetricKind::kCounter &&
-         "gauges are sequential-only (no commutative merge)");
-  ShardSlots& slots = staged_[static_cast<std::size_t>(shard)];
-  ensure_shard_capacity(slots);
-  std::int64_t& cell = slots.scalars[def(id).slot];
-  if (cell == 0) slots.touched.push_back(id);
-  cell += delta;
-}
-
-void Registry::shard_record(int shard, MetricId id, double value) {
-  assert(def(id).kind == MetricKind::kHistogram);
-  ShardSlots& slots = staged_[static_cast<std::size_t>(shard)];
-  ensure_shard_capacity(slots);
-  auto& counts = slots.hist_counts[def(id).slot];
-  const Hist& h = hists_[def(id).slot];
-  if (counts.empty()) {
-    counts.assign(h.counts.size(), 0);
-    slots.touched.push_back(id);
-  }
-  ++counts[bucket_of(h.bounds, value)];
-}
-
-void Registry::merge_shards() {
-  for (ShardSlots& slots : staged_) {  // ascending shard order
-    for (MetricId id : slots.touched) {
-      const Def& d = def(id);
-      if (d.kind == MetricKind::kHistogram) {
-        auto& staged_counts = slots.hist_counts[d.slot];
-        auto& base = hists_[d.slot].counts;
-        for (std::size_t b = 0; b < base.size(); ++b) {
-          base[b] += staged_counts[b];
-        }
-        staged_counts.clear();
-      } else {
-        scalars_[d.slot] += slots.scalars[d.slot];
-        slots.scalars[d.slot] = 0;
-      }
-    }
-    slots.touched.clear();
-  }
-}
-
 std::int64_t Registry::value(MetricId id) const {
   assert(def(id).kind != MetricKind::kHistogram);
   return scalars_[def(id).slot];
@@ -179,18 +116,6 @@ HistogramSnapshot Registry::histogram_snapshot(MetricId id) const {
   assert(def(id).kind == MetricKind::kHistogram);
   const Hist& h = hists_[def(id).slot];
   return HistogramSnapshot{h.bounds, h.counts};
-}
-
-void Registry::reset() {
-  std::fill(scalars_.begin(), scalars_.end(), 0);
-  for (Hist& h : hists_) {
-    std::fill(h.counts.begin(), h.counts.end(), 0);
-  }
-  for (ShardSlots& slots : staged_) {
-    std::fill(slots.scalars.begin(), slots.scalars.end(), 0);
-    for (auto& counts : slots.hist_counts) counts.clear();
-    slots.touched.clear();
-  }
 }
 
 void Registry::write_json(std::ostream& os,

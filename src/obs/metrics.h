@@ -12,15 +12,10 @@
 //                 for values >= bounds.back(). A value exactly on an edge
 //                 lands in the upper bucket.
 //
-// Determinism contract (the reason this is not a mutex-guarded map):
-// workers never touch shared slots. Each shard stages increments into its
-// own slot array while the parallel region runs; merge_shards() — called by
-// the round engine at the sequential barrier — folds the staged slots in
-// ascending shard order. Counter addition and histogram bucket addition are
-// associative and commutative over int64, so the merged totals are bitwise
-// identical for every thread count, including 1. Gauges bypass staging
-// entirely. Enabling the registry therefore cannot break SyncNetwork's
-// set_threads determinism contract.
+// The registry is owner-thread only. Worker shards never touch it: they
+// stage through their obs::Recorder, which Plane::merge_shards() folds in
+// with add()/record() at the round barrier (the determinism contract lives
+// in plane.h). Gauges have no staged form.
 #pragma once
 
 #include <cstdint>
@@ -49,10 +44,8 @@ struct HistogramSnapshot {
 /// the standard shape for message/size distributions.
 [[nodiscard]] std::vector<double> pow2_bounds(int lo_exp, int hi_exp);
 
-/// Named metric definitions plus their values. Not thread-safe except for
-/// the shard_* entry points, each of which may be called concurrently as
-/// long as every shard index is owned by exactly one thread between
-/// merge_shards() calls (the round engine's sharding invariant).
+/// Named metric definitions plus their values. Not thread-safe: one owner
+/// thread registers, mutates and exports.
 class Registry {
  public:
   Registry() = default;
@@ -74,25 +67,10 @@ class Registry {
   void set(MetricId id, std::int64_t value);    // gauges
   void record(MetricId id, double value);       // histograms
 
-  /// Shard-staged mutation. set_shards() must be called (sequentially)
-  /// before the first shard_* call with a given index; merge_shards() folds
-  /// every staged slot into the base values in ascending shard order and
-  /// clears the staging.
-  void set_shards(int shards);
-  [[nodiscard]] int shards() const noexcept {
-    return static_cast<int>(staged_.size());
-  }
-  void shard_add(int shard, MetricId id, std::int64_t delta);
-  void shard_record(int shard, MetricId id, double value);
-  void merge_shards();
-
   /// Current value of a counter or gauge.
   [[nodiscard]] std::int64_t value(MetricId id) const;
   /// Current contents of a histogram.
   [[nodiscard]] HistogramSnapshot histogram_snapshot(MetricId id) const;
-
-  /// Zeroes every value (staged slots included); definitions are kept.
-  void reset();
 
   /// Writes the whole registry as a single JSON object: counters and gauges
   /// as numbers, histograms as {"bounds": [...], "counts": [...]}.
@@ -119,23 +97,12 @@ class Registry {
     std::vector<double> bounds;
     std::vector<std::int64_t> counts;  ///< bounds.size() + 1
   };
-  /// Per-shard staging. `touched` lists ids with staged data so a merge
-  /// only walks what was written (order inside a shard is irrelevant — the
-  /// folds are commutative).
-  struct ShardSlots {
-    std::vector<std::int64_t> scalars;
-    std::vector<std::vector<std::int64_t>> hist_counts;
-    std::vector<MetricId> touched;
-  };
-
   MetricId define(std::string name, MetricKind kind);
   [[nodiscard]] const Def& def(MetricId id) const;
-  void ensure_shard_capacity(ShardSlots& slots) const;
 
   std::vector<Def> defs_;
   std::vector<std::int64_t> scalars_;
   std::vector<Hist> hists_;
-  std::vector<ShardSlots> staged_;
 };
 
 }  // namespace ftc::obs

@@ -76,6 +76,12 @@ int perf_shard_slot(PerfPhase p) noexcept {
   }
 }
 
+void PerfShardSample::add(PerfPhase phase, std::int64_t ns) noexcept {
+  const int slot = perf_shard_slot(phase);
+  assert(slot >= 0 && "phase has no per-shard resolution");
+  phase_ns[slot] += ns;
+}
+
 std::int64_t PerfShardSample::busy_ns() const noexcept {
   return phase_ns[0] + phase_ns[1] + phase_ns[2];
 }
@@ -110,13 +116,6 @@ void PerfPlane::bind_registry(Registry* registry) {
   allocs_gauge_ = registry_->gauge("perf.allocs");
 }
 
-void PerfPlane::set_shards(int shards) {
-  assert(shards >= 1);
-  const auto want = static_cast<std::size_t>(shards);
-  if (staged_.size() != want) staged_.resize(want);
-  if (shard_totals_.size() < want) shard_totals_.resize(want);
-}
-
 std::int64_t PerfPlane::now_ns() noexcept {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -127,23 +126,8 @@ void PerfPlane::add(PerfPhase phase, std::int64_t ns) noexcept {
   cur_phase_ns_[static_cast<std::size_t>(phase)] += ns;
 }
 
-void PerfPlane::shard_add(int shard, PerfPhase phase,
-                          std::int64_t ns) noexcept {
-  const int slot = perf_shard_slot(phase);
-  assert(slot >= 0 && "shard_add: phase has no per-shard resolution");
-  assert(shard >= 0 && static_cast<std::size_t>(shard) < staged_.size());
-  staged_[static_cast<std::size_t>(shard)].phase_ns[slot] += ns;
-}
-
-void PerfPlane::note_shard_work(int shard, std::int64_t nodes,
-                                std::int64_t messages) noexcept {
-  assert(shard >= 0 && static_cast<std::size_t>(shard) < staged_.size());
-  ShardStage& st = staged_[static_cast<std::size_t>(shard)];
-  st.nodes += nodes;
-  st.messages += messages;
-}
-
-void PerfPlane::end_round(std::int64_t round, std::int64_t total_ns) {
+void PerfPlane::end_round(std::int64_t round, std::int64_t total_ns,
+                          std::span<const PerfShardSample> shards) {
   PerfRoundSample sample;
   sample.round = round;
   sample.total_ns = total_ns;
@@ -153,35 +137,29 @@ void PerfPlane::end_round(std::int64_t round, std::int64_t total_ns) {
     cur_phase_ns_[p] = 0;
   }
 
-  // Fold shard staging in ascending shard order (the sums are commutative;
-  // the fixed order keeps the discipline uniform with Trace/Registry) and
-  // shard-phase time into the owner totals so per-round attribution covers
-  // the dispatched phases even though workers timed them.
-  sample.shards.resize(staged_.size());
+  // Fold the shard samples into the run-wide per-shard totals. The strict
+  // `>` hands a busy-time tie to the lower shard.
+  sample.shards.assign(shards.begin(), shards.end());
+  if (shard_totals_.size() < shards.size()) shard_totals_.resize(shards.size());
   std::int64_t busy_sum = 0;
   std::int64_t busy_max = -1;
   std::int64_t channel_ns = 0;
   int straggler = -1;
-  for (std::size_t s = 0; s < staged_.size(); ++s) {
-    ShardStage& stage = staged_[s];
-    PerfShardSample& out = sample.shards[s];
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    const PerfShardSample& in = shards[s];
     PerfShardTotals& tot = shard_totals_[s];
     for (int i = 0; i < kPerfShardPhaseCount; ++i) {
-      out.phase_ns[i] = stage.phase_ns[i];
-      tot.phase_ns[i] += stage.phase_ns[i];
+      tot.phase_ns[i] += in.phase_ns[i];
     }
-    out.nodes = stage.nodes;
-    out.messages = stage.messages;
-    tot.nodes += stage.nodes;
-    tot.messages += stage.messages;
-    const std::int64_t busy = out.busy_ns();
+    tot.nodes += in.nodes;
+    tot.messages += in.messages;
+    const std::int64_t busy = in.busy_ns();
     busy_sum += busy;
-    channel_ns += stage.phase_ns[perf_shard_slot(PerfPhase::kChannelDecide)];
+    channel_ns += in.phase_ns[perf_shard_slot(PerfPhase::kChannelDecide)];
     if (busy > busy_max) {
       busy_max = busy;
       straggler = static_cast<int>(s);
     }
-    stage = ShardStage{};
   }
   // Channel decide has no owner-side lap (slots 0-2 do, and adding their
   // worker sums to the owner's dispatch wall time would double-count), so
@@ -212,27 +190,6 @@ void PerfPlane::end_round(std::int64_t round, std::int64_t total_ns) {
   }
 
   refresh_gauges();
-}
-
-void PerfPlane::reset() {
-  for (ShardStage& stage : staged_) stage = ShardStage{};
-  for (int p = 0; p < kPerfPhaseCount; ++p) {
-    cur_phase_ns_[p] = 0;
-    agg_phase_ns_[p] = 0;
-  }
-  ring_.clear();
-  head_ = 0;
-  rounds_ = 0;
-  agg_total_ns_ = 0;
-  for (PerfShardTotals& tot : shard_totals_) tot = PerfShardTotals{};
-  imb_sum_ = 0.0;
-  imb_max_ = 0.0;
-  // Gauges go to zero rather than being refreshed: a "reset" plane must
-  // read as empty until its next end_round publishes fresh facts.
-  if (registry_ != nullptr) {
-    registry_->set(peak_rss_gauge_, 0);
-    registry_->set(allocs_gauge_, 0);
-  }
 }
 
 void PerfPlane::refresh_gauges() {

@@ -9,20 +9,19 @@
 // attribution coverage (how much of the measured wall time the phase
 // intervals explain).
 //
-// Determinism contract: timing follows the exact staging discipline of
-// obs::Trace / obs::Registry — workers write only shard-owned staging slots
-// (shard_add / note_shard_work), the owner folds them in ascending shard
-// order at the round barrier (end_round) — so *enabling* the plane never
-// perturbs the simulated execution and SyncNetwork's set_threads bitwise
-// invariance holds with perf on. The recorded nanoseconds themselves are of
-// course wall-clock facts: they live in this side structure and its own
-// JSONL export, never in the deterministic trace stream; the only registry
-// contact is the "perf."-prefixed steady-state gauges, which determinism
-// comparisons drop via Registry::write_json(os, "perf.").
+// The plane is owner-thread only: per-shard timing reaches it as the span
+// end_round() takes (the determinism contract is in plane.h), so *enabling*
+// the plane never perturbs the simulated execution. The recorded
+// nanoseconds themselves are of course wall-clock facts: they live in this
+// side structure and its own JSONL export, never in the deterministic trace
+// stream; the only registry contact is the "perf."-prefixed steady-state
+// gauges, which determinism comparisons drop via
+// Registry::write_json(os, "perf.").
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -71,11 +70,15 @@ inline constexpr int kPerfShardPhaseCount = 4;
 /// Slot of a per-shard phase, or -1 for owner-only phases.
 [[nodiscard]] int perf_shard_slot(PerfPhase p) noexcept;
 
-/// One shard's share of one round.
+/// One shard's share of one round. The round engine stages one per shard;
+/// only that shard's worker writes it during the parallel phases.
 struct PerfShardSample {
   std::int64_t phase_ns[kPerfShardPhaseCount] = {0, 0, 0, 0};
   std::int64_t nodes = 0;     ///< processes executed by this shard
   std::int64_t messages = 0;  ///< messages sent by this shard
+
+  /// Attributes `ns` to a per-shard phase (asserts on owner-only phases).
+  void add(PerfPhase phase, std::int64_t ns) noexcept;
 
   /// Parallel-phase work time: compute + count + place (channel decide is
   /// nested inside count and would double-count).
@@ -109,10 +112,7 @@ struct PerfOptions {
   std::size_t capacity = 1u << 12;  ///< retained per-round samples (ring)
 };
 
-/// The attribution sink. Thread discipline mirrors obs::Registry: add() and
-/// end_round() are owner-thread only; shard_add()/note_shard_work(s, …) may
-/// run concurrently as long as each shard index has exactly one owner
-/// between end_round() calls.
+/// The attribution sink. Owner-thread only, like obs::Registry.
 class PerfPlane {
  public:
   PerfPlane();
@@ -133,37 +133,20 @@ class PerfPlane {
     alloc_source_ = source;
   }
 
-  /// Sizes the shard staging (sequential-only, like Registry::set_shards).
-  void set_shards(int shards);
-  [[nodiscard]] int shards() const noexcept {
-    return static_cast<int>(staged_.size());
-  }
-
-  /// Owner-thread attribution of `ns` to `phase` for the current round.
+  /// Attribution of `ns` to `phase` for the current round.
   void add(PerfPhase phase, std::int64_t ns) noexcept;
-  /// Worker-side attribution into the shard's staging slot. Phases without
-  /// a shard slot (perf_shard_slot == -1) assert.
-  void shard_add(int shard, PerfPhase phase, std::int64_t ns) noexcept;
-  /// Work-volume bookkeeping for straggler reports (owner or shard owner).
-  void note_shard_work(int shard, std::int64_t nodes,
-                       std::int64_t messages) noexcept;
 
-  /// Round barrier: folds the shard staging in ascending shard order,
+  /// Round barrier: takes the round's per-shard samples (empty for a
+  /// producer without shards, like the LP mirror) in ascending shard order,
   /// computes imbalance + straggler, appends the ring sample, folds the
   /// run-wide aggregates, and refreshes the registry gauges.
-  void end_round(std::int64_t round, std::int64_t total_ns);
-
-  /// Clears every sample: staged slots, the current round's phase laps, the
-  /// ring, the run-wide aggregates, the per-shard totals, and the imbalance
-  /// stats. Shard sizing, the registry binding, and the alloc source are
-  /// kept; the perf.* gauges are zeroed. Needed when one process drives
-  /// many scenarios through the same plane (the dynamic maintainer's
-  /// campaign mode) and each run's attribution must start clean.
-  void reset();
+  void end_round(std::int64_t round, std::int64_t total_ns,
+                 std::span<const PerfShardSample> shards);
 
   [[nodiscard]] std::int64_t rounds() const noexcept { return rounds_; }
   /// Retained per-round samples, oldest first.
   [[nodiscard]] std::vector<PerfRoundSample> recent() const;
+  /// Run-wide per-shard totals, sized to the widest round seen.
   [[nodiscard]] const std::vector<PerfShardTotals>& shard_totals()
       const noexcept {
     return shard_totals_;
@@ -186,16 +169,9 @@ class PerfPlane {
   void export_jsonl(std::ostream& os, std::int64_t clamped_spans = 0) const;
 
  private:
-  struct ShardStage {
-    std::int64_t phase_ns[kPerfShardPhaseCount] = {0, 0, 0, 0};
-    std::int64_t nodes = 0;
-    std::int64_t messages = 0;
-  };
-
   void refresh_gauges();
 
   PerfOptions options_;
-  std::vector<ShardStage> staged_;
   std::int64_t cur_phase_ns_[kPerfPhaseCount] = {};
   std::vector<PerfRoundSample> ring_;
   std::size_t head_ = 0;  ///< next write position once the ring is full

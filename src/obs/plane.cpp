@@ -1,5 +1,6 @@
 #include "obs/plane.h"
 
+#include <cassert>
 #include <fstream>
 #include <stdexcept>
 #include <string>
@@ -69,14 +70,20 @@ Plane::Plane(PlaneOptions options) : trace_(options.trace) {
 }
 
 void Plane::set_shards(int shards) {
-  metrics_.set_shards(shards);
-  trace_.set_shards(shards);
-  if (perf_ != nullptr) perf_->set_shards(shards);
+  assert(shards >= 1);
+  recorders_.resize(static_cast<std::size_t>(shards),
+                    Recorder(&builtin_, &trace_));
 }
 
 void Plane::merge_shards() {
-  metrics_.merge_shards();
-  trace_.merge_shards();
+  for (Recorder& r : recorders_) {  // ascending shard order
+    for (const auto& [id, delta] : r.counts_) metrics_.add(id, delta);
+    for (const auto& [id, value] : r.records_) metrics_.record(id, value);
+    for (const TraceEvent& e : r.events_) trace_.emit(e);
+    r.counts_.clear();
+    r.records_.clear();
+    r.events_.clear();
+  }
 }
 
 namespace {
@@ -122,9 +129,12 @@ std::unique_ptr<Plane> make_plane(const util::ObsFlags& flags) {
   if (!flags.enabled()) return nullptr;
   PlaneOptions options;
   options.perf = flags.perf;
-  if (flags.capacity > 0) {
-    options.trace.capacity = static_cast<std::size_t>(flags.capacity);
+  if (flags.capacity <= 0) {
+    throw std::invalid_argument("--trace-capacity=" +
+                                std::to_string(flags.capacity) +
+                                ": must be positive");
   }
+  options.trace.capacity = static_cast<std::size_t>(flags.capacity);
   options.trace.category_mask = parse_category_list(flags.categories);
   if (!flags.severity.empty()) {
     Severity s;

@@ -3,14 +3,28 @@
 //
 // A Plane is attached to a network with SyncNetwork::set_observability() /
 // AsyncNetwork::set_observability(); processes reach it through
-// sim::Context::obs(), which hands them a shard-bound Recorder so their
-// emissions stage into per-shard slots and merge deterministically at the
-// round barrier. A detached network (the default) pays one null check per
-// round phase — the disabled path is benchmarked by bench_obs_overhead.
+// sim::Context::obs(), which hands them their shard's Recorder. A detached
+// network (the default) pays one null check per round phase — the disabled
+// path is benchmarked by bench_obs_overhead.
+//
+// Determinism contract. Registry, Trace and PerfPlane are owner-thread
+// sinks. A worker writes observability state only through its shard's
+// Recorder, which stages counter deltas, histogram samples and trace events
+// in emission order. At the sequential round barrier, merge_shards() folds
+// the recorders in ascending shard order into Registry::add/record and
+// Trace::emit. Shards cover ascending contiguous node ranges and run their
+// nodes in ascending order, so the folded trace stream is the one-thread
+// emission order at every width, and counter and histogram folds are
+// integer sums. Filtering and the wall_ns stamp happen at emission, so a
+// folded event keeps its emission time. Per-shard perf timing takes the
+// same route without a Recorder: the engine stages one PerfShardSample per
+// shard and hands them to PerfPlane::end_round in shard order.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/perf.h"
@@ -80,6 +94,53 @@ struct Builtin {
   NameId n_async_run = 0;
 };
 
+/// One shard's emission handle, handed to processes by sim::Context::obs().
+/// Between two Plane::merge_shards() calls it is written by its shard's
+/// thread only; it reads nothing the owner thread writes meanwhile.
+class Recorder {
+ public:
+  [[nodiscard]] const Builtin& builtin() const noexcept { return *builtin_; }
+
+  void count(MetricId id, std::int64_t delta = 1) {
+    // A counter folds as a sum, so back-to-back counts of one id share an
+    // entry; per-node counters then stage one entry per shard and round.
+    if (!counts_.empty() && counts_.back().first == id) {
+      counts_.back().second += delta;
+    } else {
+      counts_.emplace_back(id, delta);
+    }
+  }
+  void record(MetricId id, double value) { records_.emplace_back(id, value); }
+  [[nodiscard]] bool trace_enabled(Category c, Severity s) const noexcept {
+    return trace_->enabled(c, s);
+  }
+  void event(Category c, Severity s, NameId name, std::int64_t round,
+             std::int32_t node, std::int64_t a0 = 0, std::int64_t a1 = 0) {
+    if (!trace_->enabled(c, s)) return;
+    TraceEvent e;
+    e.round = round;
+    e.node = node;
+    e.category = c;
+    e.severity = s;
+    e.name = name;
+    e.a0 = a0;
+    e.a1 = a1;
+    e.wall_ns = trace_->now_ns();
+    events_.push_back(e);
+  }
+
+ private:
+  friend class Plane;
+  Recorder(const Builtin* builtin, const Trace* trace)
+      : builtin_(builtin), trace_(trace) {}
+
+  const Builtin* builtin_;
+  const Trace* trace_;
+  std::vector<std::pair<MetricId, std::int64_t>> counts_;
+  std::vector<std::pair<MetricId, double>> records_;
+  std::vector<TraceEvent> events_;
+};
+
 struct PlaneOptions {
   Trace::Options trace;
   bool perf = false;  ///< attach a PerfPlane (attribution timing, §12)
@@ -100,13 +161,19 @@ class Plane {
   [[nodiscard]] const Builtin& builtin() const noexcept { return builtin_; }
 
   /// The perf-attribution plane, or nullptr when PlaneOptions.perf was
-  /// false. The round engine caches this pointer and stages timing into it
-  /// exactly like trace emission (see perf.h for the determinism contract).
+  /// false. The round engine caches this pointer.
   [[nodiscard]] PerfPlane* perf() noexcept { return perf_.get(); }
   [[nodiscard]] const PerfPlane* perf() const noexcept { return perf_.get(); }
 
-  /// Forwarded to every member (see their shard contracts).
+  /// Sizes the per-shard recorders. Call between rounds, when they are
+  /// empty (a fresh plane has none).
   void set_shards(int shards);
+  /// The staging handle of `shard` < the set_shards() count.
+  [[nodiscard]] Recorder& recorder(int shard) noexcept {
+    return recorders_[static_cast<std::size_t>(shard)];
+  }
+  /// Round barrier: drains every recorder, in ascending shard order, into
+  /// the registry and the trace (see the file comment).
   void merge_shards();
 
  private:
@@ -114,45 +181,7 @@ class Plane {
   Trace trace_;
   std::unique_ptr<PerfPlane> perf_;
   Builtin builtin_;
-};
-
-/// Shard-bound emission handle given to processes via sim::Context::obs().
-/// Valid only during the parallel region it was handed out for; everything
-/// it emits stages into its shard and merges at the barrier.
-class Recorder {
- public:
-  Recorder() = default;
-  Recorder(Plane* plane, int shard) : plane_(plane), shard_(shard) {}
-
-  [[nodiscard]] const Builtin& builtin() const noexcept {
-    return plane_->builtin();
-  }
-
-  void count(MetricId id, std::int64_t delta = 1) {
-    plane_->metrics().shard_add(shard_, id, delta);
-  }
-  void record(MetricId id, double value) {
-    plane_->metrics().shard_record(shard_, id, value);
-  }
-  [[nodiscard]] bool trace_enabled(Category c, Severity s) const noexcept {
-    return plane_->trace().enabled(c, s);
-  }
-  void event(Category c, Severity s, NameId name, std::int64_t round,
-             std::int32_t node, std::int64_t a0 = 0, std::int64_t a1 = 0) {
-    TraceEvent e;
-    e.round = round;
-    e.node = node;
-    e.category = c;
-    e.severity = s;
-    e.name = name;
-    e.a0 = a0;
-    e.a1 = a1;
-    plane_->trace().shard_emit(shard_, e);
-  }
-
- private:
-  Plane* plane_ = nullptr;
-  int shard_ = 0;
+  std::vector<Recorder> recorders_;
 };
 
 /// Builds a Plane from the --trace / --metrics flag group (util/cli.h), or

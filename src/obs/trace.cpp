@@ -94,41 +94,14 @@ void Trace::emit(TraceEvent e) {
   push(e);
 }
 
-void Trace::set_shards(int shards) {
-  assert(shards >= 1);
-  if (static_cast<int>(staged_.size()) == shards) return;
-  for (const auto& s : staged_) {
-    assert(s.empty() && "set_shards with staged events pending");
-    (void)s;
-  }
-  staged_.resize(static_cast<std::size_t>(shards));
-}
-
-void Trace::shard_emit(int shard, TraceEvent e) {
-  if (!enabled(e.category, e.severity)) return;
-  if (e.wall_ns == 0) e.wall_ns = now_ns();
-  staged_[static_cast<std::size_t>(shard)].push_back(e);
-}
-
-void Trace::finish_span(TraceEvent e, int shard) {
+void Trace::finish_span(TraceEvent e) {
   if (e.dur_ns <= 0) {
     // Clamp so the span still renders, but make the fabrication visible:
     // a clamped duration means the clock could not resolve the interval.
     e.dur_ns = 1;
-    clamped_spans_.fetch_add(1, std::memory_order_relaxed);
+    ++clamped_spans_;
   }
-  if (shard >= 0) {
-    shard_emit(shard, e);
-  } else {
-    emit(e);
-  }
-}
-
-void Trace::merge_shards() {
-  for (auto& shard : staged_) {  // ascending shard order
-    for (const TraceEvent& e : shard) push(e);
-    shard.clear();
-  }
+  emit(e);
 }
 
 std::vector<TraceEvent> Trace::events() const {
@@ -178,11 +151,9 @@ void Trace::export_chrome(std::ostream& os) const {
 }
 
 SpanTimer::SpanTimer(Trace* trace, Category category, Severity severity,
-                     NameId name, std::int64_t round, std::int32_t node,
-                     int shard)
+                     NameId name, std::int64_t round, std::int32_t node)
     : trace_(trace != nullptr && trace->enabled(category, severity) ? trace
-                                                                    : nullptr),
-      shard_(shard) {
+                                                                    : nullptr) {
   if (trace_ == nullptr) return;
   event_.round = round;
   event_.node = node;
@@ -193,7 +164,7 @@ SpanTimer::SpanTimer(Trace* trace, Category category, Severity severity,
 }
 
 SpanTimer::SpanTimer(SpanTimer&& other) noexcept
-    : trace_(other.trace_), event_(other.event_), shard_(other.shard_) {
+    : trace_(other.trace_), event_(other.event_) {
   other.trace_ = nullptr;
 }
 
@@ -205,7 +176,7 @@ void SpanTimer::set_args(std::int64_t a0, std::int64_t a1) noexcept {
 SpanTimer::~SpanTimer() {
   if (trace_ == nullptr) return;
   event_.dur_ns = trace_->now_ns() - event_.wall_ns;
-  trace_->finish_span(event_, shard_);
+  trace_->finish_span(event_);
 }
 
 }  // namespace ftc::obs

@@ -7,11 +7,9 @@
 //
 // Determinism contract: an event carries two clocks.
 //   * The logical clock — (round, emission order) — is fully determined by
-//     the simulated execution. Events emitted by worker shards are staged
-//     per shard and merged at the round barrier in ascending shard order;
-//     shards cover ascending contiguous node ranges and nodes execute in
-//     ascending order within a shard, so the merged stream is identical for
-//     every thread count.
+//     the simulated execution. The trace itself is owner-thread only;
+//     events from worker shards reach it through obs::Recorder staging,
+//     folded at the round barrier in the order plane.h pins down.
 //   * The wall clock — wall_ns / dur_ns, stamped from a steady clock — is
 //     inherently nondeterministic and is confined to the Chrome exporter.
 //
@@ -20,7 +18,6 @@
 // trace_event format (load in Perfetto / about:tracing) using wall time.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <iosfwd>
@@ -73,10 +70,8 @@ struct TraceEvent {
   std::int64_t dur_ns = 0;   ///< span duration; 0 = instant event
 };
 
-/// Ring-buffered event sink. Thread discipline mirrors obs::Registry:
-/// emit() and the exporters are owner-thread only; shard_emit(s, …) may run
-/// concurrently as long as each shard index has one owner between
-/// merge_shards() calls.
+/// Ring-buffered event sink, owner-thread only (like obs::Registry). Worker
+/// threads may call the const enabled() and now_ns() while staging.
 class Trace {
  public:
   struct Options {
@@ -103,17 +98,10 @@ class Trace {
   /// wall_ns is stamped here when the caller left it 0.
   void emit(TraceEvent e);
 
-  /// Worker-side emission into shard staging; merged at the barrier.
-  void set_shards(int shards);
-  void shard_emit(int shard, TraceEvent e);
-  /// Appends every staged event in ascending shard order (owner thread).
-  void merge_shards();
-
   /// Finishes a span event: a non-positive duration is clamped to 1 ns (so
   /// it still renders as a span) and counted in clamped_spans(). Called by
-  /// ~SpanTimer, possibly from worker threads (hence the atomic counter);
-  /// exposed so tests can drive the clamp path deterministically.
-  void finish_span(TraceEvent e, int shard);
+  /// ~SpanTimer; exposed so tests can drive the clamp path deterministically.
+  void finish_span(TraceEvent e);
 
   [[nodiscard]] std::size_t size() const noexcept { return count_; }
   [[nodiscard]] std::int64_t dropped() const noexcept { return dropped_; }
@@ -121,13 +109,7 @@ class Trace {
   /// wall-clock fact (clock resolution dependent), so it is reported via
   /// the perf JSONL summary, never the deterministic registry.
   [[nodiscard]] std::int64_t clamped_spans() const noexcept {
-    return clamped_spans_.load(std::memory_order_relaxed);
-  }
-  /// Zeroes the clamp counter (owner thread, between scenario runs — no
-  /// SpanTimer may be live). Paired with PerfPlane::reset() so one process
-  /// can run many scenarios with per-run clamp accounting.
-  void reset_clamped_spans() noexcept {
-    clamped_spans_.store(0, std::memory_order_relaxed);
+    return clamped_spans_;
   }
   /// Retained events, oldest first.
   [[nodiscard]] std::vector<TraceEvent> events() const;
@@ -152,20 +134,20 @@ class Trace {
   std::size_t head_ = 0;  ///< next write position
   std::size_t count_ = 0;
   std::int64_t dropped_ = 0;
-  std::atomic<std::int64_t> clamped_spans_{0};
-  std::vector<std::vector<TraceEvent>> staged_;
+  std::int64_t clamped_spans_ = 0;
   std::chrono::steady_clock::time_point epoch_;
 };
 
 /// RAII span: records construction→destruction as one complete event. The
 /// wall-clock duration only ever reaches the Chrome exporter; a0/a1 (via
 /// set_args) must be deterministic. A SpanTimer built with a null trace, or
-/// whose (category, severity) is filtered out, is a no-op.
+/// whose (category, severity) is filtered out, is a no-op. Owner thread
+/// only, like the trace it records into.
 class SpanTimer {
  public:
   SpanTimer() = default;
   SpanTimer(Trace* trace, Category category, Severity severity, NameId name,
-            std::int64_t round, std::int32_t node = -1, int shard = -1);
+            std::int64_t round, std::int32_t node = -1);
   SpanTimer(SpanTimer&& other) noexcept;
   SpanTimer& operator=(SpanTimer&&) = delete;
   SpanTimer(const SpanTimer&) = delete;
@@ -178,7 +160,6 @@ class SpanTimer {
  private:
   Trace* trace_ = nullptr;
   TraceEvent event_;
-  int shard_ = -1;
 };
 
 }  // namespace ftc::obs

@@ -90,6 +90,7 @@ SyncNetwork::SyncNetwork(const graph::Graph& g, std::uint64_t seed)
   xfer_cur_.resize(1);
   xfer_prev_.resize(1);
   shard_stats_.resize(1);
+  perf_shards_.resize(1);
   shard_inbox_total_.resize(1);
   shard_inbox_base_.resize(1);
   fate_scratch_.resize(1);
@@ -129,6 +130,7 @@ void SyncNetwork::set_threads(int threads) {
   arena_cur_.resize(shards);
   xfer_cur_.resize(shards * shards);
   shard_stats_.resize(shards);
+  perf_shards_.resize(shards);
   shard_inbox_total_.resize(shards);
   shard_inbox_base_.resize(shards);
   fate_scratch_.resize(shards);
@@ -162,20 +164,9 @@ void SyncNetwork::set_observability(obs::Plane* plane) {
 }
 
 void SyncNetwork::sync_observability_shards() {
-  if (plane_ == nullptr) {
-    recorders_.clear();
-    perf_ = nullptr;
-    if (pool_ != nullptr) pool_->set_perf_enabled(false);
-    return;
-  }
-  plane_->set_shards(threads_);
-  perf_ = plane_->perf();
+  if (plane_ != nullptr) plane_->set_shards(threads_);
+  perf_ = plane_ != nullptr ? plane_->perf() : nullptr;
   if (pool_ != nullptr) pool_->set_perf_enabled(perf_ != nullptr);
-  if (static_cast<int>(recorders_.size()) != threads_) {
-    recorders_.clear();
-    recorders_.reserve(static_cast<std::size_t>(threads_));
-    for (int s = 0; s < threads_; ++s) recorders_.emplace_back(plane_, s);
-  }
 }
 
 void SyncNetwork::set_process(graph::NodeId v,
@@ -449,8 +440,7 @@ void SyncNetwork::execute_nodes(graph::NodeId begin, graph::NodeId end,
                                 int shard) {
   ShardStats& stats = shard_stats_[static_cast<std::size_t>(shard)];
   obs::Recorder* const rec =
-      recorders_.empty() ? nullptr
-                         : &recorders_[static_cast<std::size_t>(shard)];
+      plane_ != nullptr ? &plane_->recorder(shard) : nullptr;
   obs::PerfPlane* const pf = perf_;
   const std::int64_t t0 = pf != nullptr ? obs::PerfPlane::now_ns() : 0;
   const Message* const store = inbox_store_.data();
@@ -474,8 +464,8 @@ void SyncNetwork::execute_nodes(graph::NodeId begin, graph::NodeId end,
     }
   }
   if (pf != nullptr) {
-    pf->shard_add(shard, obs::PerfPhase::kCompute,
-                  obs::PerfPlane::now_ns() - t0);
+    perf_shards_[static_cast<std::size_t>(shard)].add(
+        obs::PerfPhase::kCompute, obs::PerfPlane::now_ns() - t0);
   }
 }
 
@@ -566,11 +556,10 @@ void SyncNetwork::deliver_round(int shards) {
     }
     shard_inbox_total_[du] = total;
     if (pf != nullptr) {
-      pf->shard_add(d, obs::PerfPhase::kDeliverCount,
-                    obs::PerfPlane::now_ns() - shard_t0);
-      if (decide_ns != 0) {
-        pf->shard_add(d, obs::PerfPhase::kChannelDecide, decide_ns);
-      }
+      obs::PerfShardSample& ps = perf_shards_[du];
+      ps.add(obs::PerfPhase::kDeliverCount,
+             obs::PerfPlane::now_ns() - shard_t0);
+      ps.add(obs::PerfPhase::kChannelDecide, decide_ns);
     }
   };
   dispatch_shards(shards, count_shard);
@@ -656,8 +645,8 @@ void SyncNetwork::deliver_round(int shards) {
     }
 #endif
     if (pf != nullptr) {
-      pf->shard_add(d, obs::PerfPhase::kDeliverPlace,
-                    obs::PerfPlane::now_ns() - shard_t0);
+      perf_shards_[du].add(obs::PerfPhase::kDeliverPlace,
+                           obs::PerfPlane::now_ns() - shard_t0);
     }
   };
   dispatch_shards(shards, place_shard);
@@ -684,9 +673,13 @@ bool SyncNetwork::step() {
   };
 
   // Perf attribution: the owner laps each sequential phase boundary; the
-  // dispatched phases stage per-shard time from the workers (merged at
-  // end_round in ascending shard order). pf stays null on the default path.
+  // dispatched phases stage per-shard time from the workers into
+  // perf_shards_ (handed to end_round in shard order). pf stays null on the
+  // default path.
   obs::PerfPlane* const pf = perf_;
+  if (pf != nullptr) {
+    for (obs::PerfShardSample& ps : perf_shards_) ps = obs::PerfShardSample{};
+  }
   const std::int64_t step_t0 = pf != nullptr ? obs::PerfPlane::now_ns() : 0;
   std::int64_t t_mark = step_t0;
   auto lap = [&](obs::PerfPhase phase) {
@@ -731,7 +724,8 @@ bool SyncNetwork::step() {
           std::max(metrics_.max_message_words, st.max_words);
       running_count_ -= st.newly_halted;
       if (pf != nullptr) {
-        pf->note_shard_work(static_cast<int>(s), st.nodes_run, st.messages);
+        perf_shards_[s].nodes = st.nodes_run;
+        perf_shards_[s].messages = st.messages;
       }
     }
     metrics_.messages_sent += round_messages;
@@ -809,7 +803,7 @@ bool SyncNetwork::step() {
       pf->add(obs::PerfPhase::kBarrierWait, pc.barrier_wait_ns);
       pf->add(obs::PerfPhase::kClaimStall, pc.claim_stall_ns);
     }
-    pf->end_round(executed_round, t_mark - step_t0);
+    pf->end_round(executed_round, t_mark - step_t0, perf_shards_);
   }
 
   check_counters();

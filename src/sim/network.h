@@ -153,10 +153,10 @@ class Context {
   /// This node's private random stream (stable across rounds).
   [[nodiscard]] util::Rng& rng() noexcept { return *rng_; }
 
-  /// Shard-bound observability recorder, or nullptr when no plane is
-  /// attached. Everything a process emits through it stages into its shard
-  /// and merges deterministically at the round barrier, so instrumentation
-  /// cannot perturb the set_threads determinism contract.
+  /// This shard's observability recorder, or nullptr when no plane is
+  /// attached. Everything a process emits through it is staged and folded
+  /// deterministically at the round barrier (obs/plane.h), so
+  /// instrumentation cannot perturb the set_threads determinism contract.
   [[nodiscard]] obs::Recorder* obs() const noexcept { return obs_; }
 
   /// Messages delivered to this node at the start of this round (sent by
@@ -532,6 +532,9 @@ class SyncNetwork final : public NetworkBackend {
   std::size_t xfer_block_prev_ = 1;   ///< shard block of that generation
   std::vector<Message> inbox_store_;  ///< all inboxes, receiver-contiguous
   std::vector<ShardStats> shard_stats_;            // one per sender shard
+  // Per-shard perf timing, written only when a perf plane is attached:
+  // compute by sender shard, the delivery passes by destination shard.
+  std::vector<obs::PerfShardSample> perf_shards_;
   std::vector<std::uint64_t> shard_inbox_total_;   // delivery scratch per d
   std::vector<std::uint64_t> shard_inbox_base_;    // delivery scratch per d
   // Channel fates decided in the count pass, replayed verbatim by the place
@@ -582,10 +585,9 @@ class SyncNetwork final : public NetworkBackend {
   // round phase plus one pointer store per node context).
   obs::Plane* plane_ = nullptr;
   obs::PerfPlane* perf_ = nullptr;           ///< cached plane_->perf()
-  std::vector<obs::Recorder> recorders_;     ///< one per shard
   Channel::Counters published_;              ///< channel counters already published
 
-  /// (Re)sizes the plane's shard staging and recorders to threads_.
+  /// (Re)sizes the plane's recorders to threads_ and refreshes perf_.
   void sync_observability_shards();
 };
 

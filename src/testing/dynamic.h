@@ -39,8 +39,8 @@ namespace ftc::testing {
 ///   dynamic.member_live     — no inactive node stays a member
 ///   dynamic.udg_incremental — incremental UDG edges == brute-force rebuild
 /// and, once per case:
-///   dynamic.packed_roundtrip — PackedAdjacency round-trips the final
-///                              mutated snapshot (rebuild-vs-mutate)
+///   dynamic.rebuild_roundtrip — the final mutated snapshot equals its
+///                              from_edges rebuild (rebuild-vs-mutate)
 ///   dynamic.determinism      — a second full replay is bitwise identical
 ///   engine.dynamic_parallel  — RepairProcess over the post-churn topology
 ///                              (case channel installed) is width-invariant

@@ -741,7 +741,10 @@ void check_kernels(const FuzzCase& c, const Graph& g, const Demands& demands,
 
 void check_obs(const FuzzCase& c, const Graph& g, const Demands& demands,
                const algo::LpResult& mirror_lp, Violations& out) {
-  std::vector<std::int64_t> registry_values;
+  // The pool is forced (parallel grain 0), so at c.threads > 1 workers
+  // really stage the processes' emissions through their Recorders.
+  std::string base_metrics;
+  std::string base_trace;
   for (const int threads : {1, c.threads}) {
     obs::Plane plane;
     const RoundingDistRun run =
@@ -749,21 +752,29 @@ void check_obs(const FuzzCase& c, const Graph& g, const Demands& demands,
                                  threads, channel_from_case(c), &plane);
     const auto& b = plane.builtin();
     const auto& reg = plane.metrics();
-    const std::vector<std::int64_t> values = {
-        reg.value(b.rounds), reg.value(b.messages), reg.value(b.words),
-        reg.value(b.messages_lost)};
-    if (values[0] != run.metrics.rounds ||
-        values[1] != run.metrics.messages_sent ||
-        values[2] != run.metrics.words_sent) {
+    if (reg.value(b.rounds) != run.metrics.rounds ||
+        reg.value(b.messages) != run.metrics.messages_sent ||
+        reg.value(b.words) != run.metrics.words_sent) {
       add(out, "obs.registry_consistency",
           "plane registry disagrees with Metrics at threads=" +
               std::to_string(threads));
     }
-    if (registry_values.empty()) {
-      registry_values = values;
-    } else if (values != registry_values) {
-      add(out, "obs.registry_determinism",
-          "registry values changed with engine width");
+    std::ostringstream metrics_os;
+    std::ostringstream trace_os;
+    reg.write_json(metrics_os, "perf.");
+    plane.trace().export_jsonl(trace_os);
+    if (threads == 1) {
+      base_metrics = metrics_os.str();
+      base_trace = trace_os.str();
+    } else {
+      if (metrics_os.str() != base_metrics) {
+        add(out, "obs.registry_determinism",
+            "registry JSON changed with engine width");
+      }
+      if (trace_os.str() != base_trace) {
+        add(out, "obs.trace_determinism",
+            "trace JSONL changed with engine width");
+      }
     }
     if (threads == c.threads) break;  // threads == 1: single iteration
   }

@@ -22,8 +22,8 @@
 //                   at most the centralized oracle plus the 2-hop damage
 //                   slack (PR 1's differential contract);
 //   * obs.*       — the observability registry agrees with the engine's
-//                   Metrics struct and is itself deterministic across
-//                   thread counts;
+//                   Metrics struct, and the registry JSON and trace JSONL
+//                   are byte-identical across thread counts;
 //   * term.*      — every bounded protocol halts within its round budget.
 //
 // All checks append Violations instead of asserting, so one case can report

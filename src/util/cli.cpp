@@ -1,8 +1,38 @@
 #include "util/cli.h"
 
+#include <optional>
 #include <stdexcept>
 
 namespace ftc::util {
+
+namespace {
+
+/// Runs `parse` (a std::stoll-style call taking the end-position out
+/// parameter) over all of `raw`. Nullopt when it throws or leaves trailing
+/// characters, so "12abc" is rejected instead of read as 12.
+template <typename Parse>
+auto parse_whole(const std::string& raw, Parse parse)
+    -> std::optional<decltype(parse(raw, nullptr))> {
+  std::size_t used = 0;
+  try {
+    const auto value = parse(raw, &used);
+    if (used == raw.size()) return value;
+  } catch (const std::exception&) {
+  }
+  return std::nullopt;
+}
+
+long long to_ll(const std::string& s, std::size_t* used) {
+  return std::stoll(s, used);
+}
+unsigned long long to_ull(const std::string& s, std::size_t* used) {
+  return std::stoull(s, used);
+}
+double to_d(const std::string& s, std::size_t* used) {
+  return std::stod(s, used);
+}
+
+}  // namespace
 
 Args::Args(int argc, const char* const* argv) {
   program_ = argc > 0 ? argv[0] : "";
@@ -39,21 +69,15 @@ std::string Args::get_string(const std::string& key,
 long long Args::get_int(const std::string& key, long long fallback) const {
   const auto raw = get(key);
   if (!raw) return fallback;
-  try {
-    return std::stoll(*raw);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("--" + key + "=" + *raw + ": not an integer");
-  }
+  if (const auto value = parse_whole(*raw, to_ll)) return *value;
+  throw std::invalid_argument("--" + key + "=" + *raw + ": not an integer");
 }
 
 double Args::get_double(const std::string& key, double fallback) const {
   const auto raw = get(key);
   if (!raw) return fallback;
-  try {
-    return std::stod(*raw);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("--" + key + "=" + *raw + ": not a number");
-  }
+  if (const auto value = parse_whole(*raw, to_d)) return *value;
+  throw std::invalid_argument("--" + key + "=" + *raw + ": not a number");
 }
 
 bool Args::get_bool(const std::string& key, bool fallback) const {
@@ -72,12 +96,12 @@ std::uint64_t Args::get_u64(const std::string& key,
                             std::uint64_t fallback) const {
   const auto raw = get(key);
   if (!raw) return fallback;
-  try {
-    return std::stoull(*raw);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("--" + key + "=" + *raw +
-                                ": not an unsigned integer");
+  // std::stoull accepts "-1" and wraps it to 2^64 - 1.
+  if (raw->find('-') == std::string::npos) {
+    if (const auto value = parse_whole(*raw, to_ull)) return *value;
   }
+  throw std::invalid_argument("--" + key + "=" + *raw +
+                              ": not an unsigned integer");
 }
 
 std::vector<long long> Args::get_int_list(
@@ -89,12 +113,12 @@ std::vector<long long> Args::get_int_list(
   for (std::size_t i = 0; i <= raw->size(); ++i) {
     if (i == raw->size() || (*raw)[i] == ',') {
       if (!token.empty()) {
-        try {
-          out.push_back(std::stoll(token));
-        } catch (const std::exception&) {
+        const auto value = parse_whole(token, to_ll);
+        if (!value) {
           throw std::invalid_argument("--" + key + ": bad element '" + token +
                                       "'");
         }
+        out.push_back(*value);
         token.clear();
       }
     } else {

@@ -118,6 +118,27 @@ TEST(MutableGraph, RandomMutationsMatchReference) {
   expect_same_adjacency(mg.to_graph(), Graph::from_edges(n, edges));
 }
 
+// Rebuild-vs-mutate: thaw a graph, churn it (edges and appended nodes),
+// freeze, and the CSR must equal a from-scratch from_edges rebuild.
+TEST(MutableGraph, FreezeAfterChurnMatchesFromEdgesRebuild) {
+  util::Rng rng(29);
+  MutableGraph mg(gnp(150, 0.06, rng));
+  for (int step = 0; step < 600; ++step) {
+    const auto u =
+        static_cast<NodeId>(rng.index(static_cast<std::size_t>(mg.n())));
+    const auto v =
+        static_cast<NodeId>(rng.index(static_cast<std::size_t>(mg.n())));
+    if (u == v) continue;
+    if (rng.bernoulli(0.5)) {
+      mg.add_edge(u, v);
+    } else {
+      mg.remove_edge(u, v);
+    }
+    if (step % 97 == 0) mg.add_node();
+  }
+  expect_same_adjacency(mg.to_graph(), Graph::from_edges(mg.n(), mg.edges()));
+}
+
 // The uint32 CSR bound at its exact boundary: 2m == uint32max fits, one
 // more arc does not. Shared predicate, so the static (from_edges) and
 // dynamic (add_edge) paths reject exactly the same sizes.

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
+
+#include "graph/generators.h"
+#include "util/rng.h"
 
 namespace ftc::graph {
 namespace {
@@ -113,6 +117,17 @@ TEST(Graph, MaxDegreeStar) {
   EXPECT_EQ(g.max_degree(), 9);
   EXPECT_EQ(g.degree(0), 9);
   EXPECT_EQ(g.degree(5), 1);
+}
+
+TEST(GraphMemory, MemoryBytesTracksCsrFootprint) {
+  const Graph g0;
+  EXPECT_EQ(g0.memory_bytes(), 0u);
+  util::Rng rng(11);
+  const Graph g = gnp(400, 0.04, rng);
+  // n+1 uint32 offsets plus 2m 32-bit ids, modulo capacity slack.
+  EXPECT_GE(g.memory_bytes(), (static_cast<std::size_t>(g.n()) + 1) *
+                                      sizeof(std::uint32_t) +
+                                  g.m() * 2 * sizeof(NodeId));
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <vector>
+
+#include "obs/plane.h"
 
 namespace {
 
@@ -11,6 +14,7 @@ using ftc::obs::HistogramSnapshot;
 using ftc::obs::kInvalidMetric;
 using ftc::obs::MetricId;
 using ftc::obs::MetricKind;
+using ftc::obs::Plane;
 using ftc::obs::pow2_bounds;
 using ftc::obs::Registry;
 
@@ -74,64 +78,52 @@ TEST(MetricsRegistry, Pow2BoundsShape) {
   EXPECT_DOUBLE_EQ(bounds[3], 8.0);
 }
 
-/// Shard merging must be associative: any partition of the same emissions
-/// across shards — including all-in-one-shard — folds to the same totals.
+/// Workers stage metrics through their shard's Recorder; the fold at
+/// Plane::merge_shards() must be associative: any partition of the same
+/// emissions across shards — including all-in-one-shard — yields the same
+/// registry.
 TEST(MetricsRegistry, ShardMergeIsPartitionInvariant) {
   auto run = [](int shards, const std::vector<int>& shard_of_emission) {
-    Registry reg;
-    const MetricId c = reg.counter("c");
-    const MetricId h = reg.histogram("h", {2.0, 8.0});
-    reg.set_shards(shards);
+    Plane plane;
+    const MetricId c = plane.metrics().counter("c");
+    const MetricId h = plane.metrics().histogram("h", {2.0, 8.0});
+    plane.set_shards(shards);
     for (std::size_t i = 0; i < shard_of_emission.size(); ++i) {
-      const int s = shard_of_emission[i];
-      reg.shard_add(s, c, static_cast<std::int64_t>(i) + 1);
-      reg.shard_record(s, h, static_cast<double>(i));
+      ftc::obs::Recorder& rec = plane.recorder(shard_of_emission[i]);
+      rec.count(c, static_cast<std::int64_t>(i) + 1);
+      rec.record(h, static_cast<double>(i));
     }
-    reg.merge_shards();
+    plane.merge_shards();
     std::ostringstream os;
-    reg.write_json(os);
+    plane.metrics().write_json(os);
     return os.str();
   };
 
   const std::string one = run(1, {0, 0, 0, 0, 0, 0});
   const std::string two = run(2, {0, 1, 0, 1, 1, 0});
   const std::string four = run(4, {3, 2, 1, 0, 3, 1});
+  EXPECT_NE(one.find("\"c\": 21"), std::string::npos);
   EXPECT_EQ(one, two);
   EXPECT_EQ(one, four);
 }
 
 TEST(MetricsRegistry, MergeClearsStagingForReuse) {
-  Registry reg;
-  const MetricId c = reg.counter("c");
-  reg.set_shards(2);
-  reg.shard_add(0, c, 5);
-  reg.shard_add(1, c, 6);
-  reg.merge_shards();
-  EXPECT_EQ(reg.value(c), 11);
-  reg.merge_shards();  // nothing staged: no double counting
-  EXPECT_EQ(reg.value(c), 11);
-  reg.shard_add(1, c, 1);
-  reg.merge_shards();
-  EXPECT_EQ(reg.value(c), 12);
-}
-
-TEST(MetricsRegistry, ResetZeroesValuesButKeepsDefinitions) {
-  Registry reg;
-  const MetricId c = reg.counter("c");
-  const MetricId g = reg.gauge("g");
-  const MetricId h = reg.histogram("h", {1.0});
-  reg.add(c, 9);
-  reg.set(g, 9);
-  reg.record(h, 0.5);
-  reg.set_shards(2);
-  reg.shard_add(0, c, 100);  // staged but never merged
-  reg.reset();
-  EXPECT_EQ(reg.value(c), 0);
-  EXPECT_EQ(reg.value(g), 0);
-  EXPECT_EQ(reg.histogram_snapshot(h).total(), 0);
-  reg.merge_shards();  // staging was cleared by reset
-  EXPECT_EQ(reg.value(c), 0);
-  EXPECT_EQ(reg.find("c"), c);  // definitions survive
+  Plane plane;
+  const MetricId c = plane.metrics().counter("c");
+  const MetricId h = plane.metrics().histogram("h", {1.0});
+  plane.set_shards(2);
+  plane.recorder(0).count(c, 5);
+  plane.recorder(1).count(c, 6);
+  plane.recorder(1).record(h, 0.5);
+  EXPECT_EQ(plane.metrics().value(c), 0);  // staged, not yet visible
+  plane.merge_shards();
+  EXPECT_EQ(plane.metrics().value(c), 11);
+  plane.merge_shards();  // nothing staged: no double counting
+  EXPECT_EQ(plane.metrics().value(c), 11);
+  EXPECT_EQ(plane.metrics().histogram_snapshot(h).total(), 1);
+  plane.recorder(1).count(c, 1);
+  plane.merge_shards();
+  EXPECT_EQ(plane.metrics().value(c), 12);
 }
 
 TEST(MetricsRegistry, WriteJsonRendersEmptyHistograms) {

@@ -1,5 +1,5 @@
-// Perf-attribution plane (obs/perf.h, DESIGN.md §12): staging discipline,
-// barrier-merge semantics, derived imbalance/straggler/coverage statistics,
+// Perf-attribution plane (obs/perf.h, DESIGN.md §12): the end_round fold of
+// per-shard samples, derived imbalance/straggler/coverage statistics,
 // the ring buffer, the JSONL side channel, and the "perf."-gauge exclusion
 // contract, plus end-to-end wiring through SyncNetwork and the LP solver.
 #include "obs/perf.h"
@@ -10,6 +10,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "algo/lp/lp_kmds.h"
 #include "domination/domination.h"
@@ -26,6 +27,7 @@ using graph::NodeId;
 using obs::kPerfPhaseCount;
 using obs::PerfPhase;
 using obs::PerfPlane;
+using obs::PerfShardSample;
 
 TEST(PerfPhases, NamesAndClassificationAreConsistent) {
   // Every phase has a stable snake_case name (these are JSONL keys the
@@ -51,7 +53,6 @@ TEST(PerfPhases, NamesAndClassificationAreConsistent) {
 
 TEST(PerfPlane, EndRoundFoldsShardStagingAndOwnerPhases) {
   PerfPlane perf;
-  perf.set_shards(3);
   // Owner-side laps: the dispatch wall time of the parallel phases plus the
   // sequential barriers. (Worker sums never enter the phase table — they
   // would double-count the dispatch wall the owner already measured.)
@@ -59,12 +60,14 @@ TEST(PerfPlane, EndRoundFoldsShardStagingAndOwnerPhases) {
   perf.add(PerfPhase::kDeliverPrefix, 50);
   perf.add(PerfPhase::kFinalize, 25);
   // Worker-side staging, written out of shard order on purpose.
-  perf.shard_add(2, PerfPhase::kCompute, 300);
-  perf.shard_add(0, PerfPhase::kCompute, 100);
-  perf.shard_add(1, PerfPhase::kCompute, 200);
-  perf.shard_add(1, PerfPhase::kDeliverCount, 40);
-  perf.note_shard_work(2, 10, 70);
-  perf.end_round(0, 1000);
+  std::vector<PerfShardSample> shards(3);
+  shards[2].add(PerfPhase::kCompute, 300);
+  shards[0].add(PerfPhase::kCompute, 100);
+  shards[1].add(PerfPhase::kCompute, 200);
+  shards[1].add(PerfPhase::kDeliverCount, 40);
+  shards[2].nodes = 10;
+  shards[2].messages = 70;
+  perf.end_round(0, 1000, shards);
 
   ASSERT_EQ(perf.rounds(), 1);
   const auto recent = perf.recent();
@@ -89,20 +92,23 @@ TEST(PerfPlane, EndRoundFoldsShardStagingAndOwnerPhases) {
   EXPECT_EQ(r.attributed_ns(), 425);
   EXPECT_NEAR(perf.attribution_coverage(), 425.0 / 1000.0, 1e-9);
 
-  // Staging was consumed: an empty follow-up round folds to zeros.
-  perf.end_round(1, 500);
+  // The owner laps were consumed: an idle follow-up round folds to zeros.
+  perf.end_round(1, 500, std::vector<PerfShardSample>(3));
   EXPECT_EQ(perf.recent()[1].attributed_ns(), 0);
   EXPECT_EQ(perf.recent()[1].straggler, -1);
   EXPECT_DOUBLE_EQ(perf.recent()[1].imbalance, 1.0);
+  ASSERT_EQ(perf.shard_totals().size(), 3u);
+  EXPECT_EQ(perf.shard_totals()[2].busy_ns(), 300);
+  EXPECT_EQ(perf.shard_totals()[2].messages, 70);
 }
 
 TEST(PerfPlane, NestedChannelDecideIsReportedButNotCovered) {
   PerfPlane perf;
-  perf.set_shards(2);
-  perf.add(PerfPhase::kDeliverCount, 100);           // owner dispatch lap
-  perf.shard_add(0, PerfPhase::kDeliverCount, 100);  // worker share
-  perf.shard_add(0, PerfPhase::kChannelDecide, 60);  // nested inside count
-  perf.end_round(0, 200);
+  perf.add(PerfPhase::kDeliverCount, 100);  // owner dispatch lap
+  std::vector<PerfShardSample> shards(2);
+  shards[0].add(PerfPhase::kDeliverCount, 100);  // worker share
+  shards[0].add(PerfPhase::kChannelDecide, 60);  // nested inside count
+  perf.end_round(0, 200, shards);
   const auto recent = perf.recent();
   const auto& r = recent[0];
   // Channel decide has no owner lap, so its worker-staged total is folded
@@ -121,7 +127,7 @@ TEST(PerfPlane, RingEvictsOldestButAggregatesNever) {
   PerfPlane perf(options);
   for (int i = 0; i < 10; ++i) {
     perf.add(PerfPhase::kCompute, 10);
-    perf.end_round(i, 100);
+    perf.end_round(i, 100, {});
   }
   EXPECT_EQ(perf.rounds(), 10);
   const auto recent = perf.recent();
@@ -137,15 +143,14 @@ TEST(PerfPlane, RingEvictsOldestButAggregatesNever) {
 
 TEST(PerfPlane, ImbalanceStatisticsAcrossRounds) {
   PerfPlane perf;
-  perf.set_shards(2);
   // Round 0: perfectly balanced.
-  perf.shard_add(0, PerfPhase::kCompute, 100);
-  perf.shard_add(1, PerfPhase::kCompute, 100);
-  perf.end_round(0, 200);
+  std::vector<PerfShardSample> shards(2);
+  shards[0].add(PerfPhase::kCompute, 100);
+  shards[1].add(PerfPhase::kCompute, 100);
+  perf.end_round(0, 200, shards);
   // Round 1: shard 1 does triple the work.
-  perf.shard_add(0, PerfPhase::kCompute, 100);
-  perf.shard_add(1, PerfPhase::kCompute, 300);
-  perf.end_round(1, 400);
+  shards[1].add(PerfPhase::kCompute, 200);
+  perf.end_round(1, 400, shards);
   EXPECT_DOUBLE_EQ(perf.recent()[0].imbalance, 1.0);
   EXPECT_DOUBLE_EQ(perf.recent()[1].imbalance, 1.5);
   EXPECT_DOUBLE_EQ(perf.mean_imbalance(), 1.25);
@@ -153,18 +158,22 @@ TEST(PerfPlane, ImbalanceStatisticsAcrossRounds) {
   ASSERT_EQ(perf.shard_totals().size(), 2u);
   EXPECT_EQ(perf.shard_totals()[0].busy_ns(), 200);
   EXPECT_EQ(perf.shard_totals()[1].busy_ns(), 400);
-  EXPECT_EQ(perf.shard_totals()[1].straggler_rounds, 1);  // ties go low
+  // Round 0's tie went to the lower shard, round 1 to the slower one.
+  EXPECT_EQ(perf.recent()[0].straggler, 0);
+  EXPECT_EQ(perf.shard_totals()[0].straggler_rounds, 1);
+  EXPECT_EQ(perf.shard_totals()[1].straggler_rounds, 1);
 }
 
 TEST(PerfPlane, ExportJsonlShape) {
   PerfPlane perf;
-  perf.set_shards(2);
   perf.add(PerfPhase::kCompute, 200);  // owner dispatch lap
-  perf.shard_add(0, PerfPhase::kCompute, 120);
-  perf.shard_add(1, PerfPhase::kCompute, 80);
+  std::vector<PerfShardSample> shards(2);
+  shards[0].add(PerfPhase::kCompute, 120);
+  shards[1].add(PerfPhase::kCompute, 80);
   perf.add(PerfPhase::kFinalize, 10);
-  perf.note_shard_work(0, 5, 9);
-  perf.end_round(3, 250);
+  shards[0].nodes = 5;
+  shards[0].messages = 9;
+  perf.end_round(3, 250, shards);
   std::ostringstream os;
   perf.export_jsonl(os, /*clamped_spans=*/7);
   const std::string out = os.str();
@@ -186,7 +195,7 @@ TEST(PerfPlane, RegistryGaugesCarryThePerfPrefixAndAreExcludable) {
   PerfPlane perf;
   perf.bind_registry(&reg);
   perf.set_alloc_source(+[]() -> std::uint64_t { return 42; });
-  perf.end_round(0, 100);
+  perf.end_round(0, 100, {});
   const obs::MetricId allocs = reg.find("perf.allocs");
   ASSERT_NE(allocs, obs::kInvalidMetric);
   EXPECT_EQ(reg.value(allocs), 42);
@@ -201,50 +210,6 @@ TEST(PerfPlane, RegistryGaugesCarryThePerfPrefixAndAreExcludable) {
   EXPECT_NE(all_os.str().find("perf.allocs"), std::string::npos);
   EXPECT_EQ(excl_os.str().find("perf."), std::string::npos);
   EXPECT_NE(excl_os.str().find("\"sim.messages\": 5"), std::string::npos);
-}
-
-TEST(PerfPlane, ResetClearsSamplesButKeepsWiring) {
-  // One process driving many scenarios through the same plane (the dynamic
-  // campaign mode) must be able to start each run's attribution clean
-  // without re-binding anything.
-  obs::Registry reg;
-  PerfPlane perf;
-  perf.bind_registry(&reg);
-  perf.set_alloc_source(+[]() -> std::uint64_t { return 42; });
-  perf.set_shards(2);
-  perf.add(PerfPhase::kCompute, 350);
-  perf.shard_add(0, PerfPhase::kCompute, 100);
-  perf.shard_add(1, PerfPhase::kCompute, 200);
-  perf.note_shard_work(1, 10, 70);
-  perf.end_round(0, 1000);
-  ASSERT_EQ(perf.rounds(), 1);
-  ASSERT_EQ(reg.value(reg.find("perf.allocs")), 42);
-
-  perf.reset();
-  // Every sample is gone: ring, aggregates, shard totals, imbalance.
-  EXPECT_EQ(perf.rounds(), 0);
-  EXPECT_TRUE(perf.recent().empty());
-  EXPECT_EQ(perf.total_ns(), 0);
-  EXPECT_EQ(perf.phase_total_ns(PerfPhase::kCompute), 0);
-  EXPECT_DOUBLE_EQ(perf.max_imbalance(), 0.0);
-  for (const auto& tot : perf.shard_totals()) {
-    EXPECT_EQ(tot.busy_ns(), 0);
-    EXPECT_EQ(tot.nodes, 0);
-    EXPECT_EQ(tot.straggler_rounds, 0);
-  }
-  // The perf.* gauges read as empty until the next end_round…
-  EXPECT_EQ(reg.value(reg.find("perf.allocs")), 0);
-  EXPECT_EQ(reg.value(reg.find("perf.peak_rss_kb")), 0);
-
-  // …and the wiring (shards, registry, alloc source) survived: the next
-  // scenario attributes from a clean slate.
-  perf.add(PerfPhase::kCompute, 80);
-  perf.shard_add(0, PerfPhase::kCompute, 80);
-  perf.end_round(0, 100);
-  EXPECT_EQ(perf.rounds(), 1);
-  EXPECT_EQ(perf.shards(), 2);
-  EXPECT_EQ(perf.phase_total_ns(PerfPhase::kCompute), 80);
-  EXPECT_EQ(reg.value(reg.find("perf.allocs")), 42);
 }
 
 /// Two-word chatter, enough rounds to exercise every engine phase.
@@ -277,7 +242,7 @@ TEST(PerfWiring, SyncNetworkAttributesItsRounds) {
 
   const PerfPlane& perf = *plane.perf();
   EXPECT_EQ(perf.rounds(), net.metrics().rounds);
-  EXPECT_EQ(perf.shards(), 4);
+  EXPECT_EQ(perf.shard_totals().size(), 4u);
   // The engine tiles each round with its top-level phases; the attribution
   // must explain most of the measured wall time (the acceptance bar on the
   // big flood bench is 95% — on a tiny graph, clock granularity bites, so

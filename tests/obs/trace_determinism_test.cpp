@@ -5,11 +5,14 @@
 // TraceDeterminism under TSan alongside the engine determinism suites.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "algo/baseline/greedy.h"
+#include "algo/extensions/repair_process.h"
 #include "algo/extensions/soak.h"
 #include "domination/domination.h"
 #include "geom/udg.h"
@@ -28,6 +31,7 @@ struct SoakCapture {
   std::string metrics_json;
   algo::SoakReport report;
   std::int64_t perf_rounds = 0;  ///< rounds the perf plane attributed
+  std::int64_t deficit_samples = 0;  ///< repair.coverage_deficit records
 };
 
 /// One seeded churn soak with an attached plane at the given thread count.
@@ -104,6 +108,70 @@ TEST(TraceDeterminism, PerfPlaneKeepsBitwiseInvariance) {
     // The exclusion did its job: no wall-clock gauge leaked into the
     // compared document.
     EXPECT_EQ(par.metrics_json.find("perf."), std::string::npos);
+  }
+}
+
+/// The soak above has 150 nodes, so at every width its shard block is below
+/// the parallel grain and the engine runs it inline. This run forces the
+/// pool (grain 0): workers really stage RepairProcess and heartbeat
+/// emissions in their Recorders while crashes and loss keep the detector
+/// and the repair waves busy.
+SoakCapture run_pooled_repair(int threads) {
+  util::Rng rng(4242);
+  const auto udg = geom::uniform_udg_with_degree(160, 9.0, rng);
+  const graph::Graph& g = udg.graph;
+  const auto demands =
+      domination::clamp_demands(g, domination::uniform_demands(g.n(), 2));
+  const auto base = algo::greedy_kmds(g, demands).set;
+  std::vector<std::uint8_t> member(static_cast<std::size_t>(g.n()), 0);
+  for (NodeId v : base) member[static_cast<std::size_t>(v)] = 1;
+
+  obs::Plane plane;
+  sim::SyncNetwork net(udg, 17);
+  net.set_observability(&plane);
+  net.set_threads(threads);
+  net.set_parallel_grain(0);
+  net.set_message_loss(0.25, 99);
+  net.set_all_processes([&](NodeId v) {
+    const auto i = static_cast<std::size_t>(v);
+    return std::make_unique<algo::RepairProcess>(demands[i], member[i] != 0);
+  });
+  // Crash a spread of backbone members so coverage breaks in every shard.
+  for (std::size_t i = 0; i < base.size(); i += 3) {
+    net.schedule_crash(base[i], 20 + static_cast<std::int64_t>(i));
+  }
+  net.run(200);
+
+  SoakCapture capture;
+  std::ostringstream trace_os;
+  plane.trace().export_jsonl(trace_os);
+  capture.jsonl = trace_os.str();
+  std::ostringstream metrics_os;
+  plane.metrics().write_json(metrics_os, "perf.");
+  capture.metrics_json = metrics_os.str();
+  const obs::Builtin& b = plane.builtin();
+  capture.report.promotions = plane.metrics().value(b.promotions);
+  capture.report.suspicions_raised = plane.metrics().value(b.suspicions);
+  capture.report.refuted_suspicions = plane.metrics().value(b.refutations);
+  capture.deficit_samples =
+      plane.metrics().histogram_snapshot(b.coverage_deficit).total();
+  return capture;
+}
+
+TEST(TraceDeterminism, PooledRecorderStagingIsWidthInvariant) {
+  const SoakCapture seq = run_pooled_repair(1);
+  // Every Recorder path must fire, or equality proves nothing.
+  EXPECT_GT(seq.report.promotions, 0);
+  EXPECT_GT(seq.report.suspicions_raised, 0);
+  EXPECT_GT(seq.report.refuted_suspicions, 0);
+  EXPECT_GT(seq.deficit_samples, 0);
+
+  for (int threads : {2, 4, 8}) {
+    const SoakCapture par = run_pooled_repair(threads);
+    EXPECT_EQ(seq.jsonl, par.jsonl) << "JSONL diverged at " << threads
+                                    << " threads";
+    EXPECT_EQ(seq.metrics_json, par.metrics_json)
+        << "registry diverged at " << threads << " threads";
   }
 }
 

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <utility>
+
+#include "obs/plane.h"
 
 namespace {
 
@@ -67,20 +70,35 @@ TEST(TraceRing, EvictsOldestAndCountsDrops) {
 }
 
 TEST(TraceShards, MergeAppendsInAscendingShardOrder) {
-  Trace trace;
-  trace.set_shards(3);
-  trace.shard_emit(2, make_event(102));
-  trace.shard_emit(0, make_event(100));
-  trace.shard_emit(1, make_event(101));
-  trace.shard_emit(0, make_event(110));
+  ftc::obs::Plane plane;
+  plane.set_shards(3);
+  auto emit = [&](int shard, std::int64_t round) {
+    plane.recorder(shard).event(Category::kUser, Severity::kInfo, 0, round, -1);
+  };
+  emit(2, 102);
+  emit(0, 100);
+  emit(1, 101);
+  emit(0, 110);
+  const Trace& trace = plane.trace();
   EXPECT_EQ(trace.size(), 0u);  // staged, not yet visible
-  trace.merge_shards();
+  // Events carry their emission time: let the clock move past it before
+  // the fold, so a merge-time stamp would be caught.
+  const std::int64_t emitted_by = trace.now_ns();
+  while (trace.now_ns() <= emitted_by) {
+  }
+  plane.merge_shards();
   const auto events = trace.events();
   ASSERT_EQ(events.size(), 4u);
   EXPECT_EQ(events[0].round, 100);
   EXPECT_EQ(events[1].round, 110);  // within-shard emission order kept
   EXPECT_EQ(events[2].round, 101);
   EXPECT_EQ(events[3].round, 102);
+  for (const TraceEvent& e : events) {
+    EXPECT_GT(e.wall_ns, 0);
+    EXPECT_LE(e.wall_ns, emitted_by);
+  }
+  plane.merge_shards();  // the fold drained the recorders
+  EXPECT_EQ(trace.size(), 4u);
 }
 
 TEST(TraceExport, JsonlHasLogicalFieldsOnly) {
@@ -161,37 +179,17 @@ TEST(TraceSpan, MovedFromSpanIsInert) {
   EXPECT_EQ(trace.size(), 1u);
 }
 
-TEST(TraceSpan, ClampCounterIsResettableBetweenRuns) {
-  // Scenario-campaign discipline: between runs the owner may zero the clamp
-  // counter (paired with PerfPlane::reset()) so each run's perf summary
-  // reports its own clamp count, while retained events are untouched.
-  Trace trace;
-  TraceEvent zero = make_event(4);
-  zero.dur_ns = 0;
-  trace.finish_span(zero, -1);
-  ASSERT_EQ(trace.clamped_spans(), 1);
-  trace.reset_clamped_spans();
-  EXPECT_EQ(trace.clamped_spans(), 0);
-  EXPECT_EQ(trace.size(), 1u);  // the event itself survives
-  TraceEvent again = make_event(5);
-  again.dur_ns = -3;
-  trace.finish_span(again, -1);
-  EXPECT_EQ(trace.clamped_spans(), 1);  // fresh per-run accounting
-}
-
 TEST(TraceSpan, NonPositiveDurationClampsAndCounts) {
   Trace trace;
-  trace.set_shards(2);
   TraceEvent zero = make_event(4);
   zero.dur_ns = 0;  // clock could not resolve the interval
-  trace.finish_span(zero, -1);
+  trace.finish_span(zero);
   TraceEvent negative = make_event(5);
   negative.dur_ns = -7;  // e.g. a clock-domain hiccup
-  trace.finish_span(negative, 1);
+  trace.finish_span(negative);
   TraceEvent fine = make_event(6);
   fine.dur_ns = 50;
-  trace.finish_span(fine, -1);
-  trace.merge_shards();
+  trace.finish_span(fine);
   // Clamped spans still render (dur 1 ns), and only the clamped ones count.
   EXPECT_EQ(trace.clamped_spans(), 2);
   const auto events = trace.events();

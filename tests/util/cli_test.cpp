@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "obs/plane.h"
+
 namespace ftc::util {
 namespace {
 
@@ -39,13 +41,17 @@ TEST(Args, PositionalArgumentsCollected) {
 }
 
 TEST(Args, BadIntegerThrows) {
-  const Args args = make_args({"--n=abc"});
+  const Args args = make_args({"--n=abc", "--m=12abc", "--k=3.5"});
   EXPECT_THROW((void)args.get_int("n", 0), std::invalid_argument);
+  // A numeric prefix is not a number: no silent truncation.
+  EXPECT_THROW((void)args.get_int("m", 0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_int("k", 0), std::invalid_argument);
 }
 
 TEST(Args, BadDoubleThrows) {
-  const Args args = make_args({"--x=oops"});
+  const Args args = make_args({"--x=oops", "--loss=0.5x"});
   EXPECT_THROW((void)args.get_double("x", 0.0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_double("loss", 0.0), std::invalid_argument);
 }
 
 TEST(Args, BoolSpellings) {
@@ -59,8 +65,12 @@ TEST(Args, BoolSpellings) {
 }
 
 TEST(Args, U64Parses) {
-  const Args args = make_args({"--seed=18446744073709551615"});
+  const Args args = make_args({"--seed=18446744073709551615", "--neg=-1",
+                               "--junk=7z"});
   EXPECT_EQ(args.get_u64("seed", 0), ~std::uint64_t{0});
+  // std::stoull would wrap -1 to 2^64 - 1.
+  EXPECT_THROW((void)args.get_u64("neg", 0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_u64("junk", 0), std::invalid_argument);
 }
 
 TEST(Args, IntListParses) {
@@ -75,8 +85,9 @@ TEST(Args, IntListFallback) {
 }
 
 TEST(Args, IntListBadElementThrows) {
-  const Args args = make_args({"--ks=1,x,3"});
+  const Args args = make_args({"--ks=1,x,3", "--ts=1,2x,3"});
   EXPECT_THROW((void)args.get_int_list("ks", {}), std::invalid_argument);
+  EXPECT_THROW((void)args.get_int_list("ts", {}), std::invalid_argument);
 }
 
 TEST(Args, LastDuplicateWins) {
@@ -122,6 +133,15 @@ TEST(ObsFlags, MetricsAloneEnables) {
 TEST(ObsFlags, BadCapacityThrows) {
   EXPECT_THROW((void)parse_obs_flags(make_args({"--trace-capacity=lots"})),
                std::invalid_argument);
+  // A ring needs room for one event; zero or negative is rejected, not
+  // replaced by the default.
+  for (const char* cap : {"--trace-capacity=0", "--trace-capacity=-5"}) {
+    const ObsFlags flags = parse_obs_flags(make_args({"--metrics=m.json", cap}));
+    EXPECT_THROW((void)obs::make_plane(flags), std::invalid_argument) << cap;
+  }
+  EXPECT_NE(obs::make_plane(parse_obs_flags(
+                make_args({"--metrics=m.json", "--trace-capacity=1"}))),
+            nullptr);
 }
 
 }  // namespace
