@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
         // Alg1+2 distributed under loss.
         {
           sim::SyncNetwork lp_net(g, seed);
-          lp_net.set_message_loss(loss, seed * 3 + 1);
+          lp_net.set_channel({.loss = loss, .seed = seed * 3 + 1});
           lp_net.set_all_processes([&](NodeId v) {
             return std::make_unique<algo::LpKmdsProcess>(
                 d[static_cast<std::size_t>(v)], t);
@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
           lp_net.run(algo::lp_round_count(t) + 4);
 
           sim::SyncNetwork r_net(g, seed);
-          r_net.set_message_loss(loss, seed * 3 + 2);
+          r_net.set_channel({.loss = loss, .seed = seed * 3 + 2});
           r_net.set_all_processes([&](NodeId v) {
             return std::make_unique<algo::RoundingProcess>(
                 lp_net.process_as<algo::LpKmdsProcess>(v).x(),
@@ -110,7 +110,7 @@ int main(int argc, char** argv) {
         // Alg3 distributed under loss.
         {
           sim::SyncNetwork net(udg, seed);
-          net.set_message_loss(loss, seed * 3 + 3);
+          net.set_channel({.loss = loss, .seed = seed * 3 + 3});
           net.set_all_processes([&](NodeId) {
             return std::make_unique<algo::UdgKmdsProcess>(k);
           });

@@ -118,11 +118,11 @@ struct RunStats {
 };
 
 RunStats run_raw(const geom::UnitDiskGraph& udg, std::int64_t rounds,
-                 int repeats, bool install_clean_channel) {
+                 int repeats, bool install_channel) {
   RunStats best;
   for (int rep = 0; rep < repeats; ++rep) {
     sim::SyncNetwork net(udg, kNetSeed);
-    if (install_clean_channel) net.set_channel(sim::ChannelOptions{});
+    if (install_channel) net.set_channel(sim::ChannelOptions{});
     net.set_all_processes(
         [&](NodeId) { return std::make_unique<RawFlood>(rounds); });
     bench::WallClock clock;

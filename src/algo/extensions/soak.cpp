@@ -55,8 +55,8 @@ SoakReport run_soak(const graph::Graph& g, const geom::UnitDiskGraph* udg,
   if (options.plane != nullptr) net.set_observability(options.plane);
   if (options.threads > 1) net.set_threads(options.threads);
   if (options.message_loss > 0.0) {
-    net.set_message_loss(options.message_loss,
-                         options.fault_seed ^ 0x6C6F7373ULL);
+    net.set_channel({.loss = options.message_loss,
+                     .seed = options.fault_seed ^ 0x6C6F7373ULL});
   }
   net.set_all_processes([&](NodeId v) {
     return std::make_unique<RepairProcess>(

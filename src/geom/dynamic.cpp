@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace ftc::geom {
 
@@ -19,9 +21,29 @@ DynamicUdg::DynamicUdg(const UnitDiskGraph& udg)
   for (NodeId v = 0; v < n(); ++v) grid_insert(v);
 }
 
+namespace {
+
+/// Cell index of one coordinate, clamped to ±2^62 so the cast and the ±1
+/// neighbour offsets in in_range cannot overflow. The clamp is monotone and
+/// non-expansive, so two points within one radius still land in the same
+/// or adjacent cells; far outliers merely share the boundary cell.
+std::int64_t cell_index(double coord, double radius) noexcept {
+  constexpr double kLimit = 0x1p62;
+  return static_cast<std::int64_t>(
+      std::clamp(std::floor(coord / radius), -kLimit, kLimit));
+}
+
+void require_finite(const char* op, const Point& p) {
+  if (!std::isfinite(p.x) || !std::isfinite(p.y)) {
+    throw std::invalid_argument(std::string("DynamicUdg::") + op +
+                                ": non-finite coordinate");
+  }
+}
+
+}  // namespace
+
 DynamicUdg::CellKey DynamicUdg::cell_of(const Point& p) const noexcept {
-  return {static_cast<std::int64_t>(std::floor(p.x / radius_)),
-          static_cast<std::int64_t>(std::floor(p.y / radius_))};
+  return {cell_index(p.x, radius_), cell_index(p.y, radius_)};
 }
 
 void DynamicUdg::grid_insert(NodeId v) {
@@ -58,6 +80,7 @@ std::vector<NodeId> DynamicUdg::in_range(const Point& p,
 }
 
 NodeId DynamicUdg::node_join(Point p, EdgeDelta& delta) {
+  require_finite("node_join", p);
   const NodeId v = g_.add_node();
   pos_.push_back(p);
   active_.push_back(1);
@@ -78,6 +101,7 @@ void DynamicUdg::node_leave(NodeId v, EdgeDelta& delta) {
 }
 
 void DynamicUdg::node_move(NodeId v, Point p, EdgeDelta& delta) {
+  require_finite("node_move", p);
   if (!active(v)) return;
   grid_erase(v);
   pos_[static_cast<std::size_t>(v)] = p;

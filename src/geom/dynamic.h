@@ -58,7 +58,8 @@ class DynamicUdg {
   [[nodiscard]] double radius() const noexcept { return radius_; }
 
   /// Adds a node at p, links it to every active node within radius, and
-  /// returns its id. All new edges land in `delta.added`.
+  /// returns its id. All new edges land in `delta.added`. Throws
+  /// std::invalid_argument, changing nothing, if p is not finite.
   graph::NodeId node_join(Point p, graph::EdgeDelta& delta);
 
   /// Deactivates v and removes its incident edges (into `delta.removed`).
@@ -68,7 +69,8 @@ class DynamicUdg {
   /// Moves v to p and rewrites its incident edges to match the new
   /// position: edges to nodes that fell out of range land in
   /// `delta.removed`, newly in-range nodes in `delta.added`. No-op on an
-  /// inactive or out-of-range id.
+  /// inactive or out-of-range id. Throws std::invalid_argument, changing
+  /// nothing, if p is not finite.
   void node_move(graph::NodeId v, Point p, graph::EdgeDelta& delta);
 
   /// Freezes the current state into a UnitDiskGraph (inactive nodes stay as

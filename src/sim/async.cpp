@@ -46,6 +46,11 @@ std::size_t AsyncNetwork::neighbor_index(NodeId v, NodeId j) const {
   return static_cast<std::size_t>(it - nbrs.begin());
 }
 
+void AsyncNetwork::set_observability(obs::Plane* plane) {
+  plane_ = plane;
+  if (plane_ != nullptr) plane_->set_shards(1);
+}
+
 void AsyncNetwork::set_channel(const ChannelOptions& options) {
   channel_.set_options(options, 0);  // validates; chains keyed on pulses
 }
@@ -190,8 +195,10 @@ void AsyncNetwork::execute_pulse(NodeId v, std::int64_t now) {
   ctx.self_ = v;
   ctx.round_ = state.pulse;
   ctx.rng_ = &rngs_[static_cast<std::size_t>(v)];
+  ctx.obs_ = plane_ != nullptr ? &plane_->recorder(0) : nullptr;
   ctx.inbox_ = {inbox.data(), inbox.size()};
   process->on_round(ctx);
+  if (plane_ != nullptr) plane_->merge_shards();
 
   executing_ = -1;
   const bool halted_now = process->halted();

@@ -125,9 +125,10 @@ class AsyncNetwork final : public NetworkBackend {
   }
 
   /// Attaches an observability plane (obs/plane.h); nullptr detaches. The
-  /// asynchronous executor is single-threaded, so counters publish directly
-  /// (no shard staging). The plane must outlive the network.
-  void set_observability(obs::Plane* plane) noexcept { plane_ = plane; }
+  /// asynchronous executor is single-threaded: it sizes the plane to one
+  /// shard, hands processes that shard's Recorder, and folds it after every
+  /// pulse. The plane must outlive the network.
+  void set_observability(obs::Plane* plane);
   [[nodiscard]] obs::Plane* observability() const noexcept { return plane_; }
 
   /// Installs a link-impairment model applied at the payload level: a lost

@@ -6,7 +6,7 @@
 // one decision engine (Channel):
 //
 //   * iid loss        — every delivery is dropped independently (the classic
-//                       packet-erasure channel; set_message_loss sugar);
+//                       packet-erasure channel);
 //   * asymmetric loss — each directed link gets a stable per-link loss
 //                       factor, so A→B and B→A can differ (real radios are
 //                       rarely symmetric);
@@ -133,7 +133,8 @@ class Channel {
 
   /// Replaces the options (validating them). `epoch_round` restarts every
   /// burst chain in the good state as of that round, which keeps mid-run
-  /// reconfiguration (schedule_channel) deterministic. Counters persist.
+  /// reconfiguration (a set_channel between rounds) deterministic.
+  /// Counters persist.
   /// Callers holding ShardStates must clear() them — their burst caches
   /// memoize the old options.
   void set_options(const ChannelOptions& options, std::int64_t epoch_round);

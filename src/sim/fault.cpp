@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <map>
-#include <set>
 #include <stdexcept>
 #include <string>
 
@@ -111,94 +110,6 @@ FaultPlan FaultPlan::churn(double rate, std::int64_t min_downtime,
   return plan;
 }
 
-FaultPlan FaultPlan::lossy_links(double rate, std::int64_t from,
-                                 std::int64_t until) {
-  if (std::isnan(rate) || rate < 0.0 || rate >= 1.0) {
-    throw std::invalid_argument(
-        "FaultPlan::lossy_links: rate must be in [0, 1), got " +
-        std::to_string(rate));
-  }
-  FaultPlan plan;
-  Component c;
-  c.kind = Kind::kLossyLinks;
-  c.rate = rate;
-  c.from = from;
-  c.until = until;
-  plan.components_.push_back(c);
-  return plan;
-}
-
-FaultPlan FaultPlan::asymmetric_links(double rate, double asymmetry,
-                                      std::int64_t from, std::int64_t until) {
-  if (std::isnan(rate) || rate < 0.0 || rate >= 1.0) {
-    throw std::invalid_argument(
-        "FaultPlan::asymmetric_links: rate must be in [0, 1), got " +
-        std::to_string(rate));
-  }
-  check_rate("asymmetric_links", "asymmetry", asymmetry);
-  FaultPlan plan = lossy_links(rate, from, until);
-  plan.components_.back().asymmetry = asymmetry;
-  return plan;
-}
-
-FaultPlan FaultPlan::bursty_links(double burst_loss, double p_enter,
-                                  double p_exit, std::int64_t from,
-                                  std::int64_t until) {
-  if (std::isnan(burst_loss) || burst_loss < 0.0 || burst_loss >= 1.0) {
-    throw std::invalid_argument(
-        "FaultPlan::bursty_links: burst_loss must be in [0, 1), got " +
-        std::to_string(burst_loss));
-  }
-  check_rate("bursty_links", "p_enter", p_enter);
-  if (std::isnan(p_exit) || p_exit <= 0.0 || p_exit > 1.0) {
-    throw std::invalid_argument(
-        "FaultPlan::bursty_links: p_exit must be in (0, 1], got " +
-        std::to_string(p_exit));
-  }
-  FaultPlan plan;
-  Component c;
-  c.kind = Kind::kBurstyLinks;
-  c.rate = burst_loss;
-  c.burst_enter = p_enter;
-  c.burst_exit = p_exit;
-  c.from = from;
-  c.until = until;
-  plan.components_.push_back(c);
-  return plan;
-}
-
-FaultPlan FaultPlan::duplicating_links(double rate, std::int64_t from,
-                                       std::int64_t until) {
-  check_rate("duplicating_links", "rate", rate);
-  FaultPlan plan;
-  Component c;
-  c.kind = Kind::kDuplicatingLinks;
-  c.rate = rate;
-  c.from = from;
-  c.until = until;
-  plan.components_.push_back(c);
-  return plan;
-}
-
-FaultPlan FaultPlan::reordering_links(double rate, int max_delay,
-                                      std::int64_t from, std::int64_t until) {
-  check_rate("reordering_links", "rate", rate);
-  if (max_delay < 1) {
-    throw std::invalid_argument(
-        "FaultPlan::reordering_links: max_delay must be >= 1, got " +
-        std::to_string(max_delay));
-  }
-  FaultPlan plan;
-  Component c;
-  c.kind = Kind::kReorderingLinks;
-  c.rate = rate;
-  c.max_delay = max_delay;
-  c.from = from;
-  c.until = until;
-  plan.components_.push_back(c);
-  return plan;
-}
-
 FaultPlan FaultPlan::then(FaultPlan other) const {
   FaultPlan combined = *this;
   for (auto& c : other.components_) {
@@ -210,17 +121,6 @@ FaultPlan FaultPlan::then(FaultPlan other) const {
 bool FaultPlan::has_recoveries() const noexcept {
   return std::any_of(components_.begin(), components_.end(),
                      [](const Component& c) { return c.kind == Kind::kChurn; });
-}
-
-bool FaultPlan::is_link_kind(Kind k) const noexcept {
-  return k == Kind::kLossyLinks || k == Kind::kBurstyLinks ||
-         k == Kind::kDuplicatingLinks || k == Kind::kReorderingLinks;
-}
-
-bool FaultPlan::has_link_faults() const noexcept {
-  return std::any_of(
-      components_.begin(), components_.end(),
-      [this](const Component& c) { return is_link_kind(c.kind); });
 }
 
 std::vector<FaultEvent> compile_fault_plan(const FaultPlan& plan,
@@ -322,11 +222,6 @@ std::vector<FaultEvent> compile_fault_plan(const FaultPlan& plan,
             }
           }
           break;
-        case FaultPlan::Kind::kLossyLinks:
-        case FaultPlan::Kind::kBurstyLinks:
-        case FaultPlan::Kind::kDuplicatingLinks:
-        case FaultPlan::Kind::kReorderingLinks:
-          break;  // link faults compile via compile_channel_schedule
       }
     }
   }
@@ -337,81 +232,6 @@ std::vector<FaultEvent> compile_fault_plan(const FaultPlan& plan,
               if (a.recover != b.recover) return !a.recover;  // crashes first
               return a.node < b.node;
             });
-  return events;
-}
-
-std::vector<ChannelEvent> compile_channel_schedule(const FaultPlan& plan,
-                                                   std::int64_t horizon,
-                                                   std::uint64_t seed) {
-  // Windows of the link components, clamped to [0, horizon).
-  struct Window {
-    std::int64_t from = 0;
-    std::int64_t until = 0;
-    const FaultPlan::Component* c = nullptr;
-  };
-  std::vector<Window> windows;
-  std::set<std::int64_t> boundaries;
-  for (const auto& c : plan.components_) {
-    if (!plan.is_link_kind(c.kind)) continue;
-    const std::int64_t from = std::max<std::int64_t>(c.from, 0);
-    const std::int64_t until = std::min(c.until, horizon);
-    if (until <= from) continue;  // empty window
-    windows.push_back({from, until, &c});
-    boundaries.insert(from);
-    boundaries.insert(until);
-  }
-  if (windows.empty()) return {};
-
-  std::vector<ChannelEvent> events;
-  for (const std::int64_t r : boundaries) {
-    if (r >= horizon) break;
-    ChannelOptions merged;
-    merged.seed = seed;
-    // Independent impairment sources merge like independent coins:
-    // P(any) = 1 - Π(1 - pᵢ). Intensities/bounds take the max (worst
-    // case), burst exit the min (longest bursts win).
-    double keep_loss = 1.0, keep_dup = 1.0, keep_reorder = 1.0;
-    bool bursty = false;
-    for (const Window& w : windows) {
-      if (r < w.from || r >= w.until) continue;
-      const auto& c = *w.c;
-      switch (c.kind) {
-        case FaultPlan::Kind::kLossyLinks:
-          keep_loss *= 1.0 - c.rate;
-          merged.asymmetry = std::max(merged.asymmetry, c.asymmetry);
-          break;
-        case FaultPlan::Kind::kBurstyLinks:
-          merged.burst_loss = std::max(merged.burst_loss, c.rate);
-          merged.p_enter_burst = std::max(merged.p_enter_burst, c.burst_enter);
-          merged.p_exit_burst = bursty
-                                    ? std::min(merged.p_exit_burst, c.burst_exit)
-                                    : c.burst_exit;
-          bursty = true;
-          break;
-        case FaultPlan::Kind::kDuplicatingLinks:
-          keep_dup *= 1.0 - c.rate;
-          break;
-        case FaultPlan::Kind::kReorderingLinks:
-          keep_reorder *= 1.0 - c.rate;
-          merged.max_reorder_delay =
-              std::max(merged.max_reorder_delay, c.max_delay);
-          break;
-        default:
-          break;
-      }
-    }
-    merged.loss = 1.0 - keep_loss;
-    merged.duplicate = 1.0 - keep_dup;
-    merged.reorder = 1.0 - keep_reorder;
-    if (!events.empty() && events.back().options == merged) continue;
-    events.push_back({r, merged});
-  }
-  // Drop a leading clean event (nothing was active yet — the network's
-  // default channel is already clean).
-  if (!events.empty() && !events.front().options.impaired() &&
-      events.front().options.asymmetry == 0.0) {
-    events.erase(events.begin());
-  }
   return events;
 }
 
@@ -432,12 +252,6 @@ const std::vector<FaultEvent>& FaultInjector::install(SyncNetwork& net,
     } else {
       net.schedule_crash(e.node, e.round);
     }
-  }
-  // Link faults: the channel's decision hash gets its own stream (seed_ is
-  // already consumed by the crash components' RNG split).
-  channel_schedule_ = compile_channel_schedule(plan_, horizon, seed_ ^ 0xC4A27E1ull);
-  for (const ChannelEvent& e : channel_schedule_) {
-    net.schedule_channel(e.round, e.options);
   }
   if (obs::Plane* pl = net.observability(); pl != nullptr) {
     pl->metrics().add(pl->builtin().scheduled_crashes, crash_count());
@@ -460,13 +274,7 @@ const std::vector<FaultEvent>& FaultInjector::install(AsyncNetwork& net,
     throw std::invalid_argument(
         "FaultInjector: the asynchronous executor does not support rejoins");
   }
-  if (plan_.has_link_faults()) {
-    throw std::invalid_argument(
-        "FaultInjector: the asynchronous executor takes a single channel mix "
-        "via AsyncNetwork::set_channel, not a round-keyed link-fault plan");
-  }
   schedule_ = compile_fault_plan(plan_, net.graph(), net.udg(), horizon, seed_);
-  channel_schedule_.clear();
   for (const FaultEvent& e : schedule_) {
     net.schedule_crash(e.node, e.round);
   }

@@ -13,10 +13,6 @@
 //                      outage, jamming, physical damage);
 //   * churn          — iid crashes where each victim later *rejoins* with
 //                      reset process state after a random downtime;
-//   * link faults    — windows of channel impairment (sim/channel.h): iid
-//                      lossy_links, asymmetric_links, bursty_links
-//                      (Gilbert–Elliott), duplicating_links, and
-//                      reordering_links, each active over [from, until);
 //   * composition    — plans combine additively via then().
 //
 // Plans are pure descriptions. compile_fault_plan() expands a plan into a
@@ -50,15 +46,6 @@ struct FaultEvent {
   bool recover = false;  ///< false = crash, true = rejoin (churn)
 
   friend bool operator==(const FaultEvent&, const FaultEvent&) = default;
-};
-
-/// One channel reconfiguration: the merged link-fault mix active from the
-/// start of `round` (until the next event).
-struct ChannelEvent {
-  std::int64_t round = 0;
-  ChannelOptions options;
-
-  friend bool operator==(const ChannelEvent&, const ChannelEvent&) = default;
 };
 
 /// Declarative description of a failure process (see file comment). Build
@@ -101,51 +88,11 @@ class FaultPlan {
                          std::int64_t until =
                              std::numeric_limits<std::int64_t>::max());
 
-  // Link-fault families. Each describes a window [from, until) of channel
-  // impairment; overlapping windows merge (independent loss sources
-  // combine as 1 - Π(1 - pᵢ), bounds take the max). until <= from is an
-  // empty window (legal — it keeps case shrinkers simple).
-
-  /// Symmetric iid loss at `rate` on every link.
-  static FaultPlan lossy_links(double rate, std::int64_t from = 0,
-                               std::int64_t until =
-                                   std::numeric_limits<std::int64_t>::max());
-
-  /// Iid loss at `rate` spread per directed link by `asymmetry` ∈ [0, 1]
-  /// (each direction gets a stable factor in [1 - a, 1 + a]).
-  static FaultPlan asymmetric_links(double rate, double asymmetry,
-                                    std::int64_t from = 0,
-                                    std::int64_t until =
-                                        std::numeric_limits<std::int64_t>::max());
-
-  /// Gilbert–Elliott burst loss: links enter a burst with per-round
-  /// probability `p_enter`, drop at `burst_loss` while bursting, and exit
-  /// with per-round probability `p_exit` (> 0).
-  static FaultPlan bursty_links(double burst_loss, double p_enter,
-                                double p_exit, std::int64_t from = 0,
-                                std::int64_t until =
-                                    std::numeric_limits<std::int64_t>::max());
-
-  /// Each delivered message is duplicated with probability `rate`.
-  static FaultPlan duplicating_links(double rate, std::int64_t from = 0,
-                                     std::int64_t until =
-                                         std::numeric_limits<std::int64_t>::max());
-
-  /// Each delivery is delayed by 1..max_delay rounds with probability
-  /// `rate` (newer messages overtake it). max_delay >= 1.
-  static FaultPlan reordering_links(double rate, int max_delay,
-                                    std::int64_t from = 0,
-                                    std::int64_t until =
-                                        std::numeric_limits<std::int64_t>::max());
-
   /// Additive composition: this plan plus `other` run concurrently.
   [[nodiscard]] FaultPlan then(FaultPlan other) const;
 
   /// True if the plan can generate recovery events (any churn component).
   [[nodiscard]] bool has_recoveries() const noexcept;
-
-  /// True if the plan contains any link-fault component.
-  [[nodiscard]] bool has_link_faults() const noexcept;
 
  private:
   friend std::vector<FaultEvent> compile_fault_plan(const FaultPlan&,
@@ -153,38 +100,26 @@ class FaultPlan {
                                                     const geom::UnitDiskGraph*,
                                                     std::int64_t,
                                                     std::uint64_t);
-  friend std::vector<ChannelEvent> compile_channel_schedule(const FaultPlan&,
-                                                            std::int64_t,
-                                                            std::uint64_t);
   enum class Kind {
     kExplicit,
     kIid,
     kTargeted,
     kRegion,
     kChurn,
-    kLossyLinks,
-    kBurstyLinks,
-    kDuplicatingLinks,
-    kReorderingLinks,
   };
   struct Component {
     Kind kind = Kind::kExplicit;
     std::vector<std::pair<std::int64_t, graph::NodeId>> schedule;  // kExplicit
-    double rate = 0.0;                  // kIid, kChurn, k*Links
-    std::int64_t from = 0;              // kIid, kChurn, k*Links
-    std::int64_t until = 0;             // kIid, kChurn, k*Links
+    double rate = 0.0;                  // kIid, kChurn
+    std::int64_t from = 0;              // kIid, kChurn
+    std::int64_t until = 0;             // kIid, kChurn
     std::int64_t min_downtime = 1;      // kChurn
     std::int64_t max_downtime = 1;      // kChurn
     graph::NodeId count = 0;            // kTargeted
     std::int64_t round = 0;             // kTargeted, kRegion
     geom::Point center{};               // kRegion
     double radius = 0.0;                // kRegion
-    double asymmetry = 0.0;             // kLossyLinks
-    double burst_enter = 0.0;           // kBurstyLinks
-    double burst_exit = 0.5;            // kBurstyLinks
-    int max_delay = 2;                  // kReorderingLinks
   };
-  [[nodiscard]] bool is_link_kind(Kind k) const noexcept;
   std::vector<Component> components_;
 };
 
@@ -198,17 +133,6 @@ class FaultPlan {
     const FaultPlan& plan, const graph::Graph& g,
     const geom::UnitDiskGraph* udg, std::int64_t horizon, std::uint64_t seed);
 
-/// Expands the plan's link-fault components over [0, horizon) into a
-/// sorted channel-reconfiguration schedule: one ChannelEvent per round
-/// where the active impairment mix changes (including the event restoring
-/// a clean channel when the last window closes). Overlapping windows
-/// merge — independent loss/duplication/reordering rates combine as
-/// 1 - Π(1 - pᵢ), asymmetry/burst intensities/delays take the max, burst
-/// exit takes the min. Returns empty when the plan has no link faults.
-/// `seed` keys the channel's stateless decision hash.
-[[nodiscard]] std::vector<ChannelEvent> compile_channel_schedule(
-    const FaultPlan& plan, std::int64_t horizon, std::uint64_t seed);
-
 /// Compiles a plan and installs the resulting schedule into a network.
 class FaultInjector {
  public:
@@ -219,30 +143,21 @@ class FaultInjector {
   FaultInjector(FaultPlan plan, std::uint64_t seed);
 
   /// Compiles against net's topology over [0, horizon) and installs every
-  /// event as a scheduled crash/recovery, plus every link-fault window as a
-  /// scheduled channel reconfiguration. `factory` is required when the plan
-  /// has recoveries (throws std::invalid_argument if missing). Returns the
-  /// installed crash/recovery schedule.
+  /// event as a scheduled crash/recovery. `factory` is required when the
+  /// plan has recoveries (throws std::invalid_argument if missing). Returns
+  /// the installed schedule.
   const std::vector<FaultEvent>& install(SyncNetwork& net,
                                          std::int64_t horizon,
                                          ProcessFactory factory = nullptr);
 
   /// Async variant: rounds map 1:1 to pulses. Crash-only — throws
-  /// std::invalid_argument if the plan has recoveries or link faults (the
-  /// async executor takes a single channel mix via set_channel instead of
-  /// a round-keyed schedule).
+  /// std::invalid_argument if the plan has recoveries.
   const std::vector<FaultEvent>& install(AsyncNetwork& net,
                                          std::int64_t horizon);
 
   /// The schedule produced by the last install() (empty before).
   [[nodiscard]] const std::vector<FaultEvent>& schedule() const noexcept {
     return schedule_;
-  }
-
-  /// The channel schedule installed by the last SyncNetwork install().
-  [[nodiscard]] const std::vector<ChannelEvent>& channel_schedule()
-      const noexcept {
-    return channel_schedule_;
   }
 
   /// Crash / recovery event counts in the last compiled schedule.
@@ -253,7 +168,6 @@ class FaultInjector {
   FaultPlan plan_;
   std::uint64_t seed_;
   std::vector<FaultEvent> schedule_;
-  std::vector<ChannelEvent> channel_schedule_;
 };
 
 }  // namespace ftc::sim

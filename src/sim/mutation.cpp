@@ -3,9 +3,11 @@
 #include <cassert>
 #include <charconv>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
+#include <string_view>
+#include <system_error>
 
 namespace ftc::sim {
 
@@ -41,30 +43,56 @@ std::string to_string(const MutationTrace& trace) {
   return out;
 }
 
+namespace {
+
+/// Parses all of `field` as a T: false on an empty field, trailing junk or
+/// a value outside T's range.
+template <typename T>
+bool parse_field(std::string_view field, T& out) {
+  const char* last = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), last, out);
+  return ec == std::errc{} && ptr == last;
+}
+
+/// Parses one "round:kind:node:peer:x:y" entry, or returns false.
+bool parse_entry(std::string_view entry, TimedMutation& t) {
+  std::string_view f[6];
+  for (std::size_t i = 0; i < 6; ++i) {
+    // Fields 0..4 end at a ':'; the sixth runs to the end of the entry.
+    const std::size_t colon = entry.find(':');
+    if ((colon == std::string_view::npos) != (i == 5)) return false;
+    f[i] = entry.substr(0, colon);
+    if (colon != std::string_view::npos) entry.remove_prefix(colon + 1);
+  }
+  int kind = 0;
+  if (!parse_field(f[0], t.round) || !parse_field(f[1], kind) ||
+      kind < 0 || kind >= kMutationKindCount ||
+      !parse_field(f[2], t.m.node) || !parse_field(f[3], t.m.peer) ||
+      !parse_field(f[4], t.m.x) || !parse_field(f[5], t.m.y)) {
+    return false;
+  }
+  t.m.kind = static_cast<MutationKind>(kind);
+  return std::isfinite(t.m.x) && std::isfinite(t.m.y);
+}
+
+}  // namespace
+
 MutationTrace parse_mutation_trace(const std::string& text) {
   MutationTrace trace;
   if (text.empty()) return trace;
+  const std::string_view all(text);
   std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t end = text.find(';', pos);
-    const std::string entry =
-        text.substr(pos, end == std::string::npos ? end : end - pos);
+  while (true) {
+    const std::size_t end = all.find(';', pos);
+    const std::string_view entry =
+        all.substr(pos, end == std::string_view::npos ? end : end - pos);
     TimedMutation t;
-    int kind = 0;
-    double x = 0.0;
-    double y = 0.0;
-    // sscanf: %lf accepts the full %.17g output range.
-    if (std::sscanf(entry.c_str(), "%" SCNd64 ":%d:%d:%d:%lf:%lf", &t.round,
-                    &kind, &t.m.node, &t.m.peer, &x, &y) != 6 ||
-        kind < 0 || kind >= kMutationKindCount) {
-      throw std::invalid_argument("parse_mutation_trace: bad entry '" + entry +
-                                  "'");
+    if (!parse_entry(entry, t)) {
+      throw std::invalid_argument("parse_mutation_trace: bad entry '" +
+                                  std::string(entry) + "'");
     }
-    t.m.kind = static_cast<MutationKind>(kind);
-    t.m.x = x;
-    t.m.y = y;
     trace.push_back(t);
-    if (end == std::string::npos) break;
+    if (end == std::string_view::npos) break;
     pos = end + 1;
   }
   return trace;

@@ -19,10 +19,12 @@
 //
 // Defensive clamping, not UB: mutations referencing inactive or
 // out-of-range nodes are recorded as applied=false no-ops, so any fuzzer
-// trace replays cleanly on any topology. Invariant maintained in both
-// modes: adjacency holds active-active edges only (departed nodes are
-// isolated and stay isolated; flips/joins touching inactive nodes are
-// no-ops).
+// trace replays cleanly on any topology. A non-finite join/move position in
+// geometric mode is malformed, not a no-op: apply() throws
+// std::invalid_argument and leaves the world unchanged. Invariant
+// maintained in both modes: adjacency holds active-active edges only
+// (departed nodes are isolated and stay isolated; flips/joins touching
+// inactive nodes are no-ops).
 #pragma once
 
 #include <cstdint>
@@ -74,7 +76,9 @@ using MutationTrace = std::vector<TimedMutation>;
 /// round-trip including positions.
 [[nodiscard]] std::string to_string(const MutationTrace& trace);
 
-/// Inverse of to_string. Throws std::invalid_argument on malformed input.
+/// Inverse of to_string. Throws std::invalid_argument on malformed input:
+/// an entry without exactly six ':'-separated fields, a field with junk or
+/// out of its type's range, an unknown kind, or a non-finite coordinate.
 [[nodiscard]] MutationTrace parse_mutation_trace(const std::string& text);
 
 /// What actually happened when a Mutation hit the world: the resolved
@@ -119,7 +123,8 @@ class DynamicWorld {
   [[nodiscard]] graph::NodeId active_count() const noexcept;
 
   /// Applies one mutation (with defensive clamping) and reports the exact
-  /// edge delta.
+  /// edge delta. Throws std::invalid_argument on a non-finite join/move
+  /// position in geometric mode (see file header).
   AppliedMutation apply(const Mutation& m);
 
   /// Freezes the current adjacency into an immutable CSR Graph.

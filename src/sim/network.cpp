@@ -269,25 +269,6 @@ void SyncNetwork::apply_scheduled_events() {
       ++it;
     }
   }
-  for (auto it = scheduled_channels_.begin();
-       it != scheduled_channels_.end();) {
-    if (it->first <= round_) {
-      channel_.set_options(it->second, round_);
-      reset_channel_shard_state();
-      if (plane_ != nullptr) {
-        obs::TraceEvent e;
-        e.round = round_;
-        e.category = obs::Category::kFault;
-        e.severity = obs::Severity::kInfo;
-        e.name = plane_->builtin().n_channel;
-        e.a0 = it->second.impaired() ? 1 : 0;
-        plane_->trace().emit(e);
-      }
-      it = scheduled_channels_.erase(it);
-    } else {
-      ++it;
-    }
-  }
 }
 
 void SyncNetwork::erase_inbox_entries(graph::NodeId sender,
@@ -839,19 +820,6 @@ void SyncNetwork::schedule_recovery(graph::NodeId v, std::int64_t round,
 void SyncNetwork::set_channel(const ChannelOptions& options) {
   channel_.set_options(options, round_);  // validates
   reset_channel_shard_state();
-}
-
-void SyncNetwork::schedule_channel(std::int64_t round,
-                                   const ChannelOptions& options) {
-  options.validate();
-  scheduled_channels_.emplace_back(round, options);
-}
-
-void SyncNetwork::set_message_loss(double loss, std::uint64_t loss_seed) {
-  ChannelOptions options;
-  options.loss = loss;
-  options.seed = loss_seed;
-  set_channel(options);
 }
 
 }  // namespace ftc::sim

@@ -291,24 +291,17 @@ class SyncNetwork final : public NetworkBackend {
 
   /// Installs a link-impairment model (loss, asymmetry, bursts,
   /// duplication, bounded reordering — see sim/channel.h) effective from
-  /// the current round. Decisions are stateless-hashed per (link, round),
-  /// so the set_threads determinism contract is unaffected. Throws
-  /// std::invalid_argument on invalid options. Default: clean channel.
+  /// the current round. This is the only way to impair links: call it
+  /// before round 0, or between step()s to reconfigure mid-run (burst
+  /// chains restart at the current round and the shard caches are reset).
+  /// Decisions are stateless-hashed per (link, round), so the set_threads
+  /// determinism contract is unaffected; the processes' own randomness is
+  /// untouched. Throws std::invalid_argument on invalid options. Default:
+  /// clean channel.
   void set_channel(const ChannelOptions& options);
-
-  /// Schedules a channel reconfiguration at the start of `round` (e.g. a
-  /// FaultPlan link-fault window opening or closing). Scheduling for a past
-  /// round applies immediately at the next step.
-  void schedule_channel(std::int64_t round, const ChannelOptions& options);
 
   /// The active channel model (counters included).
   [[nodiscard]] const Channel& channel() const noexcept { return channel_; }
-
-  /// Enables iid lossy links: every message is dropped independently with
-  /// probability `loss` at delivery time (modeling the unreliable wireless
-  /// medium the paper's introduction cites). Sugar for set_channel with
-  /// only `loss` set; the processes' own randomness is unaffected.
-  void set_message_loss(double loss, std::uint64_t loss_seed = 0x10551055ULL);
 
   /// Messages dropped by the channel so far.
   [[nodiscard]] std::int64_t messages_lost() const noexcept {
@@ -558,7 +551,6 @@ class SyncNetwork final : public NetworkBackend {
     std::unique_ptr<Process> process;
   };
   std::vector<ScheduledRecovery> scheduled_recoveries_;
-  std::vector<std::pair<std::int64_t, ChannelOptions>> scheduled_channels_;
 
   // Unreliable channel. Delayed (reordered/duplicated) deliveries cannot
   // alias the round arenas — they outlive the generation swap — so each

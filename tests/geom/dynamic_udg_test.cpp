@@ -4,6 +4,8 @@
 // after every mutation, plus exact edge-delta accounting.
 #include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -105,24 +107,37 @@ TEST(DynamicUdg, MoveEmitsExactDeltas) {
 
 // Randomized differential: hundreds of mixed mutations, brute-force
 // equality after every single one, and to_udg() freeze equivalence at the
-// end. Moves intentionally cross many grid cells.
+// end. Moves intentionally cross many grid cells, and some joins and moves
+// land on far outliers (1e7, ±1e300) whose cell indices hit the clamp.
 TEST(DynamicUdg, RandomMutationsMatchBruteForce) {
   util::Rng rng(99);
-  const UnitDiskGraph udg = build_udg(uniform_points(30, 3.0, rng), 1.0);
+  std::vector<Point> points = uniform_points(30, 3.0, rng);
+  points.insert(points.end(),
+                {{1e7, 0.0}, {1e300, 0.0}, {-1e300, 5.0}, {0.5, -1e300}});
+  const UnitDiskGraph udg = build_udg(points, 1.0);
   DynamicUdg dyn(udg);
+  // Pairs within one radius of each other, so outliers gain edges too.
+  const std::vector<Point> outliers{
+      {1e7, 0.5},     {1e7 + 0.5, 0.0}, {1e300, 0.5},   {1e300, -0.25},
+      {-1e300, 5.5},  {-1e300, 4.75},   {0.0, -1e300},  {1e300, 1e300},
+      {-1e300, -1e300}};
+  const auto position = [&] {
+    if (rng.uniform01() < 0.2) return outliers[rng.index(outliers.size())];
+    return Point{rng.uniform(-0.5, 3.5), rng.uniform(-0.5, 3.5)};
+  };
   for (int step = 0; step < 400; ++step) {
     graph::EdgeDelta delta;
     const double u = rng.uniform01();
     if (u < 0.25) {
-      dyn.node_join({rng.uniform(-0.5, 3.5), rng.uniform(-0.5, 3.5)}, delta);
+      dyn.node_join(position(), delta);
     } else if (u < 0.55) {
       dyn.node_leave(
           static_cast<NodeId>(rng.index(static_cast<std::size_t>(dyn.n()))),
           delta);
     } else {
-      dyn.node_move(
-          static_cast<NodeId>(rng.index(static_cast<std::size_t>(dyn.n()))),
-          {rng.uniform(-0.5, 3.5), rng.uniform(-0.5, 3.5)}, delta);
+      const auto v =
+          static_cast<NodeId>(rng.index(static_cast<std::size_t>(dyn.n())));
+      dyn.node_move(v, position(), delta);
     }
     ASSERT_EQ(dyn.graph().edges(), brute_force_edges(dyn)) << "step " << step;
     // Deltas really are deltas: added edges exist, removed ones don't.
@@ -137,6 +152,27 @@ TEST(DynamicUdg, RandomMutationsMatchBruteForce) {
   EXPECT_EQ(frozen.n(), dyn.n());
   EXPECT_EQ(frozen.positions.size(), dyn.positions().size());
   EXPECT_EQ(static_cast<std::size_t>(frozen.graph.m()), dyn.graph().m());
+}
+
+TEST(DynamicUdg, NonFiniteJoinOrMoveThrowsAndChangesNothing) {
+  const UnitDiskGraph udg = build_udg(
+      {{0.0, 0.0}, {0.5, 0.0}, {3.0, 3.0}}, 1.0);
+  DynamicUdg dyn(udg);
+  const auto edges = dyn.graph().edges();
+  const auto positions = dyn.positions();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Point p : {Point{nan, 0.0}, Point{0.0, nan}, Point{inf, 0.0},
+                        Point{0.0, -inf}}) {
+    graph::EdgeDelta delta;
+    EXPECT_THROW(dyn.node_join(p, delta), std::invalid_argument);
+    EXPECT_THROW(dyn.node_move(0, p, delta), std::invalid_argument);
+    EXPECT_TRUE(delta.empty());
+    EXPECT_EQ(dyn.n(), 3);
+    EXPECT_EQ(dyn.graph().edges(), edges);
+    EXPECT_EQ(dyn.positions(), positions);
+    EXPECT_EQ(dyn.active_flags(), (std::vector<std::uint8_t>{1, 1, 1}));
+  }
 }
 
 }  // namespace

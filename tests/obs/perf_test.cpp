@@ -235,7 +235,7 @@ TEST(PerfWiring, SyncNetworkAttributesItsRounds) {
   net.set_observability(&plane);
   net.set_threads(4);
   net.set_parallel_grain(0);  // small n: force the pool, not the fallback
-  net.set_message_loss(0.1);  // channel verdicts → channel_decide time
+  net.set_channel({.loss = 0.1});  // channel verdicts → channel_decide time
   net.set_all_processes(
       [](NodeId) { return std::make_unique<ChatterProcess>(30); });
   net.run(40);
@@ -269,7 +269,7 @@ TEST(PerfWiring, AttachingThePerfPlaneDoesNotPerturbTheRun) {
     obs::Plane plane(options);
     sim::SyncNetwork net(udg, 9);
     net.set_observability(&plane);
-    net.set_message_loss(0.2);
+    net.set_channel({.loss = 0.2});
     net.set_all_processes(
         [](NodeId) { return std::make_unique<ChatterProcess>(25); });
     net.run(30);

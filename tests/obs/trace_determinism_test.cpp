@@ -131,7 +131,7 @@ SoakCapture run_pooled_repair(int threads) {
   net.set_observability(&plane);
   net.set_threads(threads);
   net.set_parallel_grain(0);
-  net.set_message_loss(0.25, 99);
+  net.set_channel({.loss = 0.25, .seed = 99});
   net.set_all_processes([&](NodeId v) {
     const auto i = static_cast<std::size_t>(v);
     return std::make_unique<algo::RepairProcess>(demands[i], member[i] != 0);
@@ -196,7 +196,7 @@ TEST(ObsWiring, RegistryAgreesWithMetricsStruct) {
   net.set_observability(&plane);
   net.set_threads(4);
   net.set_parallel_grain(0);  // small n: force the pool, not the fallback
-  net.set_message_loss(0.1);
+  net.set_channel({.loss = 0.1});
   net.schedule_crash(3, 5);
   net.schedule_crash(11, 9);
   net.set_all_processes(
@@ -240,7 +240,7 @@ TEST(ObsWiring, AttachingThePlaneDoesNotPerturbTheRun) {
   auto run = [&](obs::Plane* plane) {
     sim::SyncNetwork net(udg, 5);
     if (plane != nullptr) net.set_observability(plane);
-    net.set_message_loss(0.2);
+    net.set_channel({.loss = 0.2});
     net.set_all_processes(
         [](NodeId) { return std::make_unique<ChatterProcess>(30); });
     net.run(40);

@@ -22,6 +22,7 @@
 #include "domination/domination.h"
 #include "geom/udg.h"
 #include "graph/generators.h"
+#include "obs/plane.h"
 #include "util/rng.h"
 
 namespace ftc::sim {
@@ -105,6 +106,57 @@ TEST(AsyncNetwork, EnvelopeOverheadIsPerEdgePerPulse) {
   // plus one extra halt marker per direction in the final pulse.
   EXPECT_EQ(net.metrics().envelopes_sent, 5 * 20 + 20);
   EXPECT_EQ(net.metrics().payload_messages, 5 * 20);
+}
+
+// Processes publish through Context::obs() under either executor: the
+// per-process counters of LP and rounding must read the same totals.
+TEST(AsyncNetwork, ProcessCountersReachTheAttachedPlane) {
+  util::Rng rng(21);
+  const graph::Graph g = graph::gnp(200, 0.05, rng);
+  const auto d = domination::clamp_demands(
+      g, domination::uniform_demands(g.n(), 2));
+  const int t = 2;
+  algo::LpOptions lp_opts;
+  const auto lp = algo::solve_fractional_kmds(g, d, lp_opts);
+  const auto make_lp = [&](NodeId v) {
+    return std::make_unique<algo::LpKmdsProcess>(
+        d[static_cast<std::size_t>(v)], t);
+  };
+  const auto make_rounding = [&](NodeId v) {
+    const auto i = static_cast<std::size_t>(v);
+    return std::make_unique<algo::RoundingProcess>(lp.primal.x[i], d[i]);
+  };
+
+  obs::Plane sync_plane;
+  obs::Plane async_plane;
+  {
+    SyncNetwork lp_net(g, 42);
+    lp_net.set_observability(&sync_plane);
+    lp_net.set_all_processes(make_lp);
+    lp_net.run(algo::lp_round_count(t) + 4);
+    SyncNetwork r_net(g, 42);
+    r_net.set_observability(&sync_plane);
+    r_net.set_all_processes(make_rounding);
+    r_net.run(10);
+  }
+  {
+    AsyncNetwork lp_net(g, 42);
+    lp_net.set_observability(&async_plane);
+    lp_net.set_all_processes(make_lp);
+    lp_net.run(algo::lp_round_count(t) + 4);
+    AsyncNetwork r_net(g, 42);
+    r_net.set_observability(&async_plane);
+    r_net.set_all_processes(make_rounding);
+    r_net.run(10);
+  }
+  for (const obs::MetricId obs::Builtin::*id :
+       {&obs::Builtin::lp_iterations, &obs::Builtin::rounding_trials}) {
+    const std::int64_t sync_total =
+        sync_plane.metrics().value(sync_plane.builtin().*id);
+    EXPECT_GT(sync_total, 0);
+    EXPECT_EQ(async_plane.metrics().value(async_plane.builtin().*id),
+              sync_total);
+  }
 }
 
 // ---- Sync/async equivalence for the paper's algorithms ----

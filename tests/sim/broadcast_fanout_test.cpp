@@ -86,7 +86,7 @@ struct Outcome {
   friend bool operator==(const Outcome&, const Outcome&) = default;
 };
 
-/// Configures a network (crash/channel schedule) before the run.
+/// Configures a network (crashes, channel) before the run.
 using SetupFn = void (*)(SyncNetwork&, Logs*, bool broadcast);
 /// Drives the rounds (plain run, or step-wise with width changes).
 using DriveFn = void (*)(SyncNetwork&, Logs*, bool broadcast);

@@ -45,6 +45,18 @@ TEST(ChannelOptions, RejectsOutOfRangeProbabilities) {
   o = ChannelOptions{};
   o.reorder = -0.25;
   EXPECT_THROW(o.validate(), std::invalid_argument);
+  o.reorder = 1.0;
+  EXPECT_NO_THROW(o.validate());
+
+  o = ChannelOptions{};
+  o.asymmetry = 1.5;
+  EXPECT_THROW(o.validate(), std::invalid_argument);
+  o.asymmetry = 1.0;
+  EXPECT_NO_THROW(o.validate());
+
+  o = ChannelOptions{};
+  o.p_enter_burst = -0.1;
+  EXPECT_THROW(o.validate(), std::invalid_argument);
 
   o = ChannelOptions{};
   o.burst_loss = 1.0;
@@ -318,87 +330,15 @@ TEST(SyncNetworkChannel, CrashPurgesDelayedDeliveries) {
   }
 }
 
-// ------------------------------------------------ FaultPlan link families
+// ------------------------------------------------- FaultPlan node faults
 
-TEST(FaultPlanLinks, FactoriesRejectBadRates) {
-  EXPECT_THROW(FaultPlan::lossy_links(-0.1), std::invalid_argument);
-  EXPECT_THROW(FaultPlan::lossy_links(1.0), std::invalid_argument);
-  EXPECT_THROW(
-      FaultPlan::lossy_links(std::numeric_limits<double>::quiet_NaN()),
-      std::invalid_argument);
-  EXPECT_THROW(FaultPlan::asymmetric_links(0.1, 1.5), std::invalid_argument);
-  EXPECT_THROW(FaultPlan::bursty_links(1.0, 0.1, 0.5), std::invalid_argument);
-  EXPECT_THROW(FaultPlan::bursty_links(0.5, 0.1, 0.0), std::invalid_argument);
-  EXPECT_THROW(FaultPlan::duplicating_links(1.1), std::invalid_argument);
-  EXPECT_THROW(FaultPlan::reordering_links(0.2, 0), std::invalid_argument);
-  EXPECT_NO_THROW(FaultPlan::lossy_links(0.0));
-  EXPECT_NO_THROW(FaultPlan::reordering_links(1.0, 4));
-}
-
-TEST(FaultPlanLinks, CompilesWindowsIntoChannelEvents) {
-  const auto plan = FaultPlan::lossy_links(0.2, 5, 15)
-                        .then(FaultPlan::duplicating_links(0.1, 10, 20));
-  EXPECT_TRUE(plan.has_link_faults());
-  const auto schedule = compile_channel_schedule(plan, 40, 99);
-  // Windows: [5,10) loss only, [10,15) loss + dup, [15,20) dup only,
-  // [20,..) clean.
-  ASSERT_EQ(schedule.size(), 4u);
-  EXPECT_EQ(schedule[0].round, 5);
-  EXPECT_NEAR(schedule[0].options.loss, 0.2, 1e-12);
-  EXPECT_DOUBLE_EQ(schedule[0].options.duplicate, 0.0);
-  EXPECT_EQ(schedule[1].round, 10);
-  EXPECT_NEAR(schedule[1].options.loss, 0.2, 1e-12);
-  EXPECT_NEAR(schedule[1].options.duplicate, 0.1, 1e-12);
-  EXPECT_EQ(schedule[2].round, 15);
-  EXPECT_DOUBLE_EQ(schedule[2].options.loss, 0.0);
-  EXPECT_NEAR(schedule[2].options.duplicate, 0.1, 1e-12);
-  EXPECT_EQ(schedule[3].round, 20);
-  EXPECT_FALSE(schedule[3].options.impaired());
-}
-
-TEST(FaultPlanLinks, OverlappingLossCombinesIndependently) {
-  const auto plan =
-      FaultPlan::lossy_links(0.5, 0, 10).then(FaultPlan::lossy_links(0.5, 0, 10));
-  const auto schedule = compile_channel_schedule(plan, 20, 1);
-  ASSERT_GE(schedule.size(), 1u);
-  // 1 - (1 - .5)(1 - .5) = .75
-  EXPECT_NEAR(schedule[0].options.loss, 0.75, 1e-12);
-}
-
-TEST(FaultPlanLinks, EmptyWindowIsLegalAndInert) {
-  const auto plan = FaultPlan::lossy_links(0.3, 10, 10);
-  EXPECT_TRUE(plan.has_link_faults());
-  EXPECT_TRUE(compile_channel_schedule(plan, 40, 1).empty());
-}
-
-TEST(FaultPlanLinks, CrashFactoriesRejectDegenerateInputs) {
+TEST(FaultPlan, CrashFactoriesRejectDegenerateInputs) {
   EXPECT_THROW(FaultPlan::crashes_at({}), std::invalid_argument);
   EXPECT_THROW(FaultPlan::targeted_by_degree(0, 5), std::invalid_argument);
   EXPECT_THROW(FaultPlan::iid_crashes(1.5), std::invalid_argument);
   EXPECT_THROW(FaultPlan::churn(0.1, 3, 2), std::invalid_argument);
   EXPECT_THROW(FaultPlan::churn(0.1, 0, 2), std::invalid_argument);
   EXPECT_THROW(FaultPlan::region({0.0, 0.0}, -1.0, 5), std::invalid_argument);
-}
-
-TEST(FaultPlanLinks, InjectorInstallsChannelSchedule) {
-  const graph::Graph g = graph::complete(4);
-  SyncNetwork net(g, 7);
-  net.set_all_processes(
-      [](NodeId) { return std::make_unique<ChatterProcess>(); });
-  FaultInjector injector(FaultPlan::lossy_links(0.9, 2, 12), 3);
-  injector.install(net, 30);
-  ASSERT_FALSE(injector.channel_schedule().empty());
-  net.run(40);
-  EXPECT_GT(net.messages_lost(), 0);
-  // The window closed at round 12; the channel is clean again.
-  EXPECT_FALSE(net.channel().impaired());
-}
-
-TEST(FaultPlanLinks, AsyncInstallRejectsLinkFaults) {
-  const graph::Graph g = graph::complete(3);
-  AsyncNetwork net(g, 1);
-  FaultInjector injector(FaultPlan::lossy_links(0.1), 3);
-  EXPECT_THROW(injector.install(net, 20), std::invalid_argument);
 }
 
 }  // namespace

@@ -89,7 +89,7 @@ TEST(HeartbeatMonitor, FalseSuspicionsAreRefutedUnderLoss) {
   // one of them must be withdrawn once the live neighbor is heard again.
   const graph::Graph g = graph::complete(3);
   SyncNetwork net(g, 1);
-  net.set_message_loss(0.6, 1234);
+  net.set_channel({.loss = 0.6, .seed = 1234});
   net.set_all_processes(
       [](NodeId) { return std::make_unique<BeaconProcess>(1); });
   net.run(40);
@@ -135,7 +135,7 @@ SuspicionStats run_all_live(double loss, int threads,
   SyncNetwork net(g, 9);
   net.set_threads(threads);
   net.set_parallel_grain(0);  // small n: force the pool, not the fallback
-  if (loss > 0.0) net.set_message_loss(loss, 777);
+  if (loss > 0.0) net.set_channel({.loss = loss, .seed = 777});
   net.set_all_processes(
       [&](NodeId) { return std::make_unique<WindowedBeacon>(options); });
   net.run(60);
@@ -192,7 +192,7 @@ TEST(HeartbeatMonitor, WindowedModeBeatsConsecutiveTimeoutsUnderLoss) {
 TEST(HeartbeatMonitor, WindowedModeStillDetectsRealCrash) {
   const graph::Graph g = graph::complete(4);
   SyncNetwork net(g, 5);
-  net.set_message_loss(0.2, 31);
+  net.set_channel({.loss = 0.2, .seed = 31});
   HeartbeatMonitor::Options options;
   options.window = 8;
   options.misses_to_suspect = 6;

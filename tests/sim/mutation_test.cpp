@@ -2,8 +2,10 @@
 // clamping of out-of-range / inactive targets, the active-active adjacency
 // invariant in both modes, and the geometric-mode flip rejection.
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -31,6 +33,40 @@ TEST(MutationTrace, SerializationRoundTripsExactly) {
   EXPECT_THROW((void)parse_mutation_trace("nonsense"), std::invalid_argument);
   EXPECT_THROW((void)parse_mutation_trace("1:9:0:0:0:0"),
                std::invalid_argument);  // unknown kind
+}
+
+// Every field must parse whole and in range: no trailing junk, no seventh
+// field, no out-of-range id, no non-finite coordinate.
+TEST(MutationTrace, RejectsMalformedEntries) {
+  for (const char* bad : {
+           "0:0:1:2:nan:3.0junk",  // NaN and trailing junk
+           "0:0:1:2:nan:3.0",      // NaN coordinate
+           "0:0:1:2:1.0:inf",      // infinite coordinate
+           "0:0:1:2:1.0:-inf",
+           "0:0:1:2:1.0:1e400",    // overflows to infinity
+           "0:0:1:2:1.0:3.0junk",  // trailing junk
+           "0:0:1:2:1.0:3.0:7",    // seventh field
+           "0:0:1:2:1.0",          // fifth field is the last
+           "0:0:99999999999:2:1.0:3.0",  // id beyond NodeId
+           "0:0:1:-99999999999:1.0:3.0",
+           "99999999999999999999:0:1:2:1.0:3.0",  // round beyond int64
+           "0:-1:1:2:1.0:3.0",     // negative kind
+           "0: 0:1:2:1.0:3.0",     // whitespace is junk
+           "0:0:1:2::3.0",         // empty field
+           "0:0:1:2:1.0:3.0;",     // empty trailing entry
+           "0:0:1:2:1.0:3.0;;1:1:2:-1:0:0",
+       }) {
+    EXPECT_THROW((void)parse_mutation_trace(bad), std::invalid_argument)
+        << bad;
+  }
+  const MutationTrace ok = parse_mutation_trace("-3:2:7:-1:-0.5:1e300");
+  ASSERT_EQ(ok.size(), 1u);
+  EXPECT_EQ(ok[0].round, -3);
+  EXPECT_EQ(ok[0].m.kind, MutationKind::kMove);
+  EXPECT_EQ(ok[0].m.node, 7);
+  EXPECT_EQ(ok[0].m.peer, -1);
+  EXPECT_EQ(ok[0].m.x, -0.5);
+  EXPECT_EQ(ok[0].m.y, 1e300);
 }
 
 TEST(MutationKindNames, AreStable) {
@@ -128,6 +164,31 @@ TEST(DynamicWorld, GeometricModeRejectsFlips) {
   const AppliedMutation am = world.apply(flip);
   EXPECT_FALSE(am.applied);
   EXPECT_TRUE(am.delta.empty());
+}
+
+TEST(DynamicWorld, GeometricModeRejectsNonFinitePositions) {
+  const geom::UnitDiskGraph udg =
+      geom::build_udg({{0.0, 0.0}, {0.5, 0.0}, {3.0, 3.0}}, 1.0);
+  DynamicWorld world(udg);
+  const auto edges = world.graph().edges();
+  for (const MutationKind kind : {MutationKind::kJoin, MutationKind::kMove}) {
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+      Mutation m;
+      m.kind = kind;
+      m.node = 0;
+      m.x = bad;
+      m.y = 0.5;
+      EXPECT_THROW((void)world.apply(m), std::invalid_argument);
+      std::swap(m.x, m.y);
+      EXPECT_THROW((void)world.apply(m), std::invalid_argument);
+      EXPECT_EQ(world.n(), 3);
+      EXPECT_EQ(world.active_count(), 3);
+      EXPECT_EQ(world.graph().edges(), edges);
+      EXPECT_EQ(world.udg()->positions()[0], (geom::Point{0.0, 0.0}));
+    }
+  }
 }
 
 // The structural invariant both modes guarantee: adjacency only ever holds

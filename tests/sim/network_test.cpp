@@ -292,7 +292,7 @@ TEST(SyncNetwork, ContextExposesGlobals) {
 TEST(SyncNetwork, MessageLossDropsApproximatelyP) {
   const graph::Graph g = graph::complete(20);
   SyncNetwork net(g, 1);
-  net.set_message_loss(0.3, 99);
+  net.set_channel({.loss = 0.3, .seed = 99});
   net.set_all_processes(
       [](NodeId) { return std::make_unique<GossipProcess>(2); });
   net.run(4);
@@ -310,7 +310,7 @@ TEST(SyncNetwork, MessageLossDropsApproximatelyP) {
 TEST(SyncNetwork, ZeroLossLosesNothing) {
   const graph::Graph g = graph::complete(5);
   SyncNetwork net(g, 1);
-  net.set_message_loss(0.0);
+  net.set_channel({.loss = 0.0});
   net.set_all_processes(
       [](NodeId) { return std::make_unique<GossipProcess>(2); });
   net.run(4);
@@ -374,7 +374,7 @@ TEST(SyncNetwork, LossIsDeterministicPerSeed) {
   const graph::Graph g = graph::complete(10);
   auto run_once = [&](std::uint64_t loss_seed) {
     SyncNetwork net(g, 1);
-    net.set_message_loss(0.5, loss_seed);
+    net.set_channel({.loss = 0.5, .seed = loss_seed});
     net.set_all_processes(
         [](NodeId) { return std::make_unique<GossipProcess>(2); });
     net.run(4);

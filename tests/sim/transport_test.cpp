@@ -98,7 +98,7 @@ TEST(ReliableTransport, ExactlyOnceInOrderUnderHeavyImpairment) {
 TEST(ReliableTransport, BroadcastReachesEveryNeighborInOrder) {
   const graph::Graph g = graph::star(5);  // center 0
   SyncNetwork net(g, 7);
-  net.set_message_loss(0.25, 99);
+  net.set_channel({.loss = 0.25, .seed = 99});
   static constexpr int kTotal = 8;
   net.set_all_processes(
       [](NodeId v) { return std::make_unique<PumpProcess>(kTotal, v == 0); });
@@ -113,7 +113,7 @@ TEST(ReliableTransport, BroadcastReachesEveryNeighborInOrder) {
 TEST(ReliableTransport, BidirectionalTrafficPiggybacksAcks) {
   const graph::Graph g = graph::complete(2);
   SyncNetwork net(g, 11);
-  net.set_message_loss(0.2, 5);
+  net.set_channel({.loss = 0.2, .seed = 5});
   static constexpr int kTotal = 15;
   net.set_all_processes(
       [](NodeId) { return std::make_unique<PumpProcess>(kTotal, true); });
