@@ -10,8 +10,6 @@
 // The output is also verified against the synchronous run (identical x).
 #include "bench_common.h"
 
-#include <memory>
-
 #include "algo/lp/lp_kmds.h"
 #include "algo/lp/lp_kmds_process.h"
 #include "domination/domination.h"
@@ -34,11 +32,7 @@ int main(int argc, char** argv) {
 
   // Synchronous reference.
   sim::SyncNetwork sync_net(g, 7);
-  sync_net.set_all_processes([&](graph::NodeId v) {
-    return std::make_unique<algo::LpKmdsProcess>(
-        d[static_cast<std::size_t>(v)], t);
-  });
-  sync_net.run(algo::lp_round_count(t) + 4);
+  const auto sync_lp = algo::run_lp_processes(sync_net, d, t);
 
   bench::Output out({"max_delay", "pulses", "virtual_time", "time/pulse",
                      "envelopes", "payload_msgs", "overhead_x",
@@ -49,17 +43,9 @@ int main(int argc, char** argv) {
     sim::AsyncOptions opts;
     opts.max_delay = max_delay;
     sim::AsyncNetwork net(g, 7, opts);
-    net.set_all_processes([&](graph::NodeId v) {
-      return std::make_unique<algo::LpKmdsProcess>(
-          d[static_cast<std::size_t>(v)], t);
-    });
-    const auto pulses = net.run(algo::lp_round_count(t) + 4);
-
-    bool matches = true;
-    for (graph::NodeId v = 0; v < g.n() && matches; ++v) {
-      matches = net.process_as<algo::LpKmdsProcess>(v).x() ==
-                sync_net.process_as<algo::LpKmdsProcess>(v).x();
-    }
+    const auto lp = algo::run_lp_processes(net, d, t);
+    const auto pulses = lp.rounds;
+    const bool matches = lp.primal.x == sync_lp.primal.x;
     const auto& m = net.metrics();
     out.row({util::fmt(max_delay), util::fmt(pulses),
              util::fmt(m.virtual_time),

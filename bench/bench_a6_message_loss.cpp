@@ -16,8 +16,6 @@
 // part of the loss.
 #include "bench_common.h"
 
-#include <memory>
-
 #include "algo/lp/lp_kmds.h"
 #include "algo/lp/lp_kmds_process.h"
 #include "algo/rounding/rounding_process.h"
@@ -76,26 +74,12 @@ int main(int argc, char** argv) {
         {
           sim::SyncNetwork lp_net(g, seed);
           lp_net.set_channel({.loss = loss, .seed = seed * 3 + 1});
-          lp_net.set_all_processes([&](NodeId v) {
-            return std::make_unique<algo::LpKmdsProcess>(
-                d[static_cast<std::size_t>(v)], t);
-          });
-          lp_net.run(algo::lp_round_count(t) + 4);
+          const auto lp = algo::run_lp_processes(lp_net, d, t);
 
           sim::SyncNetwork r_net(g, seed);
           r_net.set_channel({.loss = loss, .seed = seed * 3 + 2});
-          r_net.set_all_processes([&](NodeId v) {
-            return std::make_unique<algo::RoundingProcess>(
-                lp_net.process_as<algo::LpKmdsProcess>(v).x(),
-                d[static_cast<std::size_t>(v)]);
-          });
-          r_net.run(6);
-          std::vector<NodeId> set;
-          for (NodeId v = 0; v < g.n(); ++v) {
-            if (r_net.process_as<algo::RoundingProcess>(v).in_set()) {
-              set.push_back(v);
-            }
-          }
+          const auto set =
+              algo::run_rounding_processes(r_net, lp.primal.x, d).set;
           s12.add(static_cast<double>(set.size()));
           bad12.add(100.0 * deficient_fraction(
                                 g, set, d,
@@ -111,16 +95,7 @@ int main(int argc, char** argv) {
         {
           sim::SyncNetwork net(udg, seed);
           net.set_channel({.loss = loss, .seed = seed * 3 + 3});
-          net.set_all_processes([&](NodeId) {
-            return std::make_unique<algo::UdgKmdsProcess>(k);
-          });
-          net.run(2 * algo::udg_part1_rounds(udg.n()) + 3 * (udg.n() + 3));
-          std::vector<NodeId> leaders;
-          for (NodeId v = 0; v < g.n(); ++v) {
-            if (net.process_as<algo::UdgKmdsProcess>(v).leader()) {
-              leaders.push_back(v);
-            }
-          }
+          const auto leaders = algo::run_udg_processes(net, {.k = k}).leaders;
           s3.add(static_cast<double>(leaders.size()));
           bad3.add(100.0 *
                    deficient_fraction(

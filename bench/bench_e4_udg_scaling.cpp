@@ -13,8 +13,6 @@
 // (the optimum itself grows with k, so the *ratio* stays O(1)).
 #include "bench_common.h"
 
-#include <memory>
-
 #include "algo/baseline/greedy.h"
 #include "algo/udg/udg_kmds.h"
 #include "algo/udg/udg_kmds_process.h"
@@ -67,13 +65,8 @@ int main(int argc, char** argv) {
         // equivalent by the test suite).
         if (n <= sim_limit) {
           sim::SyncNetwork net(udg, seed);
-          net.set_all_processes([&](graph::NodeId) {
-            return std::make_unique<algo::UdgKmdsProcess>(
-                static_cast<std::int32_t>(k));
-          });
-          sim_rounds.add(static_cast<double>(
-              net.run(2 * algo::udg_part1_rounds(udg.n()) +
-                      3 * (udg.n() + 3))));
+          algo::run_udg_processes(net, opts);
+          sim_rounds.add(static_cast<double>(net.round()));
         }
       }
       out.row({util::fmt(n), util::fmt(k),

@@ -10,8 +10,6 @@
 // 2 (Algorithm 3), independent of n.
 #include "bench_common.h"
 
-#include <memory>
-
 #include "algo/lp/lp_kmds.h"
 #include "algo/lp/lp_kmds_process.h"
 #include "algo/rounding/rounding_process.h"
@@ -46,11 +44,7 @@ int main(int argc, char** argv) {
     // Algorithm 1.
     {
       sim::SyncNetwork net(g, seed);
-      net.set_all_processes([&](graph::NodeId v) {
-        return std::make_unique<algo::LpKmdsProcess>(
-            d[static_cast<std::size_t>(v)], t);
-      });
-      net.run(algo::lp_round_count(t) + 4);
+      const auto lp = algo::run_lp_processes(net, d, t);
       const auto& m = net.metrics();
       out.row({"Alg1 (LP, t=" + std::to_string(t) + ")", util::fmt(n),
                util::fmt(m.rounds), util::fmt(m.messages_sent),
@@ -61,12 +55,7 @@ int main(int argc, char** argv) {
 
       // Algorithm 2, fed by Algorithm 1's x-values.
       sim::SyncNetwork rnet(g, seed);
-      rnet.set_all_processes([&](graph::NodeId v) {
-        return std::make_unique<algo::RoundingProcess>(
-            net.process_as<algo::LpKmdsProcess>(v).x(),
-            d[static_cast<std::size_t>(v)]);
-      });
-      rnet.run(6);
+      algo::run_rounding_processes(rnet, lp.primal.x, d);
       const auto& rm = rnet.metrics();
       out.row({"Alg2 (rounding)", util::fmt(n), util::fmt(rm.rounds),
                util::fmt(rm.messages_sent), util::fmt(rm.words_sent),
@@ -82,10 +71,7 @@ int main(int argc, char** argv) {
       const auto udg = geom::uniform_udg_with_degree(
           static_cast<graph::NodeId>(n), 12.0, urng);
       sim::SyncNetwork net(udg, seed);
-      net.set_all_processes([&](graph::NodeId) {
-        return std::make_unique<algo::UdgKmdsProcess>(k);
-      });
-      net.run(2 * algo::udg_part1_rounds(udg.n()) + 3 * (udg.n() + 3));
+      algo::run_udg_processes(net, {.k = k});
       const auto& m = net.metrics();
       out.row({"Alg3 (UDG)", util::fmt(n), util::fmt(m.rounds),
                util::fmt(m.messages_sent), util::fmt(m.words_sent),

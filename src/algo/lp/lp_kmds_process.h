@@ -23,7 +23,10 @@
 // degrades gracefully (it computes a solution for the surviving subgraph).
 #pragma once
 
+#include <cassert>
+#include <cmath>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "algo/lp/lp_kmds.h"
@@ -33,13 +36,13 @@ namespace ftc::algo {
 
 /// Per-node process implementing Algorithm 1. Install one per node with the
 /// node's demand k_i and the global parameter t, then run the network for
-/// lp_round_count(t) rounds.
+/// lp_round_count(t) rounds; run_lp_processes() below does both.
 class LpKmdsProcess final : public sim::Process {
  public:
   /// `demand` is this node's k_i; `t` is the trade-off parameter (≥ 1).
   /// With DegreeKnowledge::kTwoHop the process prepends a 2-round warm-up
-  /// that computes the 2-hop maximum degree (the Remark's Δ-free variant);
-  /// total rounds become lp_round_count(t) + 2.
+  /// that computes the 2-hop maximum degree (the Remark's Δ-free variant),
+  /// which adds 2 rounds to lp_round_count(t).
   LpKmdsProcess(std::int32_t demand, int t,
                 DegreeKnowledge degree_knowledge = DegreeKnowledge::kGlobal);
 
@@ -90,5 +93,40 @@ class LpKmdsProcess final : public sim::Process {
   // Schedule position.
   std::int64_t step_ = 0;  // local round counter
 };
+
+/// Runs Algorithm 1 as a protocol on `net` (a sim::SyncNetwork or
+/// sim::AsyncNetwork the caller has configured: threads, grain, channel,
+/// plane, scheduled crashes). Installs one LpKmdsProcess per node, runs
+/// under the protocol's budget — the exact schedule (lp_round_count(t),
+/// +2 with kTwoHop) plus slack, so an overrun shows — and collects x, y, z.
+/// `rounds` is the rounds (pulses) executed; `kappa` is t(Δ+1)^{1/t} with
+/// the global Δ, as in the mirror. `max_lemma41_ratio` is mirror-only and
+/// stays 0. Metrics stay on `net`.
+template <typename Net>
+LpResult run_lp_processes(
+    Net& net, const domination::Demands& demands, int t,
+    DegreeKnowledge degree_knowledge = DegreeKnowledge::kGlobal) {
+  const graph::Graph& g = net.graph();
+  assert(static_cast<graph::NodeId>(demands.size()) == g.n());
+  net.set_all_processes([&](graph::NodeId v) {
+    return std::make_unique<LpKmdsProcess>(
+        demands[static_cast<std::size_t>(v)], t, degree_knowledge);
+  });
+  const std::int64_t warmup =
+      degree_knowledge == DegreeKnowledge::kTwoHop ? 2 : 0;
+  constexpr std::int64_t kSlack = 4;
+
+  LpResult result;
+  result.rounds = net.run(lp_round_count(t) + warmup + kSlack);
+  result.kappa = static_cast<double>(t) *
+                 std::pow(static_cast<double>(g.max_degree()) + 1.0, 1.0 / t);
+  for (graph::NodeId v = 0; v < g.n(); ++v) {
+    const auto& proc = net.template process_as<LpKmdsProcess>(v);
+    result.primal.x.push_back(proc.x());
+    result.dual.y.push_back(proc.y());
+    result.dual.z.push_back(proc.z());
+  }
+  return result;
+}
 
 }  // namespace ftc::algo

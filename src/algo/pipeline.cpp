@@ -1,8 +1,7 @@
 #include "algo/pipeline.h"
 
+#include <algorithm>
 #include <cassert>
-#include <cmath>
-#include <memory>
 
 #include "algo/lp/lp_kmds_process.h"
 #include "algo/rounding/rounding_process.h"
@@ -30,55 +29,16 @@ PipelineResult run_distributed(const graph::Graph& g,
                                const domination::Demands& demands,
                                const PipelineOptions& options) {
   PipelineResult result;
-  const auto n = static_cast<std::size_t>(g.n());
-
-  // Phase 1: Algorithm 1 processes.
   sim::SyncNetwork lp_net(g, options.seed);
-  lp_net.set_all_processes([&](NodeId v) {
-    return std::make_unique<LpKmdsProcess>(demands[static_cast<std::size_t>(v)],
-                                           options.t);
-  });
-  const std::int64_t lp_rounds = lp_net.run(lp_round_count(options.t) + 8);
+  result.lp = run_lp_processes(lp_net, demands, options.t);
 
-  result.lp.primal.x.resize(n);
-  result.lp.dual.y.resize(n);
-  result.lp.dual.z.resize(n);
-  result.lp.kappa =
-      static_cast<double>(options.t) *
-      std::pow(static_cast<double>(g.max_degree()) + 1.0, 1.0 / options.t);
-  result.lp.rounds = lp_rounds;
-  for (NodeId v = 0; v < g.n(); ++v) {
-    const auto& proc = lp_net.process_as<LpKmdsProcess>(v);
-    const auto i = static_cast<std::size_t>(v);
-    result.lp.primal.x[i] = proc.x();
-    result.lp.dual.y[i] = proc.y();
-    result.lp.dual.z[i] = proc.z();
-  }
-
-  // Phase 2: Algorithm 2 processes (fresh network, same seed: Algorithm 1
-  // consumes no randomness, so per-node streams align with the mirror).
+  // Fresh network, same seed: Algorithm 1 consumes no randomness, so
+  // per-node streams align with the mirror.
   sim::SyncNetwork rounding_net(g, options.seed);
-  rounding_net.set_all_processes([&](NodeId v) {
-    const auto i = static_cast<std::size_t>(v);
-    return std::make_unique<RoundingProcess>(result.lp.primal.x[i],
-                                             demands[i]);
-  });
-  const std::int64_t rounding_rounds = rounding_net.run(8);
+  result.rounding =
+      run_rounding_processes(rounding_net, result.lp.primal.x, demands);
 
-  result.rounding.rounds = rounding_rounds;
-  for (NodeId v = 0; v < g.n(); ++v) {
-    const auto& proc = rounding_net.process_as<RoundingProcess>(v);
-    if (proc.in_set()) {
-      result.rounding.set.push_back(v);
-      if (proc.chosen_by_coin()) {
-        ++result.rounding.chosen_by_coin;
-      } else {
-        ++result.rounding.chosen_by_request;
-      }
-    }
-  }
-
-  result.total_rounds = lp_rounds + rounding_rounds;
+  result.total_rounds = result.lp.rounds + result.rounding.rounds;
   result.metrics = lp_net.metrics();
   result.metrics.rounds += rounding_net.metrics().rounds;
   result.metrics.messages_sent += rounding_net.metrics().messages_sent;

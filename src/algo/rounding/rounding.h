@@ -28,6 +28,9 @@
 
 namespace ftc::algo {
 
+/// Synchronous rounds Algorithm 2 takes: coin, request, join.
+inline constexpr std::int64_t kRoundingRounds = 3;
+
 /// Outcome of the rounding step.
 struct RoundingResult {
   std::vector<graph::NodeId> set;  ///< the integral dominating set, sorted
@@ -36,8 +39,9 @@ struct RoundingResult {
   std::int64_t chosen_by_coin = 0;
   /// Nodes added by coverage requests (the Y of Theorem 4.6's proof).
   std::int64_t chosen_by_request = 0;
-  /// Synchronous rounds consumed (constant: 3).
-  std::int64_t rounds = 3;
+  /// Synchronous rounds consumed: kRoundingRounds in the mirror, the
+  /// executed count from run_rounding_processes().
+  std::int64_t rounds = kRoundingRounds;
 };
 
 /// Reusable buffers for the no-alloc rounding overload. A scratch reused

@@ -11,14 +11,20 @@
 // the network seed equals the mirror seed.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
+#include <memory>
+#include <span>
 
+#include "algo/rounding/rounding.h"
+#include "domination/domination.h"
 #include "sim/network.h"
 
 namespace ftc::algo {
 
 /// Per-node process implementing Algorithm 2. Construct with the node's
-/// fractional value x_i (from Algorithm 1) and demand k_i.
+/// fractional value x_i (from Algorithm 1) and demand k_i, or let
+/// run_rounding_processes() below install and run one per node.
 class RoundingProcess final : public sim::Process {
  public:
   RoundingProcess(double x, std::int32_t demand);
@@ -37,5 +43,35 @@ class RoundingProcess final : public sim::Process {
   bool by_coin_ = false;
   std::int64_t step_ = 0;
 };
+
+/// Runs Algorithm 2 as a protocol on `net` (a sim::SyncNetwork or
+/// sim::AsyncNetwork the caller has configured: threads, grain, channel,
+/// plane, scheduled crashes). Installs one RoundingProcess per node with
+/// x[v] and demands[v], runs under kRoundingRounds plus slack, and
+/// collects the sorted set and its coin/request split. `rounds` is the
+/// rounds (pulses) executed. Metrics stay on `net`.
+template <typename Net>
+RoundingResult run_rounding_processes(Net& net, std::span<const double> x,
+                                      const domination::Demands& demands) {
+  const graph::Graph& g = net.graph();
+  assert(static_cast<graph::NodeId>(x.size()) == g.n());
+  assert(static_cast<graph::NodeId>(demands.size()) == g.n());
+  net.set_all_processes([&](graph::NodeId v) {
+    const auto i = static_cast<std::size_t>(v);
+    return std::make_unique<RoundingProcess>(x[i], demands[i]);
+  });
+  constexpr std::int64_t kSlack = 4;
+
+  RoundingResult result;
+  result.rounds = net.run(kRoundingRounds + kSlack);
+  for (graph::NodeId v = 0; v < g.n(); ++v) {
+    const auto& proc = net.template process_as<RoundingProcess>(v);
+    if (!proc.in_set()) continue;
+    result.set.push_back(v);
+    ++(proc.chosen_by_coin() ? result.chosen_by_coin
+                             : result.chosen_by_request);
+  }
+  return result;
+}
 
 }  // namespace ftc::algo

@@ -174,4 +174,9 @@ void UdgKmdsProcess::on_round(sim::Context& ctx) {
   ++step_;
 }
 
+std::int64_t udg_round_budget(NodeId n, const UdgOptions& options) {
+  return 2 * udg_part1_rounds_ex(n, options.xi) +
+         3 * (static_cast<std::int64_t>(n) + 3);
+}
+
 }  // namespace ftc::algo

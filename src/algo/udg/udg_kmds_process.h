@@ -31,14 +31,15 @@
 // set of solve_udg_kmds() (the centralized mirror) for the same seed.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "algo/udg/udg_kmds.h"
 #include "sim/network.h"
 
 namespace ftc::algo {
-
-struct UdgOptions;  // udg_kmds.h
 
 /// Per-node process implementing Algorithm 3. Construct with the uniform
 /// fold parameter k (paper constants), or with full UdgOptions to match a
@@ -85,5 +86,39 @@ class UdgKmdsProcess final : public sim::Process {
 
   std::int64_t step_ = 0;
 };
+
+/// Round budget of run_udg_processes on n nodes: Part I's 2R rounds
+/// (R = udg_part1_rounds_ex(n, options.xi)) plus 3 rounds for each of
+/// n + 3 Part II iterations. Some lossy runs stop at this cap, which is
+/// part of bench A6's table, so it must not grow.
+[[nodiscard]] std::int64_t udg_round_budget(graph::NodeId n,
+                                            const UdgOptions& options);
+
+/// Runs Algorithm 3 as a protocol on `net` (a sim::SyncNetwork or
+/// sim::AsyncNetwork built from a UnitDiskGraph and configured by the
+/// caller: threads, grain, channel, plane, scheduled crashes). Installs one
+/// UdgKmdsProcess per node, runs under udg_round_budget() and collects
+/// `leaders`, `part1_leaders` and `part1_rounds` (R). No process can know
+/// `part2_iterations`, `active_after_round` or `fully_satisfied`: they are
+/// mirror-only and keep their defaults. Executed rounds (pulses) and
+/// metrics stay on `net`.
+template <typename Net>
+UdgResult run_udg_processes(Net& net, const UdgOptions& options) {
+  assert(net.udg() != nullptr && "Algorithm 3 requires a UDG network");
+  const graph::NodeId n = net.graph().n();
+  net.set_all_processes([&](graph::NodeId) {
+    return std::make_unique<UdgKmdsProcess>(options);
+  });
+  net.run(udg_round_budget(n, options));
+
+  UdgResult result;
+  result.part1_rounds = udg_part1_rounds_ex(n, options.xi);
+  for (graph::NodeId v = 0; v < n; ++v) {
+    const auto& proc = net.template process_as<UdgKmdsProcess>(v);
+    if (proc.part1_leader()) result.part1_leaders.push_back(v);
+    if (proc.leader()) result.leaders.push_back(v);
+  }
+  return result;
+}
 
 }  // namespace ftc::algo

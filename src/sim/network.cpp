@@ -1,7 +1,6 @@
 #include "sim/network.h"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 
 namespace ftc::sim {
@@ -14,8 +13,7 @@ namespace {
 // unconditionally (not via assert): in a release build an arena past 2^32
 // words would otherwise silently truncate offsets and corrupt payloads.
 void check_arena_capacity(std::size_t arena_size, std::size_t words) {
-  if (arena_size + words >=
-      static_cast<std::size_t>(std::numeric_limits<std::uint32_t>::max())) {
+  if (!arena_fits(arena_size, words)) {
     throw std::length_error(
         "SyncNetwork: per-shard round arena exceeds uint32 offset range");
   }
@@ -23,8 +21,7 @@ void check_arena_capacity(std::size_t arena_size, std::size_t words) {
 
 // Inbox regions are addressed by uint32 offsets into the flat store.
 void check_inbox_capacity(std::uint64_t total_messages) {
-  if (total_messages >=
-      static_cast<std::uint64_t>(std::numeric_limits<std::uint32_t>::max())) {
+  if (!inbox_fits(total_messages)) {
     throw std::length_error(
         "SyncNetwork: per-round message count exceeds uint32 inbox range");
   }

@@ -67,6 +67,7 @@
 #include <cassert>
 #include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <memory>
 #include <span>
 #include <utility>
@@ -102,6 +103,22 @@ struct Metrics {
 
   friend bool operator==(const Metrics&, const Metrics&) = default;
 };
+
+/// True iff a shard's round arena of `arena_words` words can take one more
+/// `words`-word payload: transfer entries address the arena with uint32
+/// (offset, length), so it must stay below 2^32 − 1 words. SyncNetwork
+/// throws std::length_error instead of truncating an offset.
+[[nodiscard]] inline bool arena_fits(std::size_t arena_words,
+                                     std::size_t words) noexcept {
+  constexpr std::size_t kLimit = std::numeric_limits<std::uint32_t>::max();
+  return words < kLimit && arena_words < kLimit - words;
+}
+
+/// True iff one round's `messages` deliveries fit the uint32 offsets that
+/// address inbox regions; SyncNetwork throws std::length_error otherwise.
+[[nodiscard]] inline bool inbox_fits(std::uint64_t messages) noexcept {
+  return messages < std::numeric_limits<std::uint32_t>::max();
+}
 
 /// Backend interface through which a Context reaches its network. Both the
 /// synchronous network (SyncNetwork) and the asynchronous executor

@@ -74,128 +74,96 @@ void check_rounding_result(const Graph& g, const Demands& demands,
 
 // ------------------------------------------------------------- distributed runs
 
-struct LpDistRun {
-  std::vector<double> x, y, z;
-  sim::Metrics metrics;
-  std::int64_t executed = 0;
-
-  friend bool operator==(const LpDistRun&, const LpDistRun&) = default;
-};
-
-LpDistRun run_lp_distributed(const Graph& g, const Demands& demands, int t,
-                             std::uint64_t seed, int threads,
-                             const sim::ChannelOptions& channel) {
-  sim::SyncNetwork net(g, seed);
-  net.set_threads(threads);
-  net.set_parallel_grain(0);  // fuzz sizes are tiny; always exercise the pool
-  if (channel.impaired()) net.set_channel(channel);
-  net.set_all_processes([&](NodeId v) {
-    return std::make_unique<algo::LpKmdsProcess>(
-        demands[static_cast<std::size_t>(v)], t);
-  });
-  LpDistRun run;
-  run.executed = net.run(algo::lp_round_count(t) + 8);
-  for (NodeId v = 0; v < g.n(); ++v) {
-    const auto& proc = net.process_as<algo::LpKmdsProcess>(v);
-    run.x.push_back(proc.x());
-    run.y.push_back(proc.y());
-    run.z.push_back(proc.z());
-  }
-  run.metrics = net.metrics();
-  return run;
+/// Returns true iff two LpResults are bitwise-identical in every field the
+/// solver contract covers.
+bool lp_results_equal(const algo::LpResult& a, const algo::LpResult& b) {
+  return a.primal.x == b.primal.x && a.dual.y == b.dual.y &&
+         a.dual.z == b.dual.z && a.kappa == b.kappa && a.rounds == b.rounds &&
+         a.max_lemma41_ratio == b.max_lemma41_ratio;
 }
 
-struct RoundingDistRun {
-  std::vector<NodeId> set;
-  sim::Metrics metrics;
-  std::int64_t executed = 0;
-
-  friend bool operator==(const RoundingDistRun&, const RoundingDistRun&) =
-      default;
-};
-
-RoundingDistRun run_rounding_distributed(const Graph& g,
-                                         const std::vector<double>& x,
-                                         const Demands& demands,
-                                         std::uint64_t seed, int threads,
-                                         const sim::ChannelOptions& channel,
-                                         obs::Plane* plane) {
-  sim::SyncNetwork net(g, seed);
+/// Sets up `net` as every fuzz protocol run does: `threads` engine streams,
+/// the pool forced (fuzz sizes are tiny), and the channel if it impairs.
+void configure(sim::SyncNetwork& net, int threads,
+               const sim::ChannelOptions& channel) {
   net.set_threads(threads);
-  net.set_parallel_grain(0);  // fuzz sizes are tiny; always exercise the pool
-  if (plane != nullptr) net.set_observability(plane);
+  net.set_parallel_grain(0);
   if (channel.impaired()) net.set_channel(channel);
-  net.set_all_processes([&](NodeId v) {
-    const auto i = static_cast<std::size_t>(v);
-    return std::make_unique<algo::RoundingProcess>(x[i], demands[i]);
-  });
-  RoundingDistRun run;
-  run.executed = net.run(8);
-  for (NodeId v = 0; v < g.n(); ++v) {
-    if (net.process_as<algo::RoundingProcess>(v).in_set()) {
-      run.set.push_back(v);
-    }
+}
+
+/// term.lp / term.rounding: Algorithms 1 and 2 are round-driven, so they
+/// run exactly their closed-form round count on any channel (and as many
+/// pulses under any delay schedule).
+void check_rounds(const char* invariant, const char* run,
+                  std::int64_t executed, std::int64_t expected,
+                  Violations& out) {
+  if (executed != expected) {
+    add(out, invariant,
+        std::string(run) + " run took " + std::to_string(executed) +
+            " rounds, schedule is " + std::to_string(expected));
   }
-  run.metrics = net.metrics();
-  return run;
 }
 
 void check_differential(const FuzzCase& c, const Graph& g,
                         const Demands& demands, const algo::LpResult& mirror_lp,
                         const algo::RoundingResult& mirror_rounding,
                         Violations& out) {
+  const auto run_lp = [&](int threads, const sim::ChannelOptions& channel) {
+    sim::SyncNetwork net(g, c.algo_seed);
+    configure(net, threads, channel);
+    return std::pair{algo::run_lp_processes(net, demands, c.t),
+                     net.metrics()};
+  };
+  const auto run_rounding = [&](int threads) {
+    sim::SyncNetwork net(g, c.algo_seed);
+    configure(net, threads, sim::ChannelOptions{});
+    return std::pair{
+        algo::run_rounding_processes(net, mirror_lp.primal.x, demands),
+        net.metrics()};
+  };
+
   // Mirror vs distributed (clean-channel contract): the per-node processes
   // must reproduce the centralized mirror bit for bit.
   const sim::ChannelOptions channel = channel_from_case(c);
   if (!channel.impaired()) {
-    const LpDistRun serial = run_lp_distributed(g, demands, c.t, c.algo_seed,
-                                                1, sim::ChannelOptions{});
-    if (serial.x != mirror_lp.primal.x || serial.y != mirror_lp.dual.y ||
-        serial.z != mirror_lp.dual.z) {
+    const auto [lp, lp_metrics] = run_lp(1, sim::ChannelOptions{});
+    if (lp.primal.x != mirror_lp.primal.x || lp.dual.y != mirror_lp.dual.y ||
+        lp.dual.z != mirror_lp.dual.z) {
       add(out, "lp.differential", "distributed LP != centralized mirror");
     }
-    if (serial.executed != mirror_lp.rounds) {
-      add(out, "term.lp",
-          "distributed LP rounds " + std::to_string(serial.executed) +
-              " != mirror " + std::to_string(mirror_lp.rounds));
-    }
-    if (serial.metrics.max_message_words > 3) {
+    check_rounds("term.lp", "clean", lp.rounds, algo::lp_round_count(c.t),
+                 out);
+    if (lp_metrics.max_message_words > 3) {
       add(out, "lp.message_bound",
           "LP message exceeded 3 words: " +
-              std::to_string(serial.metrics.max_message_words));
+              std::to_string(lp_metrics.max_message_words));
     }
     if (c.threads > 1) {
-      const LpDistRun parallel = run_lp_distributed(
-          g, demands, c.t, c.algo_seed, c.threads, sim::ChannelOptions{});
-      if (parallel != serial) {
+      const auto [par, par_metrics] = run_lp(c.threads, sim::ChannelOptions{});
+      if (!lp_results_equal(par, lp) || par_metrics != lp_metrics) {
         add(out, "engine.lp_parallel",
             "LP run differs at threads=" + std::to_string(c.threads));
       }
     }
 
-    const RoundingDistRun rserial =
-        run_rounding_distributed(g, mirror_lp.primal.x, demands, c.algo_seed,
-                                 1, sim::ChannelOptions{}, nullptr);
-    if (rserial.set != mirror_rounding.set) {
+    const auto [rounding, r_metrics] = run_rounding(1);
+    if (rounding.set != mirror_rounding.set) {
       add(out, "rounding.differential",
           "distributed rounding != centralized mirror (" +
-              std::to_string(rserial.set.size()) + " vs " +
+              std::to_string(rounding.set.size()) + " vs " +
               std::to_string(mirror_rounding.set.size()) + " members)");
     }
-    if (rserial.metrics.max_message_words > 1) {
+    if (r_metrics.max_message_words > 1) {
       add(out, "rounding.message_bound",
           "rounding message exceeded 1 word: " +
-              std::to_string(rserial.metrics.max_message_words));
+              std::to_string(r_metrics.max_message_words));
     }
-    if (rserial.executed > 4) {
-      add(out, "term.rounding",
-          "rounding took " + std::to_string(rserial.executed) + " rounds");
-    }
+    check_rounds("term.rounding", "clean", rounding.rounds,
+                 algo::kRoundingRounds, out);
     if (c.threads > 1) {
-      const RoundingDistRun rparallel =
-          run_rounding_distributed(g, mirror_lp.primal.x, demands, c.algo_seed,
-                                   c.threads, sim::ChannelOptions{}, nullptr);
-      if (rparallel != rserial) {
+      const auto [par, par_metrics] = run_rounding(c.threads);
+      if (par.set != rounding.set || par.rounds != rounding.rounds ||
+          par_metrics != r_metrics) {
         add(out, "engine.rounding_parallel",
             "rounding run differs at threads=" + std::to_string(c.threads));
       }
@@ -203,12 +171,13 @@ void check_differential(const FuzzCase& c, const Graph& g,
   } else if (c.threads > 1) {
     // Under an impaired channel the outcome is channel-seed-dependent but
     // still a pure function of the case: the engine must stay
-    // width-invariant through loss, duplication, and reordering.
-    const LpDistRun serial =
-        run_lp_distributed(g, demands, c.t, c.algo_seed, 1, channel);
-    const LpDistRun parallel =
-        run_lp_distributed(g, demands, c.t, c.algo_seed, c.threads, channel);
-    if (parallel != serial) {
+    // width-invariant through loss, duplication, and reordering, and the
+    // round-driven schedule must not stretch.
+    const auto [lp, lp_metrics] = run_lp(1, channel);
+    const auto [par, par_metrics] = run_lp(c.threads, channel);
+    check_rounds("term.lp", "impaired", lp.rounds, algo::lp_round_count(c.t),
+                 out);
+    if (!lp_results_equal(par, lp) || par_metrics != lp_metrics) {
       add(out, "engine.lp_parallel",
           "impaired LP run differs at threads=" + std::to_string(c.threads));
     }
@@ -287,21 +256,11 @@ void check_async(const FuzzCase& c, const Graph& g, const Demands& demands,
     opts.max_delay = c.max_delay;
     opts.delay_seed = dseed;
     sim::AsyncNetwork net(g, c.algo_seed, opts);
-    net.set_all_processes([&](NodeId v) {
-      const auto i = static_cast<std::size_t>(v);
-      return std::make_unique<algo::RoundingProcess>(mirror_lp.primal.x[i],
-                                                     demands[i]);
-    });
-    const std::int64_t pulses = net.run(16);
-    if (pulses >= 16) {
-      add(out, "term.async", "async rounding failed to halt in 16 pulses");
-      continue;
-    }
-    std::vector<NodeId> set;
-    for (NodeId v = 0; v < g.n(); ++v) {
-      if (net.process_as<algo::RoundingProcess>(v).in_set()) set.push_back(v);
-    }
-    if (set != mirror_rounding.set) {
+    const auto rounding =
+        algo::run_rounding_processes(net, mirror_lp.primal.x, demands);
+    check_rounds("term.rounding", "async", rounding.rounds,
+                 algo::kRoundingRounds, out);
+    if (rounding.set != mirror_rounding.set) {
       add(out, "engine.async_schedule",
           "async schedule (delay_seed=" + std::to_string(dseed) +
               ") changed the rounding output");
@@ -346,28 +305,19 @@ void check_udg(const FuzzCase& c, const geom::UnitDiskGraph& udg,
   }
 
   if (!c.run_differential) return;
+  const std::int64_t budget = algo::udg_round_budget(g.n(), opts);
   for (const int threads : {1, c.threads}) {
     sim::SyncNetwork net(udg, c.algo_seed);
-    net.set_threads(threads);
-    net.set_parallel_grain(0);
-    net.set_all_processes(
-        [&](NodeId) { return std::make_unique<algo::UdgKmdsProcess>(opts); });
-    const std::int64_t budget =
-        4 * algo::udg_part1_rounds(g.n()) + 3 * (g.n() + 8);
-    const std::int64_t executed = net.run(budget);
-    if (executed >= budget) {
+    configure(net, threads, sim::ChannelOptions{});
+    const auto dist = algo::run_udg_processes(net, opts);
+    if (net.round() >= budget) {
       add(out, "term.udg",
-          "distributed Algorithm 3 failed to halt (threads=" +
+          "distributed Algorithm 3 failed to halt in " +
+              std::to_string(budget) + " rounds (threads=" +
               std::to_string(threads) + ")");
       continue;
     }
-    std::vector<NodeId> leaders;
-    for (NodeId v = 0; v < g.n(); ++v) {
-      if (net.process_as<algo::UdgKmdsProcess>(v).leader()) {
-        leaders.push_back(v);
-      }
-    }
-    if (leaders != mirror.leaders) {
+    if (dist.leaders != mirror.leaders) {
       add(out, "udg.differential",
           "distributed leader set != mirror (threads=" +
               std::to_string(threads) + ")");
@@ -570,10 +520,7 @@ struct TransportRun {
 TransportRun run_transport_flood(const FuzzCase& c, const Graph& g,
                                  int threads, std::int64_t budget) {
   sim::SyncNetwork net(g, c.algo_seed);
-  net.set_threads(threads);
-  net.set_parallel_grain(0);  // fuzz sizes are tiny; always exercise the pool
-  const sim::ChannelOptions channel = channel_from_case(c);
-  if (channel.impaired()) net.set_channel(channel);
+  configure(net, threads, channel_from_case(c));
   net.set_all_processes(
       [](NodeId) { return std::make_unique<TransportFloodProcess>(); });
   net.run(budget);
@@ -636,14 +583,6 @@ void check_transport(const FuzzCase& c, const Graph& g, Violations& out) {
 }
 
 // ---------------------------------------------------------------- kernels
-
-/// Returns true iff two LpResults are bitwise-identical in every field the
-/// solver contract covers.
-bool lp_results_equal(const algo::LpResult& a, const algo::LpResult& b) {
-  return a.primal.x == b.primal.x && a.dual.y == b.dual.y &&
-         a.dual.z == b.dual.z && a.kappa == b.kappa && a.rounds == b.rounds &&
-         a.max_lemma41_ratio == b.max_lemma41_ratio;
-}
 
 /// kernel.* invariants: the packed coverage/deficiency kernels (kernels.h)
 /// must agree exactly with the scalar references in domination.h, and the
@@ -747,14 +686,19 @@ void check_obs(const FuzzCase& c, const Graph& g, const Demands& demands,
   std::string base_trace;
   for (const int threads : {1, c.threads}) {
     obs::Plane plane;
-    const RoundingDistRun run =
-        run_rounding_distributed(g, mirror_lp.primal.x, demands, c.algo_seed,
-                                 threads, channel_from_case(c), &plane);
+    sim::SyncNetwork net(g, c.algo_seed);
+    configure(net, threads, channel_from_case(c));
+    net.set_observability(&plane);
+    const auto rounding =
+        algo::run_rounding_processes(net, mirror_lp.primal.x, demands);
+    check_rounds("term.rounding", "observed", rounding.rounds,
+                 algo::kRoundingRounds, out);
+    const sim::Metrics& m = net.metrics();
     const auto& b = plane.builtin();
     const auto& reg = plane.metrics();
-    if (reg.value(b.rounds) != run.metrics.rounds ||
-        reg.value(b.messages) != run.metrics.messages_sent ||
-        reg.value(b.words) != run.metrics.words_sent) {
+    if (reg.value(b.rounds) != m.rounds ||
+        reg.value(b.messages) != m.messages_sent ||
+        reg.value(b.words) != m.words_sent) {
       add(out, "obs.registry_consistency",
           "plane registry disagrees with Metrics at threads=" +
               std::to_string(threads));

@@ -3,7 +3,6 @@
 // families, t, and k.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <tuple>
 
 #include "algo/lp/lp_kmds.h"
@@ -21,29 +20,10 @@ using domination::uniform_demands;
 using graph::Graph;
 using graph::NodeId;
 
-struct DistributedLpRun {
-  std::vector<double> x, y, z;
-  std::int64_t rounds = 0;
-  sim::Metrics metrics;
-};
-
-DistributedLpRun run_distributed(const Graph& g,
-                                 const domination::Demands& demands, int t) {
+LpResult run_distributed(const Graph& g, const domination::Demands& demands,
+                         int t) {
   sim::SyncNetwork net(g, 42);
-  net.set_all_processes([&](NodeId v) {
-    return std::make_unique<LpKmdsProcess>(
-        demands[static_cast<std::size_t>(v)], t);
-  });
-  DistributedLpRun run;
-  run.rounds = net.run(lp_round_count(t) + 8);
-  for (NodeId v = 0; v < g.n(); ++v) {
-    const auto& p = net.process_as<LpKmdsProcess>(v);
-    run.x.push_back(p.x());
-    run.y.push_back(p.y());
-    run.z.push_back(p.z());
-  }
-  run.metrics = net.metrics();
-  return run;
+  return run_lp_processes(net, demands, t);
 }
 
 TEST(LpProcess, RoundsMatchFormula) {
@@ -57,16 +37,17 @@ TEST(LpProcess, RoundsMatchFormula) {
 TEST(LpProcess, MessagesAreConstantWords) {
   util::Rng rng(1);
   const Graph g = graph::gnp(40, 0.15, rng);
-  const auto run = run_distributed(g, uniform_demands(40, 2), 3);
+  sim::SyncNetwork net(g, 42);
+  run_lp_processes(net, uniform_demands(40, 2), 3);
   // Largest message in Algorithm 1 carries (x, x⁺, δ̃): 3 words.
-  EXPECT_LE(run.metrics.max_message_words, 3);
+  EXPECT_LE(net.metrics().max_message_words, 3);
 }
 
 TEST(LpProcess, HaltsEvenOnEmptyGraph) {
   const Graph g = graph::empty(4);
   const auto run = run_distributed(g, uniform_demands(4, 1), 2);
   EXPECT_EQ(run.rounds, lp_round_count(2));
-  for (double x : run.x) EXPECT_GE(x, 1.0 - 1e-9);  // isolated: x=1
+  for (double x : run.primal.x) EXPECT_GE(x, 1.0 - 1e-9);  // isolated: x=1
 }
 
 class LpEquivalenceSweep
@@ -89,14 +70,16 @@ TEST_P(LpEquivalenceSweep, ProcessMatchesMirrorExactly) {
   LpOptions opts;
   opts.t = t;
   const LpResult mirror = solve_fractional_kmds(g, d, opts);
-  const DistributedLpRun dist = run_distributed(g, d, t);
+  const LpResult dist = run_distributed(g, d, t);
 
   for (NodeId v = 0; v < g.n(); ++v) {
     const auto i = static_cast<std::size_t>(v);
-    EXPECT_DOUBLE_EQ(dist.x[i], mirror.primal.x[i]) << "x of node " << v;
-    EXPECT_DOUBLE_EQ(dist.y[i], mirror.dual.y[i]) << "y of node " << v;
-    EXPECT_DOUBLE_EQ(dist.z[i], mirror.dual.z[i]) << "z of node " << v;
+    EXPECT_DOUBLE_EQ(dist.primal.x[i], mirror.primal.x[i]) << "x of node " << v;
+    EXPECT_DOUBLE_EQ(dist.dual.y[i], mirror.dual.y[i]) << "y of node " << v;
+    EXPECT_DOUBLE_EQ(dist.dual.z[i], mirror.dual.z[i]) << "z of node " << v;
   }
+  EXPECT_EQ(dist.kappa, mirror.kappa);
+  EXPECT_EQ(dist.rounds, mirror.rounds);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -2,7 +2,6 @@
 // the paper's Remark at the end of Section 4.2.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <tuple>
 
 #include "algo/lp/lp_kmds.h"
@@ -113,21 +112,13 @@ TEST_P(TwoHopEquivalence, ProcessMatchesMirror) {
   const auto mirror = solve_fractional_kmds(g, d, opts);
 
   sim::SyncNetwork net(g, seed);
-  net.set_all_processes([&](NodeId v) {
-    return std::make_unique<LpKmdsProcess>(
-        d[static_cast<std::size_t>(v)], t, DegreeKnowledge::kTwoHop);
-  });
-  const auto rounds = net.run(lp_round_count(t) + 8);
-  EXPECT_EQ(rounds, lp_round_count(t) + 2);  // warm-up costs 2 rounds
+  const auto dist = run_lp_processes(net, d, t, DegreeKnowledge::kTwoHop);
+  EXPECT_EQ(dist.rounds, lp_round_count(t) + 2);  // warm-up costs 2 rounds
 
   for (NodeId v = 0; v < g.n(); ++v) {
     const auto i = static_cast<std::size_t>(v);
-    EXPECT_DOUBLE_EQ(net.process_as<LpKmdsProcess>(v).x(),
-                     mirror.primal.x[i])
-        << "node " << v;
-    EXPECT_DOUBLE_EQ(net.process_as<LpKmdsProcess>(v).z(),
-                     mirror.dual.z[i])
-        << "node " << v;
+    EXPECT_DOUBLE_EQ(dist.primal.x[i], mirror.primal.x[i]) << "node " << v;
+    EXPECT_DOUBLE_EQ(dist.dual.z[i], mirror.dual.z[i]) << "node " << v;
   }
 }
 

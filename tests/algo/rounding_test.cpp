@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <memory>
 
 #include "algo/lp/lp_kmds.h"
 #include "algo/rounding/rounding_process.h"
@@ -129,22 +128,11 @@ TEST(RoundingProcess, MatchesMirrorExactly) {
       const auto mirror = round_fractional(g, x, d, seed);
 
       sim::SyncNetwork net(g, seed);
-      net.set_all_processes([&](NodeId v) {
-        const auto i = static_cast<std::size_t>(v);
-        return std::make_unique<RoundingProcess>(x.x[i], d[i]);
-      });
-      const auto rounds = net.run(10);
-      EXPECT_EQ(rounds, 3);
-
-      std::vector<NodeId> dist_set;
-      std::int64_t by_coin = 0;
-      for (NodeId v = 0; v < g.n(); ++v) {
-        const auto& p = net.process_as<RoundingProcess>(v);
-        if (p.in_set()) dist_set.push_back(v);
-        if (p.chosen_by_coin()) ++by_coin;
-      }
-      EXPECT_EQ(dist_set, mirror.set) << "trial " << trial << " k " << k;
-      EXPECT_EQ(by_coin, mirror.chosen_by_coin);
+      const auto dist = run_rounding_processes(net, x.x, d);
+      EXPECT_EQ(dist.rounds, kRoundingRounds);
+      EXPECT_EQ(dist.set, mirror.set) << "trial " << trial << " k " << k;
+      EXPECT_EQ(dist.chosen_by_coin, mirror.chosen_by_coin);
+      EXPECT_EQ(dist.chosen_by_request, mirror.chosen_by_request);
     }
   }
 }
@@ -155,11 +143,7 @@ TEST(RoundingProcess, MessagesAreOneWord) {
   const auto d = uniform_demands(30, 1);
   const auto x = lp_solution(g, d);
   sim::SyncNetwork net(g, 1);
-  net.set_all_processes([&](NodeId v) {
-    const auto i = static_cast<std::size_t>(v);
-    return std::make_unique<RoundingProcess>(x.x[i], d[i]);
-  });
-  net.run(10);
+  run_rounding_processes(net, x.x, d);
   EXPECT_LE(net.metrics().max_message_words, 1);
 }
 

@@ -196,21 +196,11 @@ TEST_P(UdgProcessEquivalence, ProcessMatchesMirror) {
   const auto mirror = solve_udg_kmds(udg, opts, seed);
 
   sim::SyncNetwork net(udg, seed);
-  net.set_all_processes(
-      [&](NodeId) { return std::make_unique<UdgKmdsProcess>(k); });
-  const std::int64_t max_rounds =
-      2 * udg_part1_rounds(udg.n()) + 3 * (udg.n() + 3);
-  net.run(max_rounds);
-
-  std::vector<NodeId> dist_leaders, dist_part1;
-  for (NodeId v = 0; v < udg.n(); ++v) {
-    const auto& p = net.process_as<UdgKmdsProcess>(v);
-    EXPECT_TRUE(p.halted()) << "node " << v << " did not halt";
-    if (p.leader()) dist_leaders.push_back(v);
-    if (p.part1_leader()) dist_part1.push_back(v);
-  }
-  EXPECT_EQ(dist_part1, mirror.part1_leaders);
-  EXPECT_EQ(dist_leaders, mirror.leaders);
+  const auto dist = run_udg_processes(net, opts);
+  EXPECT_LT(net.round(), udg_round_budget(udg.n(), opts)) << "did not halt";
+  EXPECT_EQ(dist.part1_leaders, mirror.part1_leaders);
+  EXPECT_EQ(dist.leaders, mirror.leaders);
+  EXPECT_EQ(dist.part1_rounds, mirror.part1_rounds);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -221,9 +211,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(UdgProcess, MessageSizeIsConstantWords) {
   const auto udg = make_udg(200, 10.0, 31);
   sim::SyncNetwork net(udg, 31);
-  net.set_all_processes(
-      [&](NodeId) { return std::make_unique<UdgKmdsProcess>(2); });
-  net.run(2 * udg_part1_rounds(udg.n()) + 3 * (udg.n() + 3));
+  run_udg_processes(net, {.k = 2});
   EXPECT_LE(net.metrics().max_message_words, 2);
 }
 
@@ -233,11 +221,9 @@ TEST(UdgProcess, RunsInExpectedRoundBudget) {
   // should suffice on benign instances.
   const auto udg = make_udg(400, 12.0, 71);
   sim::SyncNetwork net(udg, 71);
-  net.set_all_processes(
-      [&](NodeId) { return std::make_unique<UdgKmdsProcess>(3); });
-  const auto rounds = net.run(100000);
+  run_udg_processes(net, {.k = 3});
   const auto R = udg_part1_rounds(udg.n());
-  EXPECT_LE(rounds, 2 * R + 3 * 40) << "Part II took implausibly long";
+  EXPECT_LE(net.round(), 2 * R + 3 * 40) << "Part II took implausibly long";
 }
 
 
@@ -249,29 +235,6 @@ TEST(UdgProcess, RunsInExpectedRoundBudget) {
 // leader set must not change a single message. The n = 2 counts are
 // derived by hand below; the others were recorded from the plain probe
 // loop, which tests every neighbour's distance in every round.
-
-struct Alg3Run {
-  std::vector<NodeId> part1_leaders;
-  std::vector<NodeId> leaders;
-  sim::Metrics metrics;
-};
-
-Alg3Run run_alg3_process(const geom::UnitDiskGraph& udg, std::int32_t k,
-                         std::uint64_t seed) {
-  sim::SyncNetwork net(udg, seed);
-  net.set_all_processes(
-      [&](NodeId) { return std::make_unique<UdgKmdsProcess>(k); });
-  net.run(2 * udg_part1_rounds(udg.n()) + 3 * (udg.n() + 3));
-  Alg3Run run;
-  for (NodeId v = 0; v < udg.n(); ++v) {
-    const auto& p = net.process_as<UdgKmdsProcess>(v);
-    EXPECT_TRUE(p.halted()) << "node " << v << " did not halt";
-    if (p.part1_leader()) run.part1_leaders.push_back(v);
-    if (p.leader()) run.leaders.push_back(v);
-  }
-  run.metrics = net.metrics();
-  return run;
-}
 
 /// Pinned traffic of a run: every Alg 3 message is 1 or 2 words, and each
 /// case below sends at least one probe.
@@ -291,13 +254,15 @@ UdgResult expect_process_matches_mirror(const geom::UnitDiskGraph& udg,
   UdgOptions opts;
   opts.k = k;
   const UdgResult mirror = solve_udg_kmds(udg, opts, seed);
-  const Alg3Run run = run_alg3_process(udg, k, seed);
+  sim::SyncNetwork net(udg, seed);
+  const UdgResult run = run_udg_processes(net, opts);
+  EXPECT_LT(net.round(), udg_round_budget(udg.n(), opts)) << "did not halt";
   EXPECT_EQ(run.part1_leaders, mirror.part1_leaders);
   EXPECT_EQ(run.leaders, mirror.leaders);
-  EXPECT_EQ(run.metrics, expected)
-      << "rounds " << run.metrics.rounds << " messages "
-      << run.metrics.messages_sent << " words " << run.metrics.words_sent
-      << " max " << run.metrics.max_message_words;
+  const sim::Metrics& m = net.metrics();
+  EXPECT_EQ(m, expected) << "rounds " << m.rounds << " messages "
+                         << m.messages_sent << " words " << m.words_sent
+                         << " max " << m.max_message_words;
   return mirror;
 }
 
@@ -443,8 +408,7 @@ TEST(UdgFastPath, DenseClustersExerciseTheLeaderCap) {
     net.set_all_processes(
         [&](NodeId) { return std::make_unique<UdgKmdsProcess>(k); });
     bool early_leader_halt = false;
-    while (net.round() < 2 * udg_part1_rounds(udg.n()) + 3 * udg.n() &&
-           net.step()) {
+    while (net.round() < udg_round_budget(udg.n(), {.k = k}) && net.step()) {
       for (NodeId v = 0; v < udg.n() && !early_leader_halt; ++v) {
         const auto& p = net.process_as<UdgKmdsProcess>(v);
         if (!p.leader() || !p.halted()) continue;
@@ -515,14 +479,10 @@ TEST(UdgKmds, ProcessMatchesMirrorWithNonDefaultParams) {
   const auto mirror = solve_udg_kmds(udg, opts, 17);
 
   sim::SyncNetwork net(udg, 17);
-  net.set_all_processes(
-      [&](NodeId) { return std::make_unique<UdgKmdsProcess>(opts); });
-  net.run(2 * udg_part1_rounds_ex(udg.n(), opts.xi) + 3 * (udg.n() + 3));
-  std::vector<NodeId> leaders;
-  for (NodeId v = 0; v < udg.n(); ++v) {
-    if (net.process_as<UdgKmdsProcess>(v).leader()) leaders.push_back(v);
-  }
-  EXPECT_EQ(leaders, mirror.leaders);
+  const auto dist = run_udg_processes(net, opts);
+  EXPECT_EQ(dist.leaders, mirror.leaders);
+  EXPECT_EQ(dist.part1_leaders, mirror.part1_leaders);
+  EXPECT_EQ(dist.part1_rounds, mirror.part1_rounds);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <tuple>
 
@@ -118,36 +119,24 @@ TEST(AsyncNetwork, ProcessCountersReachTheAttachedPlane) {
   const int t = 2;
   algo::LpOptions lp_opts;
   const auto lp = algo::solve_fractional_kmds(g, d, lp_opts);
-  const auto make_lp = [&](NodeId v) {
-    return std::make_unique<algo::LpKmdsProcess>(
-        d[static_cast<std::size_t>(v)], t);
-  };
-  const auto make_rounding = [&](NodeId v) {
-    const auto i = static_cast<std::size_t>(v);
-    return std::make_unique<algo::RoundingProcess>(lp.primal.x[i], d[i]);
-  };
 
   obs::Plane sync_plane;
   obs::Plane async_plane;
   {
     SyncNetwork lp_net(g, 42);
     lp_net.set_observability(&sync_plane);
-    lp_net.set_all_processes(make_lp);
-    lp_net.run(algo::lp_round_count(t) + 4);
+    algo::run_lp_processes(lp_net, d, t);
     SyncNetwork r_net(g, 42);
     r_net.set_observability(&sync_plane);
-    r_net.set_all_processes(make_rounding);
-    r_net.run(10);
+    algo::run_rounding_processes(r_net, lp.primal.x, d);
   }
   {
     AsyncNetwork lp_net(g, 42);
     lp_net.set_observability(&async_plane);
-    lp_net.set_all_processes(make_lp);
-    lp_net.run(algo::lp_round_count(t) + 4);
+    algo::run_lp_processes(lp_net, d, t);
     AsyncNetwork r_net(g, 42);
     r_net.set_observability(&async_plane);
-    r_net.set_all_processes(make_rounding);
-    r_net.run(10);
+    algo::run_rounding_processes(r_net, lp.primal.x, d);
   }
   for (const obs::MetricId obs::Builtin::*id :
        {&obs::Builtin::lp_iterations, &obs::Builtin::rounding_trials}) {
@@ -172,29 +161,17 @@ TEST_P(AsyncEquivalence, LpProcessSameResultUnderDelays) {
   const int t = 2;
 
   SyncNetwork sync_net(g, 42);
-  sync_net.set_all_processes([&](NodeId v) {
-    return std::make_unique<algo::LpKmdsProcess>(
-        d[static_cast<std::size_t>(v)], t);
-  });
-  sync_net.run(algo::lp_round_count(t) + 4);
+  const auto sync_lp = algo::run_lp_processes(sync_net, d, t);
 
   AsyncOptions opts;
   opts.max_delay = max_delay;
   AsyncNetwork async_net(g, 42, opts);
-  async_net.set_all_processes([&](NodeId v) {
-    return std::make_unique<algo::LpKmdsProcess>(
-        d[static_cast<std::size_t>(v)], t);
-  });
-  async_net.run(algo::lp_round_count(t) + 4);
+  const auto async_lp = algo::run_lp_processes(async_net, d, t);
 
-  for (NodeId v = 0; v < g.n(); ++v) {
-    EXPECT_DOUBLE_EQ(async_net.process_as<algo::LpKmdsProcess>(v).x(),
-                     sync_net.process_as<algo::LpKmdsProcess>(v).x())
-        << "node " << v << " max_delay " << max_delay;
-    EXPECT_DOUBLE_EQ(async_net.process_as<algo::LpKmdsProcess>(v).z(),
-                     sync_net.process_as<algo::LpKmdsProcess>(v).z())
-        << "node " << v;
-  }
+  EXPECT_EQ(async_lp.primal.x, sync_lp.primal.x) << "max_delay " << max_delay;
+  EXPECT_EQ(async_lp.dual.y, sync_lp.dual.y);
+  EXPECT_EQ(async_lp.dual.z, sync_lp.dual.z);
+  EXPECT_EQ(async_lp.rounds, algo::lp_round_count(t));  // pulses
 }
 
 TEST_P(AsyncEquivalence, RoundingProcessSameResultUnderDelays) {
@@ -211,19 +188,9 @@ TEST_P(AsyncEquivalence, RoundingProcessSameResultUnderDelays) {
   AsyncOptions opts;
   opts.max_delay = max_delay;
   AsyncNetwork net(g, 42, opts);
-  net.set_all_processes([&](NodeId v) {
-    const auto i = static_cast<std::size_t>(v);
-    return std::make_unique<algo::RoundingProcess>(lp.primal.x[i], d[i]);
-  });
-  net.run(10);
-
-  std::vector<NodeId> async_set;
-  for (NodeId v = 0; v < g.n(); ++v) {
-    if (net.process_as<algo::RoundingProcess>(v).in_set()) {
-      async_set.push_back(v);
-    }
-  }
-  EXPECT_EQ(async_set, mirror.set);
+  const auto async_rounding = algo::run_rounding_processes(net, lp.primal.x, d);
+  EXPECT_EQ(async_rounding.set, mirror.set);
+  EXPECT_EQ(async_rounding.rounds, algo::kRoundingRounds);  // pulses
 }
 
 TEST_P(AsyncEquivalence, UdgProcessSameResultUnderDelays) {
@@ -239,17 +206,12 @@ TEST_P(AsyncEquivalence, UdgProcessSameResultUnderDelays) {
   AsyncOptions opts;
   opts.max_delay = max_delay;
   AsyncNetwork net(udg, 77, opts);
-  net.set_all_processes(
-      [&](NodeId) { return std::make_unique<algo::UdgKmdsProcess>(k); });
-  net.run(2 * algo::udg_part1_rounds(udg.n()) + 3 * (udg.n() + 3));
-
-  std::vector<NodeId> async_leaders;
+  const auto async_udg = algo::run_udg_processes(net, uopts);
   for (NodeId v = 0; v < udg.n(); ++v) {
-    auto& p = net.process_as<algo::UdgKmdsProcess>(v);
-    EXPECT_TRUE(p.halted()) << "node " << v;
-    if (p.leader()) async_leaders.push_back(v);
+    EXPECT_TRUE(net.process_as<algo::UdgKmdsProcess>(v).halted())
+        << "node " << v;
   }
-  EXPECT_EQ(async_leaders, mirror.leaders);
+  EXPECT_EQ(async_udg.leaders, mirror.leaders);
 }
 
 
@@ -263,30 +225,25 @@ TEST_P(AsyncEquivalence, UdgProcessFastPathsMatchSyncRun) {
   auto points = geom::clustered_points(150, 3, 4.0, 0.3, rng);
   points.push_back({20.0, 20.0});
   const auto udg = geom::build_udg(points, 1.0);
-  const std::int32_t k = 3;
-  const std::int64_t budget =
-      2 * algo::udg_part1_rounds(udg.n()) + 3 * (udg.n() + 3);
+  const algo::UdgOptions uopts{.k = 3};
 
   SyncNetwork sync(udg, 78);
-  sync.set_all_processes(
-      [&](NodeId) { return std::make_unique<algo::UdgKmdsProcess>(k); });
-  sync.run(budget);
+  const auto sync_udg = algo::run_udg_processes(sync, uopts);
 
   AsyncOptions opts;
   opts.max_delay = max_delay;
   AsyncNetwork net(udg, 78, opts);
-  net.set_all_processes(
-      [&](NodeId) { return std::make_unique<algo::UdgKmdsProcess>(k); });
-  net.run(budget);
+  const auto async_udg = algo::run_udg_processes(net, uopts);
 
   for (NodeId v = 0; v < udg.n(); ++v) {
-    const auto& a = net.process_as<algo::UdgKmdsProcess>(v);
-    const auto& s = sync.process_as<algo::UdgKmdsProcess>(v);
-    EXPECT_TRUE(a.halted()) << "node " << v;
-    EXPECT_EQ(a.part1_leader(), s.part1_leader()) << "node " << v;
-    EXPECT_EQ(a.leader(), s.leader()) << "node " << v;
+    EXPECT_TRUE(net.process_as<algo::UdgKmdsProcess>(v).halted())
+        << "node " << v;
   }
-  EXPECT_TRUE(sync.process_as<algo::UdgKmdsProcess>(udg.n() - 1).leader());
+  EXPECT_EQ(async_udg.part1_leaders, sync_udg.part1_leaders);
+  EXPECT_EQ(async_udg.leaders, sync_udg.leaders);
+  EXPECT_TRUE(std::binary_search(sync_udg.leaders.begin(),
+                                 sync_udg.leaders.end(), udg.n() - 1))
+      << "the isolated node must lead";
 }
 
 TEST_P(AsyncEquivalence, LubyProcessSameResultUnderDelays) {

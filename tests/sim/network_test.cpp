@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 
 #include "graph/generators.h"
@@ -381,6 +383,31 @@ TEST(SyncNetwork, LossIsDeterministicPerSeed) {
     return net.messages_lost();
   };
   EXPECT_EQ(run_once(7), run_once(7));
+}
+
+// The uint32 offset bounds, at the exact boundary: reaching them through a
+// real run would take a 16 GB arena.
+TEST(OffsetBounds, ArenaFitsExactBoundary) {
+  const std::size_t limit = std::numeric_limits<std::uint32_t>::max();
+  EXPECT_TRUE(arena_fits(0, 0));
+  EXPECT_TRUE(arena_fits(limit - 1, 0));  // largest accepted arena
+  EXPECT_FALSE(arena_fits(limit, 0));     // smallest rejected arena
+  EXPECT_TRUE(arena_fits(limit - 4, 3));
+  EXPECT_FALSE(arena_fits(limit - 3, 3));
+  EXPECT_TRUE(arena_fits(0, limit - 1));
+  EXPECT_FALSE(arena_fits(0, limit));
+  // No wrap-around: a huge arena plus a huge payload never "fits".
+  const std::size_t huge = std::numeric_limits<std::size_t>::max();
+  EXPECT_FALSE(arena_fits(huge, 2));
+  EXPECT_FALSE(arena_fits(2, huge));
+}
+
+TEST(OffsetBounds, InboxFitsExactBoundary) {
+  const std::uint64_t limit = std::numeric_limits<std::uint32_t>::max();
+  EXPECT_TRUE(inbox_fits(0));
+  EXPECT_TRUE(inbox_fits(limit - 1));  // largest accepted round
+  EXPECT_FALSE(inbox_fits(limit));     // smallest rejected round
+  EXPECT_FALSE(inbox_fits(std::numeric_limits<std::uint64_t>::max()));
 }
 
 }  // namespace
