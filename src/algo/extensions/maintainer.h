@@ -22,6 +22,12 @@
 //     (each greedy promotion satisfies at least one missing unit).
 //   * determinism: identical inputs produce identical membership, changed
 //     lists, and counters.
+//
+// Cost: a batch's work and allocations are proportional to its ball, not to
+// n. The scratch arrays below only grow (resize, never assign), and each
+// batch returns them to all-zero by clearing exactly the entries it marked:
+// the seeds, the changed nodes, and ball1 ∪ N(ball1). The only per-batch
+// allocation is the returned `changed` list, and only when it is non-empty.
 #pragma once
 
 #include <cstdint>
@@ -58,6 +64,9 @@ struct MaintainResult {
   /// the clamped-demand convention, kept as a defensive signal (mirrors
   /// RepairResult::fully_satisfied).
   bool fully_satisfied = true;
+
+  friend bool operator==(const MaintainResult&,
+                         const MaintainResult&) = default;
 };
 
 /// Stateful incremental k-MDS maintainer. Feed it the world's graph, the
@@ -67,6 +76,8 @@ struct MaintainResult {
 /// topology's effective demands (e.g. any greedy/LP solution).
 class IncrementalMaintainer {
  public:
+  /// Throws std::invalid_argument if n < 0, options.k < 1, or an
+  /// initial_set id lies outside [0, n).
   IncrementalMaintainer(graph::NodeId n,
                         std::span<const graph::NodeId> initial_set,
                         MaintainerOptions options = {});
@@ -77,7 +88,9 @@ class IncrementalMaintainer {
   void bind_plane(obs::Plane* plane);
 
   /// Applies one mutation batch. `g`/`active` must be the post-mutation
-  /// world state; `batch` the AppliedMutations that produced it.
+  /// world state; `batch` the AppliedMutations that produced it. Throws
+  /// std::invalid_argument, changing nothing, if active.size() != g.n() or
+  /// g has fewer nodes than the last batch's (topologies only grow).
   MaintainResult apply_batch(const graph::MutableGraph& g,
                              std::span<const std::uint8_t> active,
                              std::span<const sim::AppliedMutation> batch);
@@ -95,7 +108,7 @@ class IncrementalMaintainer {
   /// Member ids, ascending.
   [[nodiscard]] std::vector<graph::NodeId> member_set() const;
 
-  [[nodiscard]] std::int64_t members() const noexcept;
+  [[nodiscard]] std::int64_t members() const noexcept { return members_; }
 
   [[nodiscard]] const MaintainerOptions& options() const noexcept {
     return options_;
@@ -115,6 +128,7 @@ class IncrementalMaintainer {
 
   MaintainerOptions options_;
   std::vector<std::uint8_t> member_;
+  std::int64_t members_ = 0;  ///< count of set bytes in member_
 
   std::int64_t batches_ = 0;
   std::int64_t total_promoted_ = 0;
@@ -130,11 +144,19 @@ class IncrementalMaintainer {
   obs::MetricId ball_hist_id_ = obs::kInvalidMetric;
   obs::MetricId changed_hist_id_ = obs::kInvalidMetric;
 
-  // Scratch reused across batches (sized to n on entry).
+  // Scratch reused across batches: grown to n on entry, all-zero between
+  // batches (see the file header).
   std::vector<std::uint8_t> seed_mark_;
-  std::vector<std::uint8_t> ball_;  ///< 0 = outside, 1 = ball2, 2 = ball1
+  /// 0 = outside, 1 = ball2 \ ball1, 2 = ball1, 3 = ball2 \ ball1 with
+  /// cover_ filled.
+  std::vector<std::uint8_t> ball_;
+  /// Closed-neighborhood coverage, exact wherever ball_ >= 2.
   std::vector<std::int32_t> cover_;
   std::vector<std::uint8_t> promoted_now_;
+  std::vector<graph::NodeId> seeds_;
+  std::vector<graph::NodeId> ball1_;
+  std::vector<graph::NodeId> changed_;
+  std::vector<graph::NodeId> worklist_;  ///< promotion_wave's heap
 };
 
 }  // namespace ftc::algo

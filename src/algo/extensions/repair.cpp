@@ -54,13 +54,14 @@ RepairResult repair_after_failures(const graph::Graph& g,
     return std::max(0, demands[vi] - live_coverage(v));
   };
 
+  std::vector<NodeId> worklist;
   const PromotionWave wave = promotion_wave(
       g, touched, residual_of,
       [&](NodeId c) {
         const auto ci = static_cast<std::size_t>(c);
         return !dead[ci] && !member[ci];
       },
-      [&](NodeId c) { member[static_cast<std::size_t>(c)] = 1; });
+      [&](NodeId c) { member[static_cast<std::size_t>(c)] = 1; }, worklist);
   result.promoted = wave.promoted;
   result.fully_satisfied = wave.fully_satisfied;
 

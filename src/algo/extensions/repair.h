@@ -23,8 +23,9 @@
 // post-mutation MutableGraph with its cached ball1 coverage.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <set>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -84,23 +85,34 @@ struct PromotionWave {
 ///   is_candidate(c) -> bool   c may join (live non-member)
 ///   promote(c)                admit c; afterwards residual_of must reflect
 ///                             the extra unit of coverage on N[c]
-/// Deterministic for deterministic callbacks.
+/// `heap` is caller-owned worklist storage, reused across waves; its
+/// contents on entry are discarded. Deterministic for deterministic
+/// callbacks.
+///
+/// The worklist is a min-heap of ids with lazy deletion. Residuals only fall
+/// during a wave and candidates only leave, so an entry whose residual
+/// reached 0 is stale for good and is skipped when popped, and a node with
+/// no candidate in N[v] is never re-queued. The live entries are therefore
+/// exactly the deficient set an ordered set would hold, popped in the same
+/// smallest-id order.
 template <class G, class Residual, class Candidate, class Promote>
 PromotionWave promotion_wave(const G& g, std::span<const graph::NodeId> region,
                              Residual&& residual_of, Candidate&& is_candidate,
-                             Promote&& promote) {
+                             Promote&& promote,
+                             std::vector<graph::NodeId>& heap) {
   using graph::NodeId;
+  const std::greater<NodeId> min_first;
   PromotionWave wave;
-  std::set<NodeId> deficient;
+  heap.clear();
   for (NodeId v : region) {
-    if (residual_of(v) > 0) deficient.insert(v);
+    if (residual_of(v) > 0) heap.push_back(v);
   }
-  while (!deficient.empty()) {
-    const NodeId v = *deficient.begin();
-    if (residual_of(v) <= 0) {
-      deficient.erase(deficient.begin());
-      continue;
-    }
+  std::make_heap(heap.begin(), heap.end(), min_first);
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), min_first);
+    const NodeId v = heap.back();
+    heap.pop_back();
+    if (residual_of(v) <= 0) continue;  // stale, or a duplicate entry
     NodeId best = -1;
     std::int64_t best_span = -1;
     auto consider = [&](NodeId c) {
@@ -121,17 +133,16 @@ PromotionWave promotion_wave(const G& g, std::span<const graph::NodeId> region,
       // v's whole live closed neighborhood is already in the set: the
       // demand is unsatisfiable.
       wave.fully_satisfied = false;
-      deficient.erase(deficient.begin());
       continue;
     }
 
     promote(best);
     ++wave.promoted;
+    // best is in N[v], so v is re-queued here while still deficient.
     auto reexamine = [&](NodeId u) {
       if (residual_of(u) > 0) {
-        deficient.insert(u);
-      } else {
-        deficient.erase(u);
+        heap.push_back(u);
+        std::push_heap(heap.begin(), heap.end(), min_first);
       }
     };
     reexamine(best);

@@ -4,10 +4,19 @@
 // bounding box. The dynamic-clustering layer mutates the deployment one node
 // at a time — joins, departures, waypoint moves — and rebuilding the whole
 // topology per mutation would cost O(n + m). A join can land anywhere in the
-// plane, so DynamicUdg keeps its own unbounded hash grid (cells of side
-// `radius`, 3x3 neighbor-cell scans) live across mutations, and each
-// mutation touches only the mutated node's geometric neighborhood: expected
-// O(local density) per operation for bounded densities.
+// plane, so DynamicUdg keeps its own unbounded grid (cells of side `radius`,
+// 3x3 neighbor-cell scans) live across mutations, and each mutation touches
+// only the mutated node's geometric neighborhood: expected O(local density)
+// per operation for bounded densities.
+//
+// The grid is an open-addressing table of {cell key, list head} slots
+// (linear probing, power-of-two capacity, load <= 1/2), sized once at
+// construction from the initial cells. Each cell's nodes form an intrusive
+// doubly linked list through per-node next/prev arrays, so a grid insert or
+// erase is O(1) and allocates nothing. A slot whose list empties stays in
+// place until the next rehash drops it. Range queries fill a reused scratch
+// vector, so a leave or a move allocates only the exact reserves of its
+// edge delta (and whatever adjacency rows outgrow their capacity).
 //
 // Conventions shared with the rest of the repo:
 //   - Departed nodes keep their id and become isolated (the
@@ -19,7 +28,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <limits>
 #include <vector>
 
 #include "geom/point.h"
@@ -29,7 +38,7 @@
 namespace ftc::geom {
 
 /// A UDG that absorbs node_join/node_leave/node_move mutations, updating
-/// edges incrementally via a persistent spatial hash grid.
+/// edges incrementally via a persistent spatial cell table.
 class DynamicUdg {
  public:
   /// Starts from a built deployment; all nodes begin active.
@@ -83,29 +92,37 @@ class DynamicUdg {
     std::int64_t cy;
     bool operator==(const CellKey&) const = default;
   };
-  struct CellHash {
-    std::size_t operator()(const CellKey& k) const noexcept {
-      // splitmix64-based 2D -> 1D mixing.
-      std::uint64_t h =
-          static_cast<std::uint64_t>(k.cx) * 0x9E3779B97F4A7C15ULL;
-      h ^= static_cast<std::uint64_t>(k.cy) * 0xBF58476D1CE4E5B9ULL;
-      h ^= h >> 29;
-      return static_cast<std::size_t>(h);
-    }
+  /// Key of a never-used slot; cell indices are clamped to ±2^62, so no
+  /// real cell has it.
+  static constexpr std::int64_t kFreeSlot =
+      std::numeric_limits<std::int64_t>::min();
+  /// One cell-table slot. A used slot whose list emptied keeps its key with
+  /// head == -1 until the next rehash drops it.
+  struct Slot {
+    CellKey key{kFreeSlot, kFreeSlot};
+    graph::NodeId head = -1;
   };
 
   [[nodiscard]] CellKey cell_of(const Point& p) const noexcept;
+  /// Slot holding `key`, or the free slot where it would go.
+  [[nodiscard]] std::size_t probe(const CellKey& key) const noexcept;
+  /// Rebuilds the table at `capacity` (a power of two) from the live cells.
+  void rehash(std::size_t capacity);
   void grid_insert(graph::NodeId v);
   void grid_erase(graph::NodeId v);
-  /// Active nodes (other than `exclude`) within radius of p, ascending id.
-  [[nodiscard]] std::vector<graph::NodeId> in_range(
-      const Point& p, graph::NodeId exclude) const;
+  /// Fills near_ with the active nodes (other than `exclude`) within radius
+  /// of p, ascending id.
+  void in_range(const Point& p, graph::NodeId exclude);
 
   graph::MutableGraph g_;
   std::vector<Point> pos_;
   std::vector<std::uint8_t> active_;
   double radius_ = 1.0;
-  std::unordered_map<CellKey, std::vector<graph::NodeId>, CellHash> cells_;
+  std::vector<Slot> slots_;  ///< power-of-two size
+  std::size_t used_ = 0;     ///< slots ever keyed since the last rehash
+  std::vector<graph::NodeId> next_;  ///< cell-list links, -1 = none
+  std::vector<graph::NodeId> prev_;
+  std::vector<graph::NodeId> near_;  ///< in_range scratch
 };
 
 }  // namespace ftc::geom

@@ -60,19 +60,17 @@ bool MutableGraph::remove_edge(NodeId u, NodeId v) {
   return true;
 }
 
-std::vector<Edge> MutableGraph::isolate(NodeId v) {
+void MutableGraph::isolate(NodeId v, std::vector<Edge>& out) {
   assert(v >= 0 && v < n());
   auto& nbrs = adj_[static_cast<std::size_t>(v)];
-  std::vector<Edge> removed;
-  removed.reserve(nbrs.size());
+  out.reserve(out.size() + nbrs.size());
   for (NodeId w : nbrs) {
-    removed.push_back(v < w ? Edge{v, w} : Edge{w, v});
+    out.push_back(v < w ? Edge{v, w} : Edge{w, v});
     auto& nw = adj_[static_cast<std::size_t>(w)];
     nw.erase(std::lower_bound(nw.begin(), nw.end(), v));
   }
   arcs_ -= 2 * nbrs.size();
   nbrs.clear();
-  return removed;
 }
 
 std::vector<Edge> MutableGraph::edges() const {

@@ -83,10 +83,11 @@ class MutableGraph {
   /// Removes {u, v}. Returns false (no-op) when the edge is absent.
   bool remove_edge(NodeId u, NodeId v);
 
-  /// Removes every edge incident to v and returns them (u < v, ascending by
-  /// the far endpoint). The node keeps its id — the same isolated-node
-  /// convention as Graph::without_nodes.
-  std::vector<Edge> isolate(NodeId v);
+  /// Removes every edge incident to v and appends them to `out` (u < v,
+  /// ascending by the far endpoint), growing `out` by one exact reserve.
+  /// The node keeps its id — the same isolated-node convention as
+  /// Graph::without_nodes.
+  void isolate(NodeId v, std::vector<Edge>& out);
 
   /// Directed arc count 2m.
   [[nodiscard]] std::size_t arcs() const noexcept { return arcs_; }

@@ -173,7 +173,7 @@ AppliedMutation DynamicWorld::apply(const Mutation& m) {
     case MutationKind::kLeave:
       if (!active(m.node)) break;
       active_[static_cast<std::size_t>(m.node)] = 0;
-      for (const Edge& e : plain_.isolate(m.node)) delta.removed.push_back(e);
+      plain_.isolate(m.node, delta.removed);
       out.applied = true;
       break;
     case MutationKind::kMove:
@@ -181,7 +181,7 @@ AppliedMutation DynamicWorld::apply(const Mutation& m) {
       // an unusable peer degrades to plain isolation — the node "moved out
       // of range of everyone".
       if (!active(m.node)) break;
-      for (const Edge& e : plain_.isolate(m.node)) delta.removed.push_back(e);
+      plain_.isolate(m.node, delta.removed);
       if (active(m.peer) && m.peer != m.node) {
         plain_.add_edge(m.node, m.peer);
         delta.added.push_back(norm(m.node, m.peer));

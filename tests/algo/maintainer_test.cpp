@@ -4,16 +4,21 @@
 // fuzzed DynamicOracle (testing/dynamic.h) covers the same contract at
 // scale; these pin exact small-case behavior.
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "algo/extensions/maintainer.h"
+#include "algo/baseline/greedy.h"
 #include "domination/domination.h"
+#include "geom/udg.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "obs/plane.h"
 #include "sim/mutation.h"
+#include "util/rng.h"
 
 namespace ftc::algo {
 namespace {
@@ -186,6 +191,102 @@ TEST(IncrementalMaintainer, PublishesDynMetrics) {
   EXPECT_EQ(reg.value(reg.gauge("dyn.members")), 2);
   EXPECT_EQ(maintainer.batches(), 1);
   EXPECT_EQ(maintainer.total_promoted(), 2);
+}
+
+TEST(IncrementalMaintainer, ConstructorRejectsBadArguments) {
+  const std::vector<NodeId> none;
+  EXPECT_THROW(IncrementalMaintainer(-1, none), std::invalid_argument);
+  EXPECT_THROW(IncrementalMaintainer(3, none, {.k = 0}),
+               std::invalid_argument);
+  EXPECT_THROW(IncrementalMaintainer(3, none, {.k = -2}),
+               std::invalid_argument);
+  for (const NodeId bad : {-1, 3, 1000}) {
+    const std::vector<NodeId> initial{0, bad};
+    EXPECT_THROW(IncrementalMaintainer(3, initial), std::invalid_argument)
+        << "initial id " << bad;
+  }
+  // The boundary cases themselves are fine.
+  const std::vector<NodeId> edge_ids{0, 2, 2};
+  const IncrementalMaintainer ok(3, edge_ids);
+  EXPECT_EQ(ok.members(), 2);
+  EXPECT_NO_THROW(IncrementalMaintainer(0, none));
+}
+
+TEST(IncrementalMaintainer, ApplyBatchRejectsMismatchedOrShrunkenState) {
+  const graph::Graph g = graph::path(4);
+  DynamicWorld world(g);
+  const std::vector<NodeId> initial{1, 2};
+  IncrementalMaintainer maintainer(g.n(), initial, {.k = 1});
+
+  // active must carry one flag per node.
+  const std::vector<std::uint8_t> short_flags(3, 1);
+  EXPECT_THROW(
+      maintainer.apply_batch(world.graph(), short_flags, {}),
+      std::invalid_argument);
+
+  // A graph smaller than the last batch's: topologies only grow.
+  const graph::MutableGraph smaller(graph::path(3));
+  const std::vector<std::uint8_t> three(3, 1);
+  EXPECT_THROW(maintainer.apply_batch(smaller, three, {}),
+               std::invalid_argument);
+  EXPECT_EQ(maintainer.membership().size(), 4u) << "a rejected batch changed state";
+  EXPECT_EQ(maintainer.batches(), 0);
+
+  // After a join the old size is too small as well.
+  Mutation join;
+  join.kind = MutationKind::kJoin;
+  join.peer = 0;
+  const auto batch = apply_all(world, {join});
+  (void)maintainer.apply_batch(world.graph(), world.active_flags(), batch);
+  const std::vector<std::uint8_t> four(4, 1);
+  const graph::MutableGraph original(g);
+  EXPECT_THROW(maintainer.apply_batch(original, four, {}),
+               std::invalid_argument);
+}
+
+// The maintainer's scratch is reused across batches and must be all-zero
+// again after each one. Over a seeded churn trace with joins (n grows) and
+// multi-mutation batches, a maintainer rebuilt from the current membership
+// before every batch — fresh scratch — must produce the same result and the
+// same membership as the long-lived one.
+TEST(IncrementalMaintainer, ReusedScratchMatchesAFreshMaintainer) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Rng rng(seed);
+    const geom::UnitDiskGraph udg =
+        geom::uniform_udg_with_degree(300, 8.0, rng);
+    const auto demands = domination::clamp_demands(
+        udg.graph, domination::uniform_demands(udg.n(), 2));
+    DynamicWorld world(udg);
+    IncrementalMaintainer lived(udg.n(), greedy_kmds(udg.graph, demands).set,
+                                {.k = 2});
+    for (int b = 0; b < 150; ++b) {
+      std::vector<Mutation> ms(1 + rng.index(6));
+      for (Mutation& m : ms) {
+        const auto target = static_cast<NodeId>(
+            rng.index(static_cast<std::size_t>(world.n())));
+        const geom::Point at =
+            world.udg()->positions()[static_cast<std::size_t>(target)];
+        const double u = rng.uniform01();
+        m.kind = u < 0.3    ? MutationKind::kJoin
+                 : u < 0.6 ? MutationKind::kLeave
+                           : MutationKind::kMove;
+        m.node = target;
+        m.x = at.x + rng.uniform(-1.0, 1.0);
+        m.y = at.y + rng.uniform(-1.0, 1.0);
+      }
+      IncrementalMaintainer fresh(world.n(), lived.member_set(), {.k = 2});
+      const auto batch = apply_all(world, ms);
+      const MaintainResult r_lived =
+          lived.apply_batch(world.graph(), world.active_flags(), batch);
+      const MaintainResult r_fresh =
+          fresh.apply_batch(world.graph(), world.active_flags(), batch);
+      ASSERT_EQ(r_lived, r_fresh) << "batch " << b;
+      ASSERT_EQ(lived.membership(), fresh.membership()) << "batch " << b;
+      ASSERT_EQ(lived.members(), fresh.members()) << "batch " << b;
+    }
+    EXPECT_GT(world.n(), udg.n()) << "the trace must grow n";
+  }
 }
 
 }  // namespace

@@ -154,6 +154,55 @@ TEST(DynamicUdg, RandomMutationsMatchBruteForce) {
   EXPECT_EQ(static_cast<std::size_t>(frozen.graph.m()), dyn.graph().m());
 }
 
+// The cell table is sized for the initial cells only. Joins and moves into
+// cells far outside the initial bounding box (including the clamped ±1e300
+// boundary cells) make it grow several times, while moves back and forth
+// empty and refill cells. After every step the adjacency equals the
+// brute-force rebuild and the frozen UDG equals build_udg over the same
+// positions with the departed nodes removed.
+TEST(DynamicUdg, CellTableGrowsAndRefillsCells) {
+  util::Rng rng(17);
+  DynamicUdg dyn(build_udg(uniform_points(12, 1.5, rng), 1.0));
+  const auto far_position = [&](int step) {
+    switch (step % 5) {
+      case 0: return Point{3.0 * step, rng.uniform(-0.5, 0.5)};
+      case 1: return Point{rng.uniform(-0.5, 2.0), -3.0 * step};
+      case 2: return Point{1e300, rng.uniform(-1.0, 1.0)};
+      case 3: return Point{rng.uniform(-1.0, 1.0), -1e300};
+      default: return Point{rng.uniform(-0.5, 2.0), rng.uniform(-0.5, 2.0)};
+    }
+  };
+  for (int step = 0; step < 300; ++step) {
+    graph::EdgeDelta delta;
+    const auto pick = [&] {
+      return static_cast<NodeId>(rng.index(static_cast<std::size_t>(dyn.n())));
+    };
+    const double u = rng.uniform01();
+    if (u < 0.4) {
+      dyn.node_join(far_position(step), delta);
+    } else if (u < 0.5) {
+      dyn.node_leave(pick(), delta);
+    } else if (u < 0.75) {
+      dyn.node_move(pick(), far_position(step), delta);
+    } else {
+      // Back near the origin: far cells empty, the home cells refill.
+      dyn.node_move(pick(), {rng.uniform(-0.5, 2.0), rng.uniform(-0.5, 2.0)},
+                    delta);
+    }
+    ASSERT_EQ(dyn.graph().edges(), brute_force_edges(dyn)) << "step " << step;
+
+    std::vector<NodeId> departed;
+    for (NodeId v = 0; v < dyn.n(); ++v) {
+      if (!dyn.active(v)) departed.push_back(v);
+    }
+    const UnitDiskGraph frozen = dyn.to_udg();
+    const UnitDiskGraph rebuilt = build_udg(dyn.positions(), dyn.radius());
+    ASSERT_EQ(frozen.positions, rebuilt.positions) << "step " << step;
+    ASSERT_EQ(frozen.graph.edges(), rebuilt.graph.without_nodes(departed).edges())
+        << "step " << step;
+  }
+}
+
 TEST(DynamicUdg, NonFiniteJoinOrMoveThrowsAndChangesNothing) {
   const UnitDiskGraph udg = build_udg(
       {{0.0, 0.0}, {0.5, 0.0}, {3.0, 3.0}}, 1.0);

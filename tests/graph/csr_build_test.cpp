@@ -139,7 +139,8 @@ TEST(CsrBuild, ToGraphAdoptsRowsExactly) {
       mg.remove_edge(u, v);
     }
   }
-  mg.isolate(3);
+  std::vector<Edge> removed;
+  mg.isolate(3, removed);
   expect_same_csr(mg.to_graph(), reference_csr(n, mg.edges()));
   expect_same_csr(MutableGraph().to_graph(), reference_csr(0, {}));
 }

@@ -67,12 +67,15 @@ TEST(MutableGraph, IsolateReturnsIncidentEdgesAscending) {
   mg.add_edge(2, 0);
   mg.add_edge(2, 4);
   mg.add_edge(1, 3);
-  const std::vector<Edge> removed = mg.isolate(2);
-  const std::vector<Edge> expected{{0, 2}, {2, 4}, {2, 5}};
+  std::vector<Edge> removed{{7, 8}};  // isolate appends after what is there
+  mg.isolate(2, removed);
+  const std::vector<Edge> expected{{7, 8}, {0, 2}, {2, 4}, {2, 5}};
   EXPECT_EQ(removed, expected);
   EXPECT_EQ(mg.degree(2), 0);
-  EXPECT_EQ(mg.m(), 1u);        // {1,3} untouched
-  EXPECT_TRUE(mg.isolate(2).empty());  // idempotent
+  EXPECT_EQ(mg.m(), 1u);  // {1,3} untouched
+  std::vector<Edge> again;
+  mg.isolate(2, again);
+  EXPECT_TRUE(again.empty());  // idempotent
 }
 
 // Differential: a random mutation sequence applied to MutableGraph must
