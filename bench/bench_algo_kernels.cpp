@@ -10,8 +10,10 @@
 //                 (coverage vector + accumulate) vs the fused packed kernel;
 //   * lp:         Algorithm 1 mirror, kept reference solver
 //                 (lp_kmds_reference.cpp) vs the optimized solver
-//                 (power tables + flat arenas + BlockRunner) at widths
-//                 --threads, asserting bitwise-equal output per width;
+//                 (power tables + flat arenas + BlockRunner + white
+//                 frontier) at widths --threads, asserting bitwise-equal
+//                 output per width; a width above hardware_threads is
+//                 labelled "oversubscribed";
 //   * rounding:   steady-state best-of trial loop, recording trials/sec and
 //                 allocs/trial (≈ 0 once scratch reaches high water).
 //
@@ -300,12 +302,18 @@ int main(int argc, char** argv) {
       require(lp_equal(ref, attributed),
               "LP divergence with perf attribution at n=" + std::to_string(n) +
                   " threads=" + std::to_string(threads));
+      // More threads than the host has measures time-slicing, not
+      // scaling; such rows are labelled and never gated.
+      const bool oversubscribed = threads > hw;
       out.row({"lp", util::fmt(static_cast<long long>(n)),
-               "threads=" + std::to_string(threads), util::fmt(ref_ps, 3),
-               util::fmt(opt_ps, 3), util::fmt(speedup, 2), "-"});
+               "threads=" + std::to_string(threads) +
+                   (oversubscribed ? " (oversubscribed)" : ""),
+               util::fmt(ref_ps, 3), util::fmt(opt_ps, 3),
+               util::fmt(speedup, 2), "-"});
       json_rows.push_back(
           row_prefix("lp", n) + ", \"t\": " + std::to_string(t) +
           ", \"threads\": " + std::to_string(threads) +
+          (oversubscribed ? ", \"oversubscribed\": true" : "") +
           ", \"reference_solves_per_sec\": " + util::fmt(ref_ps, 4) +
           ", \"solves_per_sec\": " + util::fmt(opt_ps, 4) +
           ", \"speedup_vs_reference\": " + util::fmt(speedup, 3) +

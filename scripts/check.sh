@@ -297,9 +297,11 @@ if [ "$MODE" = "thread" ]; then
   # parallel delivery passes), the reliable-transport suite (per-process ARQ
   # state under the parallel engine), and the flood reference suite (the
   # bench flood workload on a pool forced on by set_parallel_grain(0),
-  # against a naive engine).
+  # against a naive engine), and the LP mirror's width suite (per-block
+  # white/gray lists written by pool workers, decrements applied after the
+  # barrier).
   run_ctest --test-dir "$BUILD_DIR" --output-on-failure \
-    -R 'ThreadPool|ParallelDeterminism|TraceDeterminism|ObsWiring|PerfWiring|BroadcastFanOut|ReliableTransport|FloodReference'
+    -R 'ThreadPool|ParallelDeterminism|TraceDeterminism|ObsWiring|PerfWiring|BroadcastFanOut|ReliableTransport|FloodReference|LpParallel'
 else
   BUILD_DIR="${1:-build-asan}"
   configure -B "$BUILD_DIR" -S . \

@@ -3,7 +3,7 @@
 // This is the kernelized rewrite of the reference solver
 // (lp_kmds_reference.cpp); it must produce a bitwise-identical LpResult —
 // the property tests and the kernel.lp_reference_equiv fuzz invariant
-// enforce exactly that. Three structural changes carry the speedup:
+// enforce exactly that. Four structural changes carry the speedup:
 //
 //   * Power tables. The reference calls std::pow(d1v[i], e/t) three times
 //     per node per (p, q) phase. All exponents come from the finite set
@@ -19,7 +19,7 @@
 //     sorted neighbor. The final z-pass replaces per-edge binary searches
 //     with a precomputed reverse-slot array (the position of v inside w's
 //     adjacency row, built in one O(m) counting sweep).
-//   * Pool-parallel phases. Each of the three per-phase node loops (and
+//   * Pool-parallel phases. Each of the two per-phase node loops (and
 //     the z-pass) is embarrassingly parallel: every node writes only its
 //     own slots and reads only values fixed before the loop started. The
 //     loops run over fixed node blocks on a util::ThreadPool; the one
@@ -28,6 +28,18 @@
 //     the thread count and max is order-insensitive over a fixed set, so
 //     the output is bitwise identical at ANY width — the same determinism
 //     contract the simulator's round engine ships (DESIGN.md §11).
+//   * White frontier. Only white nodes take part in the coloring pass, and
+//     each turns gray once. Every block keeps its white nodes in ascending
+//     order in its own segment of one flat list and compacts it as it goes,
+//     so gray nodes cost nothing after they turn. A white node whose c⁺ is
+//     +0.0 (every summand is ≥ +0.0) has λ = 1 and would add +0.0 to each
+//     α/β slot and to c, so its row loop is skipped; the gray test still
+//     runs, which grays zero-demand nodes in the first iteration. δ̃ is no
+//     longer recounted: after the barrier the owner thread walks the nodes
+//     each block turned gray, in block order, and decrements δ̃ over their
+//     closed neighborhoods. Integer decrements are exact and order-free,
+//     and they cost n + 2m over the whole solve instead of n + 2m per
+//     iteration.
 #include "algo/lp/lp_kmds.h"
 
 #include <algorithm>
@@ -91,6 +103,10 @@ class BlockRunner {
   }
 
   [[nodiscard]] std::size_t blocks() const noexcept { return blocks_; }
+  /// First node of block b.
+  [[nodiscard]] std::size_t first(std::size_t b) const noexcept {
+    return b * block_;
+  }
   [[nodiscard]] util::ThreadPool* pool() const noexcept { return pool_.get(); }
 
   /// Runs fn(first, last, block_index) over every block; strict barrier.
@@ -190,7 +206,6 @@ LpResult solve_fractional_kmds(const graph::Graph& g, const Demands& demands,
   std::vector<double> x_plus(n, 0.0);
   std::vector<double> x_plus_wire(n, 0.0);  // as seen by receivers
   std::vector<double> c(n, 0.0);
-  std::vector<std::uint8_t> white(n, 1);
   std::vector<std::int32_t> dyn_deg(n, 0);
   for (NodeId v = 0; v < g.n(); ++v) {
     dyn_deg[static_cast<std::size_t>(v)] = g.degree(v) + 1;
@@ -228,6 +243,21 @@ LpResult solve_fractional_kmds(const graph::Graph& g, const Demands& demands,
 
   const BlockRunner runner(n, options.threads, options.parallel_block);
   std::vector<double> block_ratio(runner.blocks(), 0.0);
+
+  // White frontier: block b's still-white nodes, ascending, sit at
+  // white_list[first(b) .. first(b) + white_count[b]). The coloring pass
+  // compacts that segment and writes the nodes it turns gray to the same
+  // segment of gray_list. Both lists are sized once here.
+  std::vector<NodeId> white_list(n);
+  std::vector<NodeId> gray_list(n);
+  std::vector<std::size_t> white_count(runner.blocks(), 0);
+  std::vector<std::size_t> gray_count(runner.blocks(), 0);
+  runner.run([&](std::size_t first, std::size_t last, std::size_t b) {
+    for (std::size_t i = first; i < last; ++i) {
+      white_list[i] = static_cast<NodeId>(i);
+    }
+    white_count[b] = last - first;
+  });
 
   // Optional perf attribution: each (p, q) iteration is one perf "round"
   // (kLpXUpdate / kLpDualColor / kLpDegree laps), the z-pass one more. The
@@ -288,53 +318,64 @@ LpResult solve_fractional_kmds(const graph::Graph& g, const Demands& demands,
       }
       lap(obs::PerfPhase::kLpXUpdate);
 
-      // Lines 10-21: dual bookkeeping and coloring at white nodes. Node i
-      // writes c/alpha/beta/white/y slots it owns and reads only x_plus
-      // values fixed by the previous loop's barrier.
-      runner.run([&](std::size_t first, std::size_t last, std::size_t) {
-        for (std::size_t i = first; i < last; ++i) {
-          if (!white[i]) continue;
+      // Lines 10-21: dual bookkeeping and coloring at white nodes. Block b
+      // walks its own white segment; node i writes only the c/alpha/beta/y
+      // slots it owns and reads only x_plus values fixed by the previous
+      // loop's barrier.
+      runner.run([&](std::size_t first, std::size_t, std::size_t b) {
+        NodeId* const whites = white_list.data() + first;
+        NodeId* const grayed = gray_list.data() + first;
+        std::size_t kept = 0;
+        std::size_t turned = 0;
+        for (std::size_t s = 0; s < white_count[b]; ++s) {
+          const NodeId v = whites[s];
+          const auto i = static_cast<std::size_t>(v);
           const double inv_dp = neg_pow[row_stride_neg * i + pe];
-          const NodeId v = static_cast<NodeId>(i);
           double c_plus = x_plus[i];  // own increase, known exactly
           for (NodeId w : g.neighbors(v)) {
             c_plus += x_plus_wire[static_cast<std::size_t>(w)];
           }
           const double k_i = static_cast<double>(demands[i]);
-          const double lambda =
-              c_plus > 0.0 ? std::min(1.0, (k_i - c[i]) / c_plus) : 1.0;
-          c[i] += c_plus;
-          double* const alpha_i = alpha.data() + base(i);
-          double* const beta_i = beta.data() + base(i);
-          alpha_i[0] += lambda * x_plus[i];
-          beta_i[0] += lambda * x_plus[i] * inv_dp;
-          std::size_t slot = 1;
-          for (NodeId w : g.neighbors(v)) {
-            const double xj = x_plus_wire[static_cast<std::size_t>(w)];
-            alpha_i[slot] += lambda * xj;
-            beta_i[slot] += lambda * xj * inv_dp;
-            ++slot;
+          if (c_plus > 0.0) {
+            const double lambda = std::min(1.0, (k_i - c[i]) / c_plus);
+            c[i] += c_plus;
+            double* const alpha_i = alpha.data() + base(i);
+            double* const beta_i = beta.data() + base(i);
+            alpha_i[0] += lambda * x_plus[i];
+            beta_i[0] += lambda * x_plus[i] * inv_dp;
+            std::size_t slot = 1;
+            for (NodeId w : g.neighbors(v)) {
+              const double xj = x_plus_wire[static_cast<std::size_t>(w)];
+              alpha_i[slot] += lambda * xj;
+              beta_i[slot] += lambda * xj * inv_dp;
+              ++slot;
+            }
           }
           if (c[i] + kCoverageEps >= k_i) {
-            white[i] = 0;
+            grayed[turned++] = v;
             result.dual.y[i] = inv_dp;
+          } else {
+            whites[kept++] = v;
           }
         }
+        white_count[b] = kept;
+        gray_count[b] = turned;
       });
       lap(obs::PerfPhase::kLpDualColor);
 
-      // Lines 23-24: exchange colors, recompute dynamic degrees (reads the
-      // white[] snapshot the previous barrier fixed).
-      runner.run([&](std::size_t first, std::size_t last, std::size_t) {
-        for (std::size_t i = first; i < last; ++i) {
-          const NodeId v = static_cast<NodeId>(i);
-          std::int32_t deg = white[i] ? 1 : 0;
-          for (NodeId w : g.neighbors(v)) {
-            deg += white[static_cast<std::size_t>(w)] ? 1 : 0;
+      // Lines 23-24: exchange colors. Each node that turned gray leaves the
+      // white count of every node in its closed neighborhood; the owner
+      // thread applies those decrements after the barrier, in block order.
+      for (std::size_t b = 0; b < runner.blocks(); ++b) {
+        const NodeId* const grayed = gray_list.data() + runner.first(b);
+        for (std::size_t s = 0; s < gray_count[b]; ++s) {
+          const NodeId j = grayed[s];
+          --dyn_deg[static_cast<std::size_t>(j)];
+          for (NodeId w : g.neighbors(j)) {
+            --dyn_deg[static_cast<std::size_t>(w)];
           }
-          dyn_deg[i] = deg;
         }
-      });
+      }
       lap(obs::PerfPhase::kLpDegree);
       perf_end_iter(iter_t0);
     }

@@ -65,11 +65,14 @@ struct LpOptions {
   DegreeKnowledge degree_knowledge = DegreeKnowledge::kGlobal;
 
   /// ThreadPool width for the mirror's per-phase node loops (1 = fully
-  /// sequential, no pool). The solver's output is bitwise identical at any
-  /// width: every loop writes only node-owned state between barriers, the
-  /// node-block decomposition is independent of the thread count, and the
-  /// single reduction (Lemma 4.1's max) merges per-block maxima in block
-  /// order (DESIGN.md §11).
+  /// sequential, no pool). Every width runs the same body, including the
+  /// white-frontier coloring pass. The solver's output is bitwise identical
+  /// at any width: every loop writes only node-owned state and its block's
+  /// own segment of the white/gray lists between barriers, the node-block
+  /// decomposition is independent of the thread count, the single
+  /// reduction (Lemma 4.1's max) merges per-block maxima in block order,
+  /// and the dynamic-degree decrements run on the calling thread after the
+  /// coloring barrier (DESIGN.md §11).
   int threads = 1;
 
   /// Nodes per parallel task (0 = default 8192). Exposed so determinism
@@ -79,7 +82,7 @@ struct LpOptions {
 
   /// Optional perf-attribution sink (obs/perf.h). Each (p, q) inner
   /// iteration reports its phase wall times (x-update, dual/coloring,
-  /// degree recompute) as one perf "round", the final z-pass as one more,
+  /// degree decrements) as one perf "round", the final z-pass as one more,
   /// and the block pool's barrier/claim counters are drained per iteration.
   /// Timing lives entirely in PerfPlane side state, so attaching a sink
   /// cannot affect the solution. Null (the default) = no timing at all.

@@ -50,7 +50,7 @@ enum class PerfPhase : std::uint8_t {
   kClaimStall,       ///< pool drain time not spent executing tasks
   kLpXUpdate,        ///< lp_kmds lines 5-8: x-update + Lemma 4.1 audit
   kLpDualColor,      ///< lp_kmds lines 10-21: dual bookkeeping + coloring
-  kLpDegree,         ///< lp_kmds lines 23-24: dynamic-degree recompute
+  kLpDegree,         ///< lp_kmds lines 23-24: dynamic-degree update
   kLpZPass,          ///< lp_kmds line 27: final z-pass
 };
 inline constexpr int kPerfPhaseCount = 15;

@@ -6,6 +6,7 @@
 // DESIGN.md §11.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "algo/lp/lp_kmds.h"
@@ -103,6 +104,70 @@ TEST(LpParallel, OptimizedMatchesReferenceSolver) {
           opts.parallel_block = 32;
           const LpResult par = solve_fractional_kmds(g, demands, opts);
           expect_bitwise_equal(ref, par, "parallel vs reference");
+        }
+      }
+    }
+  }
+}
+
+/// G(n, p) on nodes [0, n) plus `isolated` nodes with no edges, and, when
+/// `hub` is set, one more node adjacent to every G(n, p) node.
+Graph gnp_with_extras(graph::NodeId n, double p, graph::NodeId isolated,
+                      bool hub, util::Rng& rng) {
+  std::vector<graph::Edge> edges = graph::gnp(n, p, rng).edges();
+  const graph::NodeId total = n + isolated + (hub ? 1 : 0);
+  if (hub) {
+    for (graph::NodeId v = 0; v < n; ++v) edges.push_back({total - 1, v});
+  }
+  return Graph::from_edges(total, edges);
+}
+
+TEST(LpParallel, FrontierMatchesReferenceOnEdgeCases) {
+  // The coloring pass walks only white nodes, skips the alpha/beta row when
+  // c+ = 0 and keeps the dynamic degrees by decrements. Each case below
+  // leans on one of those: isolated nodes (N[v] = {v}), zero demands (gray
+  // in the first iteration through the gray test alone), demand deg+1
+  // everywhere (every node needs its whole neighborhood, so the coverage
+  // epsilon decides when it turns gray), and a star and a hub joined to a
+  // sparse G(n, p), whose early high-threshold iterations have almost no
+  // node raising x.
+  util::Rng rng(11);
+  const std::vector<Graph> graphs = {
+      gnp_with_extras(60, 0.05, 20, false, rng), graph::star(50),
+      gnp_with_extras(120, 0.03, 0, true, rng)};
+  for (const Graph& g : graphs) {
+    const auto n = static_cast<std::size_t>(g.n());
+    Demands zero_some = mixed_demands(g, 23);
+    for (std::size_t i = 0; i < n; i += 3) zero_some[i] = 0;
+    Demands full(n, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      full[i] = g.degree(static_cast<graph::NodeId>(i)) + 1;
+    }
+    for (const Demands& demands : {mixed_demands(g, 19), zero_some, full}) {
+      for (const int t : {1, 5}) {
+        for (const auto dk :
+             {DegreeKnowledge::kGlobal, DegreeKnowledge::kTwoHop}) {
+          for (const bool quantize : {true, false}) {
+            LpOptions opts;
+            opts.t = t;
+            opts.degree_knowledge = dk;
+            opts.quantize_messages = quantize;
+            const LpResult ref =
+                solve_fractional_kmds_reference(g, demands, opts);
+            for (const int block : {1, 7, 64, 1 << 20}) {
+              opts.parallel_block = block;
+              for (const int width : {1, 2, 4, 8}) {
+                opts.threads = width;
+                SCOPED_TRACE("n=" + std::to_string(n) + " t=" +
+                             std::to_string(t) + " block=" +
+                             std::to_string(block) + " width=" +
+                             std::to_string(width));
+                expect_bitwise_equal(
+                    ref, solve_fractional_kmds(g, demands, opts),
+                    "frontier vs reference");
+              }
+            }
+          }
         }
       }
     }
