@@ -1,6 +1,6 @@
 // ALGO — the shared kernel layer vs its scalar references, at scale.
 //
-// Three sections, one flat JSON results array (BENCH_algo.json):
+// Four sections, one flat JSON results array (BENCH_algo.json):
 //
 //   * coverage:   closed_coverage_counts, scalar (byte-map reference in
 //                 domination.cpp) vs word-packed (kernels.cpp), at sparse
@@ -14,8 +14,10 @@
 //                 frontier) at widths --threads, asserting bitwise-equal
 //                 output per width; a width above hardware_threads is
 //                 labelled "oversubscribed";
-//   * rounding:   steady-state best-of trial loop, recording trials/sec and
-//                 allocs/trial (≈ 0 once scratch reaches high water).
+//   * rounding:   steady-state loop of Algorithm 2 trials on fresh seeds
+//                 through the scratch overload of round_fractional,
+//                 recording trials/sec and allocs/trial (≈ 0 once scratch
+//                 reaches high water).
 //
 // Equality is asserted inline, bench_simcore_mt-style: any divergence
 // between an optimized path and its reference aborts the bench with a
@@ -208,9 +210,8 @@ int main(int argc, char** argv) {
           ", \"speedup_vs_scalar\": " + util::fmt(speedup, 3) + "}");
 
       // Deficiency over a node-id set — the shape every hot caller has
-      // (invariants, watchdog, oracles). Scalar baseline is the
-      // pre-kernel pipeline: byte membership + coverage vector +
-      // accumulate. Optimized is the scratch overload (hybrid
+      // (invariants, oracles). Scalar baseline is the pre-kernel
+      // pipeline: byte membership + coverage vector + accumulate. Optimized is the scratch overload (hybrid
       // scatter/gather), cross-checked against the fused kernel too.
       const auto set = domination::to_node_list(members);
       domination::CoverageScratch scratch;
@@ -333,7 +334,7 @@ int main(int argc, char** argv) {
                            scratch, result);
     algo::round_fractional(g, lp_for_rounding.primal, demands, kAlgoSeed + 1,
                            scratch, result);
-    // allocs/trial over a fixed post-warmup trial loop (the best_of shape).
+    // allocs/trial over a fixed post-warmup trial loop.
     const std::uint64_t allocs_before = bench::alloc_counts().count;
     std::size_t sink = 0;
     for (int trial = 0; trial < trials; ++trial) {
@@ -345,7 +346,7 @@ int main(int argc, char** argv) {
     const double allocs_per_trial =
         static_cast<double>(bench::alloc_counts().count - allocs_before) /
         static_cast<double>(std::max(trials, 1));
-    // Throughput with the adaptive timer, seeds cycling like best_of does.
+    // Throughput with the adaptive timer, seeds cycling over --trials.
     std::uint64_t seed_ctr = 0;
     const double trials_ps = measure_per_sec(
         [&] {

@@ -9,7 +9,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <iostream>
 #include <span>
 #include <string>
@@ -151,18 +150,6 @@ inline std::uint64_t flood_digest(sim::SyncNetwork& net) {
   }
   return flood_digest(states, net.metrics().messages_sent,
                       net.metrics().words_sent);
-}
-
-/// Collects `seeds` samples of `measure(seed)` and summarizes them.
-inline util::Summary over_seeds(
-    int seeds, std::uint64_t base_seed,
-    const std::function<double(std::uint64_t)>& measure) {
-  std::vector<double> samples;
-  samples.reserve(static_cast<std::size_t>(seeds));
-  for (int s = 0; s < seeds; ++s) {
-    samples.push_back(measure(base_seed + static_cast<std::uint64_t>(s)));
-  }
-  return util::summarize(samples);
 }
 
 /// Per-row metric columns sourced from an obs::Registry. Construct with the

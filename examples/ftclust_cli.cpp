@@ -24,9 +24,17 @@
 //   --out=PATH            write the set, one node id per line
 //   --dot=PATH            write a Graphviz file with the set highlighted
 //   --svg=PATH            render the deployment (UDG generator only)
+//
+// Malformed or out-of-range flag values (--n=0, --k=-3, --weights=4,1, ...)
+// and unreadable input files are reported on stderr with exit status 2.
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <limits>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algo/baseline/greedy.h"
@@ -51,6 +59,46 @@ namespace {
 
 using namespace ftc;
 
+/// Integer flag --key in [lo, hi] (`fallback` when absent). Throws
+/// std::invalid_argument for a value outside the range, so e.g. an --n
+/// that does not fit NodeId is rejected instead of truncated.
+long long int_flag(const util::Args& args, const std::string& key,
+                   long long fallback, long long lo, long long hi) {
+  const long long value = args.get_int(key, fallback);
+  if (value < lo || value > hi) {
+    throw std::invalid_argument("--" + key + "=" + std::to_string(value) +
+                                ": must be in [" + std::to_string(lo) + ", " +
+                                std::to_string(hi) + "]");
+  }
+  return value;
+}
+
+/// --weights=LO,HI: two finite numbers with 0 < LO <= HI, parsed whole.
+/// Throws std::invalid_argument otherwise.
+std::pair<double, double> weight_range(const util::Args& args) {
+  const std::string raw = args.get_string("weights", "1,4");
+  const auto reject = [&](const char* why) {
+    return std::invalid_argument("--weights=" + raw + ": " + why);
+  };
+  const auto number = [&](const std::string& text) {
+    char* end = nullptr;
+    const double value = std::strtod(text.c_str(), &end);
+    if (text.empty() || end != text.c_str() + text.size() ||
+        !std::isfinite(value)) {
+      throw reject("expected LO,HI as two finite numbers");
+    }
+    return value;
+  };
+  const auto comma = raw.find(',');
+  if (comma == std::string::npos) {
+    throw reject("expected LO,HI as two finite numbers");
+  }
+  const double lo = number(raw.substr(0, comma));
+  const double hi = number(raw.substr(comma + 1));
+  if (!(lo > 0.0 && lo <= hi)) throw reject("need 0 < LO <= HI");
+  return {lo, hi};
+}
+
 struct Network {
   graph::Graph graph;
   geom::UnitDiskGraph udg;  // populated only for --generate=udg
@@ -72,7 +120,8 @@ Network load_network(const util::Args& args) {
     return net;
   }
   const std::string family = args.get_string("generate", "udg");
-  const auto n = static_cast<graph::NodeId>(args.get_int("n", 500));
+  const auto n = static_cast<graph::NodeId>(
+      int_flag(args, "n", 500, 1, std::numeric_limits<graph::NodeId>::max()));
   const double degree = args.get_double("degree", 12.0);
   util::Rng rng(args.get_u64("seed", 1));
   if (family == "udg") {
@@ -101,15 +150,11 @@ Network load_network(const util::Args& args) {
   return net;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
-  if (args.has("help")) {
-    std::printf("see the header comment of examples/ftclust_cli.cpp\n");
-    return 0;
-  }
-
+int run(const util::Args& args) {
+  const auto k = static_cast<std::int32_t>(
+      int_flag(args, "k", 1, 1, std::numeric_limits<std::int32_t>::max()));
+  const auto t = static_cast<int>(
+      int_flag(args, "t", 3, 1, std::numeric_limits<int>::max()));
   const Network net = load_network(args);
   const std::string save_udg_path = args.get_string("save-udg", "");
   if (!save_udg_path.empty()) {
@@ -121,7 +166,6 @@ int main(int argc, char** argv) {
     std::printf("deployment saved to %s\n", save_udg_path.c_str());
   }
   const graph::Graph& g = net.graph;
-  const auto k = static_cast<std::int32_t>(args.get_int("k", 1));
   const std::uint64_t seed = args.get_u64("seed", 1);
   const auto demands =
       domination::clamp_demands(g, domination::uniform_demands(g.n(), k));
@@ -136,7 +180,7 @@ int main(int argc, char** argv) {
 
   if (algorithm == "pipeline") {
     algo::PipelineOptions opts;
-    opts.t = static_cast<int>(args.get_int("t", 3));
+    opts.t = t;
     opts.seed = seed;
     const auto result = algo::run_kmds_pipeline(g, demands, opts);
     set = result.set();
@@ -177,10 +221,7 @@ int main(int argc, char** argv) {
     if (!result.optimal) std::printf("warning: budget hit, not optimal\n");
     set = result.set;
   } else if (algorithm == "weighted-greedy") {
-    const auto lohi = args.get_string("weights", "1,4");
-    const auto comma = lohi.find(',');
-    const double lo = std::stod(lohi.substr(0, comma));
-    const double hi = std::stod(lohi.substr(comma + 1));
+    const auto [lo, hi] = weight_range(args);
     util::Rng wrng(seed + 17);
     const auto weights = algo::random_weights(g.n(), lo, hi, wrng);
     const auto result = algo::weighted_greedy_kmds(g, demands, weights);
@@ -246,4 +287,22 @@ int main(int argc, char** argv) {
     std::printf("svg written to %s\n", svg_path.c_str());
   }
   return valid ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const util::Args args(argc, argv);
+  if (args.has("help")) {
+    std::printf("see the header comment of examples/ftclust_cli.cpp\n");
+    return 0;
+  }
+  try {
+    return run(args);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "ftclust_cli: %s\n", e.what());
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "ftclust_cli: %s\n", e.what());
+  }
+  return 2;
 }

@@ -103,18 +103,9 @@ class RepairProcess final : public sim::Process {
   /// non-member candidate left in its closed neighborhood (the distributed
   /// analogue of RepairResult::fully_satisfied == false).
   [[nodiscard]] bool unsatisfied() const noexcept { return unsatisfied_; }
-  /// Number of times this node joined the set (self-elected or external).
+  /// Number of times this node joined the set.
   [[nodiscard]] std::int64_t joins() const noexcept { return joins_; }
 
-  /// External promotion re-issue (CoverageWatchdog escalation): idempotently
-  /// forces this node into the set. Call between rounds; the membership bit
-  /// goes out at the next P0 broadcast like any self-promotion.
-  void promote() noexcept {
-    if (!member_) {
-      member_ = true;
-      ++joins_;
-    }
-  }
   /// The embedded failure detector (suspicion statistics).
   [[nodiscard]] const sim::HeartbeatMonitor& monitor() const noexcept {
     return monitor_;

@@ -89,26 +89,4 @@ RoundingResult round_fractional(const graph::Graph& g,
   return result;
 }
 
-RoundingResult round_fractional_best_of(
-    const graph::Graph& g, const domination::FractionalSolution& x,
-    const Demands& demands, std::uint64_t seed, int trials) {
-  assert(trials >= 1);
-  // One scratch and two result buffers for the whole trial loop: after the
-  // first couple of trials every buffer has reached its high-water size and
-  // the per-trial work allocates nothing.
-  RoundingScratch scratch;
-  RoundingResult best, candidate;
-  round_fractional(g, x, demands, seed, scratch, best);
-  for (int trial = 1; trial < trials; ++trial) {
-    round_fractional(g, x, demands,
-                     seed + static_cast<std::uint64_t>(trial), scratch,
-                     candidate);
-    if (candidate.set.size() < best.set.size()) {
-      std::swap(best, candidate);
-    }
-  }
-  best.rounds = 3 * trials;
-  return best;
-}
-
 }  // namespace ftc::algo

@@ -69,16 +69,4 @@ void round_fractional(const graph::Graph& g,
                       const domination::Demands& demands, std::uint64_t seed,
                       RoundingScratch& scratch, RoundingResult& out);
 
-/// Best-of-N rounding: Theorem 4.6 bounds the set size only in
-/// expectation, so practical deployments re-draw the coins a few times and
-/// keep the smallest result (each trial is 3 rounds; trials can also run
-/// concurrently on disjoint seed ranges). Returns the best of
-/// round_fractional(g, x, demands, seed), ..., (seed + trials - 1).
-/// Precondition: trials >= 1. The trial loop reuses one scratch and two
-/// result buffers, so steady-state trials allocate nothing
-/// (bench_algo_kernels records allocs/trial ≈ 0).
-[[nodiscard]] RoundingResult round_fractional_best_of(
-    const graph::Graph& g, const domination::FractionalSolution& x,
-    const domination::Demands& demands, std::uint64_t seed, int trials);
-
 }  // namespace ftc::algo

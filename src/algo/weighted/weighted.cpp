@@ -12,10 +12,6 @@ namespace ftc::algo {
 using domination::Demands;
 using graph::NodeId;
 
-NodeWeights uniform_weights(NodeId n) {
-  return NodeWeights(static_cast<std::size_t>(n), 1.0);
-}
-
 NodeWeights random_weights(NodeId n, double lo, double hi, util::Rng& rng) {
   assert(lo > 0.0 && lo <= hi);
   NodeWeights w;

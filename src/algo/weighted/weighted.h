@@ -38,9 +38,6 @@ namespace ftc::algo {
 /// Per-node selection costs; all entries must be > 0.
 using NodeWeights = std::vector<double>;
 
-/// Weights all equal to 1 (the unweighted special case).
-[[nodiscard]] NodeWeights uniform_weights(graph::NodeId n);
-
 /// Independent uniform weights in [lo, hi]. Precondition: 0 < lo <= hi.
 [[nodiscard]] NodeWeights random_weights(graph::NodeId n, double lo,
                                          double hi, util::Rng& rng);

@@ -66,11 +66,6 @@ std::int64_t disjoint_packing_lower_bound(const graph::Graph& g,
   return bound;
 }
 
-double dual_lower_bound(const DualSolution& feasible_dual,
-                        const Demands& demands) {
-  return std::max(0.0, feasible_dual.objective(demands));
-}
-
 double harmonic(std::int64_t m) {
   double h = 0.0;
   for (std::int64_t i = 1; i <= m; ++i) {

@@ -22,7 +22,6 @@
 #include <cstdint>
 
 #include "domination/domination.h"
-#include "domination/fractional.h"
 #include "graph/graph.h"
 
 namespace ftc::domination {
@@ -41,12 +40,6 @@ namespace ftc::domination {
 /// neighborhoods must come from disjoint dominator sets.
 [[nodiscard]] std::int64_t disjoint_packing_lower_bound(
     const graph::Graph& g, const Demands& demands);
-
-/// Weak-duality bound: the objective of a (DP)-feasible dual, floored at 0.
-/// The caller is responsible for the dual actually being feasible (e.g.
-/// Algorithm 1's dual divided by κ = t(Δ+1)^{1/t}).
-[[nodiscard]] double dual_lower_bound(const DualSolution& feasible_dual,
-                                      const Demands& demands);
 
 /// Harmonic number H(m) = Σ_{i=1..m} 1/i.
 [[nodiscard]] double harmonic(std::int64_t m);

@@ -3,8 +3,8 @@
 // The scalar checkers in domination.h are the semantic reference: one byte
 // per node, a fresh bitmap and coverage vector allocated per call. That is
 // fine for unit tests but became the hot path of the fuzzer's invariant
-// battery, the repair watchdog, and every differential oracle once the
-// simulator stopped being the bottleneck (PR 7). This header is the shared
+// battery and every differential oracle once the simulator stopped being
+// the bottleneck. This header is the shared
 // kernel layer those callers — and the upcoming multi-backend solver arena —
 // sit on:
 //

@@ -3,15 +3,23 @@
 #include <algorithm>
 #include <fstream>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 namespace ftc::geom {
 
 using graph::NodeId;
 
+namespace {
+
+constexpr double kCanvasPx = 800.0;  ///< width = height of the drawing area
+constexpr double kMarginPx = 20.0;   ///< border around the deployment
+constexpr const char* kNodeColor = "#b0b0b0";
+constexpr double kNodeRadius = 1.8;
+
+}  // namespace
+
 void write_svg(std::ostream& os, const UnitDiskGraph& udg,
-               std::span<const SvgLayer> layers, const SvgOptions& options) {
+               std::span<const SvgLayer> layers) {
   // Bounding box of the deployment.
   double min_x = 0.0, min_y = 0.0, max_x = 1.0, max_y = 1.0;
   if (!udg.positions.empty()) {
@@ -25,13 +33,12 @@ void write_svg(std::ostream& os, const UnitDiskGraph& udg,
     }
   }
   const double span = std::max({max_x - min_x, max_y - min_y, 1e-9});
-  const double scale =
-      (options.canvas_px - 2.0 * options.margin_px) / span;
-  const double total = options.canvas_px;
+  const double scale = (kCanvasPx - 2.0 * kMarginPx) / span;
+  const double total = kCanvasPx;
   auto px = [&](const Point& p) {
-    return Point{options.margin_px + (p.x - min_x) * scale,
+    return Point{kMarginPx + (p.x - min_x) * scale,
                  // Flip y: SVG's origin is top-left.
-                 total - options.margin_px - (p.y - min_y) * scale};
+                 total - kMarginPx - (p.y - min_y) * scale};
   };
 
   os << "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"" << total
@@ -39,22 +46,20 @@ void write_svg(std::ostream& os, const UnitDiskGraph& udg,
      << total << "\">\n";
   os << "  <rect width=\"100%\" height=\"100%\" fill=\"white\"/>\n";
 
-  if (options.draw_edges) {
-    os << "  <g stroke=\"#e0e0e0\" stroke-width=\"0.6\">\n";
-    for (const graph::Edge& e : udg.graph.edges()) {
-      const Point a = px(udg.positions[static_cast<std::size_t>(e.u)]);
-      const Point b = px(udg.positions[static_cast<std::size_t>(e.v)]);
-      os << "    <line x1=\"" << a.x << "\" y1=\"" << a.y << "\" x2=\""
-         << b.x << "\" y2=\"" << b.y << "\"/>\n";
-    }
-    os << "  </g>\n";
+  os << "  <g stroke=\"#e0e0e0\" stroke-width=\"0.6\">\n";
+  for (const graph::Edge& e : udg.graph.edges()) {
+    const Point a = px(udg.positions[static_cast<std::size_t>(e.u)]);
+    const Point b = px(udg.positions[static_cast<std::size_t>(e.v)]);
+    os << "    <line x1=\"" << a.x << "\" y1=\"" << a.y << "\" x2=\""
+       << b.x << "\" y2=\"" << b.y << "\"/>\n";
   }
+  os << "  </g>\n";
 
-  os << "  <g fill=\"" << options.node_color << "\">\n";
+  os << "  <g fill=\"" << kNodeColor << "\">\n";
   for (const Point& p : udg.positions) {
     const Point c = px(p);
     os << "    <circle cx=\"" << c.x << "\" cy=\"" << c.y << "\" r=\""
-       << options.node_radius << "\"/>\n";
+       << kNodeRadius << "\"/>\n";
   }
   os << "  </g>\n";
 
@@ -69,12 +74,12 @@ void write_svg(std::ostream& os, const UnitDiskGraph& udg,
   }
 
   // Legend.
-  double legend_y = options.margin_px;
+  double legend_y = kMarginPx;
   for (const SvgLayer& layer : layers) {
     if (layer.label.empty()) continue;
-    os << "  <circle cx=\"" << options.margin_px << "\" cy=\"" << legend_y
+    os << "  <circle cx=\"" << kMarginPx << "\" cy=\"" << legend_y
        << "\" r=\"5\" fill=\"" << layer.color << "\"/>\n";
-    os << "  <text x=\"" << options.margin_px + 10 << "\" y=\""
+    os << "  <text x=\"" << kMarginPx + 10 << "\" y=\""
        << legend_y + 4 << "\" font-family=\"sans-serif\" font-size=\"12\">"
        << layer.label << "</text>\n";
     legend_y += 18.0;
@@ -83,19 +88,11 @@ void write_svg(std::ostream& os, const UnitDiskGraph& udg,
   os << "</svg>\n";
 }
 
-std::string svg_string(const UnitDiskGraph& udg,
-                       std::span<const SvgLayer> layers,
-                       const SvgOptions& options) {
-  std::ostringstream oss;
-  write_svg(oss, udg, layers, options);
-  return oss.str();
-}
-
 void save_svg(const std::string& path, const UnitDiskGraph& udg,
-              std::span<const SvgLayer> layers, const SvgOptions& options) {
+              std::span<const SvgLayer> layers) {
   std::ofstream out(path, std::ios::trunc);
   if (!out) throw std::runtime_error("save_svg: cannot open " + path);
-  write_svg(out, udg, layers, options);
+  write_svg(out, udg, layers);
   if (!out) throw std::runtime_error("save_svg: write failed " + path);
 }
 

@@ -2,7 +2,7 @@
 //
 // Renders nodes as dots, radio links as thin segments, and any number of
 // highlighted node layers (e.g. the k-fold dominating set, then the
-// connectors added by the CDS extension) in distinct colors. Pure string
+// connectors added by the CDS extension) in distinct colors. Pure text
 // output; no external dependencies.
 #pragma once
 
@@ -24,27 +24,15 @@ struct SvgLayer {
   std::string label;              ///< legend entry (omitted when empty)
 };
 
-/// Rendering knobs.
-struct SvgOptions {
-  double canvas_px = 800.0;   ///< width = height of the drawing area
-  double margin_px = 20.0;    ///< border around the deployment
-  bool draw_edges = true;     ///< radio links as light segments
-  std::string node_color = "#b0b0b0";
-  double node_radius = 1.8;
-};
-
-/// Writes an SVG of `udg` with the given overlay layers to `os`.
+/// Writes an SVG of `udg` with the given overlay layers to `os`: an
+/// 800 px square canvas with a 20 px margin, radio links as light grey
+/// segments and nodes as small grey dots under the layers.
 void write_svg(std::ostream& os, const UnitDiskGraph& udg,
-               std::span<const SvgLayer> layers, const SvgOptions& options = {});
-
-/// Convenience: renders to a string.
-[[nodiscard]] std::string svg_string(const UnitDiskGraph& udg,
-                                     std::span<const SvgLayer> layers,
-                                     const SvgOptions& options = {});
+               std::span<const SvgLayer> layers);
 
 /// Convenience: writes the SVG to a file. Throws std::runtime_error on IO
 /// failure.
 void save_svg(const std::string& path, const UnitDiskGraph& udg,
-              std::span<const SvgLayer> layers, const SvgOptions& options = {});
+              std::span<const SvgLayer> layers);
 
 }  // namespace ftc::geom

@@ -1,7 +1,5 @@
 #include "graph/properties.h"
 
-#include <algorithm>
-#include <cassert>
 #include <queue>
 
 namespace ftc::graph {
@@ -29,61 +27,6 @@ Components connected_components(const Graph& g) {
   }
   result.count = next_id;
   return result;
-}
-
-bool is_connected(const Graph& g) {
-  if (g.n() <= 1) return true;
-  return connected_components(g).count == 1;
-}
-
-std::vector<NodeId> bfs_distances(const Graph& g, NodeId source) {
-  assert(source >= 0 && source < g.n());
-  std::vector<NodeId> dist(static_cast<std::size_t>(g.n()), -1);
-  dist[static_cast<std::size_t>(source)] = 0;
-  std::queue<NodeId> frontier;
-  frontier.push(source);
-  while (!frontier.empty()) {
-    const NodeId u = frontier.front();
-    frontier.pop();
-    for (NodeId v : g.neighbors(u)) {
-      if (dist[static_cast<std::size_t>(v)] == -1) {
-        dist[static_cast<std::size_t>(v)] =
-            dist[static_cast<std::size_t>(u)] + 1;
-        frontier.push(v);
-      }
-    }
-  }
-  return dist;
-}
-
-NodeId eccentricity(const Graph& g, NodeId source) {
-  const auto dist = bfs_distances(g, source);
-  NodeId ecc = 0;
-  for (NodeId d : dist) ecc = std::max(ecc, d);
-  return ecc;
-}
-
-std::vector<std::size_t> degree_histogram(const Graph& g) {
-  if (g.n() == 0) return {};
-  std::vector<std::size_t> hist(static_cast<std::size_t>(g.max_degree()) + 1,
-                                0);
-  for (NodeId v = 0; v < g.n(); ++v) {
-    ++hist[static_cast<std::size_t>(g.degree(v))];
-  }
-  return hist;
-}
-
-double average_degree(const Graph& g) {
-  if (g.n() == 0) return 0.0;
-  return 2.0 * static_cast<double>(g.m()) / static_cast<double>(g.n());
-}
-
-NodeId min_degree(const Graph& g) {
-  NodeId lo = 0;
-  for (NodeId v = 0; v < g.n(); ++v) {
-    lo = v == 0 ? g.degree(v) : std::min(lo, g.degree(v));
-  }
-  return lo;
 }
 
 }  // namespace ftc::graph

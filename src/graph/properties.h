@@ -1,5 +1,4 @@
-// Structural graph properties used for workload characterization and for
-// validating generator output in tests.
+// Connected-component labeling (the CDS extension bridges components).
 #pragma once
 
 #include <vector>
@@ -17,24 +16,5 @@ struct Components {
 
 /// Computes connected components via BFS. O(n + m).
 [[nodiscard]] Components connected_components(const Graph& g);
-
-/// True iff g has a single connected component (vacuously true for n <= 1).
-[[nodiscard]] bool is_connected(const Graph& g);
-
-/// BFS distances (in hops) from `source`; unreachable nodes get -1.
-[[nodiscard]] std::vector<NodeId> bfs_distances(const Graph& g, NodeId source);
-
-/// Eccentricity of `source`: max finite BFS distance from it.
-[[nodiscard]] NodeId eccentricity(const Graph& g, NodeId source);
-
-/// Histogram of node degrees: result[d] = #nodes of degree d,
-/// size max_degree()+1 (empty for the 0-node graph).
-[[nodiscard]] std::vector<std::size_t> degree_histogram(const Graph& g);
-
-/// Average degree 2m/n (0 for the empty graph).
-[[nodiscard]] double average_degree(const Graph& g);
-
-/// Minimum degree over all nodes (0 for the 0-node graph).
-[[nodiscard]] NodeId min_degree(const Graph& g);
 
 }  // namespace ftc::graph

@@ -58,7 +58,6 @@ Plane::Plane(PlaneOptions options) : trace_(options.trace) {
   builtin_.n_crash = t.intern("crash");
   builtin_.n_recover = t.intern("recover");
   builtin_.n_fault_plan = t.intern("fault.plan");
-  builtin_.n_watchdog = t.intern("watchdog.repair");
   builtin_.n_suspect = t.intern("suspect");
   builtin_.n_refute = t.intern("refute");
   builtin_.n_promote = t.intern("promote");

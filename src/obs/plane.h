@@ -83,7 +83,6 @@ struct Builtin {
   NameId n_crash = 0;           ///< instant fault events
   NameId n_recover = 0;
   NameId n_fault_plan = 0;      ///< injector installed a compiled schedule
-  NameId n_watchdog = 0;        ///< coverage watchdog intervention
   NameId n_suspect = 0;         ///< detector events
   NameId n_refute = 0;
   NameId n_promote = 0;         ///< repair events

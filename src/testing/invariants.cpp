@@ -9,6 +9,7 @@
 #include "algo/exact/exact.h"
 #include "algo/extensions/repair.h"
 #include "algo/extensions/repair_process.h"
+#include "algo/lp/lp_kmds.h"
 #include "algo/lp/lp_kmds_process.h"
 #include "algo/rounding/rounding.h"
 #include "algo/rounding/rounding_process.h"
@@ -47,6 +48,57 @@ std::string fmt(double v) {
 }
 
 // ---------------------------------------------------------------- LP + rounding
+
+/// k-coverage of an integral set under the LP (closed-neighborhood)
+/// definition, through the packed kernels with the case's scratch. `who`
+/// labels the producing subsystem in the invariant name ("rounding",
+/// "repair", ...).
+void check_coverage_invariant(const Graph& g, const Demands& demands,
+                              const std::vector<NodeId>& set, const char* who,
+                              Violations& out,
+                              domination::CoverageScratch& scratch) {
+  const auto deficit = domination::deficiency(
+      g, set, demands, domination::Mode::kClosedNeighborhood, scratch);
+  if (deficit != 0) {
+    add(out, (std::string(who) + ".coverage").c_str(),
+        "total coverage shortfall " + std::to_string(deficit) + " with |set|=" +
+            std::to_string(set.size()));
+  }
+}
+
+/// Theorem 4.5 battery over an Algorithm 1 result.
+void check_lp_invariants(const Graph& g, const Demands& demands,
+                         const algo::LpResult& lp, int t, Violations& out) {
+  if (!domination::primal_feasible(g, lp.primal, demands, kEps)) {
+    add(out, "lp.primal_feasible",
+        "max violation " + fmt(domination::max_primal_violation(
+                               g, lp.primal, demands)));
+  }
+  if (lp.max_lemma41_ratio > 1.0 + 1e-9) {
+    add(out, "lp.lemma41", "ratio " + fmt(lp.max_lemma41_ratio));
+  }
+  auto scaled = lp.scaled_dual();
+  domination::clamp_tiny_negatives(scaled.y);
+  domination::clamp_tiny_negatives(scaled.z);
+  if (!domination::dual_feasible(g, scaled, kEps)) {
+    add(out, "lp.dual_feasible",
+        "max LHS " + fmt(domination::max_dual_lhs(g, scaled)));
+  }
+  const double primal_obj = lp.primal.objective();
+  const double dual_obj = lp.dual_bound(demands);
+  if (dual_obj > primal_obj + kEps) {
+    add(out, "lp.weak_duality",
+        "dual " + fmt(dual_obj) + " > primal " + fmt(primal_obj));
+  }
+  const double lower =
+      domination::best_lower_bound(g, demands, 0, dual_obj);
+  if (lower > 0.0 &&
+      primal_obj > algo::theorem45_bound(t, g.max_degree()) * lower + kEps) {
+    add(out, "lp.theorem45_ratio",
+        "primal " + fmt(primal_obj) + " > bound*lower " +
+            fmt(algo::theorem45_bound(t, g.max_degree()) * lower));
+  }
+}
 
 void check_rounding_result(const Graph& g, const Demands& demands,
                            const algo::RoundingResult& r,
@@ -727,59 +779,6 @@ void check_obs(const FuzzCase& c, const Graph& g, const Demands& demands,
 }  // namespace
 
 // ---------------------------------------------------------------- public API
-
-void check_coverage_invariant(const Graph& g, const Demands& demands,
-                              const std::vector<NodeId>& set, const char* who,
-                              Violations& out) {
-  domination::CoverageScratch scratch;
-  check_coverage_invariant(g, demands, set, who, out, scratch);
-}
-
-void check_coverage_invariant(const Graph& g, const Demands& demands,
-                              const std::vector<NodeId>& set, const char* who,
-                              Violations& out,
-                              domination::CoverageScratch& scratch) {
-  const auto deficit = domination::deficiency(
-      g, set, demands, domination::Mode::kClosedNeighborhood, scratch);
-  if (deficit != 0) {
-    add(out, (std::string(who) + ".coverage").c_str(),
-        "total coverage shortfall " + std::to_string(deficit) + " with |set|=" +
-            std::to_string(set.size()));
-  }
-}
-
-void check_lp_invariants(const Graph& g, const Demands& demands,
-                         const algo::LpResult& lp, int t, Violations& out) {
-  if (!domination::primal_feasible(g, lp.primal, demands, kEps)) {
-    add(out, "lp.primal_feasible",
-        "max violation " + fmt(domination::max_primal_violation(
-                               g, lp.primal, demands)));
-  }
-  if (lp.max_lemma41_ratio > 1.0 + 1e-9) {
-    add(out, "lp.lemma41", "ratio " + fmt(lp.max_lemma41_ratio));
-  }
-  auto scaled = lp.scaled_dual();
-  domination::clamp_tiny_negatives(scaled.y);
-  domination::clamp_tiny_negatives(scaled.z);
-  if (!domination::dual_feasible(g, scaled, kEps)) {
-    add(out, "lp.dual_feasible",
-        "max LHS " + fmt(domination::max_dual_lhs(g, scaled)));
-  }
-  const double primal_obj = lp.primal.objective();
-  const double dual_obj = lp.dual_bound(demands);
-  if (dual_obj > primal_obj + kEps) {
-    add(out, "lp.weak_duality",
-        "dual " + fmt(dual_obj) + " > primal " + fmt(primal_obj));
-  }
-  const double lower =
-      domination::best_lower_bound(g, demands, 0, dual_obj);
-  if (lower > 0.0 &&
-      primal_obj > algo::theorem45_bound(t, g.max_degree()) * lower + kEps) {
-    add(out, "lp.theorem45_ratio",
-        "primal " + fmt(primal_obj) + " > bound*lower " +
-            fmt(algo::theorem45_bound(t, g.max_degree()) * lower));
-  }
-}
 
 Violations check_case(const FuzzCase& c, Mutation mutation) {
   Violations out;

@@ -34,10 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "algo/lp/lp_kmds.h"
-#include "domination/domination.h"
-#include "domination/kernels.h"
-#include "graph/graph.h"
 #include "testing/generators.h"
 #include "testing/mutants.h"
 
@@ -59,29 +55,5 @@ using Violations = std::vector<Violation>;
 /// under test (mutation-testing the harness itself).
 [[nodiscard]] Violations check_case(const FuzzCase& c,
                                     Mutation mutation = Mutation::kNone);
-
-// ---- Granular checks (exposed so unit tests can probe them directly) ----
-
-/// Theorem 4.5 battery over an Algorithm 1 result.
-void check_lp_invariants(const graph::Graph& g,
-                         const domination::Demands& demands,
-                         const algo::LpResult& lp, int t, Violations& out);
-
-/// k-coverage of an integral set under the LP (closed-neighborhood)
-/// definition. `who` labels the producing subsystem in the invariant name
-/// ("rounding", "repair", ...).
-void check_coverage_invariant(const graph::Graph& g,
-                              const domination::Demands& demands,
-                              const std::vector<graph::NodeId>& set,
-                              const char* who, Violations& out);
-
-/// No-alloc variant: same check routed through the packed coverage kernels
-/// (domination/kernels.h) with caller-owned scratch — what check_case uses
-/// for every coverage check in a case.
-void check_coverage_invariant(const graph::Graph& g,
-                              const domination::Demands& demands,
-                              const std::vector<graph::NodeId>& set,
-                              const char* who, Violations& out,
-                              domination::CoverageScratch& scratch);
 
 }  // namespace ftc::testing

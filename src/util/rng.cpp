@@ -1,6 +1,5 @@
 #include "util/rng.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <numbers>
@@ -115,24 +114,6 @@ Rng Rng::split(std::uint64_t stream) const noexcept {
   std::uint64_t h = seed_ ^ (0xD1B54A32D192ED03ULL * (stream + 1));
   const std::uint64_t child_seed = splitmix64(h);
   return Rng{child_seed};
-}
-
-std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,
-                                                         std::size_t count) {
-  assert(count <= n);
-  // Floyd's algorithm: O(count) expected insertions.
-  std::vector<std::size_t> picked;
-  picked.reserve(count);
-  for (std::size_t j = n - count; j < n; ++j) {
-    const std::size_t candidate = static_cast<std::size_t>(uniform_u64(0, j));
-    if (std::find(picked.begin(), picked.end(), candidate) != picked.end()) {
-      picked.push_back(j);
-    } else {
-      picked.push_back(candidate);
-    }
-  }
-  std::sort(picked.begin(), picked.end());
-  return picked;
 }
 
 }  // namespace ftc::util

@@ -80,11 +80,6 @@ class Rng {
     }
   }
 
-  /// Samples `count` distinct indices from [0, n) without replacement,
-  /// returned in ascending order. Precondition: count <= n.
-  [[nodiscard]] std::vector<std::size_t> sample_without_replacement(
-      std::size_t n, std::size_t count);
-
  private:
   std::uint64_t s_[4];
   std::uint64_t seed_;  // retained so split() can derive children

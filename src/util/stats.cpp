@@ -1,119 +1,15 @@
 #include "util/stats.h"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
-#include <cstdio>
-#include <limits>
 
 namespace ftc::util {
 
 void RunningStats::add(double x) noexcept {
   ++count_;
+  // Welford's incremental mean; the bench tables print these exact bits.
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-  min_ = std::min(min_, x);
   max_ = std::max(max_, x);
-}
-
-double RunningStats::variance() const noexcept {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
-
-void RunningStats::merge(const RunningStats& other) noexcept {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(count_);
-  const double nb = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-std::string Summary::mean_ci_string(int precision) const {
-  char buf[96];
-  std::snprintf(buf, sizeof buf, "%.*f ± %.*f", precision, mean, precision,
-                ci95_halfwidth);
-  return buf;
-}
-
-double percentile_sorted(std::span<const double> sorted, double q) {
-  assert(!sorted.empty());
-  q = std::clamp(q, 0.0, 1.0);
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
-}
-
-Summary summarize(std::span<const double> samples) {
-  Summary s;
-  if (samples.empty()) return s;
-
-  std::vector<double> sorted(samples.begin(), samples.end());
-  std::sort(sorted.begin(), sorted.end());
-
-  RunningStats rs;
-  for (double x : sorted) rs.add(x);
-
-  s.count = rs.count();
-  s.mean = rs.mean();
-  s.stddev = rs.stddev();
-  s.min = rs.min();
-  s.max = rs.max();
-  s.median = percentile_sorted(sorted, 0.5);
-  s.p10 = percentile_sorted(sorted, 0.10);
-  s.p90 = percentile_sorted(sorted, 0.90);
-  if (s.count >= 2) {
-    s.ci95_halfwidth = 1.96 * s.stddev / std::sqrt(static_cast<double>(s.count));
-  }
-  return s;
-}
-
-std::pair<double, double> linear_fit(std::span<const double> xs,
-                                     std::span<const double> ys) {
-  assert(xs.size() == ys.size());
-  assert(xs.size() >= 2);
-  const double n = static_cast<double>(xs.size());
-  double sx = 0, sy = 0, sxx = 0, sxy = 0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    sx += xs[i];
-    sy += ys[i];
-    sxx += xs[i] * xs[i];
-    sxy += xs[i] * ys[i];
-  }
-  const double denom = n * sxx - sx * sx;
-  assert(denom != 0.0 && "x values must not all be equal");
-  const double b = (n * sxy - sx * sy) / denom;
-  const double a = (sy - b * sx) / n;
-  return {a, b};
-}
-
-double pearson(std::span<const double> xs, std::span<const double> ys) {
-  assert(xs.size() == ys.size());
-  if (xs.size() < 2) return 0.0;
-  RunningStats rx, ry;
-  for (double x : xs) rx.add(x);
-  for (double y : ys) ry.add(y);
-  if (rx.stddev() == 0.0 || ry.stddev() == 0.0) return 0.0;
-  double cov = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    cov += (xs[i] - rx.mean()) * (ys[i] - ry.mean());
-  }
-  cov /= static_cast<double>(xs.size() - 1);
-  return cov / (rx.stddev() * ry.stddev());
 }
 
 }  // namespace ftc::util

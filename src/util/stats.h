@@ -1,21 +1,16 @@
-// Summary statistics for experiment measurements.
+// Streaming aggregation for experiment measurements.
 //
-// Benchmarks repeat every configuration over several seeds; this module
-// aggregates the per-seed measurements into mean / stddev / min / max /
-// percentiles and normal-approximation confidence intervals.
+// Benchmarks repeat every configuration over several seeds and report the
+// mean (and, for some columns, the maximum) of the per-seed measurements.
 #pragma once
 
 #include <cstddef>
 #include <limits>
-#include <span>
-#include <string>
-#include <utility>
-#include <vector>
 
 namespace ftc::util {
 
-/// Streaming accumulator (Welford) for mean and variance. Suitable when the
-/// individual samples need not be retained.
+/// Streaming accumulator for the mean and maximum of a sample. Suitable
+/// when the individual samples need not be retained.
 class RunningStats {
  public:
   /// Adds one observation.
@@ -25,63 +20,13 @@ class RunningStats {
   [[nodiscard]] std::size_t count() const noexcept { return count_; }
   /// Arithmetic mean of the observations (0 if empty).
   [[nodiscard]] double mean() const noexcept { return mean_; }
-  /// Unbiased sample variance (0 if fewer than two observations).
-  [[nodiscard]] double variance() const noexcept;
-  /// Square root of variance().
-  [[nodiscard]] double stddev() const noexcept;
-  /// Smallest observation (+inf if empty).
-  [[nodiscard]] double min() const noexcept { return min_; }
   /// Largest observation (-inf if empty).
   [[nodiscard]] double max() const noexcept { return max_; }
-  /// Sum of all observations.
-  [[nodiscard]] double sum() const noexcept { return mean_ * static_cast<double>(count_); }
-
-  /// Merges another accumulator into this one (parallel-combine rule).
-  void merge(const RunningStats& other) noexcept;
 
  private:
   std::size_t count_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
 };
-
-/// One-shot summary of a sample vector.
-struct Summary {
-  std::size_t count = 0;
-  double mean = 0.0;
-  double stddev = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  double median = 0.0;
-  double p10 = 0.0;  ///< 10th percentile
-  double p90 = 0.0;  ///< 90th percentile
-
-  /// Half-width of the ~95% normal-approximation confidence interval of the
-  /// mean (1.96 * stddev / sqrt(count); 0 for count < 2).
-  double ci95_halfwidth = 0.0;
-
-  /// Renders "mean ± ci" with the given precision, e.g. "3.142 ± 0.01".
-  [[nodiscard]] std::string mean_ci_string(int precision = 3) const;
-};
-
-/// Computes a Summary of `samples`. An empty span yields a zero Summary.
-[[nodiscard]] Summary summarize(std::span<const double> samples);
-
-/// Linear-interpolation percentile of `sorted` (must be ascending),
-/// q in [0, 1]. Precondition: sorted is non-empty.
-[[nodiscard]] double percentile_sorted(std::span<const double> sorted,
-                                       double q);
-
-/// Ordinary least squares fit y = a + b*x. Returns {a, b}. Requires
-/// xs.size() == ys.size() >= 2 and xs not all equal.
-[[nodiscard]] std::pair<double, double> linear_fit(
-    std::span<const double> xs, std::span<const double> ys);
-
-/// Pearson correlation coefficient of two equal-length samples (0 if either
-/// sample is constant).
-[[nodiscard]] double pearson(std::span<const double> xs,
-                             std::span<const double> ys);
 
 }  // namespace ftc::util

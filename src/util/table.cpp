@@ -10,15 +10,7 @@ namespace ftc::util {
 
 const std::string Table::kRuleSentinel = "\x01__rule__";
 
-Table::Table(std::vector<std::string> header) : header_(std::move(header)) {
-  aligns_.assign(header_.size(), Align::kRight);
-  if (!aligns_.empty()) aligns_[0] = Align::kLeft;
-}
-
-void Table::set_align(std::size_t col, Align align) {
-  assert(col < aligns_.size());
-  aligns_[col] = align;
-}
+Table::Table(std::vector<std::string> header) : header_(std::move(header)) {}
 
 void Table::add_row(std::vector<std::string> cells) {
   assert(cells.size() <= header_.size());
@@ -27,14 +19,6 @@ void Table::add_row(std::vector<std::string> cells) {
 }
 
 void Table::add_rule() { rows_.push_back({kRuleSentinel}); }
-
-std::size_t Table::row_count() const noexcept {
-  std::size_t n = 0;
-  for (const auto& row : rows_) {
-    if (row.empty() || row[0] != kRuleSentinel) ++n;
-  }
-  return n;
-}
 
 void Table::print(std::ostream& os, const std::string& title) const {
   std::vector<std::size_t> widths(header_.size());
@@ -50,8 +34,8 @@ void Table::print(std::ostream& os, const std::string& title) const {
 
   auto emit_cell = [&](const std::string& text, std::size_t c) {
     const std::size_t pad = widths[c] - text.size();
-    if (aligns_[c] == Align::kRight) os << std::string(pad, ' ') << text;
-    else os << text << std::string(pad, ' ');
+    if (c == 0) os << text << std::string(pad, ' ');
+    else os << std::string(pad, ' ') << text;
   };
   auto emit_rule = [&] {
     for (std::size_t c = 0; c < widths.size(); ++c) {

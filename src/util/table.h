@@ -12,9 +12,6 @@
 
 namespace ftc::util {
 
-/// Column alignment within a rendered table.
-enum class Align { kLeft, kRight };
-
 /// A simple monospace table builder.
 ///
 /// Usage:
@@ -23,13 +20,9 @@ enum class Align { kLeft, kRight };
 ///   t.print(std::cout);
 class Table {
  public:
-  /// Creates a table with the given header cells. All columns default to
-  /// right alignment except the first, which is left aligned (typical for a
-  /// label column followed by numeric columns).
+  /// Creates a table with the given header cells. The first column (the
+  /// row label) is left aligned; every other column is right aligned.
   explicit Table(std::vector<std::string> header);
-
-  /// Overrides the alignment of column `col`.
-  void set_align(std::size_t col, Align align);
 
   /// Appends one row. The row may have fewer cells than the header (missing
   /// cells render empty) but not more.
@@ -37,9 +30,6 @@ class Table {
 
   /// Appends a horizontal rule between the rows added before and after.
   void add_rule();
-
-  /// Number of data rows added so far (rules not counted).
-  [[nodiscard]] std::size_t row_count() const noexcept;
 
   /// Renders the table to `os`, with an optional title line above it.
   void print(std::ostream& os, const std::string& title = "") const;
@@ -49,7 +39,6 @@ class Table {
 
  private:
   std::vector<std::string> header_;
-  std::vector<Align> aligns_;
   // A row with the special sentinel {kRuleSentinel} renders as a rule.
   std::vector<std::vector<std::string>> rows_;
   static const std::string kRuleSentinel;

@@ -156,41 +156,5 @@ TEST(Rounding, PerNodeDemands) {
 }
 
 
-TEST(RoundingBestOf, NeverWorseThanSingleTrial) {
-  util::Rng rng(8);
-  const Graph g = graph::gnp(80, 0.08, rng);
-  const auto d = clamp_demands(g, uniform_demands(80, 2));
-  const auto x = lp_solution(g, d);
-  const auto single = round_fractional(g, x, d, 42);
-  const auto best = round_fractional_best_of(g, x, d, 42, 8);
-  EXPECT_LE(best.set.size(), single.set.size());
-  EXPECT_TRUE(domination::is_k_dominating(g, best.set, d));
-  EXPECT_EQ(best.rounds, 3 * 8);
-}
-
-TEST(RoundingBestOf, OneTrialEqualsSingle) {
-  util::Rng rng(9);
-  const Graph g = graph::gnp(40, 0.12, rng);
-  const auto d = clamp_demands(g, uniform_demands(40, 1));
-  const auto x = lp_solution(g, d);
-  EXPECT_EQ(round_fractional_best_of(g, x, d, 5, 1).set,
-            round_fractional(g, x, d, 5).set);
-}
-
-TEST(RoundingBestOf, UsuallyImprovesWithTrials) {
-  util::Rng rng(10);
-  const Graph g = graph::gnp(200, 0.05, rng);
-  const auto d = clamp_demands(g, uniform_demands(200, 2));
-  const auto x = lp_solution(g, d);
-  double single_total = 0, best_total = 0;
-  for (std::uint64_t s = 0; s < 10; ++s) {
-    single_total += static_cast<double>(
-        round_fractional(g, x, d, 1000 + 16 * s).set.size());
-    best_total += static_cast<double>(
-        round_fractional_best_of(g, x, d, 1000 + 16 * s, 16).set.size());
-  }
-  EXPECT_LT(best_total, single_total);
-}
-
 }  // namespace
 }  // namespace ftc::algo

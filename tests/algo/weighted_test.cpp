@@ -20,8 +20,6 @@ using graph::Graph;
 using graph::NodeId;
 
 TEST(Weights, Constructors) {
-  const auto u = uniform_weights(4);
-  EXPECT_EQ(u, (NodeWeights{1, 1, 1, 1}));
   util::Rng rng(1);
   const auto r = random_weights(100, 0.5, 2.0, rng);
   EXPECT_EQ(r.size(), 100u);
@@ -43,7 +41,7 @@ TEST(WeightedGreedy, UnweightedMatchesPlainGreedy) {
   const Graph g = graph::gnp(50, 0.1, rng);
   const auto d = clamp_demands(g, uniform_demands(50, 2));
   const auto plain = greedy_kmds(g, d);
-  const auto weighted = weighted_greedy_kmds(g, d, uniform_weights(50));
+  const auto weighted = weighted_greedy_kmds(g, d, NodeWeights(50, 1.0));
   // Same tie-breaking and same criterion (weight/span = 1/span), so the
   // result sets should coincide.
   EXPECT_EQ(weighted.set, plain.set);
@@ -91,7 +89,7 @@ TEST(WeightedExact, MatchesUnweightedExactUnderUniformWeights) {
     const auto d = clamp_demands(g, uniform_demands(14, 2));
     const auto unweighted = exact_kmds(g, d);
     const auto weighted =
-        weighted_exact_kmds(g, d, uniform_weights(14));
+        weighted_exact_kmds(g, d, NodeWeights(14, 1.0));
     ASSERT_TRUE(unweighted.optimal && weighted.optimal);
     EXPECT_DOUBLE_EQ(weighted.weight,
                      static_cast<double>(unweighted.set.size()));
@@ -113,7 +111,7 @@ TEST(WeightedExact, FindsCheaperNonMinimumCardinalitySolution) {
 TEST(WeightedExact, InfeasibleDetected) {
   const Graph g = graph::path(3);
   const auto result = weighted_exact_kmds(g, uniform_demands(3, 4),
-                                          uniform_weights(3));
+                                          NodeWeights(3, 1.0));
   EXPECT_FALSE(result.feasible);
 }
 

@@ -72,16 +72,6 @@ TEST(Harmonic, KnownValues) {
   EXPECT_DOUBLE_EQ(harmonic(0), 0.0);
 }
 
-TEST(DualLowerBound, FlooredAtZero) {
-  DualSolution d;
-  d.y = {0.0};
-  d.z = {0.5};
-  EXPECT_DOUBLE_EQ(dual_lower_bound(d, Demands{1}), 0.0);
-  d.y = {0.5};
-  d.z = {0.0};
-  EXPECT_DOUBLE_EQ(dual_lower_bound(d, Demands{2}), 1.0);
-}
-
 TEST(BestLowerBound, CombinesAll) {
   const Graph g = graph::complete(4);
   const Demands d = uniform_demands(4, 2);

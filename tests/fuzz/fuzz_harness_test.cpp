@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "algo/lp/lp_kmds.h"
 #include "domination/domination.h"
 #include "testing/generators.h"
 #include "testing/invariants.h"

@@ -4,7 +4,9 @@
 
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <sstream>
+#include <string>
 
 #include "util/rng.h"
 
@@ -15,28 +17,34 @@ UnitDiskGraph tiny_udg() {
   return build_udg({{0.0, 0.0}, {0.5, 0.0}, {0.5, 0.5}, {3.0, 3.0}}, 1.0);
 }
 
+std::string render(const UnitDiskGraph& udg,
+                   std::span<const SvgLayer> layers) {
+  std::ostringstream os;
+  write_svg(os, udg, layers);
+  return os.str();
+}
+
+std::size_t count_of(const std::string& haystack, const std::string& needle) {
+  std::size_t count = 0, pos = 0;
+  while ((pos = haystack.find(needle, pos)) != std::string::npos) {
+    ++count;
+    ++pos;
+  }
+  return count;
+}
+
 TEST(Svg, WellFormedEnvelope) {
   const auto udg = tiny_udg();
-  const std::string svg = svg_string(udg, {});
+  const std::string svg = render(udg, {});
   EXPECT_EQ(svg.rfind("<svg", 0), 0u);
   EXPECT_NE(svg.find("</svg>"), std::string::npos);
   // One circle per node.
-  std::size_t circles = 0, pos = 0;
-  while ((pos = svg.find("<circle", pos)) != std::string::npos) {
-    ++circles;
-    ++pos;
-  }
-  EXPECT_EQ(circles, 4u);
+  EXPECT_EQ(count_of(svg, "<circle"), 4u);
 }
 
-TEST(Svg, EdgesDrawnWhenEnabled) {
+TEST(Svg, OneLinePerEdge) {
   const auto udg = tiny_udg();
-  const std::string with_edges = svg_string(udg, {});
-  EXPECT_NE(with_edges.find("<line"), std::string::npos);
-  SvgOptions options;
-  options.draw_edges = false;
-  const std::string without = svg_string(udg, {}, options);
-  EXPECT_EQ(without.find("<line"), std::string::npos);
+  EXPECT_EQ(count_of(render(udg, {}), "<line"), udg.graph.m());
 }
 
 TEST(Svg, LayersRenderWithColorAndLegend) {
@@ -46,7 +54,7 @@ TEST(Svg, LayersRenderWithColorAndLegend) {
   layer.color = "#ff0000";
   layer.label = "backbone";
   const std::vector<SvgLayer> layers{layer};
-  const std::string svg = svg_string(udg, layers);
+  const std::string svg = render(udg, layers);
   EXPECT_NE(svg.find("#ff0000"), std::string::npos);
   EXPECT_NE(svg.find(">backbone</text>"), std::string::npos);
 }
@@ -54,7 +62,7 @@ TEST(Svg, LayersRenderWithColorAndLegend) {
 TEST(Svg, CoordinatesStayOnCanvas) {
   util::Rng rng(1);
   const auto udg = build_udg(uniform_points(100, 7.0, rng), 1.0);
-  const std::string svg = svg_string(udg, {});
+  const std::string svg = render(udg, {});
   // Parse all cx values and check bounds.
   std::istringstream lines(svg);
   std::string line;
@@ -86,7 +94,7 @@ TEST(Svg, SaveToBadPathThrows) {
 
 TEST(Svg, EmptyDeployment) {
   UnitDiskGraph udg;
-  const std::string svg = svg_string(udg, {});
+  const std::string svg = render(udg, {});
   EXPECT_NE(svg.find("</svg>"), std::string::npos);
 }
 

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
-#include "util/rng.h"
 
 namespace ftc::graph {
 namespace {
@@ -33,72 +32,6 @@ TEST(Components, IsolatedNodesAreOwnComponents) {
 
 TEST(Components, EmptyGraph) {
   EXPECT_EQ(connected_components(Graph{}).count, 0);
-}
-
-TEST(IsConnected, Various) {
-  EXPECT_TRUE(is_connected(Graph{}));
-  EXPECT_TRUE(is_connected(empty(1)));
-  EXPECT_FALSE(is_connected(empty(2)));
-  EXPECT_TRUE(is_connected(cycle(5)));
-  EXPECT_TRUE(is_connected(complete(4)));
-}
-
-TEST(BfsDistances, PathDistances) {
-  const auto dist = bfs_distances(path(5), 0);
-  for (NodeId v = 0; v < 5; ++v) {
-    EXPECT_EQ(dist[static_cast<std::size_t>(v)], v);
-  }
-}
-
-TEST(BfsDistances, UnreachableIsMinusOne) {
-  const auto dist = bfs_distances(empty(3), 0);
-  EXPECT_EQ(dist[0], 0);
-  EXPECT_EQ(dist[1], -1);
-  EXPECT_EQ(dist[2], -1);
-}
-
-TEST(BfsDistances, CycleWrapsAround) {
-  const auto dist = bfs_distances(cycle(6), 0);
-  EXPECT_EQ(dist[3], 3);
-  EXPECT_EQ(dist[5], 1);
-}
-
-TEST(Eccentricity, PathEnds) {
-  EXPECT_EQ(eccentricity(path(5), 0), 4);
-  EXPECT_EQ(eccentricity(path(5), 2), 2);
-}
-
-TEST(DegreeHistogram, Star) {
-  const auto hist = degree_histogram(star(5));
-  ASSERT_EQ(hist.size(), 5u);  // max degree 4
-  EXPECT_EQ(hist[1], 4u);
-  EXPECT_EQ(hist[4], 1u);
-}
-
-TEST(DegreeHistogram, SumsToN) {
-  util::Rng rng(1);
-  const Graph g = gnp(100, 0.05, rng);
-  const auto hist = degree_histogram(g);
-  std::size_t total = 0;
-  for (std::size_t c : hist) total += c;
-  EXPECT_EQ(total, 100u);
-}
-
-TEST(DegreeHistogram, EmptyGraph) {
-  EXPECT_TRUE(degree_histogram(Graph{}).empty());
-}
-
-TEST(AverageDegree, Known) {
-  EXPECT_DOUBLE_EQ(average_degree(cycle(10)), 2.0);
-  EXPECT_DOUBLE_EQ(average_degree(complete(5)), 4.0);
-  EXPECT_DOUBLE_EQ(average_degree(Graph{}), 0.0);
-}
-
-TEST(MinDegree, Known) {
-  EXPECT_EQ(min_degree(path(4)), 1);
-  EXPECT_EQ(min_degree(cycle(4)), 2);
-  EXPECT_EQ(min_degree(star(5)), 1);
-  EXPECT_EQ(min_degree(Graph{}), 0);
 }
 
 }  // namespace

@@ -20,7 +20,6 @@
 #include "domination/lp_solver.h"
 #include "geom/udg.h"
 #include "graph/generators.h"
-#include "graph/properties.h"
 #include "sim/async.h"
 #include "util/rng.h"
 
@@ -59,7 +58,7 @@ TEST(EdgeCases, SingleNodeEverywhere) {
   EXPECT_EQ(algo::run_kmds_pipeline(g, d, opts).set(),
             (std::vector<NodeId>{0}));
   const auto weighted = algo::weighted_greedy_kmds(
-      g, d, algo::uniform_weights(1));
+      g, d, algo::NodeWeights(1, 1.0));
   EXPECT_EQ(weighted.set, (std::vector<NodeId>{0}));
 }
 
@@ -154,7 +153,7 @@ TEST(EdgeCases, AsyncWithMinimumDelayBoundsEqual) {
 TEST(EdgeCases, WeightedExactZeroDemandIsEmpty) {
   const Graph g = graph::complete(5);
   const auto result = algo::weighted_exact_kmds(
-      g, uniform_demands(5, 0), algo::uniform_weights(5));
+      g, uniform_demands(5, 0), algo::NodeWeights(5, 1.0));
   EXPECT_TRUE(result.optimal);
   EXPECT_TRUE(result.set.empty());
   EXPECT_DOUBLE_EQ(result.weight, 0.0);

@@ -18,7 +18,6 @@
 #include "domination/bounds.h"
 #include "geom/udg.h"
 #include "graph/generators.h"
-#include "graph/properties.h"
 #include "util/rng.h"
 
 namespace ftc::algo {

@@ -167,27 +167,6 @@ TEST(Rng, ShuffleActuallyPermutes) {
   EXPECT_NE(v, original);  // probability of identity ~ 1/100!
 }
 
-TEST(Rng, SampleWithoutReplacementBasics) {
-  Rng rng(47);
-  const auto sample = rng.sample_without_replacement(100, 10);
-  EXPECT_EQ(sample.size(), 10u);
-  EXPECT_TRUE(std::is_sorted(sample.begin(), sample.end()));
-  std::set<std::size_t> unique(sample.begin(), sample.end());
-  EXPECT_EQ(unique.size(), 10u);
-  for (auto s : sample) EXPECT_LT(s, 100u);
-}
-
-TEST(Rng, SampleWithoutReplacementFullSet) {
-  Rng rng(53);
-  const auto sample = rng.sample_without_replacement(5, 5);
-  EXPECT_EQ(sample, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
-}
-
-TEST(Rng, SampleWithoutReplacementEmpty) {
-  Rng rng(59);
-  EXPECT_TRUE(rng.sample_without_replacement(10, 0).empty());
-}
-
 TEST(Rng, SatisfiesUniformRandomBitGenerator) {
   static_assert(Rng::min() == 0);
   static_assert(Rng::max() == ~std::uint64_t{0});

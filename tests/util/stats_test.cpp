@@ -2,8 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <vector>
+#include <limits>
 
 namespace ftc::util {
 namespace {
@@ -12,8 +11,7 @@ TEST(RunningStats, EmptyDefaults) {
   RunningStats rs;
   EXPECT_EQ(rs.count(), 0u);
   EXPECT_EQ(rs.mean(), 0.0);
-  EXPECT_EQ(rs.variance(), 0.0);
-  EXPECT_EQ(rs.stddev(), 0.0);
+  EXPECT_EQ(rs.max(), -std::numeric_limits<double>::infinity());
 }
 
 TEST(RunningStats, SingleValue) {
@@ -21,138 +19,15 @@ TEST(RunningStats, SingleValue) {
   rs.add(5.0);
   EXPECT_EQ(rs.count(), 1u);
   EXPECT_DOUBLE_EQ(rs.mean(), 5.0);
-  EXPECT_EQ(rs.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(rs.min(), 5.0);
   EXPECT_DOUBLE_EQ(rs.max(), 5.0);
 }
 
-TEST(RunningStats, KnownMeanAndVariance) {
+TEST(RunningStats, KnownMeanAndMax) {
   RunningStats rs;
   for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) rs.add(x);
+  EXPECT_EQ(rs.count(), 8u);
   EXPECT_DOUBLE_EQ(rs.mean(), 5.0);
-  // Sample variance of this classic data set is 32/7.
-  EXPECT_NEAR(rs.variance(), 32.0 / 7.0, 1e-12);
-  EXPECT_DOUBLE_EQ(rs.min(), 2.0);
   EXPECT_DOUBLE_EQ(rs.max(), 9.0);
-  EXPECT_DOUBLE_EQ(rs.sum(), 40.0);
-}
-
-TEST(RunningStats, MergeMatchesSequential) {
-  RunningStats a, b, all;
-  const std::vector<double> xs{1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    (i < 4 ? a : b).add(xs[i]);
-    all.add(xs[i]);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-12);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a, empty;
-  a.add(3.0);
-  a.add(7.0);
-  const double mean_before = a.mean();
-  a.merge(empty);
-  EXPECT_DOUBLE_EQ(a.mean(), mean_before);
-  empty.merge(a);
-  EXPECT_DOUBLE_EQ(empty.mean(), mean_before);
-}
-
-TEST(Summarize, EmptyInput) {
-  const Summary s = summarize({});
-  EXPECT_EQ(s.count, 0u);
-  EXPECT_EQ(s.mean, 0.0);
-}
-
-TEST(Summarize, BasicStatistics) {
-  const std::vector<double> xs{1, 2, 3, 4, 5};
-  const Summary s = summarize(xs);
-  EXPECT_EQ(s.count, 5u);
-  EXPECT_DOUBLE_EQ(s.mean, 3.0);
-  EXPECT_DOUBLE_EQ(s.median, 3.0);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 5.0);
-  EXPECT_NEAR(s.stddev, std::sqrt(2.5), 1e-12);
-  EXPECT_GT(s.ci95_halfwidth, 0.0);
-}
-
-TEST(Summarize, MedianOfEvenCount) {
-  const std::vector<double> xs{1, 2, 3, 4};
-  EXPECT_DOUBLE_EQ(summarize(xs).median, 2.5);
-}
-
-TEST(Summarize, UnsortedInputHandled) {
-  const std::vector<double> xs{9, 1, 5, 3, 7};
-  const Summary s = summarize(xs);
-  EXPECT_DOUBLE_EQ(s.median, 5.0);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 9.0);
-}
-
-TEST(Summarize, MeanCiString) {
-  const std::vector<double> xs{1, 1, 1, 1};
-  const Summary s = summarize(xs);
-  EXPECT_EQ(s.mean_ci_string(2), "1.00 ± 0.00");
-}
-
-TEST(PercentileSorted, Endpoints) {
-  const std::vector<double> xs{10, 20, 30, 40};
-  EXPECT_DOUBLE_EQ(percentile_sorted(xs, 0.0), 10.0);
-  EXPECT_DOUBLE_EQ(percentile_sorted(xs, 1.0), 40.0);
-}
-
-TEST(PercentileSorted, Interpolates) {
-  const std::vector<double> xs{0, 10};
-  EXPECT_DOUBLE_EQ(percentile_sorted(xs, 0.25), 2.5);
-  EXPECT_DOUBLE_EQ(percentile_sorted(xs, 0.5), 5.0);
-}
-
-TEST(PercentileSorted, ClampsOutOfRangeQ) {
-  const std::vector<double> xs{1, 2, 3};
-  EXPECT_DOUBLE_EQ(percentile_sorted(xs, -0.5), 1.0);
-  EXPECT_DOUBLE_EQ(percentile_sorted(xs, 1.5), 3.0);
-}
-
-TEST(LinearFit, ExactLine) {
-  const std::vector<double> xs{1, 2, 3, 4};
-  const std::vector<double> ys{3, 5, 7, 9};  // y = 1 + 2x
-  const auto [a, b] = linear_fit(xs, ys);
-  EXPECT_NEAR(a, 1.0, 1e-12);
-  EXPECT_NEAR(b, 2.0, 1e-12);
-}
-
-TEST(LinearFit, NoisyLineRecovered) {
-  std::vector<double> xs, ys;
-  for (int i = 0; i < 100; ++i) {
-    xs.push_back(i);
-    ys.push_back(2.0 + 0.5 * i + ((i % 2 == 0) ? 0.1 : -0.1));
-  }
-  const auto [a, b] = linear_fit(xs, ys);
-  EXPECT_NEAR(a, 2.0, 0.05);
-  EXPECT_NEAR(b, 0.5, 0.01);
-}
-
-TEST(Pearson, PerfectCorrelation) {
-  const std::vector<double> xs{1, 2, 3, 4};
-  const std::vector<double> ys{2, 4, 6, 8};
-  EXPECT_NEAR(pearson(xs, ys), 1.0, 1e-12);
-}
-
-TEST(Pearson, PerfectAnticorrelation) {
-  const std::vector<double> xs{1, 2, 3, 4};
-  const std::vector<double> ys{8, 6, 4, 2};
-  EXPECT_NEAR(pearson(xs, ys), -1.0, 1e-12);
-}
-
-TEST(Pearson, ConstantSeriesGivesZero) {
-  const std::vector<double> xs{1, 2, 3};
-  const std::vector<double> ys{5, 5, 5};
-  EXPECT_EQ(pearson(xs, ys), 0.0);
 }
 
 }  // namespace

@@ -25,8 +25,8 @@ TEST(Table, RowCellsAppear) {
 TEST(Table, ShortRowsArePadded) {
   Table t({"a", "b", "c"});
   t.add_row({"x"});
-  EXPECT_EQ(t.row_count(), 1u);
-  EXPECT_NO_THROW({ (void)t.to_string(); });
+  // The missing cells render empty, so the row spans all three columns.
+  EXPECT_NE(t.to_string().find("| x |   |   |"), std::string::npos);
 }
 
 TEST(Table, RuleNotCountedAsRow) {
@@ -34,7 +34,9 @@ TEST(Table, RuleNotCountedAsRow) {
   t.add_row({"1"});
   t.add_rule();
   t.add_row({"2"});
-  EXPECT_EQ(t.row_count(), 2u);
+  // The added rule renders as a rule line, not as an empty data row.
+  EXPECT_EQ(t.to_string(),
+            "+---+\n| a |\n+---+\n| 1 |\n+---+\n| 2 |\n+---+\n");
 }
 
 TEST(Table, TitleAppearsFirst) {
@@ -67,14 +69,6 @@ TEST(Table, LeftAlignDefault) {
   const std::string out = t.to_string();
   // Label column is left aligned: "ab" followed by padding spaces.
   EXPECT_NE(out.find("| ab "), std::string::npos);
-}
-
-TEST(Table, SetAlignOverrides) {
-  Table t({"x", "y"});
-  t.set_align(0, Align::kRight);
-  t.add_row({"z", "1"});
-  const std::string out = t.to_string();
-  EXPECT_NE(out.find("z |"), std::string::npos);
 }
 
 TEST(Fmt, DoublesUsePrecision) {
