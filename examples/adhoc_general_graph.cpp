@@ -11,6 +11,7 @@
 // (Algorithms 1+2) is the right tool. We run it fully distributed on the
 // synchronous simulator and report rounds, message sizes, and quality.
 #include <cstdio>
+#include <limits>
 
 #include "algo/baseline/greedy.h"
 #include "algo/pipeline.h"
@@ -21,12 +22,16 @@
 #include "util/cli.h"
 #include "util/rng.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const ftc::util::Args& args) {
   using namespace ftc;
-  const util::Args args(argc, argv);
-  const auto n = static_cast<graph::NodeId>(args.get_int("n", 600));
-  const auto k = static_cast<std::int32_t>(args.get_int("k", 2));
-  const int t = static_cast<int>(args.get_int("t", 3));
+  const auto n = static_cast<graph::NodeId>(
+      args.get_int("n", 600, 1, std::numeric_limits<graph::NodeId>::max()));
+  const auto k = static_cast<std::int32_t>(
+      args.get_int("k", 2, 1, std::numeric_limits<std::int32_t>::max()));
+  const int t = static_cast<int>(
+      args.get_int("t", 3, 1, std::numeric_limits<int>::max()));
   const std::uint64_t seed = args.get_u64("seed", 5);
 
   util::Rng rng(seed);
@@ -71,4 +76,10 @@ int main(int argc, char** argv) {
               lb, static_cast<double>(pipe.set().size()) / lb,
               static_cast<double>(greedy.set.size()) / lb);
   return ok ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ftc::util::run_cli(argc, argv, run);
 }

@@ -14,6 +14,7 @@
 // The k-fold redundancy is held constant; only head selection differs.
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <vector>
 
 #include "algo/baseline/greedy.h"
@@ -89,13 +90,13 @@ LifetimeResult simulate(const geom::UnitDiskGraph& udg, std::int32_t k,
   return result;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
-  const auto n = static_cast<graph::NodeId>(args.get_int("n", 1000));
-  const auto k = static_cast<std::int32_t>(args.get_int("k", 2));
-  const int epochs = static_cast<int>(args.get_int("epochs", 60));
+int run(const util::Args& args) {
+  const auto n = static_cast<graph::NodeId>(
+      args.get_int("n", 1000, 1, std::numeric_limits<graph::NodeId>::max()));
+  const auto k = static_cast<std::int32_t>(
+      args.get_int("k", 2, 1, std::numeric_limits<std::int32_t>::max()));
+  const int epochs = static_cast<int>(
+      args.get_int("epochs", 60, 1, std::numeric_limits<int>::max()));
   const std::uint64_t seed = args.get_u64("seed", 7);
 
   util::Rng rng(seed);
@@ -131,4 +132,10 @@ int main(int argc, char** argv) {
                    static_cast<double>(blind.epochs_survived) -
                1.0));
   return aware.epochs_survived >= blind.epochs_survived ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ftc::util::run_cli(argc, argv, run);
 }

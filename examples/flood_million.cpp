@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdint>
 #include <iostream>
+#include <limits>
 #include <memory>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -78,14 +79,17 @@ class WaveProcess final : public sim::Process {
   std::int64_t rounds_;
 };
 
-}  // namespace
+/// Cap on --threads (0 = one per hardware thread): a guard against a
+/// typo asking for thousands of threads, far above any useful width.
+constexpr long long kMaxThreads = 256;
 
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
-  const auto n = static_cast<NodeId>(args.get_int("n", 1'000'000));
+int run(const util::Args& args) {
+  const auto n = static_cast<NodeId>(
+      args.get_int("n", 1'000'000, 1, std::numeric_limits<NodeId>::max()));
   const double degree = args.get_double("degree", 12.0);
-  const std::int64_t rounds = args.get_int("rounds", 5);
-  int threads = static_cast<int>(args.get_int("threads", 0));
+  const std::int64_t rounds =
+      args.get_int("rounds", 5, 0, std::numeric_limits<std::int64_t>::max());
+  int threads = static_cast<int>(args.get_int("threads", 0, 0, kMaxThreads));
   if (threads <= 0) threads = util::ThreadPool::hardware_threads();
 
   std::cout << "flood_million: n=" << n << " target_degree=" << degree
@@ -130,4 +134,10 @@ int main(int argc, char** argv) {
             << net.metrics().rounds << " rounds\n";
   std::cout << "peak RSS " << util::fmt(peak_rss_mb(), 0) << " MiB\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ftc::util::run_cli(argc, argv, run);
 }

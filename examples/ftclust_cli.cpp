@@ -59,20 +59,6 @@ namespace {
 
 using namespace ftc;
 
-/// Integer flag --key in [lo, hi] (`fallback` when absent). Throws
-/// std::invalid_argument for a value outside the range, so e.g. an --n
-/// that does not fit NodeId is rejected instead of truncated.
-long long int_flag(const util::Args& args, const std::string& key,
-                   long long fallback, long long lo, long long hi) {
-  const long long value = args.get_int(key, fallback);
-  if (value < lo || value > hi) {
-    throw std::invalid_argument("--" + key + "=" + std::to_string(value) +
-                                ": must be in [" + std::to_string(lo) + ", " +
-                                std::to_string(hi) + "]");
-  }
-  return value;
-}
-
 /// --weights=LO,HI: two finite numbers with 0 < LO <= HI, parsed whole.
 /// Throws std::invalid_argument otherwise.
 std::pair<double, double> weight_range(const util::Args& args) {
@@ -121,7 +107,7 @@ Network load_network(const util::Args& args) {
   }
   const std::string family = args.get_string("generate", "udg");
   const auto n = static_cast<graph::NodeId>(
-      int_flag(args, "n", 500, 1, std::numeric_limits<graph::NodeId>::max()));
+      args.get_int("n", 500, 1, std::numeric_limits<graph::NodeId>::max()));
   const double degree = args.get_double("degree", 12.0);
   util::Rng rng(args.get_u64("seed", 1));
   if (family == "udg") {
@@ -152,9 +138,9 @@ Network load_network(const util::Args& args) {
 
 int run(const util::Args& args) {
   const auto k = static_cast<std::int32_t>(
-      int_flag(args, "k", 1, 1, std::numeric_limits<std::int32_t>::max()));
+      args.get_int("k", 1, 1, std::numeric_limits<std::int32_t>::max()));
   const auto t = static_cast<int>(
-      int_flag(args, "t", 3, 1, std::numeric_limits<int>::max()));
+      args.get_int("t", 3, 1, std::numeric_limits<int>::max()));
   const Network net = load_network(args);
   const std::string save_udg_path = args.get_string("save-udg", "");
   if (!save_udg_path.empty()) {

@@ -15,6 +15,7 @@
 // round complexity is what makes frequent re-clustering affordable.
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <vector>
 
 #include "algo/baseline/greedy.h"
@@ -50,12 +51,11 @@ double stale_coverage(const geom::UnitDiskGraph& now,
                    : static_cast<double>(ok) / static_cast<double>(want);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
-  const auto n = static_cast<graph::NodeId>(args.get_int("n", 800));
-  const int steps = static_cast<int>(args.get_int("steps", 10));
+int run(const util::Args& args) {
+  const auto n = static_cast<graph::NodeId>(
+      args.get_int("n", 800, 1, std::numeric_limits<graph::NodeId>::max()));
+  const int steps = static_cast<int>(
+      args.get_int("steps", 10, 0, std::numeric_limits<int>::max()));
   const double speed = args.get_double("speed", 0.35);
   const std::uint64_t seed = args.get_u64("seed", 11);
 
@@ -96,4 +96,10 @@ int main(int argc, char** argv) {
       "epochs)\n",
       fresh.leaders.size(), static_cast<long long>(fresh.part1_rounds));
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ftc::util::run_cli(argc, argv, run);
 }

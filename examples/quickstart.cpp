@@ -10,6 +10,7 @@
 //   4. validate both k-fold dominating sets and compare sizes against a
 //      lower bound on the optimum.
 #include <cstdio>
+#include <limits>
 
 #include "algo/baseline/greedy.h"
 #include "algo/pipeline.h"
@@ -20,11 +21,14 @@
 #include "util/cli.h"
 #include "util/rng.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const ftc::util::Args& args) {
   using namespace ftc;
-  const util::Args args(argc, argv);
-  const auto n = static_cast<graph::NodeId>(args.get_int("n", 300));
-  const auto k = static_cast<std::int32_t>(args.get_int("k", 3));
+  const auto n = static_cast<graph::NodeId>(
+      args.get_int("n", 300, 1, std::numeric_limits<graph::NodeId>::max()));
+  const auto k = static_cast<std::int32_t>(
+      args.get_int("k", 3, 1, std::numeric_limits<std::int32_t>::max()));
   const std::uint64_t seed = args.get_u64("seed", 1);
 
   // 1. Deploy n sensors uniformly with expected radio degree ~15 and
@@ -80,4 +84,10 @@ int main(int argc, char** argv) {
       static_cast<double>(greedy.set.size()) / lb);
 
   return alg3_ok && pipe_ok ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ftc::util::run_cli(argc, argv, run);
 }

@@ -14,6 +14,7 @@
 // Fewer rebuilds = the fault-tolerance payoff of larger k.
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <vector>
 
 #include "algo/baseline/greedy.h"
@@ -95,12 +96,11 @@ RunSummary simulate(const geom::UnitDiskGraph& udg, std::int32_t k, int days,
   return run;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
-  const auto n = static_cast<graph::NodeId>(args.get_int("n", 2000));
-  const int days = static_cast<int>(args.get_int("days", 30));
+int run(const util::Args& args) {
+  const auto n = static_cast<graph::NodeId>(
+      args.get_int("n", 2000, 1, std::numeric_limits<graph::NodeId>::max()));
+  const int days = static_cast<int>(
+      args.get_int("days", 30, 1, std::numeric_limits<int>::max()));
   const double daily_death = args.get_double("daily-death", 0.05);
   const std::uint64_t seed = args.get_u64("seed", 3);
 
@@ -131,4 +131,10 @@ int main(int argc, char** argv) {
       "fewer energy-hungry re-clustering events - the redundancy argument\n"
       "of the paper's introduction, quantified.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ftc::util::run_cli(argc, argv, run);
 }

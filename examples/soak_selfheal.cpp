@@ -18,6 +18,7 @@
 // the repair threshold (a self-healing failure), and what the backbone
 // looks like at the end compared to a from-scratch re-cluster.
 #include <cstdio>
+#include <limits>
 #include <string>
 
 #include "algo/baseline/greedy.h"
@@ -29,14 +30,23 @@
 #include "util/cli.h"
 #include "util/rng.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+/// Cap on --threads (0 = one per hardware thread): a guard against a
+/// typo asking for thousands of threads, far above any useful width.
+constexpr long long kMaxThreads = 256;
+
+int run(const ftc::util::Args& args) {
   using namespace ftc;
-  const util::Args args(argc, argv);
-  const auto n = static_cast<graph::NodeId>(args.get_int("n", 800));
-  const auto k = static_cast<std::int32_t>(args.get_int("k", 2));
-  const auto rounds = args.get_int("rounds", 3000);
+  const auto n = static_cast<graph::NodeId>(
+      args.get_int("n", 800, 1, std::numeric_limits<graph::NodeId>::max()));
+  const auto k = static_cast<std::int32_t>(
+      args.get_int("k", 2, 1, std::numeric_limits<std::int32_t>::max()));
+  const auto rounds =
+      args.get_int("rounds", 3000, 0, std::numeric_limits<std::int64_t>::max());
   const double loss = args.get_double("loss", 0.05);
-  const auto threads = static_cast<int>(args.get_int("threads", 1));
+  const auto threads = static_cast<int>(
+      args.get_int("threads", 1, 0, kMaxThreads));
   const util::ObsFlags obs_flags = util::parse_obs_flags(args);
   const auto plane = obs::make_plane(obs_flags);
 
@@ -103,4 +113,10 @@ int main(int argc, char** argv) {
               static_cast<long long>(rep.refuted_suspicions));
   return rep.windows_over_threshold == 0 && rep.final_unsatisfied == 0 ? 0
                                                                        : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ftc::util::run_cli(argc, argv, run);
 }

@@ -293,13 +293,13 @@ if [ "$MODE" = "thread" ]; then
   # many widths; TraceDeterminism.PooledRecorderStagingIsWidthInvariant
   # forces the pool so workers stage into obs::Recorder), the obs wiring
   # suites (a plane, and a perf plane, attached with the pool forced on),
-  # the broadcast fan-out equivalence suite (fan-out entries expanded by
-  # parallel delivery passes), the reliable-transport suite (per-process ARQ
-  # state under the parallel engine), and the flood reference suite (the
-  # bench flood workload on a pool forced on by set_parallel_grain(0),
-  # against a naive engine), and the LP mirror's width suite (per-block
-  # white/gray lists written by pool workers, decrements applied after the
-  # barrier).
+  # the broadcast fan-out equivalence suite (broadcasts pulled and sends
+  # pushed by the parallel placement pass), the reliable-transport suite
+  # (per-process ARQ state under the parallel engine), and the flood
+  # reference suite (the bench flood workload on a pool forced on by
+  # set_parallel_grain(0), against a naive engine), and the LP mirror's
+  # width suite (per-block white/gray lists written by pool workers,
+  # decrements applied after the barrier).
   run_ctest --test-dir "$BUILD_DIR" --output-on-failure \
     -R 'ThreadPool|ParallelDeterminism|TraceDeterminism|ObsWiring|PerfWiring|BroadcastFanOut|ReliableTransport|FloodReference|LpParallel'
 else

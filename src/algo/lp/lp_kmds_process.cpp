@@ -21,11 +21,11 @@ LpKmdsProcess::LpKmdsProcess(std::int32_t demand, int t,
   assert(demand >= 0);
 }
 
-std::size_t LpKmdsProcess::slot_of(sim::Context& ctx, NodeId j) const {
-  const auto nbrs = ctx.neighbors();
-  const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), j);
-  assert(it != nbrs.end() && *it == j);
-  return 1 + static_cast<std::size_t>(it - nbrs.begin());
+void LpKmdsProcess::set_outer_index(int p) {
+  if (p == outer_p_) return;
+  outer_p_ = p;
+  threshold_ = std::pow(d1_, static_cast<double>(p) / t_);
+  inv_dp_ = std::pow(d1_, -static_cast<double>(p) / t_);
 }
 
 void LpKmdsProcess::ensure_initialized(sim::Context& ctx) {
@@ -55,11 +55,11 @@ void LpKmdsProcess::do_x_update_and_send(sim::Context& ctx) {
   const std::int64_t m = step_ / 2;  // inner-iteration index
   const int p = t_ - 1 - static_cast<int>(m / t_);
   const int q = t_ - 1 - static_cast<int>(m % t_);
-  const double threshold = std::pow(d1_, static_cast<double>(p) / t_);
-  const double increment = std::pow(d1_, -static_cast<double>(q) / t_);
+  set_outer_index(p);
 
   x_plus_ = 0.0;
-  if (x_ < 1.0 && static_cast<double>(dyn_deg_) >= threshold) {
+  if (x_ < 1.0 && static_cast<double>(dyn_deg_) >= threshold_) {
+    const double increment = std::pow(d1_, -static_cast<double>(q) / t_);
     x_plus_ = std::min(increment, 1.0 - x_);
     x_ += x_plus_;
   }
@@ -76,8 +76,8 @@ void LpKmdsProcess::do_x_update_and_send(sim::Context& ctx) {
 
 void LpKmdsProcess::do_cover_update_and_send(sim::Context& ctx) {
   const std::int64_t m = (step_ - 1) / 2;
-  const int p = t_ - 1 - static_cast<int>(m / t_);
-  const double inv_dp = std::pow(d1_, -static_cast<double>(p) / t_);
+  set_outer_index(t_ - 1 - static_cast<int>(m / t_));
+  const double inv_dp = inv_dp_;
 
   if (white_) {
     // Inbox is sorted by sender id, matching the mirror's neighbor order.
@@ -94,12 +94,18 @@ void LpKmdsProcess::do_cover_update_and_send(sim::Context& ctx) {
     c_ += c_plus;
     alpha_[0] += lambda * x_plus_;
     beta_[0] += lambda * x_plus_ * inv_dp;
+    // One forward walk of the sorted neighbour row finds each sender's slot
+    // (slot k + 1 for neighbour k); a sender repeated by a duplicating
+    // channel reuses its slot.
+    const auto nbrs = ctx.neighbors();
+    std::size_t k = 0;
     for (const sim::Message& msg : ctx.inbox()) {
       if (msg.words.size() != 3) continue;
+      while (nbrs[k] < msg.from) ++k;
+      assert(k < nbrs.size() && nbrs[k] == msg.from);
       const double xj = sim::decode_fixed(msg.words[1]);
-      const std::size_t slot = slot_of(ctx, msg.from);
-      alpha_[slot] += lambda * xj;
-      beta_[slot] += lambda * xj * inv_dp;
+      alpha_[k + 1] += lambda * xj;
+      beta_[k + 1] += lambda * xj * inv_dp;
     }
     if (c_ + kCoverageEps >= k_i) {
       white_ = false;
@@ -110,10 +116,10 @@ void LpKmdsProcess::do_cover_update_and_send(sim::Context& ctx) {
 }
 
 void LpKmdsProcess::send_z_shares(sim::Context& ctx) {
-  for (NodeId j : ctx.neighbors()) {
-    const std::size_t slot = slot_of(ctx, j);
-    const double share = alpha_[slot] * y_ - beta_[slot];
-    ctx.send(j, {sim::encode_fixed(share)});
+  const auto nbrs = ctx.neighbors();
+  for (std::size_t k = 0; k < nbrs.size(); ++k) {
+    const double share = alpha_[k + 1] * y_ - beta_[k + 1];
+    ctx.send(nbrs[k], {sim::encode_fixed(share)});
   }
 }
 

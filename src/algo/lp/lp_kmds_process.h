@@ -63,10 +63,10 @@ class LpKmdsProcess final : public sim::Process {
   void send_z_shares(sim::Context& ctx);
   void finish_z(sim::Context& ctx);
 
-  /// Slot of neighbor `j` in this node's closed-neighborhood arrays
-  /// (slot 0 = self).
-  [[nodiscard]] std::size_t slot_of(sim::Context& ctx,
-                                    graph::NodeId j) const;
+  /// Enters outer iteration p: recomputes threshold_ and inv_dp_ only when
+  /// p changed (every t inner iterations). The expressions are fixed, so a
+  /// cached value is bitwise the value a fresh std::pow would give.
+  void set_outer_index(int p);
 
   // Configuration.
   std::int32_t demand_ = 1;
@@ -78,6 +78,9 @@ class LpKmdsProcess final : public sim::Process {
   // Derived once at round 0.
   bool initialized_ = false;
   double d1_ = 0.0;  // Δ+1
+  int outer_p_ = -1;        // p the two values below were computed for
+  double threshold_ = 0.0;  // (Δ+1)^{p/t}
+  double inv_dp_ = 0.0;     // (Δ+1)^{-p/t}
 
   // Paper state.
   double x_ = 0.0;
@@ -87,7 +90,7 @@ class LpKmdsProcess final : public sim::Process {
   double z_ = 0.0;
   bool white_ = true;
   std::int32_t dyn_deg_ = 0;
-  std::vector<double> alpha_;  // α_{j,i} by slot
+  std::vector<double> alpha_;  // α_{j,i} by slot (0 = self, k+1 = nbr k)
   std::vector<double> beta_;   // β_{j,i} by slot
 
   // Schedule position.

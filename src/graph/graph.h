@@ -84,6 +84,13 @@ class Graph {
     return {adjacency_.data() + begin, adjacency_.data() + end};
   }
 
+  /// Index of v's first arc in the CSR adjacency: v's arcs are
+  /// [arc_offset(v), arc_offset(v) + degree(v)) of the 2m arcs, so per-arc
+  /// arrays can give every node a fixed, disjoint region.
+  [[nodiscard]] std::uint32_t arc_offset(NodeId v) const noexcept {
+    return offsets_[static_cast<std::size_t>(v)];
+  }
+
   /// Maximum degree Δ over all nodes (0 for the empty graph).
   [[nodiscard]] NodeId max_degree() const noexcept { return max_degree_; }
 

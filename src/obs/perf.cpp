@@ -164,7 +164,7 @@ void PerfPlane::end_round(std::int64_t round, std::int64_t total_ns,
   // Channel decide has no owner-side lap (slots 0-2 do, and adding their
   // worker sums to the owner's dispatch wall time would double-count), so
   // surface the worker-staged total in the phase table. It is nested inside
-  // deliver_count and therefore excluded from the coverage sum.
+  // deliver_place and therefore excluded from the coverage sum.
   const auto channel = static_cast<std::size_t>(PerfPhase::kChannelDecide);
   sample.phase_ns[channel] += channel_ns;
   agg_phase_ns_[channel] += channel_ns;

@@ -41,11 +41,12 @@ enum class PerfPhase : std::uint8_t {
   kCompute,          ///< process on_round execution (dispatched)
   kStatsMerge,       ///< shard-stat fold + registry counter publication
   kObsMerge,         ///< trace/metric shard-staging merge at the barrier
-  kDeliverCount,     ///< delivery B1: per-receiver counts + channel fates
-  kDeliverPrefix,    ///< delivery B2: O(shards) sequential prefix sum
-  kDeliverPlace,     ///< delivery B3: counting-sort placement
+  kDeliverCount,     ///< delivery: tail sizing for due delayed copies
+                     ///< (near zero unless delayed copies are in flight)
+  kDeliverPrefix,    ///< delivery: O(shards) tail prefix + store sizing
+  kDeliverPlace,     ///< delivery: unicast push, broadcast pull, merge
   kFinalize,         ///< generation swap + gauges + round trace event
-  kChannelDecide,    ///< nested in B1: per-message channel verdicts
+  kChannelDecide,    ///< nested in deliver_place: channel verdicts
   kBarrierWait,      ///< caller blocked on the pool's epoch barrier
   kClaimStall,       ///< pool drain time not spent executing tasks
   kLpXUpdate,        ///< lp_kmds lines 5-8: x-update + Lemma 4.1 audit

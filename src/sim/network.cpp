@@ -20,10 +20,10 @@ void check_arena_capacity(std::size_t arena_size, std::size_t words) {
 }
 
 // Inbox regions are addressed by uint32 offsets into the flat store.
-void check_inbox_capacity(std::uint64_t total_messages) {
-  if (!inbox_fits(total_messages)) {
+void check_inbox_capacity(std::uint64_t total_slots) {
+  if (!inbox_fits(total_slots)) {
     throw std::length_error(
-        "SyncNetwork: per-round message count exceeds uint32 inbox range");
+        "SyncNetwork: per-round inbox slots exceed uint32 inbox range");
   }
 }
 
@@ -79,23 +79,20 @@ SyncNetwork::SyncNetwork(const graph::Graph& g, std::uint64_t seed)
   node_flags_.assign(n, 0);
   inbox_off_.assign(n, 0);
   inbox_len_.assign(n, 0);
-  inbox_count_.assign(n, 0);
-  inbox_cursor_.assign(n, 0);
+  bcast_.assign(n, BroadcastStamp{});
   live_count_ = g.n();
   arena_cur_.resize(1);
   arena_prev_.resize(1);
+  arena_base_.resize(1);
   xfer_cur_.resize(1);
-  xfer_prev_.resize(1);
+  xfer_cur_[0].reserve(n);
   shard_stats_.resize(1);
   perf_shards_.resize(1);
-  shard_inbox_total_.resize(1);
-  shard_inbox_base_.resize(1);
-  fate_scratch_.resize(1);
+  delivery_.resize(1);
   channel_shards_.resize(1);
   delayed_pending_.resize(1);
   delayed_live_.resize(1);
   shard_block_ = std::max<std::size_t>(n, 1);
-  xfer_block_prev_ = shard_block_;
   rngs_.reserve(n);
   const util::Rng root(seed);
   for (std::size_t v = 0; v < n; ++v) {
@@ -121,16 +118,18 @@ void SyncNetwork::set_threads(int threads) {
   const auto n = static_cast<std::size_t>(graph_->n());
   const auto shards = static_cast<std::size_t>(threads_);
   shard_block_ = std::max<std::size_t>(1, (n + shards - 1) / shards);
-  // Only the (empty between rounds) current generation is reshaped; the
-  // previous generation still backs live inbox views and crash lookups and
-  // keeps its recorded shape until the next round-end swap recycles it.
+  // Only the (empty between rounds) current arenas and unicast lists are
+  // reshaped; the previous arenas still back live inbox views until the
+  // next round-end swap recycles them.
   arena_cur_.resize(shards);
+  arena_base_.resize(shards);
   xfer_cur_.resize(shards * shards);
+  // Room for one unicast per node before the first growth, so the first
+  // per-neighbour round grows the lists by log2(mean degree) blocks.
+  for (auto& list : xfer_cur_) list.reserve(shard_block_ / shards + 1);
   shard_stats_.resize(shards);
   perf_shards_.resize(shards);
-  shard_inbox_total_.resize(shards);
-  shard_inbox_base_.resize(shards);
-  fate_scratch_.resize(shards);
+  delivery_.resize(shards);
   // Shard channel caches are memoizations of a pure per-link function, so
   // dropping some (shrink) or starting fresh ones (grow) changes nothing.
   channel_shards_.resize(shards);
@@ -182,11 +181,11 @@ void SyncNetwork::backend_send(graph::NodeId from, graph::NodeId to,
   const auto shards = static_cast<std::uint32_t>(threads_);
   auto& list = xfer_cur_[static_cast<std::size_t>(s) * shards + d];
 #ifndef NDEBUG
-  // `from`'s entries are the tail run of every list it touched this round;
-  // a fan-out entry already covers every neighbour of `from`.
+  // `from`'s entries are the tail run of every list it touched this round.
+  assert(bcast_[static_cast<std::size_t>(from)].round != round_ &&
+         "send: at most one message per neighbor per round");
   for (auto it = list.rbegin(); it != list.rend() && it->from == from; ++it) {
-    assert(it->to != to && it->to != kFanOut &&
-           "send: at most one message per neighbor per round");
+    assert(it->to != to && "send: at most one message per neighbor per round");
   }
 #endif
   auto& arena = arena_cur_[s];
@@ -203,48 +202,36 @@ void SyncNetwork::backend_send(graph::NodeId from, graph::NodeId to,
 
 void SyncNetwork::backend_broadcast(graph::NodeId from,
                                     std::span<const Word> words) {
-  const auto nbrs = graph_->neighbors(from);
-  if (nbrs.empty()) return;
+  const auto deg = static_cast<std::int64_t>(graph_->degree(from));
+  if (deg == 0) return;
   const std::uint32_t s = shard_of(from);
-  const auto shards = static_cast<std::uint32_t>(threads_);
-  auto& arena = arena_cur_[s];
-  check_arena_capacity(arena.size(), words.size());
-  const auto offset = static_cast<std::uint32_t>(arena.size());
-  const auto len = static_cast<std::uint32_t>(words.size());
-  // The payload is written once; every receiver's view aliases it. When
-  // every receiver sits in one destination shard — always, with one shard
-  // — a single fan-out entry stands for the whole row. Otherwise each
-  // receiver gets its own entry: splitting the row into per-shard runs
-  // costs a mispredicted branch per run in staging and in both delivery
-  // passes, which loses to per-receiver entries at deg / shards of a few
-  // receivers per run (DESIGN.md §10).
-  arena.insert(arena.end(), words.begin(), words.end());
-  const std::uint32_t d = shard_of(nbrs.front());
-  if (d == shard_of(nbrs.back())) {
-    auto& list = xfer_cur_[static_cast<std::size_t>(s) * shards + d];
-    // Any earlier entry of `from` in this list reaches one of its receivers.
+  ShardStats& st = shard_stats_[s];
+  BroadcastStamp& stamp = bcast_[static_cast<std::size_t>(from)];
+  // The payload is written once and stamped on the sender; receivers pull
+  // it by walking their neighbour rows at delivery (deliver_round).
+  assert(stamp.round != round_ &&
+         "broadcast: at most one message per neighbor per round");
+#ifndef NDEBUG
+  const auto shards = static_cast<std::size_t>(threads_);
+  for (std::size_t d = 0; d < shards; ++d) {
+    const auto& list = xfer_cur_[s * shards + d];
     assert((list.empty() || list.back().from != from) &&
            "broadcast: at most one message per neighbor per round");
-    list.push_back({from, kFanOut, offset, len});
-  } else {
-    for (NodeId w : nbrs) {
-      auto& list =
-          xfer_cur_[static_cast<std::size_t>(s) * shards + shard_of(w)];
-#ifndef NDEBUG
-      for (auto it = list.rbegin(); it != list.rend() && it->from == from;
-           ++it) {
-        assert(it->to != w && it->to != kFanOut &&
-               "broadcast: at most one message per neighbor per round");
-      }
-#endif
-      list.push_back({from, w, offset, len});
-    }
   }
-  ShardStats& st = shard_stats_[s];
-  const auto deg = static_cast<std::int64_t>(nbrs.size());
+#endif
+  if (stamp.round == round_) {
+    st.double_broadcast = true;
+    return;
+  }
+  auto& arena = arena_cur_[s];
+  check_arena_capacity(arena.size(), words.size());
+  const auto len = static_cast<std::uint32_t>(words.size());
+  stamp = {round_, static_cast<std::uint32_t>(arena.size()), len};
+  arena.insert(arena.end(), words.begin(), words.end());
   st.messages += deg;
   st.words += deg * static_cast<std::int64_t>(len);
   st.max_words = std::max(st.max_words, static_cast<std::int64_t>(len));
+  ++st.broadcasts;
 }
 
 void SyncNetwork::apply_scheduled_events() {
@@ -284,24 +271,6 @@ void SyncNetwork::erase_inbox_entries(graph::NodeId sender,
   }
 }
 
-void SyncNetwork::purge_current_sends(graph::NodeId v) {
-  // The current generation only holds entries while a round is executing;
-  // between rounds (where crash/recover run) every list is empty, so this
-  // is a cheap defensive sweep of v's sender-shard row.
-  const auto shards = static_cast<std::size_t>(threads_);
-  const std::size_t s = shard_of(v);
-  for (std::size_t d = 0; d < shards; ++d) {
-    auto& list = xfer_cur_[s * shards + d];
-    if (list.empty()) continue;
-    auto it = std::lower_bound(
-        list.begin(), list.end(), v,
-        [](const XferEntry& e, graph::NodeId id) { return e.from < id; });
-    auto last = it;
-    while (last != list.end() && last->from == v) ++last;
-    list.erase(it, last);
-  }
-}
-
 void SyncNetwork::reset_channel_shard_state() {
   for (Channel::ShardState& st : channel_shards_) st.clear();
 }
@@ -324,38 +293,15 @@ void SyncNetwork::crash(graph::NodeId v) {
   node_flags_[idx] |= kNodeCrashed;
   --live_count_;
   inbox_len_[idx] = 0;
-  purge_current_sends(v);
-  // Drop v's delivered-generation traffic without scanning every inbox: its
-  // messages are the from == v runs of its sender-shard row in xfer_prev_
-  // (one binary search per destination shard), and each receiver's inbox
-  // region is sender-sorted (one binary search per removal). xfer_prev_ was
-  // built under the sharding recorded at the last generation swap, which
-  // may differ from the current one.
-  const auto shards_prev = static_cast<std::size_t>(xfer_shards_prev_);
-  const std::size_t s_prev = static_cast<std::size_t>(v) / xfer_block_prev_;
-  for (std::size_t d = 0; d < shards_prev; ++d) {
-    const auto& list = xfer_prev_[s_prev * shards_prev + d];
-    auto it = std::lower_bound(
-        list.begin(), list.end(), v,
-        [](const XferEntry& e, graph::NodeId id) { return e.from < id; });
-    for (; it != list.end() && it->from == v; ++it) {
-      for_each_receiver(*it, [&](NodeId to) { erase_inbox_entries(v, to); });
-    }
-  }
-  // Channel-delayed traffic is not indexed by xfer_prev_: drop pending
-  // copies touching v, and purge delivered delayed copies from v out of
-  // receivers' inboxes (the erase is idempotent with the pass above).
+  // Drop v's delivered traffic without scanning every inbox: messages only
+  // travel along edges, and each neighbour's region is sender-sorted (one
+  // binary search per neighbour). This covers delivered delayed copies too;
+  // pending ones touching v are dropped from their buckets.
+  for (const NodeId w : graph_->neighbors(v)) erase_inbox_entries(v, w);
   for (auto& bucket : delayed_pending_) {
     std::erase_if(bucket, [v](const DelayedMessage& m) {
       return m.from == v || m.to == v;
     });
-  }
-  for (const auto& bucket : delayed_live_) {
-    for (const DelayedMessage& m : bucket) {
-      if (m.from == v && !crashed(m.to)) {
-        erase_inbox_entries(v, m.to);
-      }
-    }
   }
   check_counters();
 }
@@ -379,7 +325,6 @@ void SyncNetwork::recover(graph::NodeId v, std::unique_ptr<Process> process) {
     }
   }
   inbox_len_[idx] = 0;
-  purge_current_sends(v);
   processes_[idx] = std::move(process);
   refresh_node_flags(v);
   if (counts_as_running(v)) ++running_count_;
@@ -455,11 +400,20 @@ void SyncNetwork::deliver_round(int shards) {
 
   const bool impaired = channel_.impaired();
   const std::int64_t due_round = round_ + 1;
+  bool any_broadcast = false;
+  for (std::size_t s = 0; s < s_count; ++s) {
+    arena_base_[s] = arena_cur_[s].data();
+    any_broadcast = any_broadcast || shard_stats_[s].broadcasts > 0;
+  }
+  bool any_pending = false;
+  for (const auto& bucket : delayed_pending_) {
+    any_pending = any_pending || !bucket.empty();
+  }
 
-  // Perf attribution: the owner laps the three delivery phases; the two
+  // Perf attribution: the owner laps the three delivery phases; the
   // dispatched passes additionally stage per-shard time (and per-message
-  // channel-decide time, nested inside the count pass, when the channel is
-  // impaired). All of it lands in PerfPlane side state only — see perf.h.
+  // channel-decide time, nested inside the placement pass, when the channel
+  // is impaired). All of it lands in PerfPlane side state only — see perf.h.
   obs::PerfPlane* const pf = perf_;
   std::int64_t t_mark = pf != nullptr ? obs::PerfPlane::now_ns() : 0;
   auto lap = [&](obs::PerfPhase phase) {
@@ -469,129 +423,193 @@ void SyncNetwork::deliver_round(int shards) {
     t_mark = now;
   };
 
-  // Count pass (parallel over destination shards): per-receiver incoming
-  // counts, channel verdicts (recorded as fate bytes so the place pass
-  // replays instead of re-deciding — decide() counts side effects), and
-  // delayed/duplicate copy enqueue into the shard's own pending bucket.
-  auto count_shard = [&](int d) {
+  // Sizing pass (parallel over destination shards; only while delayed
+  // copies are in flight): a receiver with due copies needs more than its
+  // deg(v) fixed slots, so its region moves to the shard's tail area with
+  // room for deg(v) fresh messages plus its due copies.
+  auto size_shard = [&](int d) {
+    const auto du = static_cast<std::size_t>(d);
+    const std::int64_t shard_t0 =
+        pf != nullptr ? obs::PerfPlane::now_ns() : 0;
+    DeliveryShard& ds = delivery_[du];
+    auto& moved = ds.relocated;
+    moved.clear();
+    for (const DelayedMessage& m : delayed_pending_[du]) {
+      if (m.due == due_round && !crashed(m.to)) moved.push_back({m.to, 0});
+    }
+    std::sort(moved.begin(), moved.end(),
+              [](const Relocation& a, const Relocation& b) {
+                return a.node < b.node;
+              });
+    std::size_t keep = 0;
+    std::uint64_t need = 0;
+    for (std::size_t i = 0; i < moved.size(); ++i) {
+      if (keep == 0 || moved[keep - 1].node != moved[i].node) {
+        moved[keep++] = {moved[i].node, static_cast<std::uint32_t>(need)};
+        need += static_cast<std::uint64_t>(graph_->degree(moved[i].node));
+      }
+      ++need;  // one slot per due copy
+    }
+    moved.resize(keep);
+    ds.tail_slots = need;
+    if (pf != nullptr) {
+      perf_shards_[du].add(obs::PerfPhase::kDeliverCount,
+                           obs::PerfPlane::now_ns() - shard_t0);
+    }
+  };
+  if (any_pending) {
+    dispatch_shards(shards, size_shard);
+  } else {
+    for (std::size_t d = 0; d < s_count; ++d) {
+      delivery_[d].relocated.clear();
+      delivery_[d].tail_slots = 0;
+    }
+  }
+  lap(obs::PerfPhase::kDeliverCount);
+
+  // Tail prefix (sequential, O(shards)): the fixed regions fill the first
+  // 2m slots, each shard's tail follows. The store only ever grows — a
+  // resize value-initializes the new tail sequentially, so the high-water
+  // mark amortizes that to zero.
+  std::uint64_t total_slots = 2 * static_cast<std::uint64_t>(graph_->m());
+  for (std::size_t d = 0; d < s_count; ++d) {
+    delivery_[d].tail_base = total_slots;
+    total_slots += delivery_[d].tail_slots;
+  }
+  check_inbox_capacity(total_slots);
+  if (inbox_store_.size() < total_slots) {
+    inbox_store_.resize(static_cast<std::size_t>(total_slots));
+  }
+  lap(obs::PerfPhase::kDeliverPrefix);
+
+  // Placement pass (parallel over destination shards). Every receiver gets
+  // at most one fresh message per neighbour, so fresh messages fit in deg(v)
+  // slots; anything beyond is flagged, never written.
+  auto place_shard = [&](int d) {
     const auto du = static_cast<std::size_t>(d);
     const std::int64_t shard_t0 =
         pf != nullptr ? obs::PerfPlane::now_ns() : 0;
     std::int64_t decide_ns = 0;
     const auto [lo, hi] = shard_range(d);
-    std::fill(inbox_count_.begin() + lo, inbox_count_.begin() + hi, 0u);
-    std::uint64_t total = 0;
-    auto& fates = fate_scratch_[du];
-    fates.clear();
+    DeliveryShard& ds = delivery_[du];
     Channel::ShardState& cs = channel_shards_[du];
     auto& pending = delayed_pending_[du];
-    for (std::size_t s = 0; s < s_count; ++s) {
-      const Word* const arena = arena_cur_[s].data();
-      for (const XferEntry& e : xfer_cur_[s * s_count + du]) {
-        for_each_receiver(e, [&](NodeId to) {
-          if (crashed(to)) {  // crashed receivers drop silently, no verdict
-            if (impaired) fates.push_back(0);
-            return;
-          }
-          if (impaired) {
-            // Per-message decide cost is only clocked when perf is on (two
-            // clock reads per message); the clean-channel path never pays.
-            const std::int64_t t_decide =
-                pf != nullptr ? obs::PerfPlane::now_ns() : 0;
-            const Channel::Fate fate = channel_.decide(e.from, to, round_, cs);
-            if (pf != nullptr) {
-              decide_ns += obs::PerfPlane::now_ns() - t_decide;
-            }
-            if (fate.dropped) {
-              fates.push_back(0);
-              return;
-            }
-            const Word* const payload = arena + e.offset;
-            if (fate.duplicate) {
-              pending.push_back({round_ + 1 + fate.dup_delay, e.from, to,
-                                 std::vector<Word>(payload, payload + e.len)});
-            }
-            if (fate.delay > 0) {
-              pending.push_back({round_ + 1 + fate.delay, e.from, to,
-                                 std::vector<Word>(payload, payload + e.len)});
-              fates.push_back(0);
-              return;
-            }
-            fates.push_back(1);
-          }
-          ++inbox_count_[static_cast<std::size_t>(to)];
-          ++total;
-        });
-      }
-    }
-    // Delayed copies due now (enqueued in earlier rounds; copies staged
-    // above are due in round_ + 2 at the earliest, so they never match).
-    for (const DelayedMessage& m : pending) {
-      if (m.due == due_round && !crashed(m.to)) {
-        ++inbox_count_[static_cast<std::size_t>(m.to)];
-        ++total;
-      }
-    }
-    shard_inbox_total_[du] = total;
-    if (pf != nullptr) {
-      obs::PerfShardSample& ps = perf_shards_[du];
-      ps.add(obs::PerfPhase::kDeliverCount,
-             obs::PerfPlane::now_ns() - shard_t0);
-      ps.add(obs::PerfPhase::kChannelDecide, decide_ns);
-    }
-  };
-  dispatch_shards(shards, count_shard);
-  lap(obs::PerfPhase::kDeliverCount);
+    Message* const store = inbox_store_.data();
 
-  // Prefix pass (sequential, O(shards)): region bases + store sizing. The
-  // store only ever grows — a resize would value-initialize the new tail
-  // sequentially, so the high-water mark amortizes that to zero.
-  std::uint64_t total_messages = 0;
-  for (std::size_t d = 0; d < s_count; ++d) {
-    shard_inbox_base_[d] = total_messages;
-    total_messages += shard_inbox_total_[d];
-  }
-  check_inbox_capacity(total_messages);
-  if (inbox_store_.size() < total_messages) {
-    inbox_store_.resize(static_cast<std::size_t>(total_messages));
-  }
-  lap(obs::PerfPhase::kDeliverPrefix);
+    // Decides a message's channel fate once, queueing its delayed and
+    // duplicate copies; true when it is delivered on time. Callers test
+    // `impaired` first, so the clean-channel path never makes the call.
+    auto admit = [&](NodeId from, NodeId to, const Word* payload,
+                     std::uint32_t len) {
+      // Per-message decide cost is only clocked when perf is on (two clock
+      // reads per message); the clean-channel path never pays.
+      const std::int64_t t_decide =
+          pf != nullptr ? obs::PerfPlane::now_ns() : 0;
+      const Channel::Fate fate = channel_.decide(from, to, round_, cs);
+      if (pf != nullptr) decide_ns += obs::PerfPlane::now_ns() - t_decide;
+      if (fate.dropped) return false;
+      if (fate.duplicate) {
+        pending.push_back({round_ + 1 + fate.dup_delay, from, to,
+                           std::vector<Word>(payload, payload + len)});
+      }
+      if (fate.delay > 0) {
+        pending.push_back({round_ + 1 + fate.delay, from, to,
+                           std::vector<Word>(payload, payload + len)});
+        return false;
+      }
+      return true;
+    };
 
-  // Place pass (parallel over destination shards): local offset scan, then
-  // counting-sort the fresh deliveries into each receiver's region —
-  // iterating sender shards in ascending order keeps every region sender-
-  // sorted because shards cover ascending id ranges — and finally insert
-  // due delayed copies by upper-bound (after same-sender fresh entries, in
-  // bucket order: the same per-receiver order every width produces).
-  auto place_shard = [&](int d) {
-    const auto du = static_cast<std::size_t>(d);
-    const std::int64_t shard_t0 =
-        pf != nullptr ? obs::PerfPlane::now_ns() : 0;
-    const auto [lo, hi] = shard_range(d);
-    std::uint64_t running = shard_inbox_base_[du];
+    // Regions: v's fixed CSR slots, or its tail slots when due copies join.
+    std::size_t r = 0;
     for (NodeId v = lo; v < hi; ++v) {
       const auto idx = static_cast<std::size_t>(v);
-      inbox_off_[idx] = static_cast<std::uint32_t>(running);
-      inbox_len_[idx] = inbox_count_[idx];
-      inbox_cursor_[idx] = 0;
-      running += inbox_count_[idx];
+      std::uint32_t off = graph_->arc_offset(v);
+      if (r < ds.relocated.size() && ds.relocated[r].node == v) {
+        off = static_cast<std::uint32_t>(ds.tail_base +
+                                         ds.relocated[r++].offset);
+      }
+      inbox_off_[idx] = off;
+      inbox_len_[idx] = 0;
     }
-    Message* const store = inbox_store_.data();
-    const auto& fates = fate_scratch_[du];
-    std::size_t fate_idx = 0;
+
+    // Push: this shard's column of unicast lists, in sender-shard order, so
+    // each receiver's unicast run comes out sender-ascending.
     for (std::size_t s = 0; s < s_count; ++s) {
-      const Word* const arena = arena_cur_[s].data();
+      const Word* const arena = arena_base_[s];
       for (const XferEntry& e : xfer_cur_[s * s_count + du]) {
-        const Message msg{e.from, WordSpan(arena + e.offset, e.len)};
-        for_each_receiver(e, [&](NodeId w) {
-          const bool deliver = impaired ? fates[fate_idx++] != 0 : !crashed(w);
-          if (!deliver) return;
-          const auto to = static_cast<std::size_t>(w);
-          store[inbox_off_[to] + inbox_cursor_[to]++] = msg;
-        });
+        if (crashed(e.to)) continue;  // crashed receivers drop, no verdict
+        const Word* const payload = arena + e.offset;
+        if (impaired && !admit(e.from, e.to, payload, e.len)) continue;
+        const auto to = static_cast<std::size_t>(e.to);
+        if (inbox_len_[to] ==
+            static_cast<std::uint32_t>(graph_->degree(e.to))) {
+          ds.overflow = true;
+          continue;
+        }
+        store[inbox_off_[to] + inbox_len_[to]++] =
+            Message{e.from, WordSpan(payload, e.len)};
       }
     }
-    auto& pending = delayed_pending_[du];
+
+    // Pull: each live receiver walks its sorted neighbour row and takes
+    // every neighbour stamped this round. A receiver that also got unicasts
+    // first moves that run to the back of its deg(v) slots; the two
+    // sender-sorted runs then merge forward, and the write cursor never
+    // passes the unread unicasts. Broadcast-only receivers, the common
+    // case, take a loop without the merge checks (one merged loop for all
+    // receivers ran Alg 1's protocol 13% slower).
+    if (any_broadcast) {
+      const std::int64_t now = round_;
+      const BroadcastStamp* const stamps = bcast_.data();
+      const Word* const* const arenas = arena_base_.data();
+      const std::size_t block = s_count == 1 ? 0 : shard_block_;
+      auto payload_of = [&](NodeId w, const BroadcastStamp& b) {
+        const std::size_t s =
+            block == 0 ? 0 : static_cast<std::size_t>(w) / block;
+        return arenas[s] + b.offset;
+      };
+      for (NodeId v = lo; v < hi; ++v) {
+        if (crashed(v)) continue;
+        const auto idx = static_cast<std::size_t>(v);
+        const auto nbrs = graph_->neighbors(v);
+        Message* const base = store + inbox_off_[idx];
+        Message* out = base;
+        if (inbox_len_[idx] == 0) {  // at most one broadcast per neighbour
+          for (const NodeId w : nbrs) {
+            const BroadcastStamp& b = stamps[static_cast<std::size_t>(w)];
+            if (b.round != now) continue;
+            const Word* const payload = payload_of(w, b);
+            if (impaired && !admit(w, v, payload, b.len)) continue;
+            *out++ = Message{w, WordSpan(payload, b.len)};
+          }
+        } else {
+          Message* const uni_end = base + nbrs.size();
+          Message* uni =
+              std::move_backward(base, base + inbox_len_[idx], uni_end);
+          for (const NodeId w : nbrs) {
+            const BroadcastStamp& b = stamps[static_cast<std::size_t>(w)];
+            if (b.round != now) continue;
+            const Word* const payload = payload_of(w, b);
+            if (impaired && !admit(w, v, payload, b.len)) continue;
+            while (uni != uni_end && uni->from < w) *out++ = *uni++;
+            if (out == uni) {  // no free slot left
+              ds.overflow = true;
+              continue;
+            }
+            *out++ = Message{w, WordSpan(payload, b.len)};
+          }
+          out = std::copy(uni, uni_end, out);
+        }
+        inbox_len_[idx] = static_cast<std::uint32_t>(out - base);
+      }
+    }
+
+    // Due delayed copies (enqueued in earlier rounds; copies queued above
+    // are due in round_ + 2 at the earliest, so they never match) go to
+    // the upper bound of their sender: after same-sender fresh entries, in
+    // bucket order — the same per-receiver order every width produces. The
+    // sizing pass gave each such receiver deg(v) + due slots.
     auto& live = delayed_live_[du];
     std::size_t keep = 0;
     for (std::size_t i = 0; i < pending.size(); ++i) {
@@ -601,30 +619,25 @@ void SyncNetwork::deliver_round(int shards) {
         ++keep;
         continue;
       }
-      if (crashed(m.to)) continue;  // dropped, matching the count pass
+      if (crashed(m.to)) continue;  // dropped, matching the sizing pass
       live.push_back(std::move(m));
       const DelayedMessage& lm = live.back();
       const auto to = static_cast<std::size_t>(lm.to);
       Message* const begin = store + inbox_off_[to];
-      Message* const end = begin + inbox_cursor_[to];
+      Message* const end = begin + inbox_len_[to];
       Message* const pos = std::upper_bound(
           begin, end, lm.from,
           [](graph::NodeId id, const Message& msg) { return id < msg.from; });
       std::move_backward(pos, end, end + 1);
       *pos = Message{lm.from, WordSpan(lm.words.data(), lm.words.size())};
-      ++inbox_cursor_[to];
+      ++inbox_len_[to];
     }
     pending.resize(keep);
-#ifndef NDEBUG
-    for (NodeId v = lo; v < hi; ++v) {
-      assert(inbox_cursor_[static_cast<std::size_t>(v)] ==
-                 inbox_count_[static_cast<std::size_t>(v)] &&
-             "place pass disagrees with count pass");
-    }
-#endif
     if (pf != nullptr) {
-      perf_shards_[du].add(obs::PerfPhase::kDeliverPlace,
-                           obs::PerfPlane::now_ns() - shard_t0);
+      obs::PerfShardSample& ps = perf_shards_[du];
+      ps.add(obs::PerfPhase::kDeliverPlace,
+             obs::PerfPlane::now_ns() - shard_t0);
+      ps.add(obs::PerfPhase::kChannelDecide, decide_ns);
     }
   };
   dispatch_shards(shards, place_shard);
@@ -633,6 +646,16 @@ void SyncNetwork::deliver_round(int shards) {
   // the fold order cannot affect the result).
   if (impaired) {
     for (Channel::ShardState& st : channel_shards_) channel_.absorb(st);
+  }
+  bool overflow = false;
+  for (DeliveryShard& ds : delivery_) {
+    overflow = overflow || ds.overflow;
+    ds.overflow = false;
+  }
+  if (overflow) {
+    throw InboxOverflow(
+        "SyncNetwork: a receiver got more messages in one round than it has "
+        "neighbours (at most one message per neighbour per round)");
   }
   lap(obs::PerfPhase::kDeliverPlace);
 }
@@ -696,6 +719,11 @@ bool SyncNetwork::step() {
     obs::SpanTimer span = phase_span(b != nullptr ? b->n_merge : 0);
     for (std::size_t s = 0; s < shard_stats_.size(); ++s) {
       const ShardStats& st = shard_stats_[s];
+      if (st.double_broadcast) {
+        throw InboxOverflow(
+            "SyncNetwork: a node broadcast twice in one round (at most one "
+            "message per neighbour per round)");
+      }
       round_messages += st.messages;
       round_words += st.words;
       metrics_.max_message_words =
@@ -731,18 +759,10 @@ bool SyncNetwork::step() {
 
   // Generation swap: the arena just written now backs the new inboxes; the
   // one delivered two rounds ago is recycled for the next round's sends.
-  // The delivered transfer lists keep their shape metadata so crash() can
-  // index them even after a set_threads reshard.
   std::swap(arena_cur_, arena_prev_);
-  std::swap(xfer_cur_, xfer_prev_);
-  xfer_shards_prev_ = shards;
-  xfer_block_prev_ = shard_block_;
   for (auto& list : xfer_cur_) list.clear();
   for (auto& arena : arena_cur_) arena.clear();
-  const auto want_shards = static_cast<std::size_t>(threads_);
-  arena_cur_.resize(want_shards);
-  xfer_cur_.resize(want_shards * want_shards);
-  shard_stats_.resize(want_shards);
+  arena_cur_.resize(static_cast<std::size_t>(threads_));
 
   ++round_;
   metrics_.rounds = round_;

@@ -33,19 +33,27 @@
 //     store, pointing into the arena of the round the message was sent in.
 //     A broadcast writes its payload once and every receiver's view aliases
 //     it — no per-neighbor copies.
-//   * Two-phase shard-owned delivery: during the compute phase each sender
-//     shard stages (from, to, payload) transfer entries into per-destination
-//     -shard lists it exclusively owns; a broadcast whose receivers all sit
-//     in one shard stages a single fan-out entry for its whole row.
-//     Delivery is then two parallel passes over destination shards —
-//     count (incoming messages per receiver, channel verdicts) and place
-//     (counting-sort into the flat inbox store) — separated only by an
-//     O(shards) sequential prefix sum. No phase writes another shard's
-//     state and no serial section is proportional to the message count.
-//   * Inboxes come out sorted by sender with no per-inbox sort: shards own
-//     ascending contiguous node ranges and nodes execute in ascending order
-//     within a shard, so concatenating a receiver's incoming per-shard lists
-//     in shard order enumerates its senders in ascending order.
+//   * Pull delivery into fixed inbox regions: receiver v's fresh messages
+//     occupy [arc_offset(v), arc_offset(v) + deg(v)) of a 2m-entry store —
+//     at most one message arrives per neighbour per round. A broadcast
+//     stages nothing per receiver: it stamps the sender's record {round,
+//     offset, len}, and each destination shard walks its receivers' sorted
+//     neighbour rows, appending every neighbour stamped this round (the
+//     walk runs only in rounds in which some node broadcast). A send()
+//     stages one (from, to, payload) entry into a per (sender shard,
+//     destination shard) list and is pushed into the receiver's region.
+//     A receiver that gets both kinds has its two sender-sorted runs
+//     merged in place. Delivery is one parallel pass over destination
+//     shards with each channel fate decided once, inline; only rounds with
+//     due delayed copies add a sizing pass and an O(shards) prefix that
+//     moves those receivers' regions into per-shard tail areas. A region
+//     overflow (some sender broke the one-message-per-neighbour rule)
+//     throws InboxOverflow.
+//   * Inboxes come out sorted by sender with no per-inbox sort: neighbour
+//     rows are sorted, and shards own ascending contiguous node ranges in
+//     which nodes execute in ascending order, so concatenating a
+//     receiver's incoming per-shard unicast lists in shard order
+//     enumerates their senders in ascending order.
 //   * Structure-of-arrays node state: the per-node hot fields (crash/halt/
 //     has-process flags, inbox offsets and lengths, RNG streams) live in
 //     contiguous arrays indexed by node id, shard-contiguous, so the round
@@ -58,9 +66,8 @@
 //     grain (set_parallel_grain), rounds run the same staged code inline —
 //     bitwise-identically — instead of paying pool dispatch latency.
 //   * Liveness/termination are maintained counters (no O(n) scans), and
-//     in-flight messages are indexed by (sender shard, destination shard)
-//     with sender-ascending lists, so crash() drops them with binary
-//     searches instead of scanning every queue.
+//     crash(v) drops v's delivered messages with one binary search per
+//     neighbour's sender-sorted region instead of scanning every inbox.
 #pragma once
 
 #include <algorithm>
@@ -70,6 +77,7 @@
 #include <limits>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -114,11 +122,21 @@ struct Metrics {
   return words < kLimit && arena_words < kLimit - words;
 }
 
-/// True iff one round's `messages` deliveries fit the uint32 offsets that
+/// True iff one round's `messages` inbox slots fit the uint32 offsets that
 /// address inbox regions; SyncNetwork throws std::length_error otherwise.
 [[nodiscard]] inline bool inbox_fits(std::uint64_t messages) noexcept {
   return messages < std::numeric_limits<std::uint32_t>::max();
 }
+
+/// Thrown by SyncNetwork::step() when a round breaks the synchronous model's
+/// one message per neighbour per round: a receiver got more fresh messages
+/// than it has neighbours, or a node broadcast twice. Debug builds assert at
+/// the offending send instead. The round is then incomplete; the network
+/// must not be stepped again.
+class InboxOverflow : public std::length_error {
+ public:
+  using std::length_error::length_error;
+};
 
 /// Backend interface through which a Context reaches its network. Both the
 /// synchronous network (SyncNetwork) and the asynchronous executor
@@ -139,7 +157,7 @@ class NetworkBackend {
                             std::span<const Word> words) = 0;
   /// Queues one message per neighbor of `from`, all carrying `words`. The
   /// default forwards to backend_send per neighbor; SyncNetwork overrides it
-  /// to store the payload once and fan out views.
+  /// to store the payload once for its receivers to pull at delivery.
   virtual void backend_broadcast(graph::NodeId from,
                                  std::span<const Word> words);
 };
@@ -388,38 +406,27 @@ class SyncNetwork final : public NetworkBackend {
   static constexpr std::uint8_t kNodeHalted = 1u << 1;
   static constexpr std::uint8_t kNodeHasProcess = 1u << 2;
 
-  /// One staged transfer: sender, receivers, and the payload's location in
-  /// the sending shard's arena. A send() entry names its one receiver in
-  /// `to`. A broadcast() whose neighbours all lie in one destination shard
-  /// (always, with one shard) stages a single fan-out entry, to == kFanOut,
-  /// that stands for every neighbour of `from`; other broadcasts stage one
-  /// entry per receiver (see backend_broadcast for why). Every reader
-  /// (count and place passes, crash(), the debug one-message-per-neighbour
-  /// check) expands entries through for_each_receiver(), so a fan-out entry
-  /// enumerates exactly the (from, to) pairs, in the same order, that
-  /// per-receiver entries would. Lists are kept per (sender shard,
-  /// destination shard) pair; within a list entries are sender-ascending
-  /// (nodes execute in ascending order within their shard), which (a) makes
-  /// per-receiver sender-sorted inboxes a counting sort, and (b) lets
-  /// crash() binary-search a sender's in-flight messages.
+  /// One staged send(): sender, receiver, and the payload's location in the
+  /// sending shard's arena. Lists are kept per (sender shard, destination
+  /// shard) pair; within a list entries are sender-ascending (nodes execute
+  /// in ascending order within their shard), so walking a destination
+  /// shard's lists in sender-shard order pushes every receiver's unicasts
+  /// in ascending sender order.
   struct XferEntry {
     graph::NodeId from = -1;
-    graph::NodeId to = -1;  ///< receiver, or kFanOut
+    graph::NodeId to = -1;
     std::uint32_t offset = 0;
     std::uint32_t len = 0;
   };
-  static constexpr graph::NodeId kFanOut = -1;
 
-  /// Calls fn(to) for every receiver of `e`, in ascending id order: the
-  /// named receiver, or every neighbour of `from` for a fan-out entry.
-  template <typename Fn>
-  void for_each_receiver(const XferEntry& e, Fn&& fn) const {
-    if (e.to != kFanOut) {
-      fn(e.to);
-      return;
-    }
-    for (const graph::NodeId w : graph_->neighbors(e.from)) fn(w);
-  }
+  /// A node's latest broadcast: its payload's location in the sending
+  /// shard's arena, valid for the receivers' pull walk iff `round` is the
+  /// round being delivered.
+  struct BroadcastStamp {
+    std::int64_t round = -1;
+    std::uint32_t offset = 0;
+    std::uint32_t len = 0;
+  };
 
   /// Per-shard accumulators staged during the parallel phase of a round and
   /// merged sequentially afterwards (fixed order ⇒ determinism).
@@ -429,6 +436,23 @@ class SyncNetwork final : public NetworkBackend {
     std::int64_t max_words = 0;
     std::int64_t newly_halted = 0;
     std::int64_t nodes_run = 0;  ///< processes executed (straggler telemetry)
+    std::int64_t broadcasts = 0;    ///< broadcasting nodes (pull walk needed)
+    bool double_broadcast = false;  ///< some node broadcast twice
+  };
+
+  /// A receiver whose region moves to its shard's tail this round, because
+  /// due delayed copies join its at most deg(node) fresh messages.
+  struct Relocation {
+    graph::NodeId node = -1;
+    std::uint32_t offset = 0;  ///< region start, relative to the tail base
+  };
+
+  /// Per destination shard delivery state.
+  struct DeliveryShard {
+    std::vector<Relocation> relocated;  ///< ascending node order
+    std::uint64_t tail_slots = 0;       ///< tail slots the relocations need
+    std::uint64_t tail_base = 0;        ///< tail start in inbox_store_
+    bool overflow = false;              ///< a region would have overflowed
   };
 
   // NetworkBackend:
@@ -477,11 +501,11 @@ class SyncNetwork final : public NetworkBackend {
   /// Runs on_round() for every live, unhalted process in [begin, end).
   void execute_nodes(graph::NodeId begin, graph::NodeId end, int shard);
 
-  /// Two-phase delivery of this round's staged transfers into next round's
-  /// inboxes: a parallel count pass (channel verdicts, per-receiver counts,
-  /// delayed-copy enqueue), an O(shards) sequential prefix sum, and a
-  /// parallel place pass (counting sort into the flat inbox store plus
-  /// sorted insertion of due delayed copies).
+  /// Delivers this round's broadcasts and sends into next round's inboxes:
+  /// an optional parallel pass sizing the tail regions of receivers with
+  /// due delayed copies, an O(shards) prefix over those tails, and one
+  /// parallel placement pass over destination shards (push unicasts, pull
+  /// broadcasts, merge, splice due delayed copies). Throws InboxOverflow.
   void deliver_round(int shards);
 
   /// Recomputes node_flags_[v] from processes_[v] (crash bit preserved).
@@ -505,9 +529,6 @@ class SyncNetwork final : public NetworkBackend {
   /// move + length decrement; idempotent, no-op when absent).
   void erase_inbox_entries(graph::NodeId sender, graph::NodeId to) noexcept;
 
-  /// Drops every entry sent by v from the (unswapped) current generation.
-  void purge_current_sends(graph::NodeId v);
-
   /// Clears the per-shard channel decision caches (options changed).
   void reset_channel_shard_state();
 
@@ -524,33 +545,26 @@ class SyncNetwork final : public NetworkBackend {
   // a shard's nodes are a contiguous range, so its per-node traffic stays
   // in its own cache lines).
   std::vector<std::uint8_t> node_flags_;     // kNode* bits
-  std::vector<std::uint32_t> inbox_off_;     // region start in inbox_store_
-  std::vector<std::uint32_t> inbox_len_;     // region length (crash-shrunk)
-  std::vector<std::uint32_t> inbox_count_;   // delivery scratch: counts
-  std::vector<std::uint32_t> inbox_cursor_;  // delivery scratch: fill cursor
+  std::vector<std::uint32_t> inbox_off_;  // region start in inbox_store_
+  std::vector<std::uint32_t> inbox_len_;  // region length (crash-shrunk)
+  std::vector<BroadcastStamp> bcast_;     // latest broadcast per node
 
   // Message plane. Double-buffered: processes read views into the `prev`
-  // generation (what was delivered to them) while their sends fill `cur`.
-  // xfer lists are indexed [sender_shard * shards + dest_shard]; a sender
+  // arenas (what was delivered to them) while their sends fill `cur`.
+  // Unicast lists are indexed [sender_shard * shards + dest_shard]; a sender
   // shard owns row s exclusively during compute, a destination shard reads
-  // column d exclusively during delivery.
+  // column d exclusively during delivery, and every list is empty between
+  // rounds.
   std::vector<std::vector<Word>> arena_cur_;   // one per sender shard
   std::vector<std::vector<Word>> arena_prev_;
-  std::vector<std::vector<XferEntry>> xfer_cur_;   // S*S transfer lists
-  std::vector<std::vector<XferEntry>> xfer_prev_;  // delivered generation
-  int xfer_shards_prev_ = 1;          ///< shard count xfer_prev_ was built at
-  std::size_t xfer_block_prev_ = 1;   ///< shard block of that generation
-  std::vector<Message> inbox_store_;  ///< all inboxes, receiver-contiguous
+  std::vector<const Word*> arena_base_;        // arena_cur_ data, per shard
+  std::vector<std::vector<XferEntry>> xfer_cur_;  // S*S unicast lists
+  std::vector<Message> inbox_store_;  ///< 2m fixed regions, then the tails
   std::vector<ShardStats> shard_stats_;            // one per sender shard
   // Per-shard perf timing, written only when a perf plane is attached:
   // compute by sender shard, the delivery passes by destination shard.
   std::vector<obs::PerfShardSample> perf_shards_;
-  std::vector<std::uint64_t> shard_inbox_total_;   // delivery scratch per d
-  std::vector<std::uint64_t> shard_inbox_base_;    // delivery scratch per d
-  // Channel fates decided in the count pass, replayed verbatim by the place
-  // pass (decide() counts side effects; deciding twice would double them).
-  // One byte per incoming entry, per destination shard, enumeration order.
-  std::vector<std::vector<std::uint8_t>> fate_scratch_;
+  std::vector<DeliveryShard> delivery_;              // one per dest shard
   std::vector<Channel::ShardState> channel_shards_;  // one per dest shard
 
   // Parallel engine.

@@ -1,5 +1,6 @@
 #include "util/cli.h"
 
+#include <cstdio>
 #include <optional>
 #include <stdexcept>
 
@@ -71,6 +72,27 @@ long long Args::get_int(const std::string& key, long long fallback) const {
   if (!raw) return fallback;
   if (const auto value = parse_whole(*raw, to_ll)) return *value;
   throw std::invalid_argument("--" + key + "=" + *raw + ": not an integer");
+}
+
+long long Args::get_int(const std::string& key, long long fallback,
+                        long long lo, long long hi) const {
+  const long long value = get_int(key, fallback);
+  if (value < lo || value > hi) {
+    throw std::invalid_argument("--" + key + "=" + std::to_string(value) +
+                                ": must be in [" + std::to_string(lo) + ", " +
+                                std::to_string(hi) + "]");
+  }
+  return value;
+}
+
+int run_cli(int argc, const char* const* argv, int (*run)(const Args&)) {
+  const Args args(argc, argv);
+  try {
+    return run(args);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s: %s\n", args.program().c_str(), e.what());
+    return 2;
+  }
 }
 
 double Args::get_double(const std::string& key, double fallback) const {

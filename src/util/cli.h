@@ -35,6 +35,11 @@ class Args {
                                        const std::string& fallback) const;
   [[nodiscard]] long long get_int(const std::string& key,
                                   long long fallback) const;
+  /// get_int that also throws std::invalid_argument (naming the flag and
+  /// the range) when the value lies outside [lo, hi], so an out-of-range
+  /// flag is rejected instead of truncated by the caller's narrowing cast.
+  [[nodiscard]] long long get_int(const std::string& key, long long fallback,
+                                  long long lo, long long hi) const;
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
@@ -59,6 +64,12 @@ class Args {
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
 };
+
+/// Runs `run` on the parsed command line and returns its exit status. A
+/// std::invalid_argument from it (a malformed or out-of-range flag) is
+/// printed as "<argv[0]>: <message>" and turns into exit status 2, so a bad
+/// flag never aborts the program.
+int run_cli(int argc, const char* const* argv, int (*run)(const Args&));
 
 /// The --trace / --metrics flag group shared by bench, example, and tool
 /// binaries (consumed by obs::make_plane / obs::export_plane):

@@ -18,6 +18,11 @@
 //    neighbour instead of one broadcast, so the engine's transfer buffers
 //    grow once — by a handful of blocks, independent of n.
 //  * Algorithm 2 (RoundingProcess): nothing after round 0.
+//  * Mixed rounds (a test process): in one round some nodes broadcast and
+//    others send to some neighbours, so receivers merge a pulled broadcast
+//    run with a pushed unicast run. The merge is in place, so once the
+//    engine's buffers have seen every traffic pattern a round allocates
+//    nothing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -159,6 +164,71 @@ void expect_lp_and_rounding_steady_rounds(const graph::Graph& g,
   for (std::size_t r = 1; r < rounding_allocs.size(); ++r) {
     EXPECT_EQ(rounding_allocs[r], 0u) << "rounding round " << r;
   }
+}
+
+/// Per (node, round mod 4): broadcast {self, phase}, or send {to, phase}
+/// to about two thirds of the neighbours. Counts the rounds in which its
+/// inbox held both kinds (a unicast payload starts with the receiver).
+class MixedTrafficProcess final : public sim::Process {
+ public:
+  static constexpr std::int64_t kRounds = 40;
+
+  void on_round(sim::Context& ctx) override {
+    const NodeId self = ctx.self();
+    bool pulled = false;
+    bool pushed = false;
+    for (const sim::Message& msg : ctx.inbox()) {
+      (msg.words[0] == static_cast<sim::Word>(self) ? pushed : pulled) = true;
+    }
+    if (pulled && pushed) ++mixed_inboxes_;
+    const auto phase = static_cast<std::uint64_t>(ctx.round() % 4);
+    const std::uint64_t mix =
+        static_cast<std::uint64_t>(self) * 0x9E3779B97F4A7C15ULL + phase;
+    if ((mix >> 33) % 2 == 0) {
+      ctx.broadcast({static_cast<sim::Word>(self), phase});
+    } else {
+      for (const NodeId w : ctx.neighbors()) {
+        if ((mix ^ static_cast<std::uint64_t>(w)) % 3 != 0) {
+          ctx.send(w, {static_cast<sim::Word>(w), phase});
+        }
+      }
+    }
+    if (ctx.round() + 1 >= kRounds) halt();
+  }
+
+  [[nodiscard]] std::int64_t mixed_inboxes() const { return mixed_inboxes_; }
+
+ private:
+  std::int64_t mixed_inboxes_ = 0;
+};
+
+/// Every traffic pattern has run through both arenas by round 8.
+void expect_mixed_steady_rounds_allocate_nothing(
+    const obs::PlaneOptions* options, std::uint64_t seed) {
+  util::Rng rng(seed);
+  const graph::Graph g =
+      graph::gnp(kNodes, 10.0 / static_cast<double>(kNodes - 1), rng);
+  const auto plane = make_plane(options);
+  sim::SyncNetwork net(g, seed);
+  if (plane != nullptr) net.set_observability(plane.get());
+  net.set_all_processes(
+      [](NodeId) { return std::make_unique<MixedTrafficProcess>(); });
+  const auto allocs =
+      step_counting_allocs(net, MixedTrafficProcess::kRounds + 1);
+  ASSERT_EQ(static_cast<std::int64_t>(allocs.size()),
+            MixedTrafficProcess::kRounds);
+  for (std::size_t r = 8; r < allocs.size(); ++r) {
+    EXPECT_EQ(allocs[r], 0u) << "round " << r;
+  }
+  std::int64_t mixed = 0;
+  for (NodeId v = 0; v < g.n(); ++v) {
+    mixed += net.process_as<MixedTrafficProcess>(v).mixed_inboxes();
+  }
+  EXPECT_GT(mixed, kNodes) << "receivers must see both kinds in one round";
+}
+
+TEST(MixedRoundAllocs, SteadyStateMixedRoundsAllocateNothing) {
+  for_each_plane_and_seed(expect_mixed_steady_rounds_allocate_nothing);
 }
 
 TEST(UdgKmdsAllocs, SteadyStateRoundsAllocateNothing) {

@@ -48,6 +48,20 @@ TEST(Args, BadIntegerThrows) {
   EXPECT_THROW((void)args.get_int("k", 0), std::invalid_argument);
 }
 
+TEST(Args, RangedIntRejectsValuesOutsideTheRange) {
+  const Args args = make_args({"--n=4294967306", "--k=0", "--t=5"});
+  EXPECT_THROW((void)args.get_int("n", 1, 1, 2147483647),
+               std::invalid_argument);
+  EXPECT_THROW((void)args.get_int("k", 1, 1, 10), std::invalid_argument);
+  EXPECT_EQ(args.get_int("t", 1, 1, 5), 5);  // bounds are inclusive
+  EXPECT_EQ(args.get_int("absent", 3, 1, 5), 3);
+  try {
+    (void)args.get_int("k", 1, 1, 10);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "--k=0: must be in [1, 10]");
+  }
+}
+
 TEST(Args, BadDoubleThrows) {
   const Args args = make_args({"--x=oops", "--loss=0.5x"});
   EXPECT_THROW((void)args.get_double("x", 0.0), std::invalid_argument);
