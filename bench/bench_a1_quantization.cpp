@@ -18,12 +18,12 @@
 #include "graph/generators.h"
 #include "util/rng.h"
 
-int main(int argc, char** argv) {
+int run(const ftc::util::Args& args) {
   using namespace ftc;
-  const util::Args args(argc, argv);
-  const int seeds = static_cast<int>(args.get_int("seeds", 5));
-  const auto n = static_cast<graph::NodeId>(args.get_int("n", 400));
-  const auto k = static_cast<std::int32_t>(args.get_int("k", 2));
+  const int seeds = static_cast<int>(args.get_int("seeds", 5, 1, INT32_MAX));
+  const auto n =
+      static_cast<graph::NodeId>(args.get_int("n", 400, 2, INT32_MAX));
+  const auto k = static_cast<std::int32_t>(args.get_int("k", 2, 1, INT32_MAX));
 
   bench::Output out({"avg_deg", "t", "obj_exact", "obj_quantized",
                      "rel_diff", "max_violation(q)"},
@@ -64,4 +64,8 @@ int main(int argc, char** argv) {
       std::to_string(seeds) +
       " seeds; rel_diff/max_violation are per-row maxima");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return ftc::util::run_cli(argc, argv, run);
 }

@@ -24,12 +24,12 @@
 #include "graph/generators.h"
 #include "util/rng.h"
 
-int main(int argc, char** argv) {
+int run(const ftc::util::Args& args) {
   using namespace ftc;
-  const util::Args args(argc, argv);
-  const int seeds = static_cast<int>(args.get_int("seeds", 5));
-  const auto n = static_cast<graph::NodeId>(args.get_int("n", 400));
-  const auto k = static_cast<std::int32_t>(args.get_int("k", 2));
+  const int seeds = static_cast<int>(args.get_int("seeds", 5, 1, INT32_MAX));
+  const auto n =
+      static_cast<graph::NodeId>(args.get_int("n", 400, 2, INT32_MAX));
+  const auto k = static_cast<std::int32_t>(args.get_int("k", 2, 1, INT32_MAX));
 
   bench::Output out({"skew", "greedy_blind_w", "greedy_aware_w", "saving%",
                      "repair_blind_w", "repair_aware_w", "saving%",
@@ -49,8 +49,8 @@ int main(int argc, char** argv) {
       // Weight-blind: optimize cardinality, pay the weighted bill.
       const auto blind = algo::greedy_kmds(g, d);
       blind_g.add(algo::set_weight(blind.set, w));
-      const auto aware = algo::weighted_greedy_kmds(g, d, w);
-      aware_g.add(aware.weight);
+      const auto aware = algo::greedy_kmds(g, d, w);
+      aware_g.add(algo::set_weight(aware.set, w));
 
       // Pure repair path: zero fractional mass forces every selection
       // through the request rule.
@@ -58,9 +58,8 @@ int main(int argc, char** argv) {
       zero.x.assign(static_cast<std::size_t>(g.n()), 0.0);
       const auto rb = algo::round_fractional(g, zero, d, 99 + s);
       blind_r.add(algo::set_weight(rb.set, w));
-      const auto ra =
-          algo::weighted_round_fractional(g, zero, d, w, 99 + s);
-      aware_r.add(ra.weight);
+      const auto ra = algo::round_fractional(g, zero, d, 99 + s, w);
+      aware_r.add(algo::set_weight(ra.set, w));
 
       lb.add(algo::weighted_lower_bound(g, d, w));
     }
@@ -80,4 +79,8 @@ int main(int argc, char** argv) {
       "n=" + std::to_string(n) + ", k=" + std::to_string(k) +
       ", weights uniform in [1, skew], " + std::to_string(seeds) + " seeds");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return ftc::util::run_cli(argc, argv, run);
 }

@@ -17,12 +17,12 @@
 #include "sim/async.h"
 #include "util/rng.h"
 
-int main(int argc, char** argv) {
+int run(const ftc::util::Args& args) {
   using namespace ftc;
-  const util::Args args(argc, argv);
-  const auto n = static_cast<graph::NodeId>(args.get_int("n", 300));
-  const auto k = static_cast<std::int32_t>(args.get_int("k", 2));
-  const int t = static_cast<int>(args.get_int("t", 3));
+  const auto n =
+      static_cast<graph::NodeId>(args.get_int("n", 300, 2, INT32_MAX));
+  const auto k = static_cast<std::int32_t>(args.get_int("k", 2, 1, INT32_MAX));
+  const int t = static_cast<int>(args.get_int("t", 3, 1, INT32_MAX));
 
   util::Rng rng(42);
   const graph::Graph g =
@@ -65,4 +65,8 @@ int main(int argc, char** argv) {
       ", t=" + std::to_string(t) +
       "; per-message delay uniform in [1, max_delay]");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return ftc::util::run_cli(argc, argv, run);
 }

@@ -19,11 +19,11 @@
 #include "geom/udg.h"
 #include "util/rng.h"
 
-int main(int argc, char** argv) {
+int run(const ftc::util::Args& args) {
   using namespace ftc;
-  const util::Args args(argc, argv);
-  const int seeds = static_cast<int>(args.get_int("seeds", 5));
-  const auto n = static_cast<graph::NodeId>(args.get_int("n", 2000));
+  const int seeds = static_cast<int>(args.get_int("seeds", 5, 1, INT32_MAX));
+  const auto n =
+      static_cast<graph::NodeId>(args.get_int("n", 2000, 2, INT32_MAX));
   const auto k_values = args.get_int_list("k", {1, 2, 4});
 
   bench::Output out({"k", "fail_p", "|S|", "failed", "promoted",
@@ -80,4 +80,8 @@ int main(int argc, char** argv) {
       "uniform UDG n=" + std::to_string(n) + ", greedy backbones, " +
       std::to_string(seeds) + " seeds");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return ftc::util::run_cli(argc, argv, run);
 }

@@ -20,12 +20,12 @@
 #include "geom/udg.h"
 #include "util/rng.h"
 
-int main(int argc, char** argv) {
+int run(const ftc::util::Args& args) {
   using namespace ftc;
-  const util::Args args(argc, argv);
-  const int seeds = static_cast<int>(args.get_int("seeds", 5));
-  const auto n = static_cast<graph::NodeId>(args.get_int("n", 3000));
-  const auto k = static_cast<std::int32_t>(args.get_int("k", 2));
+  const int seeds = static_cast<int>(args.get_int("seeds", 5, 1, INT32_MAX));
+  const auto n =
+      static_cast<graph::NodeId>(args.get_int("n", 3000, 2, INT32_MAX));
+  const auto k = static_cast<std::int32_t>(args.get_int("k", 2, 1, INT32_MAX));
 
   bench::Output out({"xi", "theta_scale", "R", "|S1|", "|S|", "ratio"},
                     args);
@@ -66,4 +66,8 @@ int main(int argc, char** argv) {
       "uniform UDG n=" + std::to_string(n) + ", k=" + std::to_string(k) +
       ", " + std::to_string(seeds) + " seeds");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return ftc::util::run_cli(argc, argv, run);
 }

@@ -49,11 +49,11 @@ double deficient_fraction(const graph::Graph& g,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
-  const int seeds = static_cast<int>(args.get_int("seeds", 5));
-  const auto n = static_cast<graph::NodeId>(args.get_int("n", 400));
-  const int t = static_cast<int>(args.get_int("t", 3));
+int run(const ftc::util::Args& args) {
+  const int seeds = static_cast<int>(args.get_int("seeds", 5, 1, INT32_MAX));
+  const auto n =
+      static_cast<graph::NodeId>(args.get_int("n", 400, 2, INT32_MAX));
+  const int t = static_cast<int>(args.get_int("t", 3, 1, INT32_MAX));
 
   bench::Output out({"k", "loss_p", "alg12_|S|", "alg12_deficient%",
                      "alg3_|S|", "alg3_deficient%", "msgs_lost%"},
@@ -116,4 +116,8 @@ int main(int argc, char** argv) {
       ", " + std::to_string(seeds) +
       " seeds; deficient% = nodes whose demand the output misses");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return ftc::util::run_cli(argc, argv, run);
 }

@@ -21,13 +21,13 @@
 #include "graph/generators.h"
 #include "util/rng.h"
 
-int main(int argc, char** argv) {
+int run(const ftc::util::Args& args) {
   using namespace ftc;
-  const util::Args args(argc, argv);
-  const int seeds = static_cast<int>(args.get_int("seeds", 5));
-  const auto n = static_cast<graph::NodeId>(args.get_int("n", 500));
-  const auto k = static_cast<std::int32_t>(args.get_int("k", 2));
-  const int t = static_cast<int>(args.get_int("t", 3));
+  const int seeds = static_cast<int>(args.get_int("seeds", 5, 1, INT32_MAX));
+  const auto n =
+      static_cast<graph::NodeId>(args.get_int("n", 500, 2, INT32_MAX));
+  const auto k = static_cast<std::int32_t>(args.get_int("k", 2, 1, INT32_MAX));
+  const int t = static_cast<int>(args.get_int("t", 3, 1, INT32_MAX));
 
   bench::Output out({"family", "Delta", "min_2hop", "obj_global",
                      "obj_2hop", "2hop/global", "rounds_g", "rounds_2h"},
@@ -72,4 +72,8 @@ int main(int argc, char** argv) {
       "n=" + std::to_string(n) + ", k=" + std::to_string(k) +
       ", t=" + std::to_string(t) + ", " + std::to_string(seeds) + " seeds");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return ftc::util::run_cli(argc, argv, run);
 }

@@ -24,12 +24,12 @@
 #include "sim/fault.h"
 #include "util/rng.h"
 
-int main(int argc, char** argv) {
+int run(const ftc::util::Args& args) {
   using namespace ftc;
-  const util::Args args(argc, argv);
-  const int seeds = static_cast<int>(args.get_int("seeds", 3));
-  const auto n = static_cast<graph::NodeId>(args.get_int("n", 600));
-  const auto rounds = args.get_int("rounds", 2000);
+  const int seeds = static_cast<int>(args.get_int("seeds", 3, 1, INT32_MAX));
+  const auto n =
+      static_cast<graph::NodeId>(args.get_int("n", 600, 2, INT32_MAX));
+  const auto rounds = args.get_int("rounds", 2000, 0, INT32_MAX);
   const auto k_values = args.get_int_list("k", {1, 2, 3});
   const double loss = args.get_double("loss", 0.05);
 
@@ -111,4 +111,8 @@ int main(int argc, char** argv) {
       std::to_string(rounds) + " rounds, RepairProcess daemons, " +
       std::to_string(seeds) + " seeds");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return ftc::util::run_cli(argc, argv, run);
 }

@@ -140,8 +140,7 @@ std::string row_prefix(const char* section, NodeId n) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
+int run(const ftc::util::Args& args) {
   const bool quick = args.get_bool("quick", false);
   const auto sizes = args.get_int_list(
       "sizes", quick ? std::vector<long long>{100'000}
@@ -152,10 +151,10 @@ int main(int argc, char** argv) {
   const auto widths = args.get_int_list(
       "threads",
       quick ? std::vector<long long>{1, 4} : std::vector<long long>{1, 4, 8});
-  const int t = static_cast<int>(args.get_int("t", 2));
+  const int t = static_cast<int>(args.get_int("t", 2, 1, INT32_MAX));
   const double degree = args.get_double("degree", 8.0);
   const double min_time = args.get_double("min-time", 0.3);
-  const int trials = static_cast<int>(args.get_int("trials", 64));
+  const int trials = static_cast<int>(args.get_int("trials", 64, 1, INT32_MAX));
   const std::string json_path = args.get_string("json", "BENCH_algo.json");
   const int hw = util::ThreadPool::hardware_threads();
 
@@ -387,4 +386,8 @@ int main(int argc, char** argv) {
     std::cout << "wrote " << json_path << "\n";
   }
   return g_all_equal ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return ftc::util::run_cli(argc, argv, run);
 }

@@ -101,17 +101,17 @@ sim::Mutation next_mutation(const sim::DynamicWorld& world, double radius,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
+int run(const ftc::util::Args& args) {
   const bool quick = args.get_bool("quick", false);
   const auto sizes = args.get_int_list(
       "sizes", quick ? std::vector<long long>{10'000}
                      : std::vector<long long>{10'000, 100'000});
   const double degree = args.get_double("degree", 8.0);
-  const auto k = static_cast<std::int32_t>(args.get_int("k", 2));
-  const auto mutations =
-      static_cast<int>(args.get_int("mutations", quick ? 120 : 400));
-  const int resolves = static_cast<int>(args.get_int("resolves", 40));
+  const auto k = static_cast<std::int32_t>(args.get_int("k", 2, 1, INT32_MAX));
+  const auto mutations = static_cast<int>(
+      args.get_int("mutations", quick ? 120 : 400, 1, INT32_MAX));
+  const int resolves =
+      static_cast<int>(args.get_int("resolves", 40, 1, INT32_MAX));
   const std::string json_path = args.get_string("json", "BENCH_dynamic.json");
 
   bench::Output out({"n", "mutations", "inc_mut/sec", "resolve/sec",
@@ -225,4 +225,8 @@ int main(int argc, char** argv) {
     std::cout << "wrote " << json_path << "\n";
   }
   return g_all_ok ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return ftc::util::run_cli(argc, argv, run);
 }

@@ -21,13 +21,13 @@
 #include "graph/generators.h"
 #include "util/rng.h"
 
-int main(int argc, char** argv) {
+int run(const ftc::util::Args& args) {
   using namespace ftc;
-  const util::Args args(argc, argv);
-  const int seeds = static_cast<int>(args.get_int("seeds", 5));
-  const auto n = static_cast<graph::NodeId>(args.get_int("n", 300));
-  const auto k = static_cast<std::int32_t>(args.get_int("k", 2));
-  const auto lp_pivots = args.get_int("lp-pivots", 40000);
+  const int seeds = static_cast<int>(args.get_int("seeds", 5, 1, INT32_MAX));
+  const auto n =
+      static_cast<graph::NodeId>(args.get_int("n", 300, 2, INT32_MAX));
+  const auto k = static_cast<std::int32_t>(args.get_int("k", 2, 1, INT32_MAX));
+  const auto lp_pivots = args.get_int("lp-pivots", 40000, 1, INT32_MAX);
   const auto t_values = args.get_int_list("t", {1, 2, 3, 5, 8});
   const auto degrees = args.get_int_list("degrees", {6, 20});
 
@@ -87,4 +87,8 @@ int main(int argc, char** argv) {
       std::to_string(seeds) +
       " seeds; both *_use columns must stay <= 1.000");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return ftc::util::run_cli(argc, argv, run);
 }

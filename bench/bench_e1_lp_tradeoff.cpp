@@ -44,18 +44,18 @@ Graph make_graph(const std::string& family, graph::NodeId n,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
-  const int seeds = static_cast<int>(args.get_int("seeds", 5));
-  const auto n = static_cast<graph::NodeId>(args.get_int("n", 300));
+int run(const ftc::util::Args& args) {
+  const int seeds = static_cast<int>(args.get_int("seeds", 5, 1, INT32_MAX));
+  const auto n =
+      static_cast<graph::NodeId>(args.get_int("n", 300, 2, INT32_MAX));
   const auto t_values = args.get_int_list("t", {1, 2, 3, 4, 6, 8});
   const auto k_values = args.get_int_list("k", {1, 3});
   // Exact OPT_f via simplex up to this size (O(n³)-ish per solve), with a
   // per-solve pivot budget; instances that exceed either fall back to the
   // best combinatorial lower bound.
   const auto lp_limit = static_cast<graph::NodeId>(
-      args.get_int("lp-limit", 350));
-  const auto lp_pivots = args.get_int("lp-pivots", 40000);
+      args.get_int("lp-limit", 350, 0, INT32_MAX));
+  const auto lp_pivots = args.get_int("lp-pivots", 40000, 1, INT32_MAX);
 
   bench::Output out({"family", "k", "t", "rounds", "Delta", "frac_obj",
                      "OPT_f", "ratio", "thm4.5_bound"},
@@ -123,4 +123,8 @@ int main(int argc, char** argv) {
       " seeds; ratio = fractional objective / OPT_f (exact simplex up to "
       "n=" + std::to_string(lp_limit) + ")");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return ftc::util::run_cli(argc, argv, run);
 }

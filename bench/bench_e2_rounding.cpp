@@ -20,13 +20,13 @@
 #include "graph/generators.h"
 #include "util/rng.h"
 
-int main(int argc, char** argv) {
+int run(const ftc::util::Args& args) {
   using namespace ftc;
-  const util::Args args(argc, argv);
-  const int seeds = static_cast<int>(args.get_int("seeds", 20));
-  const auto n = static_cast<graph::NodeId>(args.get_int("n", 600));
-  const int t = static_cast<int>(args.get_int("t", 4));
-  const auto k = static_cast<std::int32_t>(args.get_int("k", 2));
+  const int seeds = static_cast<int>(args.get_int("seeds", 20, 1, INT32_MAX));
+  const auto n =
+      static_cast<graph::NodeId>(args.get_int("n", 600, 2, INT32_MAX));
+  const int t = static_cast<int>(args.get_int("t", 4, 1, INT32_MAX));
+  const auto k = static_cast<std::int32_t>(args.get_int("k", 2, 1, INT32_MAX));
   const auto degrees = args.get_int_list("degrees", {4, 8, 16, 32, 64});
 
   bench::Output out({"avg_deg", "Delta", "ln(D+1)", "frac_obj", "E[|S|]",
@@ -72,4 +72,8 @@ int main(int argc, char** argv) {
       ", t=" + std::to_string(t) + ", " + std::to_string(seeds) +
       " rounding seeds per row");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return ftc::util::run_cli(argc, argv, run);
 }

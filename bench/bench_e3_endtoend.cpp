@@ -20,11 +20,10 @@
 #include "graph/generators.h"
 #include "util/rng.h"
 
-int main(int argc, char** argv) {
+int run(const ftc::util::Args& args) {
   using namespace ftc;
-  const util::Args args(argc, argv);
-  const int seeds = static_cast<int>(args.get_int("seeds", 5));
-  const auto k = static_cast<std::int32_t>(args.get_int("k", 2));
+  const int seeds = static_cast<int>(args.get_int("seeds", 5, 1, INT32_MAX));
+  const auto k = static_cast<std::int32_t>(args.get_int("k", 2, 1, INT32_MAX));
   const auto sizes = args.get_int_list("sizes", {100, 200, 400, 800, 1600, 3200});
 
   bench::Output out({"n", "Delta", "t=ceil(lgD)", "rounds", "|S|", "lower_bnd",
@@ -84,4 +83,8 @@ int main(int argc, char** argv) {
       "sparse G(n,p) with average degree ~10, k=" + std::to_string(k) + ", " +
       std::to_string(seeds) + " seeds");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return ftc::util::run_cli(argc, argv, run);
 }

@@ -21,15 +21,14 @@
 #include "sim/network.h"
 #include "util/rng.h"
 
-int main(int argc, char** argv) {
+int run(const ftc::util::Args& args) {
   using namespace ftc;
-  const util::Args args(argc, argv);
-  const int seeds = static_cast<int>(args.get_int("seeds", 5));
+  const int seeds = static_cast<int>(args.get_int("seeds", 5, 1, INT32_MAX));
   const double degree = args.get_double("degree", 15.0);
   const auto sizes =
       args.get_int_list("sizes", {100, 300, 1000, 3000, 10000, 30000});
   const auto k_values = args.get_int_list("k", {1, 2, 4});
-  const auto sim_limit = args.get_int("sim-limit", 2000);
+  const auto sim_limit = args.get_int("sim-limit", 2000, 0, INT32_MAX);
 
   bench::Output out({"n", "k", "R(loglog n)", "sim_rounds", "p2_iters",
                      "|S1|", "|S|", "lower_bnd", "ratio"},
@@ -85,4 +84,8 @@ int main(int argc, char** argv) {
       "avg degree ~" + util::fmt(degree, 0) + ", " + std::to_string(seeds) +
       " seeds; R = Part I paper rounds; sim_rounds = faithful simulator");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return ftc::util::run_cli(argc, argv, run);
 }

@@ -17,11 +17,11 @@
 #include "geom/udg.h"
 #include "util/rng.h"
 
-int main(int argc, char** argv) {
+int run(const ftc::util::Args& args) {
   using namespace ftc;
-  const util::Args args(argc, argv);
-  const int seeds = static_cast<int>(args.get_int("seeds", 5));
-  const auto n = static_cast<graph::NodeId>(args.get_int("n", 4000));
+  const int seeds = static_cast<int>(args.get_int("seeds", 5, 1, INT32_MAX));
+  const auto n =
+      static_cast<graph::NodeId>(args.get_int("n", 4000, 2, INT32_MAX));
   const auto degrees = args.get_int_list("degrees", {15, 40});
   const auto k_values = args.get_int_list("k", {1, 2, 4, 8});
 
@@ -96,4 +96,8 @@ int main(int argc, char** argv) {
       "n=" + std::to_string(n) + ", " + std::to_string(seeds) +
       " seeds; only node-occupied disks counted");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return ftc::util::run_cli(argc, argv, run);
 }

@@ -15,10 +15,10 @@
 #include "algo/udg/udg_kmds.h"
 #include "geom/cover.h"
 
-int main(int argc, char** argv) {
+int run(const ftc::util::Args& args) {
   using namespace ftc;
-  const util::Args args(argc, argv);
-  const auto n = static_cast<graph::NodeId>(args.get_int("n", 100000));
+  const auto n =
+      static_cast<graph::NodeId>(args.get_int("n", 100000, 2, INT32_MAX));
 
   std::cout << "Figure 1 check: D_i intersects "
             << geom::disks_intersecting_big_disk()
@@ -49,4 +49,8 @@ int main(int argc, char** argv) {
       "E6 (Lemma 5.3 / Figure 1) - hexagonal covering per Part-I round, n=" +
       std::to_string(n));
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return ftc::util::run_cli(argc, argv, run);
 }

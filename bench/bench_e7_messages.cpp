@@ -21,12 +21,11 @@
 #include "sim/network.h"
 #include "util/rng.h"
 
-int main(int argc, char** argv) {
+int run(const ftc::util::Args& args) {
   using namespace ftc;
-  const util::Args args(argc, argv);
   const auto sizes = args.get_int_list("sizes", {100, 400, 1600});
-  const auto k = static_cast<std::int32_t>(args.get_int("k", 2));
-  const int t = static_cast<int>(args.get_int("t", 3));
+  const auto k = static_cast<std::int32_t>(args.get_int("k", 2, 1, INT32_MAX));
+  const int t = static_cast<int>(args.get_int("t", 3, 1, INT32_MAX));
 
   bench::Output out({"algorithm", "n", "rounds", "messages", "words",
                      "max_words/msg", "msgs/node/round"},
@@ -87,4 +86,8 @@ int main(int argc, char** argv) {
       "E7 (Section 3) - message size audit: one word = O(log n) bits;\n"
       "the paper's claim is a constant number of words per message");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return ftc::util::run_cli(argc, argv, run);
 }

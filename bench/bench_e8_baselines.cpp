@@ -39,11 +39,11 @@ struct Row {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
-  const int seeds = static_cast<int>(args.get_int("seeds", 5));
-  const auto n = static_cast<graph::NodeId>(args.get_int("n", 800));
-  const auto k = static_cast<std::int32_t>(args.get_int("k", 2));
+int run(const ftc::util::Args& args) {
+  const int seeds = static_cast<int>(args.get_int("seeds", 5, 1, INT32_MAX));
+  const auto n =
+      static_cast<graph::NodeId>(args.get_int("n", 800, 2, INT32_MAX));
+  const auto k = static_cast<std::int32_t>(args.get_int("k", 2, 1, INT32_MAX));
 
   for (const std::string workload : {"gnp", "udg"}) {
     bench::Output out({"algorithm", "|S| mean", "ratio", "rounds"}, args);
@@ -120,4 +120,8 @@ int main(int argc, char** argv) {
     std::cout << "\n";
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return ftc::util::run_cli(argc, argv, run);
 }

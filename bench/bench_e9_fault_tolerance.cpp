@@ -54,13 +54,14 @@ double retention(const graph::Graph& g,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
-  const int seeds = static_cast<int>(args.get_int("seeds", 5));
-  const auto n = static_cast<graph::NodeId>(args.get_int("n", 2000));
+int run(const ftc::util::Args& args) {
+  const int seeds = static_cast<int>(args.get_int("seeds", 5, 1, INT32_MAX));
+  const auto n =
+      static_cast<graph::NodeId>(args.get_int("n", 2000, 2, INT32_MAX));
   const auto k_values = args.get_int_list("k", {1, 2, 3, 4, 5});
   const std::vector<double> crash_probs{0.1, 0.2, 0.3, 0.4, 0.5};
-  const int crash_trials = static_cast<int>(args.get_int("crash-trials", 10));
+  const int crash_trials =
+      static_cast<int>(args.get_int("crash-trials", 10, 1, INT32_MAX));
 
   bench::Output out({"backbone", "k", "|S|", "p=0.1", "p=0.2", "p=0.3",
                      "p=0.4", "p=0.5", "1-0.3^k"},
@@ -117,4 +118,8 @@ int main(int argc, char** argv) {
       std::to_string(seeds) +
       " deployments; cell = mean % of non-members still 1-covered");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return ftc::util::run_cli(argc, argv, run);
 }

@@ -113,13 +113,12 @@ ModeResult run_mode(const geom::UnitDiskGraph& udg, std::int64_t rounds,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
+int run(const ftc::util::Args& args) {
   const auto sizes = args.get_int_list("sizes", {1'000, 10'000});
   const double degree = args.get_double("degree", 12.0);
-  const auto rounds_arg = args.get_int("rounds", 0);
+  const auto rounds_arg = args.get_int("rounds", 0, 0, INT32_MAX);
   const int repeats =
-      std::max(1, static_cast<int>(args.get_int("repeats", 3)));
+      static_cast<int>(args.get_int("repeats", 3, 1, INT32_MAX));
   const std::string json_path =
       args.get_string("json", "BENCH_obs_overhead.json");
   const bool perf_gate = args.get_bool("perf-gate", false);
@@ -228,4 +227,8 @@ int main(int argc, char** argv) {
     std::cout << "wrote " << json_path << "\n";
   }
   return perf_gate && !perf_within_budget ? 1 : 0;
+}
+
+int main(int argc, char** argv) {
+  return ftc::util::run_cli(argc, argv, run);
 }

@@ -135,14 +135,13 @@ std::string json_row(NodeId n, double build_s, int threads, const MtResult& r,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
+int run(const ftc::util::Args& args) {
   const auto sizes =
       args.get_int_list("sizes", {10'000, 100'000, 1'000'000});
   const auto widths = args.get_int_list("threads", {1, 2, 4, 8});
   const double degree = args.get_double("degree", 12.0);
-  const auto rounds_arg = args.get_int("rounds", 0);
-  const auto warmup = std::max<long long>(args.get_int("warmup", 2), 0);
+  const auto rounds_arg = args.get_int("rounds", 0, 0, INT32_MAX);
+  const auto warmup = args.get_int("warmup", 2, 0, INT32_MAX);
   const std::string json_path =
       args.get_string("json", "BENCH_simcore_mt.json");
   const int hw = util::ThreadPool::hardware_threads();
@@ -227,4 +226,8 @@ int main(int argc, char** argv) {
     std::cout << "wrote " << json_path << "\n";
   }
   return all_deterministic ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return ftc::util::run_cli(argc, argv, run);
 }

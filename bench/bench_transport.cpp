@@ -171,14 +171,13 @@ RunStats run_transport(const geom::UnitDiskGraph& udg, std::int64_t rounds,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
+int run(const ftc::util::Args& args) {
   const auto sizes = args.get_int_list("sizes", {500, 2'000});
   const double degree = args.get_double("degree", 8.0);
-  const auto rounds_arg = args.get_int("rounds", 0);
+  const auto rounds_arg = args.get_int("rounds", 0, 0, INT32_MAX);
   const int repeats =
-      std::max(1, static_cast<int>(args.get_int("repeats", 3)));
-  const bool gate = args.get_int("gate", 1) != 0;
+      static_cast<int>(args.get_int("repeats", 3, 1, INT32_MAX));
+  const bool gate = args.get_int("gate", 1, 0, 1) != 0;
   const std::string json_path =
       args.get_string("json", "BENCH_transport.json");
   constexpr double kLosses[] = {0.0, 0.1, 0.3};
@@ -283,4 +282,8 @@ int main(int argc, char** argv) {
     std::cout << "wrote " << json_path << "\n";
   }
   return gate && !within_budget;
+}
+
+int main(int argc, char** argv) {
+  return ftc::util::run_cli(argc, argv, run);
 }

@@ -64,7 +64,7 @@ LifetimeResult simulate(const geom::UnitDiskGraph& udg, std::int32_t k,
         // `live` and demand nothing).
         weights[v] = 1.0 / std::max(battery[v], 1e-3);
       }
-      heads = algo::weighted_greedy_kmds(live, demands, weights).set;
+      heads = algo::greedy_kmds(live, demands, weights).set;
     } else {
       heads = algo::greedy_kmds(live, demands).set;
     }

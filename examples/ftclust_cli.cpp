@@ -210,10 +210,9 @@ int run(const util::Args& args) {
     const auto [lo, hi] = weight_range(args);
     util::Rng wrng(seed + 17);
     const auto weights = algo::random_weights(g.n(), lo, hi, wrng);
-    const auto result = algo::weighted_greedy_kmds(g, demands, weights);
-    set = result.set;
+    set = algo::greedy_kmds(g, demands, weights).set;
     std::printf("weighted objective: %.2f (weights in [%.1f, %.1f])\n",
-                result.weight, lo, hi);
+                algo::set_weight(set, weights), lo, hi);
   } else {
     std::fprintf(stderr, "unknown --algorithm=%s\n", algorithm.c_str());
     return 2;

@@ -62,6 +62,13 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 MODE="${FTC_SANITIZE:-address}"
 
+# Every ASan+UBSan tree (the default gate and the fuzz campaigns share
+# build-asan): RelWithDebInfo optimization and debug info, but without its
+# default -DNDEBUG, so assert() checks run under the sanitizers. No other
+# gate builds with assertions on.
+ASAN_CONFIG=(-DCMAKE_BUILD_TYPE=RelWithDebInfo -DFTC_SANITIZE=address
+             "-DCMAKE_CXX_FLAGS_RELWITHDEBINFO=-O2 -g")
+
 # Appends one JSON line to bench_history.jsonl recording a perf-gate run:
 #   {"utc": ..., "git_sha": ..., "mode": ..., "status": ..., "benches": {...}}
 # The history file is append-only local state (gitignored): it accumulates a
@@ -157,9 +164,7 @@ if [ "${1:-}" = "fuzz-smoke" ]; then
   # through the full invariant library (see DESIGN.md §8). Deterministic, so
   # a failure is a regression with a one-line repro, never a flake.
   BUILD_DIR="${2:-build-asan}"
-  configure -B "$BUILD_DIR" -S . \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DFTC_SANITIZE=address
+  configure -B "$BUILD_DIR" -S . "${ASAN_CONFIG[@]}"
   cmake --build "$BUILD_DIR" -j "$(nproc)" --target ftc-fuzz
   "$BUILD_DIR/tools/ftc-fuzz" run --cases=2000 --seed=1 --progress=500
   exit 0
@@ -172,9 +177,7 @@ if [ "${1:-}" = "loss-fuzz" ]; then
   # (engine equivalence under lossy schedules, transport convergence) all
   # get ASan+UBSan coverage. Deterministic, like fuzz-smoke.
   BUILD_DIR="${2:-build-asan}"
-  configure -B "$BUILD_DIR" -S . \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DFTC_SANITIZE=address
+  configure -B "$BUILD_DIR" -S . "${ASAN_CONFIG[@]}"
   cmake --build "$BUILD_DIR" -j "$(nproc)" --target ftc-fuzz
   "$BUILD_DIR/tools/ftc-fuzz" run --cases=2000 --seed=1 --progress=500 --lossy
   exit 0
@@ -188,9 +191,7 @@ if [ "${1:-}" = "dynamic-fuzz" ]; then
   # all under ASan+UBSan. Deterministic, like fuzz-smoke; the verdict is
   # appended to bench_history.jsonl so the dynamic gate has a timeline too.
   BUILD_DIR="${2:-build-asan}"
-  configure -B "$BUILD_DIR" -S . \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DFTC_SANITIZE=address
+  configure -B "$BUILD_DIR" -S . "${ASAN_CONFIG[@]}"
   cmake --build "$BUILD_DIR" -j "$(nproc)" --target ftc-fuzz
   status=0
   "$BUILD_DIR/tools/ftc-fuzz" run --cases=2000 --seed=1 --progress=500 \
@@ -304,9 +305,7 @@ if [ "$MODE" = "thread" ]; then
     -R 'ThreadPool|ParallelDeterminism|TraceDeterminism|ObsWiring|PerfWiring|BroadcastFanOut|ReliableTransport|FloodReference|LpParallel'
 else
   BUILD_DIR="${1:-build-asan}"
-  configure -B "$BUILD_DIR" -S . \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DFTC_SANITIZE=address
+  configure -B "$BUILD_DIR" -S . "${ASAN_CONFIG[@]}"
   cmake --build "$BUILD_DIR" -j "$(nproc)"
   run_ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 fi

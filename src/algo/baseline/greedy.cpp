@@ -9,8 +9,10 @@ namespace ftc::algo {
 using graph::NodeId;
 
 GreedyResult greedy_kmds(const graph::Graph& g,
-                         const domination::Demands& demands) {
+                         const domination::Demands& demands,
+                         std::span<const double> weights) {
   assert(static_cast<NodeId>(demands.size()) == g.n());
+  assert(weights.empty() || static_cast<NodeId>(weights.size()) == g.n());
   const auto n = static_cast<std::size_t>(g.n());
 
   GreedyResult result;
@@ -29,18 +31,27 @@ GreedyResult greedy_kmds(const graph::Graph& g,
     }
     return s;
   };
+  auto cost_of = [&](NodeId v) {
+    return weights.empty() ? 1.0 : weights[static_cast<std::size_t>(v)];
+  };
 
-  // Lazy max-heap of (span, -id): spans only decrease, so stale entries are
-  // detected by recomputation at pop time.
-  using Entry = std::pair<std::int32_t, NodeId>;
+  // Lazy min-heap on cost/span: spans only decrease, so an entry is stale
+  // exactly when its recorded span exceeds the recomputed one.
+  struct Entry {
+    double cost_per_span;
+    std::int32_t span;
+    NodeId v;
+  };
   const auto cmp = [](const Entry& a, const Entry& b) {
-    if (a.first != b.first) return a.first < b.first;
-    return a.second > b.second;  // smaller id wins ties
+    if (a.cost_per_span != b.cost_per_span) {
+      return a.cost_per_span > b.cost_per_span;
+    }
+    return a.v > b.v;  // smaller id wins ties
   };
   std::priority_queue<Entry, std::vector<Entry>, decltype(cmp)> heap(cmp);
   for (NodeId v = 0; v < g.n(); ++v) {
     const std::int32_t s = span_of(v);
-    if (s > 0) heap.push({s, v});
+    if (s > 0) heap.push({cost_of(v) / s, s, v});
   }
 
   std::int64_t deficient_total = 0;
@@ -49,18 +60,18 @@ GreedyResult greedy_kmds(const graph::Graph& g,
   }
 
   while (deficient_total > 0 && !heap.empty()) {
-    const auto [claimed_span, v] = heap.top();
+    const Entry top = heap.top();
+    const NodeId v = top.v;
     heap.pop();
     if (chosen[static_cast<std::size_t>(v)]) continue;
     const std::int32_t actual = span_of(v);
     if (actual <= 0) continue;
-    if (actual < claimed_span) {
-      heap.push({actual, v});  // stale entry; reinsert with true span
+    if (actual < top.span) {
+      heap.push({cost_of(v) / actual, actual, v});  // stale; reinsert
       continue;
     }
     // Select v.
     chosen[static_cast<std::size_t>(v)] = 1;
-    ++result.steps;
     auto cover_one = [&](NodeId u) {
       auto& r = residual[static_cast<std::size_t>(u)];
       if (r > 0 && --r == 0) --deficient_total;

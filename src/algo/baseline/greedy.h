@@ -7,9 +7,13 @@
 // covering the most still-deficient closed neighbors. Guarantees an
 // H(Δ+1)-approximation for the LP (closed-neighborhood) definition, so
 // |greedy| / H(Δ+1) is also a valid OPT lower bound (domination/bounds.h).
+//
+// With node weights (Section 4.1's weighted remark) the same loop picks the
+// node of least cost per deficient closed neighbor, still an
+// H(Δ+1)-approximation of the weighted optimum; unit cost is the rule above.
 #pragma once
 
-#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "domination/domination.h"
@@ -20,17 +24,19 @@ namespace ftc::algo {
 /// Result of the greedy baseline.
 struct GreedyResult {
   std::vector<graph::NodeId> set;  ///< chosen dominators, sorted
-  std::int64_t steps = 0;          ///< greedy selections performed
 
   /// True when all demands were satisfied (false only on infeasible
   /// instances, where greedy covers as much as possible and stops).
   bool fully_satisfied = true;
 };
 
-/// Runs greedy set multicover for the demands (LP definition). Ties are
-/// broken toward the smaller node id, making the result deterministic.
+/// Runs greedy set multicover for the demands (LP definition): each step
+/// selects the node minimizing cost / (still-deficient closed neighbors),
+/// where cost is `weights[v]` (all > 0) or 1 when `weights` is empty. Ties
+/// are broken toward the smaller node id, making the result deterministic.
 /// O((n + m) log n) via a lazy priority queue.
 [[nodiscard]] GreedyResult greedy_kmds(const graph::Graph& g,
-                                       const domination::Demands& demands);
+                                       const domination::Demands& demands,
+                                       std::span<const double> weights = {});
 
 }  // namespace ftc::algo

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <numeric>
 
 #include "algo/baseline/greedy.h"
@@ -15,27 +16,34 @@ namespace {
 struct Searcher {
   const graph::Graph& g;
   const domination::Demands& demands;
+  std::span<const double> weights;  // empty: unit cost
   std::int64_t node_budget;
 
   std::vector<std::int32_t> residual;
   std::vector<std::uint8_t> chosen;
   std::vector<std::uint8_t> excluded;
-  std::int64_t chosen_count = 0;
+  double chosen_cost = 0.0;
   std::int64_t deficient_total = 0;  // Σ max(residual, 0)
+  double min_cost = 1.0;
 
   std::vector<NodeId> best_set;
-  std::int64_t best_size = 0;
+  double best_cost = 0.0;
   bool budget_exhausted = false;
   std::int64_t nodes_explored = 0;
 
   Searcher(const graph::Graph& graph, const domination::Demands& d,
-           std::int64_t budget)
-      : g(graph), demands(d), node_budget(budget) {
+           std::span<const double> w, std::int64_t budget)
+      : g(graph), demands(d), weights(w), node_budget(budget) {
     const auto n = static_cast<std::size_t>(g.n());
     residual.assign(d.begin(), d.end());
     chosen.assign(n, 0);
     excluded.assign(n, 0);
     for (std::int32_t r : residual) deficient_total += std::max(r, 0);
+    if (!w.empty()) min_cost = *std::min_element(w.begin(), w.end());
+  }
+
+  [[nodiscard]] double cost(NodeId v) const {
+    return weights.empty() ? 1.0 : weights[static_cast<std::size_t>(v)];
   }
 
   /// Available helpers of v: unchosen, unexcluded closed neighbors.
@@ -59,7 +67,7 @@ struct Searcher {
 
   void include(NodeId v, std::vector<NodeId>& covered) {
     chosen[static_cast<std::size_t>(v)] = 1;
-    ++chosen_count;
+    chosen_cost += cost(v);
     auto cover = [&](NodeId u) {
       auto& r = residual[static_cast<std::size_t>(u)];
       if (r > 0) {
@@ -74,7 +82,7 @@ struct Searcher {
 
   void undo_include(NodeId v, const std::vector<NodeId>& covered) {
     chosen[static_cast<std::size_t>(v)] = 0;
-    --chosen_count;
+    chosen_cost -= cost(v);
     for (NodeId u : covered) {
       ++residual[static_cast<std::size_t>(u)];
       ++deficient_total;
@@ -88,23 +96,30 @@ struct Searcher {
       return;
     }
 
+    // Costs are compared with a 1e-12 slack so that sums of weights that
+    // differ only by rounding count as equal; at unit cost they are exact
+    // integers and the slack changes nothing.
     if (deficient_total == 0) {
-      if (chosen_count < best_size) {
-        best_size = chosen_count;
+      if (chosen_cost < best_cost - 1e-12) {
+        best_cost = chosen_cost;
         best_set = domination::to_node_list(chosen);
       }
       return;
     }
 
-    // Bound prune: every further pick covers ≤ Δ+1 demand units, and some
-    // node still needs `max residual` distinct picks.
+    // Bound prune: every further pick covers ≤ Δ+1 demand units and costs
+    // at least min_cost, and some node still needs `max residual` distinct
+    // picks.
     std::int32_t max_residual = 0;
     for (std::int32_t r : residual) max_residual = std::max(max_residual, r);
     const std::int64_t capacity = g.max_degree() + 1;
     const std::int64_t need =
         std::max<std::int64_t>((deficient_total + capacity - 1) / capacity,
                                max_residual);
-    if (chosen_count + need >= best_size) return;
+    if (chosen_cost + static_cast<double>(need) * min_cost >=
+        best_cost - 1e-12) {
+      return;
+    }
 
     // Most-constrained deficient node: fewest spare helpers.
     NodeId pivot = -1;
@@ -121,15 +136,16 @@ struct Searcher {
     }
     assert(pivot >= 0);
 
-    // Branch variable: the available helper of `pivot` with maximal span.
+    // Branch variable: the available helper of `pivot` of least cost per
+    // deficient node covered (every helper covers at least the pivot).
     NodeId branch = -1;
-    std::int32_t branch_span = -1;
+    double branch_cost_per_span = std::numeric_limits<double>::infinity();
     auto consider = [&](NodeId v) {
       const auto i = static_cast<std::size_t>(v);
       if (chosen[i] || excluded[i]) return;
-      const std::int32_t s = span(v);
-      if (s > branch_span) {
-        branch_span = s;
+      const double c = cost(v) / span(v);
+      if (c < branch_cost_per_span) {
+        branch_cost_per_span = c;
         branch = v;
       }
     };
@@ -154,21 +170,23 @@ struct Searcher {
 
 ExactResult exact_kmds(const graph::Graph& g,
                        const domination::Demands& demands,
-                       const ExactOptions& options) {
+                       const ExactOptions& options,
+                       std::span<const double> weights) {
   assert(static_cast<NodeId>(demands.size()) == g.n());
+  assert(weights.empty() || static_cast<NodeId>(weights.size()) == g.n());
   ExactResult result;
   if (!domination::instance_feasible(g, demands)) {
     result.feasible = false;
     return result;
   }
 
-  Searcher searcher(g, demands, options.node_budget);
+  Searcher searcher(g, demands, weights, options.node_budget);
 
   // Incumbent from greedy (feasible because the instance is feasible).
-  const GreedyResult greedy = greedy_kmds(g, demands);
+  const GreedyResult greedy = greedy_kmds(g, demands, weights);
   assert(greedy.fully_satisfied);
   searcher.best_set = greedy.set;
-  searcher.best_size = static_cast<std::int64_t>(greedy.set.size());
+  for (NodeId v : greedy.set) searcher.best_cost += searcher.cost(v);
 
   searcher.dfs();
 

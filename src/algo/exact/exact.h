@@ -5,21 +5,24 @@
 // to measure true approximation ratios on instances up to a few dozen
 // nodes and to cross-validate the lower-bound toolkit.
 //
-// Method: depth-first branch and bound on include/exclude decisions.
+// Method: depth-first branch and bound on include/exclude decisions. Every
+// node has a cost: its weight when weights are given (the weighted variant of
+// Section 4.1), else 1, so unit cost is the cardinality problem.
 //  * Upper bound: the greedy H_Δ solution initializes the incumbent.
 //  * Variable choice: among the closed neighbors of the most-constrained
 //    deficient node (fewest available helpers per unit of residual demand),
-//    pick the one covering the most deficient nodes.
+//    pick the one of least cost per deficient node covered.
 //  * Pruning: (a) infeasibility — some deficient node has fewer available
 //    (non-excluded, unchosen) closed neighbors than residual demand;
-//    (b) bound — |chosen| + max(⌈Σresidual/(Δ+1)⌉, max residual) reaches
-//    the incumbent.
+//    (b) bound — cost(chosen) + need × min cost reaches the incumbent, where
+//    need = max(⌈Σresidual/(Δ+1)⌉, max residual) further picks.
 //
 // Solves the LP (closed-neighborhood) definition; a search-node budget
 // keeps worst cases bounded (result flagged non-optimal when exhausted).
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "domination/domination.h"
@@ -42,9 +45,12 @@ struct ExactResult {
   std::int64_t nodes_explored = 0;
 };
 
-/// Solves min-|S| subject to closed-neighborhood coverage ≥ demands.
+/// Solves min Σ_{v∈S} cost(v) subject to closed-neighborhood coverage ≥
+/// demands, where cost is `weights[v]` (all > 0) or 1 when `weights` is
+/// empty (min |S|).
 [[nodiscard]] ExactResult exact_kmds(const graph::Graph& g,
                                      const domination::Demands& demands,
-                                     const ExactOptions& options = {});
+                                     const ExactOptions& options = {},
+                                     std::span<const double> weights = {});
 
 }  // namespace ftc::algo

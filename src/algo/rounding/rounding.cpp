@@ -14,9 +14,11 @@ using graph::NodeId;
 void round_fractional(const graph::Graph& g,
                       const domination::FractionalSolution& x,
                       const Demands& demands, std::uint64_t seed,
-                      RoundingScratch& scratch, RoundingResult& out) {
+                      RoundingScratch& scratch, RoundingResult& out,
+                      std::span<const double> weights) {
   assert(static_cast<NodeId>(x.x.size()) == g.n());
   assert(static_cast<NodeId>(demands.size()) == g.n());
+  assert(weights.empty() || static_cast<NodeId>(weights.size()) == g.n());
   const auto n = static_cast<std::size_t>(g.n());
   const double ln_d1 = std::log(static_cast<double>(g.max_degree()) + 1.0);
 
@@ -28,6 +30,7 @@ void round_fractional(const graph::Graph& g,
   scratch.requested.assign(n, 0);
   std::vector<std::uint8_t>& in_set = scratch.in_set;
   std::vector<std::uint8_t>& requested = scratch.requested;
+  std::vector<NodeId>& candidates = scratch.candidates;
 
   // Line 1-2: independent coins, one per node, from the node's own stream
   // (identical to what the simulator hands each process).
@@ -50,20 +53,34 @@ void round_fractional(const graph::Graph& g,
     for (NodeId w : g.neighbors(v)) {
       coverage += in_set[static_cast<std::size_t>(w)];
     }
-    std::int32_t shortfall = demands[i] - coverage;
+    const std::int32_t shortfall = demands[i] - coverage;
     if (shortfall <= 0) continue;
-    // Deterministic request rule: self first, then neighbors ascending.
-    if (!in_set[i] && shortfall > 0) {
-      requested[i] = 1;
-      --shortfall;
-    }
+    // Deterministic request rule: self first, then neighbors ascending;
+    // with weights, cheapest first and that order among equal weights.
+    candidates.clear();
+    if (!in_set[i]) candidates.push_back(v);
     for (NodeId w : g.neighbors(v)) {
-      if (shortfall <= 0) break;
-      const auto j = static_cast<std::size_t>(w);
-      if (!in_set[j]) {  // requests to already-requested nodes are idempotent
-        requested[j] = 1;
-        --shortfall;
+      if (!in_set[static_cast<std::size_t>(w)]) candidates.push_back(w);
+    }
+    const auto take =
+        std::min(candidates.size(), static_cast<std::size_t>(shortfall));
+    if (!weights.empty()) {
+      // The first `take` entries of a stable sort by weight, without the
+      // sort's temporary buffer: rotate the first cheapest one forward.
+      const auto by_weight = [&](NodeId a, NodeId b) {
+        return weights[static_cast<std::size_t>(a)] <
+               weights[static_cast<std::size_t>(b)];
+      };
+      for (std::size_t r = 0; r < take; ++r) {
+        const auto first = candidates.begin() + static_cast<std::ptrdiff_t>(r);
+        const auto cheapest =
+            std::min_element(first, candidates.end(), by_weight);
+        std::rotate(first, cheapest, cheapest + 1);
       }
+    }
+    // Requests to already-requested nodes are idempotent.
+    for (std::size_t c = 0; c < take; ++c) {
+      requested[static_cast<std::size_t>(candidates[c])] = 1;
     }
   }
 
@@ -82,10 +99,11 @@ void round_fractional(const graph::Graph& g,
 
 RoundingResult round_fractional(const graph::Graph& g,
                                 const domination::FractionalSolution& x,
-                                const Demands& demands, std::uint64_t seed) {
+                                const Demands& demands, std::uint64_t seed,
+                                std::span<const double> weights) {
   RoundingScratch scratch;
   RoundingResult result;
-  round_fractional(g, x, demands, seed, scratch, result);
+  round_fractional(g, x, demands, seed, scratch, result, weights);
   return result;
 }
 

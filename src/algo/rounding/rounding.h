@@ -17,9 +17,16 @@
 // Deterministic request rule (the paper leaves the choice free): a deficient
 // node requests itself first (if it stayed out), then its absent neighbors
 // in ascending id order, until the shortfall is met.
+//
+// Weighted variant (Section 4.1's remark): with node weights the candidate
+// list above is stably sorted by weight, so a deficient node requests its
+// cheapest absent closed neighbors, equal weights keeping the unit-cost
+// order. Coins are unchanged; Theorem 4.6 carries over with the weighted
+// objective (E[w(X)] = ln(Δ+1)·Σ w_i x_i by linearity).
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "domination/domination.h"
@@ -50,14 +57,18 @@ struct RoundingResult {
 struct RoundingScratch {
   std::vector<std::uint8_t> in_set;
   std::vector<std::uint8_t> requested;
+  std::vector<graph::NodeId> candidates;  ///< one deficient node's requests
 };
 
 /// Rounds the fractional solution `x` into an integral k-fold dominating
 /// set. `seed` must equal the SyncNetwork seed for mirror/simulator
-/// equality. Preconditions: x.x.size() == g.n() == demands.size().
+/// equality. `weights` (all > 0) orders the requests as described above;
+/// empty means unit cost. Preconditions: x.x.size() == g.n() ==
+/// demands.size(), and weights is empty or of size g.n().
 [[nodiscard]] RoundingResult round_fractional(
     const graph::Graph& g, const domination::FractionalSolution& x,
-    const domination::Demands& demands, std::uint64_t seed);
+    const domination::Demands& demands, std::uint64_t seed,
+    std::span<const double> weights = {});
 
 /// No-alloc variant: writes the result into `out` (set cleared and refilled,
 /// counters reset) using caller-owned scratch. Identical output to
@@ -67,6 +78,7 @@ struct RoundingScratch {
 void round_fractional(const graph::Graph& g,
                       const domination::FractionalSolution& x,
                       const domination::Demands& demands, std::uint64_t seed,
-                      RoundingScratch& scratch, RoundingResult& out);
+                      RoundingScratch& scratch, RoundingResult& out,
+                      std::span<const double> weights = {});
 
 }  // namespace ftc::algo

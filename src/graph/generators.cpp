@@ -193,8 +193,49 @@ Graph random_regular(NodeId n, NodeId d, util::Rng& rng) {
     }
     if (ok) return Graph::from_edges(n, edges);
   }
-  assert(false && "random_regular: too many rejection restarts");
-  return empty(n);
+  // The chance that one pass is simple falls like e^{-(d²-1)/4}, so larger
+  // d can exhaust the restarts. Start instead from a circulant d-regular
+  // graph (offsets 1..⌊d/2⌋, plus the antipodal matching when d is odd; each
+  // offset is below n/2 because d < n) and randomize it with double-edge
+  // swaps, each of which keeps every degree and is skipped when it would
+  // create a self-loop or a multi-edge.
+  auto canon = [](NodeId a, NodeId b) {
+    return a < b ? std::make_pair(a, b) : std::make_pair(b, a);
+  };
+  std::vector<Edge> edges;
+  for (NodeId v = 0; v < n; ++v) {
+    for (NodeId j = 1; j <= d / 2; ++j) {
+      edges.push_back({v, static_cast<NodeId>((v + j) % n)});
+    }
+    if (d % 2 == 1 && v < n / 2) {
+      edges.push_back({v, static_cast<NodeId>(v + n / 2)});
+    }
+  }
+  std::set<std::pair<NodeId, NodeId>> present;
+  for (const Edge& e : edges) present.insert(canon(e.u, e.v));
+  const std::size_t swaps = 10 * edges.size();
+  for (std::size_t s = 0; s < swaps && edges.size() >= 2; ++s) {
+    const std::size_t i = rng.index(edges.size());
+    const std::size_t j = rng.index(edges.size());
+    if (i == j) continue;
+    const NodeId a = edges[i].u;
+    const NodeId b = edges[i].v;
+    NodeId c = edges[j].u;
+    NodeId e = edges[j].v;
+    if (rng.bernoulli(0.5)) std::swap(c, e);
+    // Rewire a-b, c-e into a-c, b-e.
+    if (a == c || b == e || present.count(canon(a, c)) != 0 ||
+        present.count(canon(b, e)) != 0) {
+      continue;
+    }
+    present.erase(canon(a, b));
+    present.erase(canon(c, e));
+    present.insert(canon(a, c));
+    present.insert(canon(b, e));
+    edges[i] = {a, c};
+    edges[j] = {b, e};
+  }
+  return Graph::from_edges(n, edges);
 }
 
 Graph watts_strogatz(NodeId n, NodeId k_nearest, double beta,

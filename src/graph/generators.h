@@ -50,9 +50,10 @@ namespace ftc::graph {
 /// Graph with n nodes and no edges.
 [[nodiscard]] Graph empty(NodeId n);
 
-/// Random d-regular-ish graph via the configuration model with rejection of
-/// self-loops/multi-edges (retries stubs until simple; the result has degree
-/// exactly d for every node when n*d is even and d < n).
+/// Random simple d-regular graph via the configuration model with rejection
+/// of self-loops/multi-edges (up to 1000 restarts; if all fail, a circulant
+/// d-regular graph randomized by double-edge swaps). Preconditions: n*d even
+/// and 0 <= d < n.
 [[nodiscard]] Graph random_regular(NodeId n, NodeId d, util::Rng& rng);
 
 /// "Caveman" clustered graph: `cliques` cliques of size `clique_size`,

@@ -1,17 +1,11 @@
 #include "testing/mutants.h"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <string>
-#include <vector>
-
-#include "util/rng.h"
 
 namespace ftc::testing {
 
 using domination::Demands;
-using graph::NodeId;
 
 Mutation parse_mutation(const std::string& name) {
   if (name == "none") return Mutation::kNone;
@@ -34,61 +28,17 @@ const char* mutation_name(Mutation m) {
 algo::RoundingResult round_fractional_mutant(
     const graph::Graph& g, const domination::FractionalSolution& x,
     const Demands& demands, std::uint64_t seed, Mutation mutation) {
-  const auto n = static_cast<std::size_t>(g.n());
-  const double ln_d1 = std::log(static_cast<double>(g.max_degree()) + 1.0);
-  algo::RoundingResult result;
-
-  // Coin phase — identical streams to round_fractional() so the kNone
-  // mutant reproduces it exactly and every other mutant differs from the
-  // real algorithm only by its injected bug.
-  std::vector<std::uint8_t> in_set(n, 0);
-  const util::Rng root(seed);
-  const std::size_t coin_limit =
-      mutation == Mutation::kRoundingDropLastCoin && n > 0 ? n - 1 : n;
-  for (std::size_t i = 0; i < coin_limit; ++i) {
-    util::Rng node_rng = root.split(i);
-    const double p = std::min(1.0, x.x[i] * ln_d1);
-    if (node_rng.bernoulli(p)) {
-      in_set[i] = 1;
-      ++result.chosen_by_coin;
-    }
+  if (mutation == Mutation::kRoundingUnderRequest) {
+    Demands believed = demands;
+    for (std::int32_t& k : believed) --k;
+    return algo::round_fractional(g, x, believed, seed);
   }
-
-  // Request phase against the coin snapshot.
-  std::vector<std::uint8_t> requested(n, 0);
-  for (NodeId v = 0; v < g.n(); ++v) {
-    const auto i = static_cast<std::size_t>(v);
-    std::int32_t coverage = in_set[i];
-    for (NodeId w : g.neighbors(v)) {
-      coverage += in_set[static_cast<std::size_t>(w)];
-    }
-    std::int32_t shortfall = demands[i] - coverage;
-    if (mutation == Mutation::kRoundingUnderRequest) --shortfall;
-    if (shortfall <= 0) continue;
-    if (!in_set[i]) {
-      requested[i] = 1;
-      --shortfall;
-    }
-    for (NodeId w : g.neighbors(v)) {
-      if (shortfall <= 0) break;
-      const auto j = static_cast<std::size_t>(w);
-      if (!in_set[j]) {
-        requested[j] = 1;
-        --shortfall;
-      }
-    }
+  if (mutation == Mutation::kRoundingDropLastCoin && !x.x.empty()) {
+    domination::FractionalSolution dropped = x;
+    dropped.x.back() = 0.0;
+    return algo::round_fractional(g, dropped, demands, seed);
   }
-
-  for (std::size_t i = 0; i < n; ++i) {
-    if (requested[i] && !in_set[i]) {
-      in_set[i] = 1;
-      ++result.chosen_by_request;
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (in_set[i]) result.set.push_back(static_cast<NodeId>(i));
-  }
-  return result;
+  return algo::round_fractional(g, x, demands, seed);
 }
 
 }  // namespace ftc::testing

@@ -44,10 +44,11 @@ enum class Mutation : std::int32_t {
 /// Name of a mutation (inverse of parse_mutation).
 [[nodiscard]] const char* mutation_name(Mutation m);
 
-/// Algorithm 2 with `mutation` injected. For Mutation::kNone this computes
-/// exactly round_fractional() (same coins, same request rule), which the
-/// harness tests assert — so a mutant differs from the real algorithm by
-/// precisely its injected bug.
+/// Algorithm 2 with `mutation` injected as an edit of its input:
+/// kRoundingUnderRequest rounds against demands − 1, kRoundingDropLastCoin
+/// against x with its last entry zeroed. Any other mutation calls
+/// round_fractional() unchanged, so a mutant differs from the real algorithm
+/// by precisely its injected bug.
 [[nodiscard]] algo::RoundingResult round_fractional_mutant(
     const graph::Graph& g, const domination::FractionalSolution& x,
     const domination::Demands& demands, std::uint64_t seed, Mutation mutation);

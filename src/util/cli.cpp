@@ -1,6 +1,7 @@
 #include "util/cli.h"
 
 #include <cstdio>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 
@@ -67,16 +68,17 @@ std::string Args::get_string(const std::string& key,
   return get(key).value_or(fallback);
 }
 
-long long Args::get_int(const std::string& key, long long fallback) const {
-  const auto raw = get(key);
-  if (!raw) return fallback;
-  if (const auto value = parse_whole(*raw, to_ll)) return *value;
-  throw std::invalid_argument("--" + key + "=" + *raw + ": not an integer");
-}
-
 long long Args::get_int(const std::string& key, long long fallback,
                         long long lo, long long hi) const {
-  const long long value = get_int(key, fallback);
+  long long value = fallback;
+  if (const auto raw = get(key)) {
+    const auto parsed = parse_whole(*raw, to_ll);
+    if (!parsed) {
+      throw std::invalid_argument("--" + key + "=" + *raw +
+                                  ": not an integer");
+    }
+    value = *parsed;
+  }
   if (value < lo || value > hi) {
     throw std::invalid_argument("--" + key + "=" + std::to_string(value) +
                                 ": must be in [" + std::to_string(lo) + ", " +
@@ -156,7 +158,8 @@ ObsFlags parse_obs_flags(const Args& args) {
   flags.metrics_path = args.get_string("metrics", "");
   flags.categories = args.get_string("trace-categories", "");
   flags.severity = args.get_string("trace-severity", "");
-  flags.capacity = args.get_int("trace-capacity", flags.capacity);
+  flags.capacity = args.get_int("trace-capacity", flags.capacity, 1,
+                                std::numeric_limits<long long>::max());
   if (args.has("perf")) {
     flags.perf = true;
     // Bare `--perf` parses as value "1"; treat that as "default path".

@@ -17,7 +17,7 @@ namespace ftc::util {
 /// values with a default:
 ///
 ///   Args args(argc, argv);
-///   const int n = args.get_int("n", 1000);
+///   const int n = static_cast<int>(args.get_int("n", 1000, 1, INT32_MAX));
 ///   const std::string csv = args.get_string("csv", "");
 class Args {
  public:
@@ -33,11 +33,9 @@ class Args {
   /// std::invalid_argument when the key is present but unparsable.
   [[nodiscard]] std::string get_string(const std::string& key,
                                        const std::string& fallback) const;
-  [[nodiscard]] long long get_int(const std::string& key,
-                                  long long fallback) const;
-  /// get_int that also throws std::invalid_argument (naming the flag and
-  /// the range) when the value lies outside [lo, hi], so an out-of-range
-  /// flag is rejected instead of truncated by the caller's narrowing cast.
+  /// Also throws std::invalid_argument (naming the flag and the range) when
+  /// the value lies outside [lo, hi], so an out-of-range flag is rejected
+  /// instead of truncated by the caller's narrowing cast.
   [[nodiscard]] long long get_int(const std::string& key, long long fallback,
                                   long long lo, long long hi) const;
   [[nodiscard]] double get_double(const std::string& key,
@@ -81,7 +79,7 @@ int run_cli(int argc, const char* const* argv, int (*run)(const Args&));
 ///   --trace-categories=a,b  engine,message,fault,detector,repair,algo,user
 ///                           (default: all)
 ///   --trace-severity=S      debug | info | warn | error (default: debug)
-///   --trace-capacity=N      trace ring capacity in events
+///   --trace-capacity=N      trace ring capacity in events (N >= 1)
 ///   --perf[=FILE]           perf-attribution plane: per-phase/per-shard
 ///                           round timing, imbalance + straggler telemetry,
 ///                           written as JSONL to FILE (default perf.jsonl;

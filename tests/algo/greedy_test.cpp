@@ -80,14 +80,6 @@ TEST(Greedy, PerNodeDemands) {
   EXPECT_TRUE(domination::is_k_dominating(g, result.set, d));
 }
 
-TEST(Greedy, StepsEqualSetSize) {
-  util::Rng rng(2);
-  const Graph g = graph::gnp(40, 0.1, rng);
-  const auto d = clamp_demands(g, uniform_demands(40, 2));
-  const auto result = greedy_kmds(g, d);
-  EXPECT_EQ(result.steps, static_cast<std::int64_t>(result.set.size()));
-}
-
 TEST(Greedy, IsolatedNodesMustSelfSelect) {
   const Graph g = graph::empty(5);
   const auto result = greedy_kmds(g, uniform_demands(5, 1));

@@ -1,6 +1,6 @@
-// Allocation gate for the centralized Algorithm 1 mirror
-// (solve_fractional_kmds). Linked into ftc_alloc_tests with the counting
-// operator new of bench/alloc_hooks.cpp.
+// Allocation gates for the centralized Algorithm 1 and 2 mirrors
+// (solve_fractional_kmds, round_fractional). Linked into ftc_alloc_tests with
+// the counting operator new of bench/alloc_hooks.cpp.
 //
 // A single-thread solve sizes all of its state once: the result vectors,
 // the power tables, the alpha/beta arenas, the reverse slots, and the
@@ -16,6 +16,8 @@
 
 #include "alloc_hooks.h"
 #include "algo/lp/lp_kmds.h"
+#include "algo/rounding/rounding.h"
+#include "algo/weighted/weighted.h"
 #include "domination/domination.h"
 #include "graph/generators.h"
 #include "util/rng.h"
@@ -49,6 +51,32 @@ TEST(LpMirrorAllocs, SolveAllocationsIndependentOfTAndN) {
       SCOPED_TRACE("n=" + std::to_string(n) + " t=" + std::to_string(t));
       EXPECT_EQ(solve_allocs(n, t), baseline);
     }
+  }
+}
+
+// The scratch overload of round_fractional reuses its buffers, the weighted
+// request order included: after one warm-up call, trials allocate nothing.
+TEST(RoundingMirrorAllocs, ScratchOverloadSteadyStateAllocatesNothing) {
+  util::Rng rng(8);
+  const graph::Graph g = graph::gnp(2000, 10.0 / 2000.0, rng);
+  const auto demands =
+      domination::clamp_demands(g, domination::uniform_demands(2000, 3));
+  const NodeWeights weights = random_weights(g.n(), 1.0, 4.0, rng);
+  domination::FractionalSolution x;
+  x.x.assign(2000, 0.02);  // little mass: most nodes go through requests
+  for (const bool weighted : {false, true}) {
+    SCOPED_TRACE(weighted ? "weighted" : "unit cost");
+    const std::span<const double> w =
+        weighted ? std::span<const double>(weights) : std::span<const double>{};
+    RoundingScratch scratch;
+    RoundingResult out;
+    round_fractional(g, x, demands, 1, scratch, out, w);
+    const std::uint64_t before = bench::alloc_counts().count;
+    for (std::uint64_t seed = 2; seed < 10; ++seed) {
+      round_fractional(g, x, demands, seed, scratch, out, w);
+    }
+    EXPECT_EQ(bench::alloc_counts().count - before, 0u);
+    EXPECT_GT(out.chosen_by_request, 0);
   }
 }
 

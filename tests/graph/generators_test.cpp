@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+#include <string>
+#include <utility>
 
 #include "graph/properties.h"
 
@@ -151,6 +154,28 @@ TEST(RandomRegular, OddProductRejectedByContract) {
   util::Rng rng(14);
   const Graph g = random_regular(10, 3, rng);
   for (NodeId v = 0; v < 10; ++v) EXPECT_EQ(g.degree(v), 3);
+}
+
+// At these sizes the configuration model rarely yields a simple graph within
+// its restarts, so most seeds exercise the swap-randomized circulant.
+TEST(RandomRegular, HighDegreeIsSimpleAndRegular) {
+  for (const auto& [n, d] : {std::pair<NodeId, NodeId>{20, 6}, {12, 5}}) {
+    for (std::uint64_t seed = 0; seed < 8; ++seed) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " d=" + std::to_string(d) +
+                   " seed=" + std::to_string(seed));
+      util::Rng rng(seed);
+      const Graph g = random_regular(n, d, rng);
+      ASSERT_EQ(g.n(), n);
+      EXPECT_EQ(g.m(), static_cast<std::size_t>(n) * d / 2);
+      for (NodeId v = 0; v < n; ++v) {
+        EXPECT_EQ(g.degree(v), d);
+        const auto row = g.neighbors(v);
+        std::set<NodeId> distinct(row.begin(), row.end());
+        EXPECT_EQ(distinct.size(), row.size()) << "multi-edge at " << v;
+        EXPECT_EQ(distinct.count(v), 0u) << "self-loop at " << v;
+      }
+    }
+  }
 }
 
 TEST(Caveman, Structure) {

@@ -57,8 +57,8 @@ TEST(EdgeCases, SingleNodeEverywhere) {
   algo::PipelineOptions opts;
   EXPECT_EQ(algo::run_kmds_pipeline(g, d, opts).set(),
             (std::vector<NodeId>{0}));
-  const auto weighted = algo::weighted_greedy_kmds(
-      g, d, algo::NodeWeights(1, 1.0));
+  const auto weighted =
+      algo::greedy_kmds(g, d, algo::NodeWeights(1, 1.0));
   EXPECT_EQ(weighted.set, (std::vector<NodeId>{0}));
 }
 
@@ -152,11 +152,11 @@ TEST(EdgeCases, AsyncWithMinimumDelayBoundsEqual) {
 
 TEST(EdgeCases, WeightedExactZeroDemandIsEmpty) {
   const Graph g = graph::complete(5);
-  const auto result = algo::weighted_exact_kmds(
-      g, uniform_demands(5, 0), algo::NodeWeights(5, 1.0));
+  const algo::NodeWeights w(5, 1.0);
+  const auto result = algo::exact_kmds(g, uniform_demands(5, 0), {}, w);
   EXPECT_TRUE(result.optimal);
   EXPECT_TRUE(result.set.empty());
-  EXPECT_DOUBLE_EQ(result.weight, 0.0);
+  EXPECT_DOUBLE_EQ(algo::set_weight(result.set, w), 0.0);
 }
 
 TEST(EdgeCases, LpSolverPathGraph) {

@@ -16,7 +16,7 @@ Args make_args(std::vector<const char*> argv) {
 
 TEST(Args, ParsesKeyValue) {
   const Args args = make_args({"--n=100", "--ratio=1.5"});
-  EXPECT_EQ(args.get_int("n", 0), 100);
+  EXPECT_EQ(args.get_int("n", 0, 0, 1000), 100);
   EXPECT_DOUBLE_EQ(args.get_double("ratio", 0.0), 1.5);
 }
 
@@ -28,7 +28,7 @@ TEST(Args, FlagWithoutValueIsTruthy) {
 
 TEST(Args, MissingKeyReturnsFallback) {
   const Args args = make_args({});
-  EXPECT_EQ(args.get_int("n", 7), 7);
+  EXPECT_EQ(args.get_int("n", 7, 0, 10), 7);
   EXPECT_EQ(args.get_string("name", "dflt"), "dflt");
   EXPECT_FALSE(args.get("nothing").has_value());
 }
@@ -42,10 +42,10 @@ TEST(Args, PositionalArgumentsCollected) {
 
 TEST(Args, BadIntegerThrows) {
   const Args args = make_args({"--n=abc", "--m=12abc", "--k=3.5"});
-  EXPECT_THROW((void)args.get_int("n", 0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_int("n", 0, 0, 100), std::invalid_argument);
   // A numeric prefix is not a number: no silent truncation.
-  EXPECT_THROW((void)args.get_int("m", 0), std::invalid_argument);
-  EXPECT_THROW((void)args.get_int("k", 0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_int("m", 0, 0, 100), std::invalid_argument);
+  EXPECT_THROW((void)args.get_int("k", 0, 0, 100), std::invalid_argument);
 }
 
 TEST(Args, RangedIntRejectsValuesOutsideTheRange) {
@@ -106,7 +106,7 @@ TEST(Args, IntListBadElementThrows) {
 
 TEST(Args, LastDuplicateWins) {
   const Args args = make_args({"--n=1", "--n=2"});
-  EXPECT_EQ(args.get_int("n", 0), 2);
+  EXPECT_EQ(args.get_int("n", 0, 0, 10), 2);
 }
 
 TEST(Args, ValueWithEquals) {
@@ -148,11 +148,17 @@ TEST(ObsFlags, BadCapacityThrows) {
   EXPECT_THROW((void)parse_obs_flags(make_args({"--trace-capacity=lots"})),
                std::invalid_argument);
   // A ring needs room for one event; zero or negative is rejected, not
-  // replaced by the default.
+  // replaced by the default: by the flag parser, and by make_plane for
+  // flags built in code.
   for (const char* cap : {"--trace-capacity=0", "--trace-capacity=-5"}) {
-    const ObsFlags flags = parse_obs_flags(make_args({"--metrics=m.json", cap}));
-    EXPECT_THROW((void)obs::make_plane(flags), std::invalid_argument) << cap;
+    EXPECT_THROW(
+        (void)parse_obs_flags(make_args({"--metrics=m.json", cap})),
+        std::invalid_argument)
+        << cap;
   }
+  ObsFlags zero = parse_obs_flags(make_args({"--metrics=m.json"}));
+  zero.capacity = 0;
+  EXPECT_THROW((void)obs::make_plane(zero), std::invalid_argument);
   EXPECT_NE(obs::make_plane(parse_obs_flags(
                 make_args({"--metrics=m.json", "--trace-capacity=1"}))),
             nullptr);

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <exception>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -87,11 +88,14 @@ int cmd_run(const util::Args& args, const testing::FuzzConfig& config,
             testing::Mutation mutation) {
   testing::FuzzOptions options;
   options.seed = args.get_u64("seed", 1);
-  options.cases = args.get_int("cases", 1000);
+  options.cases =
+      args.get_int("cases", 1000, 1, std::numeric_limits<long long>::max());
   options.config = config;
   options.mutation = mutation;
-  options.max_failures = args.get_int("max-failures", 1);
-  options.progress_every = args.get_int("progress", 0);
+  options.max_failures =
+      args.get_int("max-failures", 1, 1, std::numeric_limits<long long>::max());
+  options.progress_every =
+      args.get_int("progress", 0, 0, std::numeric_limits<long long>::max());
   if (options.progress_every > 0) {
     options.progress = [](std::int64_t cases_run, std::int64_t failures) {
       std::printf("... %lld cases, %lld failure(s)\n",
@@ -144,7 +148,8 @@ int cmd_shrink(const util::Args& args, const testing::FuzzConfig& config,
     std::printf("  case: %s\n", testing::to_string(c).c_str());
     return 0;
   }
-  const int max_steps = static_cast<int>(args.get_int("max-steps", 400));
+  const int max_steps =
+      static_cast<int>(args.get_int("max-steps", 400, 0, INT32_MAX));
   std::printf("shrinking (leading invariant: %s, budget %d)...\n",
               original.front().invariant.c_str(), max_steps);
   const testing::FuzzCase shrunk = testing::shrink_case(c, mutation, max_steps);
@@ -187,7 +192,7 @@ int main(int argc, char** argv) {
   try {
     testing::FuzzConfig config;
     config.max_n = static_cast<graph::NodeId>(
-        args.get_int("max-n", config.max_n));
+        args.get_int("max-n", config.max_n, config.min_n, INT32_MAX));
     config.force_lossy = args.get_bool("lossy", false);
     config.force_dynamic = args.get_bool("dynamic", false);
     const testing::Mutation mutation =

@@ -788,29 +788,28 @@ int usage(const char* argv0) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
-  if (args.positional().size() < 2) return usage(argv[0]);
+int run(const ftc::util::Args& args) {
+  if (args.positional().size() < 2) return usage(args.program().c_str());
   const std::string mode = args.positional()[0];
   const std::string path = args.positional()[1];
 
   if (mode == "phases") return run_phases(path);
   if (mode == "imbalance") {
-    return run_imbalance(path, std::max<long long>(1, args.get_int("top", 5)));
+    return run_imbalance(path, args.get_int("top", 5, 1, INT32_MAX));
   }
   if (mode == "report") {
     return run_report(path, args.get_string("out", "perf_report.html"));
   }
   if (mode == "summarize") return run_summarize(path);
-  if (mode != "summary" && mode != "dump") return usage(argv[0]);
+  if (mode != "summary" && mode != "dump") return usage(args.program().c_str());
 
   const std::string want_cat = args.get_string("cat", "");
   const std::string want_sev = args.get_string("sev", "");
-  const long long want_node = args.get_int("node", -2);
-  const long long from = args.get_int("from", 0);
-  const long long to =
-      args.get_int("to", std::numeric_limits<long long>::max());
-  const long long limit = args.get_int("limit", 0);
+  constexpr long long kMax = std::numeric_limits<long long>::max();
+  const long long want_node = args.get_int("node", -2, -2, INT32_MAX);
+  const long long from = args.get_int("from", 0, 0, kMax);
+  const long long to = args.get_int("to", kMax, 0, kMax);
+  const long long limit = args.get_int("limit", 0, 0, kMax);
 
   if (!want_cat.empty()) {
     obs::Category c;
@@ -889,4 +888,8 @@ int main(int argc, char** argv) {
     }
   }
   return malformed == 0 ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return ftc::util::run_cli(argc, argv, run);
 }
