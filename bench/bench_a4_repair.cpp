@@ -24,7 +24,7 @@ int run(const ftc::util::Args& args) {
   const int seeds = static_cast<int>(args.get_int("seeds", 5, 1, INT32_MAX));
   const auto n =
       static_cast<graph::NodeId>(args.get_int("n", 2000, 2, INT32_MAX));
-  const auto k_values = args.get_int_list("k", {1, 2, 4});
+  const auto k_values = args.get_int_list("k", {1, 2, 4}, 1, INT32_MAX);
 
   bench::Output out({"k", "fail_p", "|S|", "failed", "promoted",
                      "touched/n %", "repaired_size", "rebuild_size",

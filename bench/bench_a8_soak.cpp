@@ -30,7 +30,7 @@ int run(const ftc::util::Args& args) {
   const auto n =
       static_cast<graph::NodeId>(args.get_int("n", 600, 2, INT32_MAX));
   const auto rounds = args.get_int("rounds", 2000, 0, INT32_MAX);
-  const auto k_values = args.get_int_list("k", {1, 2, 3});
+  const auto k_values = args.get_int_list("k", {1, 2, 3}, 1, INT32_MAX);
   const double loss = args.get_double("loss", 0.05);
 
   struct Regime {

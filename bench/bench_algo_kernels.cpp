@@ -144,13 +144,16 @@ int run(const ftc::util::Args& args) {
   const bool quick = args.get_bool("quick", false);
   const auto sizes = args.get_int_list(
       "sizes", quick ? std::vector<long long>{100'000}
-                     : std::vector<long long>{100'000, 1'000'000});
+                     : std::vector<long long>{100'000, 1'000'000},
+      2, INT32_MAX);
   const auto lp_sizes = args.get_int_list(
       "lp-sizes", quick ? std::vector<long long>{20'000}
-                        : std::vector<long long>{20'000, 200'000});
+                        : std::vector<long long>{20'000, 200'000},
+      2, INT32_MAX);
   const auto widths = args.get_int_list(
       "threads",
-      quick ? std::vector<long long>{1, 4} : std::vector<long long>{1, 4, 8});
+      quick ? std::vector<long long>{1, 4} : std::vector<long long>{1, 4, 8},
+      1, bench::kMaxThreads);
   const int t = static_cast<int>(args.get_int("t", 2, 1, INT32_MAX));
   const double degree = args.get_double("degree", 8.0);
   const double min_time = args.get_double("min-time", 0.3);

@@ -29,6 +29,9 @@
 
 namespace ftc::bench {
 
+/// Upper bound of every --threads width a bench accepts.
+inline constexpr long long kMaxThreads = 256;
+
 /// Process-wide peak resident set size in MiB (0.0 where unsupported).
 /// Monotonic: once a large working set has been touched, later calls keep
 /// reporting it — order measurements smallest-first when per-phase peaks

@@ -105,7 +105,8 @@ int run(const ftc::util::Args& args) {
   const bool quick = args.get_bool("quick", false);
   const auto sizes = args.get_int_list(
       "sizes", quick ? std::vector<long long>{10'000}
-                     : std::vector<long long>{10'000, 100'000});
+                     : std::vector<long long>{10'000, 100'000},
+      2, INT32_MAX);
   const double degree = args.get_double("degree", 8.0);
   const auto k = static_cast<std::int32_t>(args.get_int("k", 2, 1, INT32_MAX));
   const auto mutations = static_cast<int>(

@@ -28,8 +28,8 @@ int run(const ftc::util::Args& args) {
       static_cast<graph::NodeId>(args.get_int("n", 300, 2, INT32_MAX));
   const auto k = static_cast<std::int32_t>(args.get_int("k", 2, 1, INT32_MAX));
   const auto lp_pivots = args.get_int("lp-pivots", 40000, 1, INT32_MAX);
-  const auto t_values = args.get_int_list("t", {1, 2, 3, 5, 8});
-  const auto degrees = args.get_int_list("degrees", {6, 20});
+  const auto t_values = args.get_int_list("t", {1, 2, 3, 5, 8}, 1, INT32_MAX);
+  const auto degrees = args.get_int_list("degrees", {6, 20}, 1, INT32_MAX);
 
   bench::Output out({"avg_deg", "t", "lemma4.1_use", "dual_lhs/kappa",
                      "dual_bnd", "packing_bnd", "greedy/H_bnd", "OPT_f",

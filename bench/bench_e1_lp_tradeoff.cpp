@@ -48,8 +48,8 @@ int run(const ftc::util::Args& args) {
   const int seeds = static_cast<int>(args.get_int("seeds", 5, 1, INT32_MAX));
   const auto n =
       static_cast<graph::NodeId>(args.get_int("n", 300, 2, INT32_MAX));
-  const auto t_values = args.get_int_list("t", {1, 2, 3, 4, 6, 8});
-  const auto k_values = args.get_int_list("k", {1, 3});
+  const auto t_values = args.get_int_list("t", {1, 2, 3, 4, 6, 8}, 1, INT32_MAX);
+  const auto k_values = args.get_int_list("k", {1, 3}, 1, INT32_MAX);
   // Exact OPT_f via simplex up to this size (O(n³)-ish per solve), with a
   // per-solve pivot budget; instances that exceed either fall back to the
   // best combinatorial lower bound.

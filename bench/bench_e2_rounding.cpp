@@ -27,7 +27,8 @@ int run(const ftc::util::Args& args) {
       static_cast<graph::NodeId>(args.get_int("n", 600, 2, INT32_MAX));
   const int t = static_cast<int>(args.get_int("t", 4, 1, INT32_MAX));
   const auto k = static_cast<std::int32_t>(args.get_int("k", 2, 1, INT32_MAX));
-  const auto degrees = args.get_int_list("degrees", {4, 8, 16, 32, 64});
+  const auto degrees = args.get_int_list("degrees", {4, 8, 16, 32, 64}, 1,
+                                           INT32_MAX);
 
   bench::Output out({"avg_deg", "Delta", "ln(D+1)", "frac_obj", "E[|S|]",
                      "round_factor", "coin_X", "request_Y", "feasible%"},

@@ -24,7 +24,8 @@ int run(const ftc::util::Args& args) {
   using namespace ftc;
   const int seeds = static_cast<int>(args.get_int("seeds", 5, 1, INT32_MAX));
   const auto k = static_cast<std::int32_t>(args.get_int("k", 2, 1, INT32_MAX));
-  const auto sizes = args.get_int_list("sizes", {100, 200, 400, 800, 1600, 3200});
+  const auto sizes = args.get_int_list(
+      "sizes", {100, 200, 400, 800, 1600, 3200}, 2, INT32_MAX);
 
   bench::Output out({"n", "Delta", "t=ceil(lgD)", "rounds", "|S|", "lower_bnd",
                      "ratio", "exact_ratio"},

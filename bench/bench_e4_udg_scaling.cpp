@@ -26,8 +26,9 @@ int run(const ftc::util::Args& args) {
   const int seeds = static_cast<int>(args.get_int("seeds", 5, 1, INT32_MAX));
   const double degree = args.get_double("degree", 15.0);
   const auto sizes =
-      args.get_int_list("sizes", {100, 300, 1000, 3000, 10000, 30000});
-  const auto k_values = args.get_int_list("k", {1, 2, 4});
+      args.get_int_list("sizes", {100, 300, 1000, 3000, 10000, 30000},
+                        2, INT32_MAX);
+  const auto k_values = args.get_int_list("k", {1, 2, 4}, 1, INT32_MAX);
   const auto sim_limit = args.get_int("sim-limit", 2000, 0, INT32_MAX);
 
   bench::Output out({"n", "k", "R(loglog n)", "sim_rounds", "p2_iters",

@@ -22,8 +22,8 @@ int run(const ftc::util::Args& args) {
   const int seeds = static_cast<int>(args.get_int("seeds", 5, 1, INT32_MAX));
   const auto n =
       static_cast<graph::NodeId>(args.get_int("n", 4000, 2, INT32_MAX));
-  const auto degrees = args.get_int_list("degrees", {15, 40});
-  const auto k_values = args.get_int_list("k", {1, 2, 4, 8});
+  const auto degrees = args.get_int_list("degrees", {15, 40}, 1, INT32_MAX);
+  const auto k_values = args.get_int_list("k", {1, 2, 4, 8}, 1, INT32_MAX);
 
   bench::Output out({"avg_deg", "k", "|S1|", "|S|", "S1/disk_mean",
                      "S1/disk_max", "S/disk_mean", "S/disk_max",

@@ -23,7 +23,7 @@
 
 int run(const ftc::util::Args& args) {
   using namespace ftc;
-  const auto sizes = args.get_int_list("sizes", {100, 400, 1600});
+  const auto sizes = args.get_int_list("sizes", {100, 400, 1600}, 2, INT32_MAX);
   const auto k = static_cast<std::int32_t>(args.get_int("k", 2, 1, INT32_MAX));
   const int t = static_cast<int>(args.get_int("t", 3, 1, INT32_MAX));
 

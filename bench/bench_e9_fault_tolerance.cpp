@@ -58,7 +58,7 @@ int run(const ftc::util::Args& args) {
   const int seeds = static_cast<int>(args.get_int("seeds", 5, 1, INT32_MAX));
   const auto n =
       static_cast<graph::NodeId>(args.get_int("n", 2000, 2, INT32_MAX));
-  const auto k_values = args.get_int_list("k", {1, 2, 3, 4, 5});
+  const auto k_values = args.get_int_list("k", {1, 2, 3, 4, 5}, 1, INT32_MAX);
   const std::vector<double> crash_probs{0.1, 0.2, 0.3, 0.4, 0.5};
   const int crash_trials =
       static_cast<int>(args.get_int("crash-trials", 10, 1, INT32_MAX));

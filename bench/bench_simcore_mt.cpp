@@ -137,8 +137,9 @@ std::string json_row(NodeId n, double build_s, int threads, const MtResult& r,
 
 int run(const ftc::util::Args& args) {
   const auto sizes =
-      args.get_int_list("sizes", {10'000, 100'000, 1'000'000});
-  const auto widths = args.get_int_list("threads", {1, 2, 4, 8});
+      args.get_int_list("sizes", {10'000, 100'000, 1'000'000}, 2, INT32_MAX);
+  const auto widths =
+      args.get_int_list("threads", {1, 2, 4, 8}, 1, bench::kMaxThreads);
   const double degree = args.get_double("degree", 12.0);
   const auto rounds_arg = args.get_int("rounds", 0, 0, INT32_MAX);
   const auto warmup = args.get_int("warmup", 2, 0, INT32_MAX);

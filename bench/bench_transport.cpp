@@ -172,7 +172,7 @@ RunStats run_transport(const geom::UnitDiskGraph& udg, std::int64_t rounds,
 }  // namespace
 
 int run(const ftc::util::Args& args) {
-  const auto sizes = args.get_int_list("sizes", {500, 2'000});
+  const auto sizes = args.get_int_list("sizes", {500, 2'000}, 2, INT32_MAX);
   const double degree = args.get_double("degree", 8.0);
   const auto rounds_arg = args.get_int("rounds", 0, 0, INT32_MAX);
   const int repeats =

@@ -6,13 +6,12 @@
 namespace ftc::algo {
 
 using domination::Demands;
-using domination::Mode;
 using graph::NodeId;
 
 RepairResult repair_after_failures(const graph::Graph& g,
                                    std::span<const NodeId> old_set,
                                    std::span<const NodeId> failed,
-                                   const Demands& demands, Mode mode) {
+                                   const Demands& demands) {
   assert(static_cast<NodeId>(demands.size()) == g.n());
   const auto n = static_cast<std::size_t>(g.n());
 
@@ -50,7 +49,6 @@ RepairResult repair_after_failures(const graph::Graph& g,
   auto residual_of = [&](NodeId v) -> std::int32_t {
     const auto vi = static_cast<std::size_t>(v);
     if (dead[vi]) return 0;
-    if (mode == Mode::kOpenForNonMembers && member[vi]) return 0;
     return std::max(0, demands[vi] - live_coverage(v));
   };
 

@@ -164,11 +164,10 @@ struct RepairResult {
 
 /// Repairs `old_set` on graph `g` after `failed` nodes crashed. `demands`
 /// are interpreted on the *live* subgraph (failed nodes neither need nor
-/// provide coverage) under `mode`. `old_set` may contain failed nodes (they
-/// are dropped). Deterministic.
+/// provide coverage) under closed-neighborhood coverage. `old_set` may
+/// contain failed nodes (they are dropped). Deterministic.
 [[nodiscard]] RepairResult repair_after_failures(
     const graph::Graph& g, std::span<const graph::NodeId> old_set,
-    std::span<const graph::NodeId> failed, const domination::Demands& demands,
-    domination::Mode mode = domination::Mode::kClosedNeighborhood);
+    std::span<const graph::NodeId> failed, const domination::Demands& demands);
 
 }  // namespace ftc::algo

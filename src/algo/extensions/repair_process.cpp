@@ -7,7 +7,6 @@
 
 namespace ftc::algo {
 
-using domination::Mode;
 using graph::NodeId;
 using sim::Message;
 using sim::Word;
@@ -26,8 +25,7 @@ constexpr Word prev_phase(std::int64_t round) {
 
 RepairProcess::RepairProcess(std::int32_t demand, bool initially_member,
                              RepairProcessOptions options)
-    : options_(options),
-      monitor_(sim::HeartbeatMonitor::Options{options.detection_timeout,
+    : monitor_(sim::HeartbeatMonitor::Options{options.detection_timeout,
                                               options.detection_window,
                                               options.detection_misses}),
       demand_(demand),
@@ -88,25 +86,20 @@ void RepairProcess::phase_deficit(sim::Context& ctx) {
         msg.words.at(1) != 0 ? kMember : kNonMember;
   }
 
-  if (options_.mode == Mode::kOpenForNonMembers && member_) {
-    residual_ = 0;
-  } else {
-    std::int32_t coverage =
-        (options_.mode == Mode::kClosedNeighborhood && member_) ? 1 : 0;
-    bool unknown_live_neighbor = false;
-    const auto nbrs = ctx.neighbors();
-    for (std::size_t j = 0; j < nbrs.size(); ++j) {
-      if (monitor_.suspects(nbrs[j])) continue;
-      if (nbr_membership_[j] == kUnknown) {
-        unknown_live_neighbor = true;
-      } else if (nbr_membership_[j] == kMember) {
-        ++coverage;
-      }
+  std::int32_t coverage = member_ ? 1 : 0;  // closed neighborhood: self
+  bool unknown_live_neighbor = false;
+  const auto nbrs = ctx.neighbors();
+  for (std::size_t j = 0; j < nbrs.size(); ++j) {
+    if (monitor_.suspects(nbrs[j])) continue;
+    if (nbr_membership_[j] == kUnknown) {
+      unknown_live_neighbor = true;
+    } else if (nbr_membership_[j] == kMember) {
+      ++coverage;
     }
-    // Never act on a neighborhood not fully heard from (fresh boot or churn
-    // rejoin): one wave of patience instead of a spurious promotion.
-    residual_ = unknown_live_neighbor ? 0 : std::max(0, demand_ - coverage);
   }
+  // Never act on a neighborhood not fully heard from (fresh boot or churn
+  // rejoin): one wave of patience instead of a spurious promotion.
+  residual_ = unknown_live_neighbor ? 0 : std::max(0, demand_ - coverage);
   if (residual_ > 0) {
     if (obs::Recorder* rec = ctx.obs(); rec != nullptr) {
       rec->record(rec->builtin().coverage_deficit,

@@ -59,7 +59,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "domination/domination.h"
 #include "sim/heartbeat.h"
 #include "sim/network.h"
 
@@ -68,19 +67,19 @@ namespace ftc::algo {
 /// Rounds per repair wave (phases P0..P3 above).
 inline constexpr std::int64_t kRepairRoundsPerWave = 4;
 
-/// Knobs for the self-healing daemon.
+/// Knobs for the self-healing daemon, which maintains closed-neighborhood
+/// coverage (domination::Mode::kClosedNeighborhood).
 struct RepairProcessOptions {
-  /// Coverage rule being maintained (see domination.h).
-  domination::Mode mode = domination::Mode::kClosedNeighborhood;
   /// Heartbeat timeout in rounds: a silent neighbor is suspected dead after
-  /// timeout rounds beyond the normal one-round delivery gap.
+  /// timeout rounds beyond the normal one-round delivery gap (the M-of-N
+  /// rule with window = misses = timeout + 1; see sim::HeartbeatMonitor).
   std::int64_t detection_timeout = 4;
-  /// When > 0, the detector runs in M-of-N mode instead: suspect a neighbor
-  /// after detection_misses missed beats within a sliding window of
-  /// detection_window rounds (see sim::HeartbeatMonitor). Use under lossy
-  /// links, where consecutive-timeout detection false-suspects too eagerly.
+  /// When > 0, replaces the timeout: suspect a neighbor after
+  /// detection_misses missed beats within a sliding window of
+  /// detection_window rounds. Use under lossy links, where a short timeout
+  /// false-suspects too eagerly.
   int detection_window = 0;
-  /// M-of-N mode: misses needed to suspect (0 defaults to the full window).
+  /// Misses needed to suspect (0 defaults to the full window).
   int detection_misses = 0;
 };
 
@@ -121,7 +120,6 @@ class RepairProcess final : public sim::Process {
   [[nodiscard]] std::size_t index_of(sim::Context& ctx,
                                      graph::NodeId w) const;
 
-  RepairProcessOptions options_;
   sim::HeartbeatMonitor monitor_;
   std::int32_t demand_ = 0;
   bool member_ = false;

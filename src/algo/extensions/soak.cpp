@@ -10,7 +10,6 @@
 
 namespace ftc::algo {
 
-using domination::Mode;
 using graph::NodeId;
 
 SoakReport run_soak(const graph::Graph& g, const geom::UnitDiskGraph* udg,
@@ -23,9 +22,9 @@ SoakReport run_soak(const graph::Graph& g, const geom::UnitDiskGraph* udg,
   SoakReport report;
   std::int32_t max_demand = 0;
   for (std::int32_t k : demands) max_demand = std::max(max_demand, k);
-  // Detection latency: consecutive-timeout rounds in legacy mode, up to a
-  // full window in M-of-N mode (a crash is suspected once the required
-  // misses accumulate, at worst detection_window rounds later).
+  // Detection latency: the timeout, or up to a full window when one is set
+  // (a crash is suspected once the required misses accumulate, at worst
+  // detection_window rounds later).
   const std::int64_t detection_latency =
       options.detection_window > 0
           ? std::max<std::int64_t>(options.detection_timeout,
@@ -39,7 +38,6 @@ SoakReport run_soak(const graph::Graph& g, const geom::UnitDiskGraph* udg,
   for (NodeId v : initial_set) initial_member[static_cast<std::size_t>(v)] = 1;
 
   RepairProcessOptions popts;
-  popts.mode = options.mode;
   popts.detection_timeout = options.detection_timeout;
   popts.detection_window = options.detection_window;
   popts.detection_misses = options.detection_misses;
@@ -96,15 +94,8 @@ SoakReport run_soak(const graph::Graph& g, const geom::UnitDiskGraph* udg,
         ++live_nbrs;
         if (member_now[static_cast<std::size_t>(w)]) ++covered;
       }
-      std::int32_t required;
-      if (options.mode == Mode::kClosedNeighborhood) {
-        required = std::min(demands[vi], live_nbrs + 1);
-        if (member_now[vi]) ++covered;
-      } else {
-        if (member_now[vi]) continue;  // members need nothing in open mode
-        required = std::min(demands[vi], live_nbrs);
-      }
-      if (covered < required) return true;
+      if (member_now[vi]) ++covered;
+      if (covered < std::min(demands[vi], live_nbrs + 1)) return true;
     }
     return false;
   };

@@ -16,7 +16,7 @@
 //   * message cost, since heartbeats ride on every protocol word.
 //
 // A demand is "satisfiable" when clamped to the live closed neighborhood
-// (min(k_i, live_deg + 1) in closed mode) — demands that churn has made
+// (min(k_i, live_deg + 1)) — demands that churn has made
 // impossible are excluded from violation accounting, exactly like the
 // fully_satisfied handling of the centralized oracle.
 #pragma once
@@ -38,11 +38,10 @@ struct SoakOptions {
   std::int64_t rounds = 2000;          ///< total rounds to execute
   std::int64_t detection_timeout = 4;  ///< heartbeat timeout (rounds)
   /// M-of-N loss-aware detection (sim::HeartbeatMonitor): window of N
-  /// rounds (0 = legacy consecutive-timeout mode) and the misses needed
-  /// to suspect within it (0 = the full window).
+  /// rounds (0 = the timeout above, i.e. N = M = timeout + 1) and the
+  /// misses M needed to suspect within it (0 = the full window).
   int detection_window = 0;
   int detection_misses = 0;
-  domination::Mode mode = domination::Mode::kClosedNeighborhood;
   double message_loss = 0.0;           ///< link loss probability
   std::uint64_t network_seed = 1;      ///< per-node process randomness
   std::uint64_t fault_seed = 2;        ///< fault plan compilation

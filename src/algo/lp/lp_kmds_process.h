@@ -97,11 +97,12 @@ class LpKmdsProcess final : public sim::Process {
   std::int64_t step_ = 0;  // local round counter
 };
 
-/// Runs Algorithm 1 as a protocol on `net` (a sim::SyncNetwork or
-/// sim::AsyncNetwork the caller has configured: threads, grain, channel,
-/// plane, scheduled crashes). Installs one LpKmdsProcess per node, runs
-/// under the protocol's budget — the exact schedule (lp_round_count(t),
-/// +2 with kTwoHop) plus slack, so an overrun shows — and collects x, y, z.
+/// Runs Algorithm 1 as a protocol on `net` (a sim::SyncNetwork the caller
+/// has configured — threads, grain, channel, plane, scheduled crashes — or
+/// a sim::AsyncNetwork — delays, plane). Installs one LpKmdsProcess per
+/// node, runs under the protocol's budget — the exact schedule
+/// (lp_round_count(t), +2 with kTwoHop) plus slack, so an overrun shows —
+/// and collects x, y, z.
 /// `rounds` is the rounds (pulses) executed; `kappa` is t(Δ+1)^{1/t} with
 /// the global Δ, as in the mirror. `max_lemma41_ratio` is mirror-only and
 /// stays 0. Metrics stay on `net`.

@@ -44,11 +44,11 @@ class RoundingProcess final : public sim::Process {
   std::int64_t step_ = 0;
 };
 
-/// Runs Algorithm 2 as a protocol on `net` (a sim::SyncNetwork or
-/// sim::AsyncNetwork the caller has configured: threads, grain, channel,
-/// plane, scheduled crashes). Installs one RoundingProcess per node with
-/// x[v] and demands[v], runs under kRoundingRounds plus slack, and
-/// collects the sorted set and its coin/request split. `rounds` is the
+/// Runs Algorithm 2 as a protocol on `net` (a sim::SyncNetwork the caller
+/// has configured — threads, grain, channel, plane, scheduled crashes — or
+/// a sim::AsyncNetwork — delays, plane). Installs one RoundingProcess per
+/// node with x[v] and demands[v], runs under kRoundingRounds plus slack,
+/// and collects the sorted set and its coin/request split. `rounds` is the
 /// rounds (pulses) executed. Metrics stay on `net`.
 template <typename Net>
 RoundingResult run_rounding_processes(Net& net, std::span<const double> x,

@@ -98,12 +98,7 @@ std::int64_t PerfRoundSample::attributed_ns() const noexcept {
   return sum;
 }
 
-PerfPlane::PerfPlane() : PerfPlane(PerfOptions{}) {}
-
-PerfPlane::PerfPlane(PerfOptions options) : options_(options) {
-  assert(options_.capacity >= 1);
-  ring_.reserve(std::min<std::size_t>(options_.capacity, 1024));
-}
+PerfPlane::PerfPlane() { ring_.reserve(1024); }
 
 void PerfPlane::bind_registry(Registry* registry) {
   registry_ = registry;
@@ -181,12 +176,12 @@ void PerfPlane::end_round(std::int64_t round, std::int64_t total_ns,
   imb_max_ = std::max(imb_max_, sample.imbalance);
   ++rounds_;
 
-  if (ring_.size() < options_.capacity) {
+  if (ring_.size() < kRingCapacity) {
     ring_.push_back(std::move(sample));
-    head_ = ring_.size() % options_.capacity;
+    head_ = ring_.size() % kRingCapacity;
   } else {
     ring_[head_] = std::move(sample);
-    head_ = (head_ + 1) % options_.capacity;
+    head_ = (head_ + 1) % kRingCapacity;
   }
 
   refresh_gauges();
@@ -203,7 +198,7 @@ void PerfPlane::refresh_gauges() {
 std::vector<PerfRoundSample> PerfPlane::recent() const {
   std::vector<PerfRoundSample> out;
   out.reserve(ring_.size());
-  if (ring_.size() < options_.capacity) {
+  if (ring_.size() < kRingCapacity) {
     out = ring_;
     return out;
   }

@@ -109,15 +109,13 @@ struct PerfShardTotals {
   [[nodiscard]] std::int64_t busy_ns() const noexcept;
 };
 
-struct PerfOptions {
-  std::size_t capacity = 1u << 12;  ///< retained per-round samples (ring)
-};
-
 /// The attribution sink. Owner-thread only, like obs::Registry.
 class PerfPlane {
  public:
+  /// Per-round samples the ring retains (run-wide aggregates keep all).
+  static constexpr std::size_t kRingCapacity = 1u << 12;
+
   PerfPlane();
-  explicit PerfPlane(PerfOptions options);
 
   PerfPlane(const PerfPlane&) = delete;
   PerfPlane& operator=(const PerfPlane&) = delete;
@@ -172,7 +170,6 @@ class PerfPlane {
  private:
   void refresh_gauges();
 
-  PerfOptions options_;
   std::int64_t cur_phase_ns_[kPerfPhaseCount] = {};
   std::vector<PerfRoundSample> ring_;
   std::size_t head_ = 0;  ///< next write position once the ring is full

@@ -11,7 +11,7 @@ namespace ftc::obs {
 
 Plane::Plane(PlaneOptions options) : trace_(options.trace) {
   if (options.perf) {
-    perf_ = std::make_unique<PerfPlane>(options.perf_options);
+    perf_ = std::make_unique<PerfPlane>();
     perf_->bind_registry(&metrics_);
   }
   Registry& r = metrics_;

@@ -109,9 +109,6 @@ class Recorder {
     }
   }
   void record(MetricId id, double value) { records_.emplace_back(id, value); }
-  [[nodiscard]] bool trace_enabled(Category c, Severity s) const noexcept {
-    return trace_->enabled(c, s);
-  }
   void event(Category c, Severity s, NameId name, std::int64_t round,
              std::int32_t node, std::int64_t a0 = 0, std::int64_t a1 = 0) {
     if (!trace_->enabled(c, s)) return;
@@ -142,7 +139,6 @@ class Recorder {
 struct PlaneOptions {
   Trace::Options trace;
   bool perf = false;  ///< attach a PerfPlane (attribution timing, §12)
-  PerfOptions perf_options;
 };
 
 class Plane {

@@ -51,12 +51,8 @@ void AsyncNetwork::set_observability(obs::Plane* plane) {
   if (plane_ != nullptr) plane_->set_shards(1);
 }
 
-void AsyncNetwork::set_channel(const ChannelOptions& options) {
-  channel_.set_options(options, 0);  // validates; chains keyed on pulses
-}
-
 void AsyncNetwork::send_envelope(NodeId from, NodeId to, Envelope env,
-                                 std::int64_t now, std::int64_t extra_delay) {
+                                 std::int64_t now) {
   env.from = from;
   metrics_.envelopes_sent += 1;
   if (env.has_payload) {
@@ -67,8 +63,8 @@ void AsyncNetwork::send_envelope(NodeId from, NodeId to, Envelope env,
                  static_cast<std::int64_t>(env.words.size()));
   }
   DeliveryEvent event;
-  event.time = now + extra_delay +
-               delay_rng_.uniform_i64(options_.min_delay, options_.max_delay);
+  event.time =
+      now + delay_rng_.uniform_i64(options_.min_delay, options_.max_delay);
   event.sequence = ++sequence_;
   event.to = to;
   event.envelope = std::move(env);
@@ -85,64 +81,12 @@ void AsyncNetwork::backend_send(NodeId from, NodeId to,
   env.words.assign(words.begin(), words.end());
   states_[static_cast<std::size_t>(from)]
       .sent_to[neighbor_index(from, to)] = true;
-  std::int64_t extra_delay = 0;
-  if (channel_.impaired()) {
-    // Payload-level impairment, keyed on the sender's pulse (unique per
-    // link per pulse, like rounds in SyncNetwork). The envelope itself
-    // always arrives — the synchronizer needs it for pulse accounting — so
-    // a lost payload degrades to an empty marker, and a duplicate arrives
-    // as a second, non-counting copy.
-    const Channel::Fate fate = channel_.decide(from, to, executing_pulse_);
-    if (fate.dropped) {
-      env.has_payload = false;
-      env.words.clear();
-      metrics_.payloads_dropped += 1;
-    } else {
-      extra_delay = fate.delay;
-      if (fate.duplicate) {
-        Envelope copy = env;
-        copy.counts = false;
-        metrics_.payloads_duplicated += 1;
-        send_envelope(from, to, std::move(copy), executing_time_,
-                      fate.dup_delay);
-      }
-    }
-  }
-  send_envelope(from, to, std::move(env), executing_time_, extra_delay);
-}
-
-void AsyncNetwork::schedule_crash(NodeId v, std::int64_t pulse) {
-  assert(v >= 0 && v < graph_->n());
-  auto& state = states_[static_cast<std::size_t>(v)];
-  state.crash_pulse = std::min(state.crash_pulse, std::max<std::int64_t>(pulse, 0));
-}
-
-bool AsyncNetwork::crashed(NodeId v) const noexcept {
-  const auto& state = states_[static_cast<std::size_t>(v)];
-  return state.pulse >= state.crash_pulse;
-}
-
-void AsyncNetwork::announce_crash_if_due(NodeId v, std::int64_t now) {
-  auto& state = states_[static_cast<std::size_t>(v)];
-  if (state.pulse < state.crash_pulse || state.crash_announced) return;
-  state.crash_announced = true;
-  // Link-layer detection: the transport tells each neighbor that v's last
-  // completed pulse was crash_pulse - 1, exactly like a HALT announcement,
-  // so nobody waits for envelopes v will never send. counts=false because
-  // v's own pulse-(crash_pulse-1) envelopes (if any) already counted.
-  for (NodeId w : graph_->neighbors(v)) {
-    Envelope marker;
-    marker.pulse = state.crash_pulse - 1;
-    marker.halt = true;
-    marker.counts = false;
-    send_envelope(v, w, std::move(marker), now);
-  }
+  send_envelope(from, to, std::move(env), executing_time_);
 }
 
 bool AsyncNetwork::ready(NodeId v) const {
   const auto& state = states_[static_cast<std::size_t>(v)];
   if (state.halted) return false;
-  if (state.pulse >= state.crash_pulse) return false;
   if (processes_[static_cast<std::size_t>(v)] == nullptr) return false;
   const std::int64_t p = state.pulse;
   if (p == 0) return true;
@@ -267,7 +211,6 @@ std::int64_t AsyncNetwork::run(std::int64_t max_pulses) {
         break;  // non-isolated nodes must now wait for envelopes
       }
     }
-    announce_crash_if_due(v, 0);
   }
 
   while (!events_.empty()) {
@@ -283,7 +226,6 @@ std::int64_t AsyncNetwork::run(std::int64_t max_pulses) {
            ready(v)) {
       execute_pulse(v, event.time);
     }
-    announce_crash_if_due(v, event.time);
   }
 
   std::int64_t slowest = 0;

@@ -24,10 +24,13 @@
 // Cost: the virtual completion time is O(rounds × max link delay) and the
 // envelope overhead is one message per edge direction per pulse, matching
 // the α-synchronizer's O(|E|) per-pulse message complexity.
+//
+// Links are reliable and nodes do not crash: random delay is the only
+// asynchrony modelled. Loss, duplication, reordering and crash or churn
+// faults run on SyncNetwork (set_channel, schedule_crash, FaultInjector).
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <memory>
 #include <queue>
@@ -57,8 +60,6 @@ struct AsyncMetrics {
   std::int64_t payload_messages = 0;  ///< envelopes carrying process payload
   std::int64_t payload_words = 0;     ///< total payload words
   std::int64_t max_message_words = 0; ///< largest payload
-  std::int64_t payloads_dropped = 0;  ///< payloads lost to the channel model
-  std::int64_t payloads_duplicated = 0;  ///< extra copies the channel created
 };
 
 /// Event-driven asynchronous network running one Process per node under an
@@ -94,19 +95,6 @@ class AsyncNetwork final : public NetworkBackend {
   /// slowest node.
   std::int64_t run(std::int64_t max_pulses);
 
-  /// Schedules a fail-stop crash of v: it executes pulses < `pulse` and
-  /// then never again. The model is fail-stop with link-layer detection
-  /// (lost carrier): when the crash takes effect the transport announces
-  /// v's termination to its neighbors — after the usual random delivery
-  /// delay — so the synchronizer stops waiting for v's future pulses
-  /// instead of deadlocking. Envelopes v sent before crashing still
-  /// deliver. Repeated or past-pulse schedules keep the earliest pulse;
-  /// `pulse <= 0` crashes v before it executes anything. Call before run().
-  void schedule_crash(graph::NodeId v, std::int64_t pulse);
-
-  /// True if v's crash has taken effect (it will execute no more pulses).
-  [[nodiscard]] bool crashed(graph::NodeId v) const noexcept;
-
   /// The process at node v, downcast to T.
   template <typename T>
   [[nodiscard]] T& process_as(graph::NodeId v) {
@@ -130,18 +118,6 @@ class AsyncNetwork final : public NetworkBackend {
   /// pulse. The plane must outlive the network.
   void set_observability(obs::Plane* plane);
   [[nodiscard]] obs::Plane* observability() const noexcept { return plane_; }
-
-  /// Installs a link-impairment model applied at the payload level: a lost
-  /// payload degrades to an empty synchronizer marker (the α-synchronizer
-  /// must still observe the pulse or it would deadlock), a duplicated
-  /// payload arrives as a second, non-counting copy, and a reordered
-  /// payload picks up extra link delay. Decisions are stateless hashes of
-  /// (seed, link, sender pulse), mirroring SyncNetwork::set_channel. Call
-  /// before run(). Throws std::invalid_argument on invalid options.
-  void set_channel(const ChannelOptions& options);
-
-  /// The active channel model (counters included).
-  [[nodiscard]] const Channel& channel() const noexcept { return channel_; }
 
  private:
   // NetworkBackend:
@@ -191,10 +167,6 @@ class AsyncNetwork final : public NetworkBackend {
   struct NodeState {
     std::int64_t pulse = 0;  ///< next pulse to execute
     bool halted = false;
-    /// First pulse this node does NOT execute (fail-stop point); INT64_MAX
-    /// when no crash is scheduled.
-    std::int64_t crash_pulse = std::numeric_limits<std::int64_t>::max();
-    bool crash_announced = false;  ///< halt markers already sent on v's links
     // Envelopes buffered per pulse tag (payloads only; markers counted).
     std::map<std::int64_t, std::vector<StoredMessage>> payload_by_pulse;
     std::map<std::int64_t, std::int64_t> envelopes_by_pulse;
@@ -211,10 +183,6 @@ class AsyncNetwork final : public NetworkBackend {
   /// Runs node v's process for its next pulse at virtual time `now`.
   void execute_pulse(graph::NodeId v, std::int64_t now);
 
-  /// If v's crash point has been reached and not yet announced, sends the
-  /// link-layer halt markers to its neighbors at virtual time `now`.
-  void announce_crash_if_due(graph::NodeId v, std::int64_t now);
-
   void deliver(const DeliveryEvent& event);
 
   /// Index of neighbor `j` in v's sorted neighbor list.
@@ -222,7 +190,7 @@ class AsyncNetwork final : public NetworkBackend {
                                            graph::NodeId j) const;
 
   void send_envelope(graph::NodeId from, graph::NodeId to, Envelope env,
-                     std::int64_t now, std::int64_t extra_delay = 0);
+                     std::int64_t now);
 
   const graph::Graph* graph_ = nullptr;
   const geom::UnitDiskGraph* udg_ = nullptr;
@@ -231,7 +199,6 @@ class AsyncNetwork final : public NetworkBackend {
   std::vector<NodeState> states_;
   util::Rng delay_rng_;
   AsyncOptions options_;
-  Channel channel_;
   std::priority_queue<DeliveryEvent, std::vector<DeliveryEvent>, EventLater>
       events_;
   std::uint64_t sequence_ = 0;

@@ -70,7 +70,6 @@ void Channel::set_options(const ChannelOptions& options,
   options.validate();
   options_ = options;
   epoch_ = epoch_round;
-  burst_.clear();
 }
 
 double Channel::u01(NodeId from, NodeId to, std::int64_t round,
@@ -118,18 +117,17 @@ bool Channel::in_burst(NodeId from, NodeId to, std::int64_t round,
   return st.bursting;
 }
 
-Channel::Fate Channel::decide_impl(NodeId from, NodeId to, std::int64_t round,
-                                   BurstMap& burst,
-                                   Counters& counters) const {
+Channel::Fate Channel::decide(NodeId from, NodeId to, std::int64_t round,
+                              ShardState& state) const {
   Fate fate;
   double p_drop = directed_loss(from, to);
   if (options_.burst_loss > 0.0 && options_.p_enter_burst > 0.0 &&
-      in_burst(from, to, round, burst)) {
+      in_burst(from, to, round, state.burst)) {
     p_drop = std::max(p_drop, options_.burst_loss);
   }
   if (p_drop > 0.0 && u01(from, to, round, kSaltLoss) < p_drop) {
     fate.dropped = true;
-    ++counters.dropped;
+    ++state.counters.dropped;
     return fate;
   }
   if (options_.reorder > 0.0 &&
@@ -137,7 +135,7 @@ Channel::Fate Channel::decide_impl(NodeId from, NodeId to, std::int64_t round,
     const double u = u01(from, to, round, kSaltDelay);
     fate.delay = 1 + static_cast<int>(u * options_.max_reorder_delay);
     fate.delay = std::min(fate.delay, options_.max_reorder_delay);
-    ++counters.reordered;
+    ++state.counters.reordered;
   }
   if (options_.duplicate > 0.0 &&
       u01(from, to, round, kSaltDup) < options_.duplicate) {
@@ -149,18 +147,9 @@ Channel::Fate Channel::decide_impl(NodeId from, NodeId to, std::int64_t round,
         fate.delay + 1 + static_cast<int>(u * options_.max_reorder_delay);
     fate.dup_delay =
         std::min(fate.dup_delay, fate.delay + options_.max_reorder_delay);
-    ++counters.duplicated;
+    ++state.counters.duplicated;
   }
   return fate;
-}
-
-Channel::Fate Channel::decide(NodeId from, NodeId to, std::int64_t round) {
-  return decide_impl(from, to, round, burst_, counters_);
-}
-
-Channel::Fate Channel::decide(NodeId from, NodeId to, std::int64_t round,
-                              ShardState& state) const {
-  return decide_impl(from, to, round, state.burst, state.counters);
 }
 
 void Channel::absorb(ShardState& state) noexcept {

@@ -26,8 +26,8 @@
 // count, and of which other messages exist. The Gilbert–Elliott state is a
 // per-link Markov chain, but each step's coin is the same stateless hash of
 // (link, round), so the state at round r is itself a pure function of
-// (seed, link, r) — the cached state in `burst_` is only an incremental
-// evaluation of that function.
+// (seed, link, r) — the cached state in a ShardState's burst map is only an
+// incremental evaluation of that function.
 #pragma once
 
 #include <cstdint>
@@ -80,9 +80,10 @@ struct ChannelOptions {
                          const ChannelOptions&) = default;
 };
 
-/// Decision engine for one network. Owns the per-link burst chains and the
-/// impairment counters; the verdict for a transmission is returned as a
-/// Fate and the caller (the network) implements it.
+/// Decision engine for one network. Owns the options and the impairment
+/// counters; callers keep the per-link burst chains in ShardStates. The
+/// verdict for a transmission is returned as a Fate and the caller (the
+/// network) implements it.
 class Channel {
  public:
   /// Verdict for the unique message on directed link from→to in a round.
@@ -109,9 +110,9 @@ class Channel {
 
   /// Private decision state for one parallel delivery shard. Because every
   /// verdict is a pure function of (options, link, round), a per-shard burst
-  /// cache is only a private memoization of the same function the global
-  /// cache evaluates — shards may decide concurrently without sharing state,
-  /// and the results are identical to any other shard assignment. The
+  /// cache is only a private memoization of that function — shards may
+  /// decide concurrently without sharing state, and the results are
+  /// identical to any other shard assignment. The
   /// counters accumulate shard-locally and are folded into the channel's
   /// global counters (an order-independent sum) via absorb() at the round
   /// barrier.
@@ -146,12 +147,8 @@ class Channel {
 
   /// Decides the fate of the message sent on from→to in `round`. Pure in
   /// (options, from, to, round) — see the determinism contract above.
-  /// Updates the global counters.
-  [[nodiscard]] Fate decide(graph::NodeId from, graph::NodeId to,
-                            std::int64_t round);
-
-  /// Same verdict, computed against a caller-owned ShardState: safe to call
-  /// concurrently from distinct shards. Counts into state.counters.
+  /// Computed against a caller-owned ShardState, so distinct shards may
+  /// call it concurrently; counts into state.counters.
   [[nodiscard]] Fate decide(graph::NodeId from, graph::NodeId to,
                             std::int64_t round, ShardState& state) const;
 
@@ -176,14 +173,8 @@ class Channel {
   [[nodiscard]] bool in_burst(graph::NodeId from, graph::NodeId to,
                               std::int64_t round, BurstMap& burst) const;
 
-  /// Shared implementation of both decide overloads.
-  [[nodiscard]] Fate decide_impl(graph::NodeId from, graph::NodeId to,
-                                 std::int64_t round, BurstMap& burst,
-                                 Counters& counters) const;
-
   ChannelOptions options_;
   std::int64_t epoch_ = 0;  ///< burst chains start good at this round
-  BurstMap burst_;
   Counters counters_;
 };
 

@@ -268,19 +268,6 @@ const std::vector<FaultEvent>& FaultInjector::install(SyncNetwork& net,
   return schedule_;
 }
 
-const std::vector<FaultEvent>& FaultInjector::install(AsyncNetwork& net,
-                                                      std::int64_t horizon) {
-  if (plan_.has_recoveries()) {
-    throw std::invalid_argument(
-        "FaultInjector: the asynchronous executor does not support rejoins");
-  }
-  schedule_ = compile_fault_plan(plan_, net.graph(), net.udg(), horizon, seed_);
-  for (const FaultEvent& e : schedule_) {
-    net.schedule_crash(e.node, e.round);
-  }
-  return schedule_;
-}
-
 std::int64_t FaultInjector::crash_count() const noexcept {
   return static_cast<std::int64_t>(
       std::count_if(schedule_.begin(), schedule_.end(),

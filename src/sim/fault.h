@@ -20,9 +20,7 @@
 // seed) — the fault process depends only on its own randomness, never on
 // protocol state, so the same schedule can drive either backend or feed an
 // offline oracle (e.g. repair_after_failures). FaultInjector installs a
-// compiled schedule into a SyncNetwork (crashes + recoveries) or an
-// AsyncNetwork (crashes only: a rejoining node would need a new synchronizer
-// identity, which the α-synchronizer does not model).
+// compiled schedule into a SyncNetwork (crashes + recoveries).
 #pragma once
 
 #include <cstdint>
@@ -34,7 +32,6 @@
 #include "geom/point.h"
 #include "geom/udg.h"
 #include "graph/graph.h"
-#include "sim/async.h"
 #include "sim/network.h"
 
 namespace ftc::sim {
@@ -149,11 +146,6 @@ class FaultInjector {
   const std::vector<FaultEvent>& install(SyncNetwork& net,
                                          std::int64_t horizon,
                                          ProcessFactory factory = nullptr);
-
-  /// Async variant: rounds map 1:1 to pulses. Crash-only — throws
-  /// std::invalid_argument if the plan has recoveries.
-  const std::vector<FaultEvent>& install(AsyncNetwork& net,
-                                         std::int64_t horizon);
 
   /// The schedule produced by the last install() (empty before).
   [[nodiscard]] const std::vector<FaultEvent>& schedule() const noexcept {

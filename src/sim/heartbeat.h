@@ -8,9 +8,9 @@
 //   * the host process broadcasts at least one message per round (its
 //     protocol traffic doubles as the heartbeat — no extra messages, the
 //     standard piggybacking optimization);
-//   * observe(ctx), called first in every on_round, refreshes the
-//     last-heard round of every inbox sender and suspects any neighbor not
-//     heard from for more than `timeout` rounds.
+//   * observe(ctx), called first in every on_round, records which
+//     neighbors were heard this round and suspects any neighbor not heard
+//     from for more than `timeout` rounds.
 //
 // Under reliable links the detector is perfect: a node that crashes at the
 // start of round r last reached its neighbors in round r - 1 (the message
@@ -35,32 +35,35 @@ namespace ftc::sim {
 /// Timeout failure detector; embed one per process and call observe()
 /// first thing in on_round(). See file comment for the contract.
 ///
-/// Two suspicion modes:
-///   * consecutive (window == 0, the default): suspect after `timeout`
-///     consecutive silent rounds — perfect under reliable links, but a
-///     short loss streak (p^timeout per link per round) false-suspects;
-///   * M-of-N (window > 0): keep a sliding window of the last `window`
-///     expected beats and suspect only when >= misses_to_suspect of them
-///     are missing *and* the current round is silent. Loss must now defeat
-///     M of N beats instead of a short streak, cutting the false-suspicion
-///     rate by orders of magnitude at equal detection latency (which is
-///     ~misses_to_suspect rounds after a real crash).
+/// One suspicion rule, M-of-N: keep a sliding window of the last N expected
+/// beats and suspect only when >= M of them are missing *and* the current
+/// round is silent. Options picks (M, N) two ways:
+///   * consecutive timeout T (window == 0, the default): N = M = T + 1,
+///     i.e. suspect after T consecutive silent rounds beyond the expected
+///     one-round gap — perfect under reliable links, but a short loss
+///     streak (p^(T+1) per link per round) false-suspects;
+///   * explicit window (window > 0): N = window, M = misses_to_suspect.
+///     Loss must now defeat M of N beats instead of a short streak, cutting
+///     the false-suspicion rate by orders of magnitude at equal detection
+///     latency (which is ~M rounds after a real crash).
 class HeartbeatMonitor {
  public:
   struct Options {
-    /// Consecutive mode: a neighbor is suspected once round() - last_heard
-    /// > timeout, i.e. after `timeout` consecutive silent rounds beyond the
-    /// expected gap of one round between send and delivery.
+    /// Consecutive timeout T, used when window == 0: a neighbor is
+    /// suspected after T consecutive silent rounds beyond the expected gap
+    /// of one round between send and delivery. In [0, 62].
     std::int64_t timeout = 4;
-    /// M-of-N mode when > 0: sliding window length N (max 63 rounds).
+    /// Sliding window length N when > 0, in [1, 63].
     int window = 0;
-    /// M-of-N mode: misses within the window needed to suspect; must be in
-    /// [1, window] when window > 0 (0 defaults to `window`, i.e. every
-    /// beat in the window missing).
+    /// Misses within the window needed to suspect; in [0, window] when
+    /// window > 0 (0 defaults to `window`, i.e. every beat in the window
+    /// missing).
     int misses_to_suspect = 0;
   };
 
   HeartbeatMonitor();
+  /// Throws std::invalid_argument when an option is out of its range (a
+  /// window beyond 63 beats does not fit the 64-bit beat history).
   explicit HeartbeatMonitor(Options options);
 
   /// Processes this round's inbox: refreshes liveness, withdraws refuted
@@ -90,12 +93,13 @@ class HeartbeatMonitor {
  private:
   [[nodiscard]] std::size_t index_of(graph::NodeId w) const;
 
-  Options options_;
+  int window_ = 0;      ///< N: beats in the sliding window
+  int misses_ = 0;      ///< M: misses within the window that suspect
+  std::uint64_t mask_ = 0;  ///< low window_ bits
   bool initialized_ = false;
   std::vector<graph::NodeId> neighbors_;   // sorted copy from the Context
-  std::vector<std::int64_t> last_heard_;   // per neighbor index
   std::vector<std::uint8_t> suspected_;    // per neighbor index
-  std::vector<std::uint64_t> heard_bits_;  // M-of-N: bit i = heard i rounds ago
+  std::vector<std::uint64_t> heard_bits_;  // bit i = heard i rounds ago
   std::int64_t suspicions_raised_ = 0;
   std::int64_t refuted_suspicions_ = 0;
 };

@@ -296,9 +296,6 @@ class SyncNetwork final : public NetworkBackend {
   void set_parallel_grain(std::size_t nodes_per_shard) noexcept {
     parallel_grain_ = nodes_per_shard;
   }
-  [[nodiscard]] std::size_t parallel_grain() const noexcept {
-    return parallel_grain_;
-  }
 
   /// Default set_parallel_grain threshold: with fewer nodes per shard than
   /// this, a round's per-shard work is in the microsecond range and pool

@@ -7,13 +7,14 @@ namespace ftc::sim {
 
 using graph::NodeId;
 
-ReliableTransport::ReliableTransport() : ReliableTransport(TransportOptions{}) {}
+namespace {
 
-ReliableTransport::ReliableTransport(TransportOptions options)
-    : options_(options) {
-  assert(options_.initial_backoff >= 1);
-  assert(options_.max_backoff >= options_.initial_backoff);
-}
+/// Rounds to wait for an ack before the first retransmission; the interval
+/// doubles after every retransmission up to kMaxBackoff.
+constexpr std::int64_t kInitialBackoff = 2;
+constexpr std::int64_t kMaxBackoff = 16;
+
+}  // namespace
 
 void ReliableTransport::ensure_init(Context& ctx) {
   if (initialized_) return;
@@ -120,12 +121,12 @@ void ReliableTransport::flush(Context& ctx) {
       ctx.send(neighbors_[j], frame_);
       if (link.head_sent) {
         ++retransmissions_;
-        link.backoff = std::min(link.backoff * 2, options_.max_backoff);
+        link.backoff = std::min(link.backoff * 2, kMaxBackoff);
         if (rec != nullptr) {
           rec->count(rec->builtin().transport_retransmissions);
         }
       } else {
-        link.backoff = options_.initial_backoff;
+        link.backoff = kInitialBackoff;
         link.head_sent = true;
       }
       link.resend_round = ctx.round() + link.backoff;

@@ -11,8 +11,8 @@
 //   * send() enqueues an application payload for a neighbor; each payload
 //     gets the next per-link sequence number.
 //   * At most one payload per neighbor is in flight; it is retransmitted
-//     with capped exponential backoff until the ack arrives, then the next
-//     queued payload goes out.
+//     with capped exponential backoff (2 rounds, doubling up to 16) until
+//     the ack arrives, then the next queued payload goes out.
 //   * Every data frame carries the cumulative ack (count of in-order
 //     payloads received from that neighbor), so acks piggyback on reverse
 //     traffic; a receiver with no reverse data pending sends a bare ack
@@ -40,13 +40,6 @@
 
 namespace ftc::sim {
 
-struct TransportOptions {
-  /// Rounds to wait for an ack before the first retransmission; doubles
-  /// after every retransmission up to max_backoff. Must be >= 1.
-  std::int64_t initial_backoff = 2;
-  std::int64_t max_backoff = 16;
-};
-
 /// Per-process reliable transport endpoint. Embed one per Process; call
 /// receive() first and flush() last in every on_round().
 class ReliableTransport {
@@ -56,9 +49,6 @@ class ReliableTransport {
     graph::NodeId from = -1;
     std::vector<Word> words;
   };
-
-  ReliableTransport();
-  explicit ReliableTransport(TransportOptions options);
 
   /// Queues `words` for reliable delivery to neighbor `to`.
   void send(Context& ctx, graph::NodeId to, std::span<const Word> words);
@@ -133,7 +123,6 @@ class ReliableTransport {
   [[nodiscard]] std::size_t index_of(graph::NodeId w) const;
   void enqueue(Link& link, std::span<const Word> words);
 
-  TransportOptions options_;
   bool initialized_ = false;
   std::vector<graph::NodeId> neighbors_;  // sorted copy from the Context
   std::vector<Link> links_;               // per neighbor index

@@ -25,8 +25,8 @@ NodeId clamp_node(NodeId v, NodeId lo, NodeId hi) {
 /// while still reaching max_n regularly.
 NodeId draw_n(util::Rng& rng, const FuzzConfig& config) {
   const double u = rng.uniform01();
-  const double span = static_cast<double>(config.max_n - config.min_n);
-  return config.min_n + static_cast<NodeId>(u * u * (span + 0.999));
+  const double span = static_cast<double>(config.max_n - kFuzzMinN);
+  return kFuzzMinN + static_cast<NodeId>(u * u * (span + 0.999));
 }
 
 }  // namespace
@@ -52,11 +52,10 @@ FuzzCase generate_case(std::uint64_t case_seed, const FuzzConfig& config) {
   c.avg_degree = rng.uniform(3.0, 11.0);
   c.graph_seed = rng();
 
-  c.k = static_cast<std::int32_t>(
-      rng.uniform_i64(1, std::max(1, config.max_k)));
+  c.k = static_cast<std::int32_t>(rng.uniform_i64(1, kFuzzMaxK));
   c.uniform_demand = rng.bernoulli(0.6);
 
-  c.t = static_cast<int>(rng.uniform_i64(1, std::max(1, config.max_t)));
+  c.t = static_cast<int>(rng.uniform_i64(1, kFuzzMaxT));
   c.algo_seed = rng();
 
   static constexpr int kWidths[] = {1, 2, 3, 4, 8};
@@ -64,7 +63,7 @@ FuzzCase generate_case(std::uint64_t case_seed, const FuzzConfig& config) {
   c.min_delay = rng.uniform_i64(1, 3);
   c.max_delay = c.min_delay + rng.uniform_i64(0, 7);
   c.delay_seed = rng();
-  c.loss = rng.bernoulli(0.4) ? rng.uniform(0.0, config.max_loss) : 0.0;
+  c.loss = rng.bernoulli(0.4) ? rng.uniform(0.0, kFuzzMaxLoss) : 0.0;
 
   const bool is_udg = c.family == GraphFamily::kUdgUniform ||
                       c.family == GraphFamily::kUdgClustered;
@@ -88,7 +87,7 @@ FuzzCase generate_case(std::uint64_t case_seed, const FuzzConfig& config) {
   c.run_differential = rng.bernoulli(0.55);
   c.run_async = rng.bernoulli(0.4);
   c.run_small_oracles =
-      c.n <= config.exact_oracle_max_n && rng.bernoulli(0.8);
+      c.n <= kFuzzExactOracleMaxN && rng.bernoulli(0.8);
   c.run_obs = rng.bernoulli(0.3);
 
   // Channel impairments. Appended after every pre-existing draw so a given
@@ -105,14 +104,14 @@ FuzzCase generate_case(std::uint64_t case_seed, const FuzzConfig& config) {
   c.asym = rng.bernoulli(0.2) ? rng.uniform(0.0, 1.0) : 0.0;
   c.run_transport = rng.bernoulli(0.35);
   if (config.force_lossy && c.loss == 0.0) {
-    c.loss = rng.uniform(0.05, std::max(0.05, config.max_loss));
+    c.loss = rng.uniform(0.05, kFuzzMaxLoss);
   }
 
   // Dynamic churn. Appended after every pre-existing draw (same rule as the
   // channel block above) so old case seeds keep their exact cases.
   c.mutation_seed = rng();
-  c.mutations = static_cast<std::int32_t>(
-      rng.uniform_i64(1, std::max(1, config.max_mutations)));
+  c.mutations =
+      static_cast<std::int32_t>(rng.uniform_i64(1, kFuzzMaxMutations));
   c.mutation_batch = static_cast<std::int32_t>(rng.uniform_i64(1, 4));
   c.run_dynamic = rng.bernoulli(0.35);
   if (config.force_dynamic) c.run_dynamic = true;

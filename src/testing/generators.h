@@ -54,25 +54,27 @@ enum class FaultKind : std::int32_t {
   kRegion,  ///< UDG families only
 };
 
-/// Bounds the generator samples within. The defaults keep instances small
+/// Fixed bounds the generator samples within. They keep instances small
 /// enough that a full oracle battery runs in well under a millisecond and
 /// tens of thousands of cases stay interactive.
+inline constexpr graph::NodeId kFuzzMinN = 3;
+inline constexpr std::int32_t kFuzzMaxK = 4;  ///< maximum coverage demand
+inline constexpr int kFuzzMaxT = 4;  ///< maximum LP trade-off parameter
+inline constexpr double kFuzzMaxLoss = 0.3;  ///< maximum message loss
+/// Nodes at or below which the exact branch-and-bound oracle is eligible.
+inline constexpr graph::NodeId kFuzzExactOracleMaxN = 22;
+/// Longest mutation trace the generator draws.
+inline constexpr std::int32_t kFuzzMaxMutations = 20;
+
+/// What a campaign chooses (ftc-fuzz --max-n, --lossy, --dynamic).
 struct FuzzConfig {
-  graph::NodeId min_n = 3;
-  graph::NodeId max_n = 56;
-  std::int32_t max_k = 4;    ///< maximum coverage demand
-  int max_t = 4;             ///< maximum LP trade-off parameter
-  double max_loss = 0.3;     ///< maximum message-loss probability
-  /// Nodes at or below which the exact branch-and-bound oracle is eligible.
-  graph::NodeId exact_oracle_max_n = 22;
+  graph::NodeId max_n = 56;  ///< largest node count, >= kFuzzMinN
   /// Loss-fuzz mode: force every case onto an impaired channel (at least
   /// iid loss), so a campaign concentrates on the unreliable-link paths.
   bool force_lossy = false;
   /// Dynamic-fuzz mode: force every case to carry a mutation trace, so a
   /// campaign concentrates on the incremental-maintenance paths.
   bool force_dynamic = false;
-  /// Longest mutation trace the generator draws (>= 1).
-  std::int32_t max_mutations = 20;
 };
 
 /// One fully-specified fuzz case. All fields that affect execution are

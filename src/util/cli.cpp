@@ -128,8 +128,9 @@ std::uint64_t Args::get_u64(const std::string& key,
                               ": not an unsigned integer");
 }
 
-std::vector<long long> Args::get_int_list(
-    const std::string& key, std::vector<long long> fallback) const {
+std::vector<long long> Args::get_int_list(const std::string& key,
+                                          std::vector<long long> fallback,
+                                          long long lo, long long hi) const {
   const auto raw = get(key);
   if (!raw) return fallback;
   std::vector<long long> out;
@@ -141,6 +142,11 @@ std::vector<long long> Args::get_int_list(
         if (!value) {
           throw std::invalid_argument("--" + key + ": bad element '" + token +
                                       "'");
+        }
+        if (*value < lo || *value > hi) {
+          throw std::invalid_argument(
+              "--" + key + ": element " + token + " must be in [" +
+              std::to_string(lo) + ", " + std::to_string(hi) + "]");
         }
         out.push_back(*value);
         token.clear();

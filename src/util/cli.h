@@ -45,9 +45,12 @@ class Args {
                                       std::uint64_t fallback) const;
 
   /// Parses a comma-separated list of integers ("1,2,5"), or `fallback` when
-  /// the key is absent.
+  /// the key is absent. Like get_int, throws std::invalid_argument (naming
+  /// the flag, the element and the range) when an element is unparsable or
+  /// lies outside [lo, hi].
   [[nodiscard]] std::vector<long long> get_int_list(
-      const std::string& key, std::vector<long long> fallback) const;
+      const std::string& key, std::vector<long long> fallback, long long lo,
+      long long hi) const;
 
   /// Positional (non --key) arguments, in order.
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {

@@ -1,6 +1,5 @@
 #include "util/thread_pool.h"
 
-#include <algorithm>
 #include <cassert>
 #include <chrono>
 
@@ -45,11 +44,11 @@ int ThreadPool::hardware_threads() noexcept {
 }
 
 void ThreadPool::drain_tasks(const std::function<void(int)>* fn, int tasks,
-                             int grain, std::uint64_t gen) {
+                             std::uint64_t gen) {
   // Claim-stall accounting: drain time minus task-execution time is the
   // scheduling overhead this thread paid (CAS retries, cache traffic on the
-  // claim word, chunk bookkeeping). Two clock reads per chunk when enabled,
-  // zero clock reads otherwise.
+  // claim word). Two clock reads per task when enabled, zero clock reads
+  // otherwise.
   const bool perf = perf_enabled_.load(std::memory_order_relaxed);
   const std::int64_t t_enter = perf ? now_ns() : 0;
   std::int64_t exec_ns = 0;
@@ -62,23 +61,20 @@ void ThreadPool::drain_tasks(const std::function<void(int)>* fn, int tasks,
     // comparison fails, the reload observes the new generation, and the
     // loop leaves without touching the (possibly destroyed) old fn.
     if ((word >> kTaskBits) != gen) break;
-    const int begin = static_cast<int>(word & kTaskMask);
-    if (begin >= tasks) break;
-    const int end = std::min(begin + grain, tasks);
-    if (!claim_.compare_exchange_weak(
-            word, word + static_cast<std::uint64_t>(end - begin),
-            std::memory_order_acq_rel, std::memory_order_acquire)) {
+    const int task = static_cast<int>(word & kTaskMask);
+    if (task >= tasks) break;
+    if (!claim_.compare_exchange_weak(word, word + 1,
+                                      std::memory_order_acq_rel,
+                                      std::memory_order_acquire)) {
       continue;  // word was reloaded by the failed CAS
     }
     // Between the successful claim above and the completed_ add below,
     // completed_ < tasks holds for generation `gen`, so run() cannot return
     // and the job (and *fn) stays alive while we execute.
     const std::int64_t t_exec = perf ? now_ns() : 0;
-    for (int task = begin; task < end; ++task) (*fn)(task);
+    (*fn)(task);
     if (perf) exec_ns += now_ns() - t_exec;
-    const int done =
-        completed_.fetch_add(end - begin, std::memory_order_acq_rel) +
-        (end - begin);
+    const int done = completed_.fetch_add(1, std::memory_order_acq_rel) + 1;
     assert(done <= tasks);
     if (done == tasks) {
       done_epoch_.fetch_add(1, std::memory_order_release);
@@ -98,10 +94,9 @@ void ThreadPool::worker_loop() {
     generation_.wait(seen, std::memory_order_acquire);
     const std::function<void(int)>* fn = nullptr;
     int tasks = 0;
-    int grain = 1;
     std::uint64_t gen = 0;
     {
-      // The mutex makes the job snapshot (fn, tasks, grain, generation)
+      // The mutex makes the job snapshot (fn, tasks, generation)
       // internally consistent; it is taken once per wakeup, never per task,
       // so the dispatch and barrier hot paths stay lock-free.
       std::lock_guard<std::mutex> lock(job_mutex_);
@@ -111,18 +106,15 @@ void ThreadPool::worker_loop() {
       seen = gen;
       fn = job_;
       tasks = tasks_;
-      grain = grain_;
     }
-    if (fn != nullptr) drain_tasks(fn, tasks, grain, gen);
+    if (fn != nullptr) drain_tasks(fn, tasks, gen);
   }
 }
 
-void ThreadPool::run(int tasks, const std::function<void(int)>& fn,
-                     int grain) {
+void ThreadPool::run(int tasks, const std::function<void(int)>& fn) {
   assert(tasks >= 0 && tasks <= kMaxTasks);
-  assert(grain >= 1);
   if (tasks == 0) return;
-  if (workers_.empty() || tasks <= grain) {
+  if (workers_.empty() || tasks == 1) {
     for (int i = 0; i < tasks; ++i) fn(i);
     return;
   }
@@ -133,14 +125,13 @@ void ThreadPool::run(int tasks, const std::function<void(int)>& fn,
     std::lock_guard<std::mutex> lock(job_mutex_);
     job_ = &fn;
     tasks_ = tasks;
-    grain_ = grain;
     completed_.store(0, std::memory_order_relaxed);
     gen = generation_.load(std::memory_order_relaxed) + 1;
     claim_.store(gen << kTaskBits, std::memory_order_relaxed);
     generation_.store(gen, std::memory_order_release);
   }
   generation_.notify_all();
-  drain_tasks(&fn, tasks, grain, gen);
+  drain_tasks(&fn, tasks, gen);
   // Wait-free in the common case: if the caller executed the last task the
   // epoch already advanced and the loop falls straight through; otherwise
   // block on the epoch word until the finishing worker bumps it. The wait is

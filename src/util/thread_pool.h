@@ -11,10 +11,8 @@
 //     k-1 claiming a task of job k through job k-1's destroyed function)
 //     structurally impossible: a claim succeeds only if the generation half
 //     of the word still matches the claimer's job.
-//   * Workers claim `grain` consecutive task indices per CAS so fine-grained
-//     task lists amortize the claim to one atomic RMW per chunk.
 //   * The completion barrier is a wait-free epoch counter: the worker whose
-//     chunk completes the job bumps `done_epoch_` and wakes the caller via
+//     task completes the job bumps `done_epoch_` and wakes the caller via
 //     C++20 atomic notify — no condvar round-trips, and a caller that
 //     finished the last task itself never blocks at all.
 //
@@ -55,11 +53,10 @@ class ThreadPool {
   }
 
   /// Runs fn(0), ..., fn(tasks - 1), each exactly once, distributed over the
-  /// pool. Blocks until all calls have returned. fn must not throw.
-  /// `grain` >= 1 is the number of consecutive task indices a worker claims
-  /// per atomic operation; jobs with tasks <= grain run inline on the caller
-  /// (there is nothing to parallelize that would repay a wakeup).
-  void run(int tasks, const std::function<void(int)>& fn, int grain = 1);
+  /// pool. Blocks until all calls have returned. fn must not throw. A
+  /// single-task job runs inline on the caller (there is nothing to
+  /// parallelize that would repay a wakeup).
+  void run(int tasks, const std::function<void(int)>& fn);
 
   /// Threads the hardware supports (>= 1); the default width for callers
   /// that do not specify one.
@@ -94,22 +91,21 @@ class ThreadPool {
   static constexpr int kMaxTasks = static_cast<int>(kTaskMask);
 
   void worker_loop();
-  /// Claims and executes chunks of job generation `gen` until none remain or
+  /// Claims and executes tasks of job generation `gen` until none remain or
   /// a newer job has been published (the generation half of claim_ changed).
-  void drain_tasks(const std::function<void(int)>* fn, int tasks, int grain,
+  void drain_tasks(const std::function<void(int)>* fn, int tasks,
                    std::uint64_t gen);
 
   std::vector<std::thread> workers_;
   // Job publication. The descriptor fields are written by run() and read by
   // a freshly woken worker under job_mutex_, which makes each worker's
-  // snapshot of (fn, tasks, grain, generation) internally consistent — a
+  // snapshot of (fn, tasks, generation) internally consistent — a
   // worker can never pair job k's function with job k+1's task count. The
   // mutex is touched once per wakeup and once per dispatch, never per task
   // or per barrier, so the hot paths below stay lock-free.
   std::mutex job_mutex_;
   const std::function<void(int)>* job_ = nullptr;
   int tasks_ = 0;
-  int grain_ = 1;
   bool stop_ = false;
   std::atomic<std::uint64_t> generation_{0};  ///< workers wait on this
   std::atomic<std::uint64_t> claim_{0};       ///< packed (generation, cursor)

@@ -206,27 +206,5 @@ TEST(RepairProcess, ChurnedNodeRejoinsAndIsCoveredAgain) {
   EXPECT_TRUE(domination::is_k_dominating(g, final_set, d));
 }
 
-TEST(RepairProcess, OpenModeSelfPromotionWorks) {
-  // Path 0-1-2, open-mode demand 1 for everyone, empty initial set: each
-  // non-member needs one *neighbor* in the set. The daemon must bootstrap a
-  // dominating set by itself (repair from total coverage loss).
-  const Graph g = graph::path(3);
-  RepairProcessOptions popts;
-  popts.mode = domination::Mode::kOpenForNonMembers;
-
-  sim::SyncNetwork net(g, 1);
-  net.set_all_processes([&](NodeId) {
-    return std::make_unique<RepairProcess>(1, false, popts);
-  });
-  net.run(40);
-  std::vector<NodeId> final_set;
-  for (NodeId v = 0; v < 3; ++v) {
-    if (net.process_as<RepairProcess>(v).member()) final_set.push_back(v);
-  }
-  EXPECT_TRUE(domination::is_k_dominating(
-      g, final_set, uniform_demands(3, 1),
-      domination::Mode::kOpenForNonMembers));
-}
-
 }  // namespace
 }  // namespace ftc::algo

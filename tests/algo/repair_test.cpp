@@ -5,7 +5,6 @@
 #include <tuple>
 
 #include "algo/baseline/greedy.h"
-#include "algo/udg/udg_kmds.h"
 #include "domination/domination.h"
 #include "geom/udg.h"
 #include "graph/generators.h"
@@ -15,7 +14,6 @@ namespace ftc::algo {
 namespace {
 
 using domination::clamp_demands;
-using domination::Mode;
 using domination::uniform_demands;
 using graph::Graph;
 using graph::NodeId;
@@ -84,21 +82,6 @@ TEST(Repair, UnsatisfiableDamageStillRepairsBestEffort) {
   live_demands[0] = 0;
   EXPECT_TRUE(domination::is_k_dominating(live, result.set, live_demands));
   EXPECT_EQ(result.set, (std::vector<NodeId>{1, 2, 3, 4}));
-}
-
-TEST(Repair, OpenModeIsolatedSurvivorsSelfPromote) {
-  // Open mode: an isolated non-member has no neighbor that could cover it,
-  // but joining the set itself exempts it from its own demand. Kill node 1
-  // on a path of 3 — nodes 0 and 2 become isolated and must self-promote.
-  const Graph g = graph::path(3);
-  const auto d = uniform_demands(3, 1);
-  const std::vector<NodeId> base{1};
-  const std::vector<NodeId> failed{1};
-  const auto result =
-      repair_after_failures(g, base, failed, d, Mode::kOpenForNonMembers);
-  EXPECT_TRUE(result.fully_satisfied);
-  EXPECT_EQ(result.set, (std::vector<NodeId>{0, 2}));
-  EXPECT_EQ(result.promoted, 2);
 }
 
 TEST(Repair, DisconnectedResidualGraphRepairsEachComponent) {
@@ -187,27 +170,6 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, RepairSweep,
     ::testing::Combine(::testing::Values<std::int32_t>(1, 2, 3),
                        ::testing::Range(0, 5)));
-
-TEST(Repair, OpenModeWorksWithAlgorithm3Sets) {
-  util::Rng rng(5);
-  const geom::UnitDiskGraph udg = geom::uniform_udg_with_degree(300, 14.0, rng);
-  UdgOptions opts;
-  opts.k = 3;
-  const auto alg3 = solve_udg_kmds(udg, opts, 5);
-
-  std::vector<NodeId> failed;
-  for (std::size_t i = 0; i < alg3.leaders.size(); i += 4) {
-    failed.push_back(alg3.leaders[i]);
-  }
-  const auto d = uniform_demands(udg.n(), 3);
-  const auto result = repair_after_failures(udg.graph, alg3.leaders, failed,
-                                            d, Mode::kOpenForNonMembers);
-  const graph::Graph live = udg.graph.without_nodes(failed);
-  auto live_demands = d;
-  for (NodeId f : failed) live_demands[static_cast<std::size_t>(f)] = 0;
-  EXPECT_TRUE(domination::is_k_dominating(live, result.set, live_demands,
-                                          Mode::kOpenForNonMembers));
-}
 
 TEST(Repair, CheaperThanRebuild) {
   util::Rng rng(6);

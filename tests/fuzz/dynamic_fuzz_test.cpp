@@ -45,7 +45,7 @@ TEST(DynamicFuzzGenerator, DynamicFieldsRoundTripAndForceFlagSticks) {
     const FuzzCase c = generate_case(case_seed_of(31, i), config);
     ASSERT_TRUE(c.run_dynamic);
     ASSERT_GE(c.mutations, 1);
-    ASSERT_LE(c.mutations, config.max_mutations);
+    ASSERT_LE(c.mutations, kFuzzMaxMutations);
     ASSERT_GE(c.mutation_batch, 1);
     EXPECT_EQ(parse_fuzz_case(to_string(c)), c) << to_string(c);
   }

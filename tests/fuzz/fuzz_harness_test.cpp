@@ -31,18 +31,17 @@ TEST(FuzzGenerator, CaseIsPureFunctionOfSeed) {
 
 TEST(FuzzGenerator, MaterializeRespectsBounds) {
   FuzzConfig config;
-  config.min_n = 3;
   config.max_n = 40;
   for (std::int64_t i = 0; i < 200; ++i) {
     const FuzzCase c = generate_case(case_seed_of(7, i), config);
-    ASSERT_GE(c.n, config.min_n);
+    ASSERT_GE(c.n, kFuzzMinN);
     ASSERT_LE(c.n, config.max_n);
     ASSERT_GE(c.k, 1);
-    ASSERT_LE(c.k, config.max_k);
+    ASSERT_LE(c.k, kFuzzMaxK);
     ASSERT_GE(c.t, 1);
-    ASSERT_LE(c.t, config.max_t);
+    ASSERT_LE(c.t, kFuzzMaxT);
     ASSERT_GE(c.loss, 0.0);
-    ASSERT_LE(c.loss, config.max_loss);
+    ASSERT_LE(c.loss, kFuzzMaxLoss);
     const Instance inst = materialize(c);
     const auto& g = inst.graph();
     ASSERT_GT(g.n(), 0);

@@ -122,22 +122,22 @@ TEST(PerfPlane, NestedChannelDecideIsReportedButNotCovered) {
 }
 
 TEST(PerfPlane, RingEvictsOldestButAggregatesNever) {
-  obs::PerfOptions options;
-  options.capacity = 4;
-  PerfPlane perf(options);
-  for (int i = 0; i < 10; ++i) {
+  PerfPlane perf;
+  constexpr int kCap = static_cast<int>(PerfPlane::kRingCapacity);
+  constexpr int kRounds = kCap + 6;
+  for (int i = 0; i < kRounds; ++i) {
     perf.add(PerfPhase::kCompute, 10);
     perf.end_round(i, 100, {});
   }
-  EXPECT_EQ(perf.rounds(), 10);
+  EXPECT_EQ(perf.rounds(), kRounds);
   const auto recent = perf.recent();
-  ASSERT_EQ(recent.size(), 4u);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(recent[static_cast<std::size_t>(i)].round, 6 + i);  // oldest first
+  ASSERT_EQ(recent.size(), PerfPlane::kRingCapacity);
+  for (int i = 0; i < kCap; ++i) {
+    ASSERT_EQ(recent[static_cast<std::size_t>(i)].round, 6 + i);  // oldest first
   }
-  // Run-wide sums cover all ten rounds, not just the retained window.
-  EXPECT_EQ(perf.total_ns(), 1000);
-  EXPECT_EQ(perf.phase_total_ns(PerfPhase::kCompute), 100);
+  // Run-wide sums cover every round, not just the retained window.
+  EXPECT_EQ(perf.total_ns(), 100LL * kRounds);
+  EXPECT_EQ(perf.phase_total_ns(PerfPhase::kCompute), 10LL * kRounds);
   EXPECT_NEAR(perf.attribution_coverage(), 0.1, 1e-9);
 }
 

@@ -101,11 +101,13 @@ TEST(Channel, VerdictIsPureInLinkAndRound) {
   // Query in two different orders; every verdict must match.
   Channel a(o);
   Channel b(o);
+  Channel::ShardState sa;
+  Channel::ShardState sb;
   std::vector<Channel::Fate> fwd;
   for (std::int64_t r = 0; r < 50; ++r) {
     for (NodeId u = 0; u < 4; ++u) {
       for (NodeId v = 0; v < 4; ++v) {
-        if (u != v) fwd.push_back(a.decide(u, v, r));
+        if (u != v) fwd.push_back(a.decide(u, v, r, sa));
       }
     }
   }
@@ -113,7 +115,7 @@ TEST(Channel, VerdictIsPureInLinkAndRound) {
   for (std::int64_t r = 49; r >= 0; --r) {
     for (NodeId u = 3; u >= 0; --u) {
       for (NodeId v = 3; v >= 0; --v) {
-        if (u != v) rev.push_back(b.decide(u, v, r));
+        if (u != v) rev.push_back(b.decide(u, v, r, sb));
       }
     }
   }
@@ -126,7 +128,7 @@ TEST(Channel, VerdictIsPureInLinkAndRound) {
     EXPECT_EQ(x.duplicate, y.duplicate);
     EXPECT_EQ(x.dup_delay, y.dup_delay);
   }
-  EXPECT_EQ(a.counters(), b.counters());
+  EXPECT_EQ(sa.counters, sb.counters);
 }
 
 TEST(Channel, SeedChangesTheVerdictStream) {
@@ -136,9 +138,13 @@ TEST(Channel, SeedChangesTheVerdictStream) {
   Channel a(o);
   o.seed = 2;
   Channel b(o);
+  Channel::ShardState sa;
+  Channel::ShardState sb;
   int differing = 0;
   for (std::int64_t r = 0; r < 200; ++r) {
-    if (a.decide(0, 1, r).dropped != b.decide(0, 1, r).dropped) ++differing;
+    if (a.decide(0, 1, r, sa).dropped != b.decide(0, 1, r, sb).dropped) {
+      ++differing;
+    }
   }
   EXPECT_GT(differing, 0);
 }
@@ -150,10 +156,12 @@ TEST(Channel, LossRateIsApproximatelyHonored) {
   o.loss = 0.3;
   o.seed = 42;
   Channel ch(o);
+  Channel::ShardState st;
   const int trials = 20000;
   for (int i = 0; i < trials; ++i) {
-    (void)ch.decide(i % 7, (i + 1) % 7, i);
+    (void)ch.decide(i % 7, (i + 1) % 7, i, st);
   }
+  ch.absorb(st);
   const double rate =
       static_cast<double>(ch.counters().dropped) / trials;
   EXPECT_NEAR(rate, 0.3, 0.02);
@@ -165,12 +173,13 @@ TEST(Channel, AsymmetryMakesDirectionsDiffer) {
   o.asymmetry = 1.0;
   o.seed = 5;
   Channel ch(o);
+  Channel::ShardState st;
   int fwd = 0;
   int rev = 0;
   const int trials = 8000;
   for (int i = 0; i < trials; ++i) {
-    if (ch.decide(0, 1, i).dropped) ++fwd;
-    if (ch.decide(1, 0, i).dropped) ++rev;
+    if (ch.decide(0, 1, i, st).dropped) ++fwd;
+    if (ch.decide(1, 0, i, st).dropped) ++rev;
   }
   // With a = 1 the two directions get independent stable factors in
   // [0, 2] * loss; equality within noise would mean asymmetry is dead.
@@ -183,14 +192,16 @@ TEST(Channel, DuplicateArrivesStrictlyLater) {
   o.reorder = 0.5;
   o.max_reorder_delay = 3;
   Channel ch(o);
+  Channel::ShardState st;
   for (std::int64_t r = 0; r < 200; ++r) {
-    const auto fate = ch.decide(1, 2, r);
+    const auto fate = ch.decide(1, 2, r, st);
     ASSERT_FALSE(fate.dropped);
     ASSERT_TRUE(fate.duplicate);
     EXPECT_GT(fate.dup_delay, fate.delay);
     EXPECT_LE(fate.dup_delay, fate.delay + o.max_reorder_delay);
     if (fate.delay > 0) EXPECT_LE(fate.delay, o.max_reorder_delay);
   }
+  ch.absorb(st);
   EXPECT_EQ(ch.counters().duplicated, 200);
 }
 
@@ -201,6 +212,7 @@ TEST(Channel, BurstsDropInRuns) {
   o.p_exit_burst = 0.25;
   o.seed = 9;
   Channel ch(o);
+  Channel::ShardState st;
   // With near-total loss inside bursts the drop pattern must contain runs
   // of consecutive drops far beyond what iid loss at the same average could
   // produce on a fair coin.
@@ -209,7 +221,7 @@ TEST(Channel, BurstsDropInRuns) {
   int dropped = 0;
   const int rounds = 4000;
   for (int r = 0; r < rounds; ++r) {
-    if (ch.decide(3, 4, r).dropped) {
+    if (ch.decide(3, 4, r, st).dropped) {
       ++dropped;
       longest_run = std::max(longest_run, ++run);
     } else {
@@ -229,13 +241,17 @@ TEST(Channel, EpochRestartsBurstChains) {
   o.seed = 123;
   Channel a(o);
   Channel b(o);
-  // Advance a's chain far, then re-set the same options at an epoch: its
-  // verdicts from the epoch on must match a fresh channel with that epoch.
-  for (int r = 0; r < 100; ++r) (void)a.decide(0, 1, r);
+  Channel::ShardState sa;
+  Channel::ShardState sb;
+  // Advance a's chain far, then re-set the same options at an epoch (which
+  // invalidates the shard's burst cache): its verdicts from the epoch on
+  // must match a fresh channel with that epoch.
+  for (int r = 0; r < 100; ++r) (void)a.decide(0, 1, r, sa);
   a.set_options(o, 100);
+  sa.clear();
   b.set_options(o, 100);
   for (int r = 100; r < 160; ++r) {
-    EXPECT_EQ(a.decide(0, 1, r).dropped, b.decide(0, 1, r).dropped)
+    EXPECT_EQ(a.decide(0, 1, r, sa).dropped, b.decide(0, 1, r, sb).dropped)
         << "round " << r;
   }
 }

@@ -134,64 +134,5 @@ TEST(FaultInjector, ChurnRunsOnSyncNetworkAndRevivesNodes) {
                                 injector.recovery_count()));
 }
 
-TEST(FaultInjector, AsyncRejectsChurn) {
-  const graph::Graph g = graph::path(4);
-  AsyncNetwork net(g, 1);
-  FaultInjector injector(FaultPlan::churn(0.1, 1, 2), 1);
-  EXPECT_THROW(injector.install(net, 10), std::invalid_argument);
-}
-
-TEST(AsyncNetwork, CrashedNodeDoesNotDeadlockNeighbors) {
-  // A ring where everyone runs 12 pulses; node 2 crashes at pulse 4. The
-  // link-layer halt announcement must let the others finish all 12 pulses.
-  const graph::Graph g = graph::cycle(6);
-
-  class PulseCounter final : public Process {
-   public:
-    void on_round(Context& ctx) override {
-      ++pulses_;
-      ctx.broadcast({static_cast<Word>(ctx.round())});
-      if (ctx.round() >= 11) halt();
-    }
-    std::int64_t pulses_ = 0;
-  };
-
-  AsyncNetwork net(g, 1);
-  net.set_all_processes(
-      [](NodeId) { return std::make_unique<PulseCounter>(); });
-  net.schedule_crash(2, 4);
-  const std::int64_t pulses = net.run(100);
-  EXPECT_EQ(pulses, 12);
-  EXPECT_TRUE(net.crashed(2));
-  EXPECT_EQ(net.process_as<PulseCounter>(2).pulses_, 4);
-  for (NodeId v : {0, 1, 3, 4, 5}) {
-    EXPECT_EQ(net.process_as<PulseCounter>(v).pulses_, 12) << "node " << v;
-  }
-}
-
-TEST(AsyncNetwork, CrashViaInjectorMatchesSchedule) {
-  util::Rng rng(7);
-  const graph::Graph g = graph::gnp(30, 0.2, rng);
-
-  class PulseCounter final : public Process {
-   public:
-    void on_round(Context& ctx) override {
-      ctx.broadcast({Word{0}});
-      if (ctx.round() >= 19) halt();
-    }
-  };
-
-  AsyncNetwork net(g, 1);
-  net.set_all_processes(
-      [](NodeId) { return std::make_unique<PulseCounter>(); });
-  FaultInjector injector(FaultPlan::iid_crashes(0.02, 0, 15), 13);
-  const auto& schedule = injector.install(net, 20);
-  ASSERT_FALSE(schedule.empty());
-  net.run(100);
-  for (const FaultEvent& e : schedule) {
-    EXPECT_TRUE(net.crashed(e.node));
-  }
-}
-
 }  // namespace
 }  // namespace ftc::sim

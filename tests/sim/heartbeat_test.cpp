@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 #include <memory>
+#include <stdexcept>
+#include <vector>
 
 #include "graph/generators.h"
+#include "obs/plane.h"
 
 namespace ftc::sim {
 namespace {
@@ -205,6 +209,92 @@ TEST(HeartbeatMonitor, WindowedModeStillDetectsRealCrash) {
     EXPECT_TRUE(net.process_as<WindowedBeacon>(v).monitor_.suspects(3))
         << "node " << v;
   }
+}
+
+/// Beacon whose node 0 goes silent for rounds [10, 20): a silence every
+/// neighbor must suspect and then refute, on top of the channel's losses.
+class SilentSpellBeacon final : public Process {
+ public:
+  explicit SilentSpellBeacon(HeartbeatMonitor::Options options)
+      : monitor_(options) {}
+
+  void on_round(Context& ctx) override {
+    monitor_.observe(ctx);
+    const bool silent =
+        ctx.self() == 0 && ctx.round() >= 10 && ctx.round() < 20;
+    if (!silent) ctx.broadcast({Word{1}});
+    if (ctx.round() >= 59) halt();
+  }
+
+  HeartbeatMonitor monitor_;
+};
+
+struct DetectorLog {
+  /// (round, node, event name, neighbor, evidence) of every detector event.
+  std::vector<std::array<std::int64_t, 5>> events;
+  SuspicionStats stats;
+};
+
+DetectorLog run_silence_and_loss(HeartbeatMonitor::Options options) {
+  const graph::Graph g = graph::complete(5);
+  SyncNetwork net(g, 3);
+  obs::Plane plane;
+  net.set_observability(&plane);
+  net.set_channel({.loss = 0.3, .seed = 4242});
+  net.set_all_processes(
+      [&](NodeId) { return std::make_unique<SilentSpellBeacon>(options); });
+  net.run(60);
+  DetectorLog log;
+  for (const obs::TraceEvent& e : plane.trace().events()) {
+    if (e.category != obs::Category::kDetector) continue;
+    log.events.push_back({e.round, e.node, e.name, e.a0, e.a1});
+  }
+  for (NodeId v = 0; v < g.n(); ++v) {
+    const auto& m = net.process_as<SilentSpellBeacon>(v).monitor_;
+    log.stats.raised += m.suspicions_raised();
+    log.stats.refuted += m.refuted_suspicions();
+  }
+  return log;
+}
+
+TEST(HeartbeatMonitor, TimeoutIsTheWindowRuleWithTPlusOneMisses) {
+  // A consecutive timeout T is the M-of-N rule with window = misses = T+1:
+  // same suspicion rounds, same evidence, same refutations.
+  for (std::int64_t t = 1; t <= 4; ++t) {
+    HeartbeatMonitor::Options timeout;
+    timeout.timeout = t;
+    HeartbeatMonitor::Options windowed;
+    windowed.window = static_cast<int>(t) + 1;
+    windowed.misses_to_suspect = static_cast<int>(t) + 1;
+    const DetectorLog a = run_silence_and_loss(timeout);
+    const DetectorLog b = run_silence_and_loss(windowed);
+    EXPECT_GT(a.stats.raised, 0) << "T=" << t;
+    EXPECT_GT(a.stats.refuted, 0) << "T=" << t;
+    EXPECT_EQ(a.stats, b.stats) << "T=" << t;
+    EXPECT_EQ(a.events, b.events) << "T=" << t;
+  }
+}
+
+TEST(HeartbeatMonitor, RejectsWindowsBeyondTheBeatHistory) {
+  // The beat history is one 64-bit word: 63 past beats plus this round.
+  HeartbeatMonitor::Options o;
+  o.window = 63;
+  EXPECT_NO_THROW(HeartbeatMonitor{o});
+  for (const int window : {64, 65, 1000, -1}) {
+    o.window = window;
+    EXPECT_THROW(HeartbeatMonitor{o}, std::invalid_argument) << window;
+  }
+  o = HeartbeatMonitor::Options{};
+  o.timeout = 62;  // window = misses = 63
+  EXPECT_NO_THROW(HeartbeatMonitor{o});
+  for (const std::int64_t timeout : {63, 64, 1000, -1}) {
+    o.timeout = timeout;
+    EXPECT_THROW(HeartbeatMonitor{o}, std::invalid_argument) << timeout;
+  }
+  o = HeartbeatMonitor::Options{};
+  o.window = 8;
+  o.misses_to_suspect = 9;
+  EXPECT_THROW(HeartbeatMonitor{o}, std::invalid_argument);
 }
 
 TEST(HeartbeatMonitor, RefutationClearsTheSuspectList) {

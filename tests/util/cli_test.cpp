@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "obs/plane.h"
@@ -89,19 +90,34 @@ TEST(Args, U64Parses) {
 
 TEST(Args, IntListParses) {
   const Args args = make_args({"--ks=1,2,5,10"});
-  EXPECT_EQ(args.get_int_list("ks", {}),
+  EXPECT_EQ(args.get_int_list("ks", {}, 1, 10),
             (std::vector<long long>{1, 2, 5, 10}));
 }
 
 TEST(Args, IntListFallback) {
   const Args args = make_args({});
-  EXPECT_EQ(args.get_int_list("ks", {3}), (std::vector<long long>{3}));
+  EXPECT_EQ(args.get_int_list("ks", {3}, 1, 10), (std::vector<long long>{3}));
 }
 
 TEST(Args, IntListBadElementThrows) {
   const Args args = make_args({"--ks=1,x,3", "--ts=1,2x,3"});
-  EXPECT_THROW((void)args.get_int_list("ks", {}), std::invalid_argument);
-  EXPECT_THROW((void)args.get_int_list("ts", {}), std::invalid_argument);
+  EXPECT_THROW((void)args.get_int_list("ks", {}, 0, 10),
+               std::invalid_argument);
+  EXPECT_THROW((void)args.get_int_list("ts", {}, 0, 10),
+               std::invalid_argument);
+}
+
+TEST(Args, IntListOutOfRangeElementThrows) {
+  const Args args =
+      make_args({"--ks=1,-1,3", "--ts=0", "--ns=100,5000000000"});
+  EXPECT_THROW((void)args.get_int_list("ks", {}, 1, 10),
+               std::invalid_argument);
+  EXPECT_THROW((void)args.get_int_list("ts", {}, 1, 10),
+               std::invalid_argument);
+  EXPECT_THROW((void)args.get_int_list("ns", {}, 2, INT32_MAX),
+               std::invalid_argument);
+  EXPECT_EQ(args.get_int_list("ns", {}, 2, 5'000'000'000LL),
+            (std::vector<long long>{100, 5'000'000'000LL}));
 }
 
 TEST(Args, LastDuplicateWins) {

@@ -91,30 +91,6 @@ TEST(ThreadPool, HardwareThreadsIsPositive) {
   EXPECT_GE(ThreadPool::hardware_threads(), 1);
 }
 
-TEST(ThreadPool, ChunkedGrainRunsEveryTaskExactlyOnce) {
-  // Grain > 1 makes workers claim [begin, begin+grain) blocks; the chunking
-  // must still cover every index exactly once, including the ragged tail
-  // when grain does not divide the task count.
-  ThreadPool pool(4);
-  for (const int grain : {2, 7, 64, 1000}) {
-    std::vector<std::atomic<int>> hits(1000);
-    pool.run(1000, [&](int i) { hits[static_cast<std::size_t>(i)] += 1; },
-             grain);
-    for (const auto& h : hits) {
-      ASSERT_EQ(h.load(), 1) << "grain " << grain;
-    }
-  }
-}
-
-TEST(ThreadPool, GrainAtLeastTaskCountRunsInlineInOrder) {
-  // tasks <= grain short-circuits to the caller's thread: sequential,
-  // ascending, no handoff — the engine's small-n fallback relies on it.
-  ThreadPool pool(4);
-  std::vector<int> order;
-  pool.run(6, [&](int i) { order.push_back(i); }, 6);
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
-}
-
 TEST(ThreadPool, PerfCountersStayZeroWhileDisabled) {
   // Off by default: the plain dispatch path must stay clock-free, so no
   // counter may move without set_perf_enabled(true).
@@ -157,17 +133,6 @@ TEST(ThreadPool, PerfCountersAccumulateAndDrainZeroes) {
   const auto off = pool.drain_perf();
   EXPECT_EQ(off.barrier_wait_ns, 0);
   EXPECT_EQ(off.claim_stall_ns, 0);
-}
-
-TEST(ThreadPool, ChunkedGrainAcrossManyGenerations) {
-  // Chunked claiming must stay sound across back-to-back jobs with varying
-  // grains (the claim word packs generation and cursor together).
-  ThreadPool pool(3);
-  std::atomic<long long> sum{0};
-  for (int job = 0; job < 200; ++job) {
-    pool.run(100, [&](int i) { sum += i; }, 1 + job % 9);
-  }
-  EXPECT_EQ(sum.load(), 200LL * (99 * 100 / 2));
 }
 
 }  // namespace

@@ -192,7 +192,7 @@ int main(int argc, char** argv) {
   try {
     testing::FuzzConfig config;
     config.max_n = static_cast<graph::NodeId>(
-        args.get_int("max-n", config.max_n, config.min_n, INT32_MAX));
+        args.get_int("max-n", config.max_n, testing::kFuzzMinN, INT32_MAX));
     config.force_lossy = args.get_bool("lossy", false);
     config.force_dynamic = args.get_bool("dynamic", false);
     const testing::Mutation mutation =
