@@ -300,11 +300,13 @@ if [ "$MODE" = "thread" ]; then
   # reference suite (the bench flood workload on a pool forced on by
   # set_parallel_grain(0), against a naive engine), and the LP mirror's
   # width suite (per-block white/gray lists written by pool workers,
-  # decrements applied after the barrier), and the dynamic interplay suite
+  # decrements applied after the barrier), the dynamic interplay suite
   # (the pool forced on over RepairProcess and HeartbeatMonitor, with the
-  # incremental maintainer publishing to the same plane between rounds).
+  # incremental maintainer publishing to the same plane between rounds),
+  # and the synchronizer width suite (Synchronized adapters buffering
+  # envelopes on pool workers for the three protocol drivers).
   run_ctest --test-dir "$BUILD_DIR" --output-on-failure \
-    -R 'ThreadPool|ParallelDeterminism|TraceDeterminism|ObsWiring|PerfWiring|BroadcastFanOut|ReliableTransport|FloodReference|LpParallel|DynamicInterplay'
+    -R 'ThreadPool|ParallelDeterminism|TraceDeterminism|ObsWiring|PerfWiring|BroadcastFanOut|ReliableTransport|FloodReference|LpParallel|DynamicInterplay|SynchronizerParallel'
 else
   BUILD_DIR="${1:-build-asan}"
   configure -B "$BUILD_DIR" -S . "${ASAN_CONFIG[@]}"

@@ -99,10 +99,11 @@ class LpKmdsProcess final : public sim::Process {
 
 /// Runs Algorithm 1 as a protocol on `net` (a sim::SyncNetwork the caller
 /// has configured — threads, grain, channel, plane, scheduled crashes — or
-/// a sim::AsyncNetwork — delays, plane). Installs one LpKmdsProcess per
-/// node, runs under the protocol's budget — the exact schedule
-/// (lp_round_count(t), +2 with kTwoHop) plus slack, so an overrun shows —
-/// and collects x, y, z.
+/// a sim::SynchronizedNetwork, whose delays are set at construction and
+/// whose threads and plane are set on network()). Installs one
+/// LpKmdsProcess per node, runs under the protocol's budget — the exact
+/// schedule (lp_round_count(t), +2 with kTwoHop) plus slack, so an overrun
+/// shows — and collects x, y, z.
 /// `rounds` is the rounds (pulses) executed; `kappa` is t(Δ+1)^{1/t} with
 /// the global Δ, as in the mirror. `max_lemma41_ratio` is mirror-only and
 /// stays 0. Metrics stay on `net`.

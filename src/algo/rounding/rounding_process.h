@@ -46,10 +46,12 @@ class RoundingProcess final : public sim::Process {
 
 /// Runs Algorithm 2 as a protocol on `net` (a sim::SyncNetwork the caller
 /// has configured — threads, grain, channel, plane, scheduled crashes — or
-/// a sim::AsyncNetwork — delays, plane). Installs one RoundingProcess per
-/// node with x[v] and demands[v], runs under kRoundingRounds plus slack,
-/// and collects the sorted set and its coin/request split. `rounds` is the
-/// rounds (pulses) executed. Metrics stay on `net`.
+/// a sim::SynchronizedNetwork, whose delays are set at construction and
+/// whose threads and plane are set on network()). Installs one
+/// RoundingProcess per node with x[v] and demands[v], runs under
+/// kRoundingRounds plus slack, and collects the sorted set and its
+/// coin/request split. `rounds` is the rounds (pulses) executed. Metrics
+/// stay on `net`.
 template <typename Net>
 RoundingResult run_rounding_processes(Net& net, std::span<const double> x,
                                       const domination::Demands& demands) {

@@ -36,9 +36,6 @@ Plane::Plane(PlaneOptions options) : trace_(options.trace) {
   builtin_.lp_iterations = r.counter("lp.iterations");
   builtin_.rounding_trials = r.counter("rounding.trials");
   builtin_.probe_doublings = r.counter("udg.probe_doublings");
-  builtin_.async_pulses = r.counter("async.pulses");
-  builtin_.async_envelopes = r.counter("async.envelopes");
-  builtin_.async_payload_words = r.counter("async.payload_words");
   builtin_.live_nodes = r.gauge("sim.live_nodes");
   builtin_.running_nodes = r.gauge("sim.running_nodes");
   builtin_.arena_words = r.gauge("sim.arena_words");
@@ -64,7 +61,6 @@ Plane::Plane(PlaneOptions options) : trace_(options.trace) {
   builtin_.n_lp_iteration = t.intern("lp.iteration");
   builtin_.n_rounding_trial = t.intern("rounding.trial");
   builtin_.n_probe_doubling = t.intern("udg.probe_doubling");
-  builtin_.n_async_run = t.intern("async.run");
 }
 
 void Plane::set_shards(int shards) {

@@ -1,11 +1,10 @@
 // Observability plane: one Registry + one Trace, plus the pre-registered
 // ids everything in the simulator stack publishes under (DESIGN.md §7).
 //
-// A Plane is attached to a network with SyncNetwork::set_observability() /
-// AsyncNetwork::set_observability(); processes reach it through
-// sim::Context::obs(), which hands them their shard's Recorder. A detached
-// network (the default) pays one null check per round phase — the disabled
-// path is benchmarked by bench_obs_overhead.
+// A Plane is attached to a network with SyncNetwork::set_observability();
+// processes reach it through sim::Context::obs(), which hands them their
+// shard's Recorder. A detached network (the default) pays one null check
+// per round phase — the disabled path is benchmarked by bench_obs_overhead.
 //
 // Determinism contract. Registry, Trace and PerfPlane are owner-thread
 // sinks. A worker writes observability state only through its shard's
@@ -61,9 +60,6 @@ struct Builtin {
   MetricId lp_iterations = kInvalidMetric;     ///< lp.iterations
   MetricId rounding_trials = kInvalidMetric;   ///< rounding.trials
   MetricId probe_doublings = kInvalidMetric;   ///< udg.probe_doublings
-  MetricId async_pulses = kInvalidMetric;      ///< async.pulses
-  MetricId async_envelopes = kInvalidMetric;   ///< async.envelopes
-  MetricId async_payload_words = kInvalidMetric;  ///< async.payload_words
   // Gauges (sequential-only, set at the round barrier).
   MetricId live_nodes = kInvalidMetric;        ///< sim.live_nodes
   MetricId running_nodes = kInvalidMetric;     ///< sim.running_nodes
@@ -89,7 +85,6 @@ struct Builtin {
   NameId n_lp_iteration = 0;    ///< algorithm phase events
   NameId n_rounding_trial = 0;
   NameId n_probe_doubling = 0;
-  NameId n_async_run = 0;
 };
 
 /// One shard's emission handle, handed to processes by sim::Context::obs().

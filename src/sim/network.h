@@ -138,10 +138,10 @@ class InboxOverflow : public std::length_error {
   using std::length_error::length_error;
 };
 
-/// Backend interface through which a Context reaches its network. Both the
-/// synchronous network (SyncNetwork) and the asynchronous executor
-/// (async.h's AsyncNetwork, which wraps every process in an α-synchronizer)
-/// implement it, so the same Process code runs unchanged on either.
+/// Backend interface through which a Context reaches its network. SyncNetwork
+/// implements it, and so does the α-synchronizer adapter (synchronizer.h),
+/// which captures the sends of the process it wraps, so the same Process
+/// code runs unchanged on either.
 class NetworkBackend {
  public:
   virtual ~NetworkBackend() = default;
@@ -218,7 +218,7 @@ class Context {
 
  private:
   friend class SyncNetwork;
-  friend class AsyncNetwork;
+  friend class Synchronized;
   NetworkBackend* net_ = nullptr;
   graph::NodeId self_ = -1;
   std::int64_t round_ = 0;

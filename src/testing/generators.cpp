@@ -1,6 +1,8 @@
 #include "testing/generators.h"
 
 #include <algorithm>
+#include <charconv>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <map>
@@ -48,7 +50,7 @@ FuzzCase generate_case(std::uint64_t case_seed, const FuzzConfig& config) {
       rng.uniform_i64(0, kGraphFamilyCount - 1));
   c.n = draw_n(rng, config);
   c.p = rng.uniform(0.03, 0.5);
-  c.aux = static_cast<NodeId>(rng.uniform_i64(1, 6));
+  c.aux = static_cast<NodeId>(rng.uniform_i64(1, kFuzzMaxAux));
   c.avg_degree = rng.uniform(3.0, 11.0);
   c.graph_seed = rng();
 
@@ -60,8 +62,9 @@ FuzzCase generate_case(std::uint64_t case_seed, const FuzzConfig& config) {
 
   static constexpr int kWidths[] = {1, 2, 3, 4, 8};
   c.threads = kWidths[rng.index(std::size(kWidths))];
-  c.min_delay = rng.uniform_i64(1, 3);
-  c.max_delay = c.min_delay + rng.uniform_i64(0, 7);
+  // Two draws, so that a case seed keeps its max_delay and every later field.
+  const std::int64_t delay_base = rng.uniform_i64(1, 3);
+  c.max_delay = static_cast<int>(delay_base + rng.uniform_i64(0, 7));
   c.delay_seed = rng();
   c.loss = rng.bernoulli(0.4) ? rng.uniform(0.0, kFuzzMaxLoss) : 0.0;
 
@@ -82,7 +85,7 @@ FuzzCase generate_case(std::uint64_t case_seed, const FuzzConfig& config) {
   c.fault_rate = rng.uniform(0.005, 0.05);
   c.fault_count = static_cast<NodeId>(rng.uniform_i64(1, 1 + c.n / 8));
   c.fault_seed = rng();
-  c.horizon = rng.uniform_i64(8, 24);
+  c.horizon = rng.uniform_i64(kFuzzMinHorizon, kFuzzMaxHorizon);
 
   c.run_differential = rng.bernoulli(0.55);
   c.run_async = rng.bernoulli(0.4);
@@ -112,7 +115,8 @@ FuzzCase generate_case(std::uint64_t case_seed, const FuzzConfig& config) {
   c.mutation_seed = rng();
   c.mutations =
       static_cast<std::int32_t>(rng.uniform_i64(1, kFuzzMaxMutations));
-  c.mutation_batch = static_cast<std::int32_t>(rng.uniform_i64(1, 4));
+  c.mutation_batch =
+      static_cast<std::int32_t>(rng.uniform_i64(1, kFuzzMaxMutationBatch));
   c.run_dynamic = rng.bernoulli(0.35);
   if (config.force_dynamic) c.run_dynamic = true;
   return c;
@@ -258,6 +262,19 @@ std::string fmt_double(double v) {
   return buf;
 }
 
+/// Parses all of `s` as a T: a sign on an unsigned field, an overflow or a
+/// trailing character throws instead of wrapping or being dropped.
+template <typename T>
+T parse_whole(const std::string& s) {
+  T v{};
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc{} || ptr != end) {
+    throw std::invalid_argument("fuzz case: bad number '" + s + "'");
+  }
+  return v;
+}
+
 }  // namespace
 
 std::string to_string(const FuzzCase& c) {
@@ -274,7 +291,6 @@ std::string to_string(const FuzzCase& c) {
      << " t=" << c.t
      << " algo_seed=" << c.algo_seed
      << " threads=" << c.threads
-     << " min_delay=" << c.min_delay
      << " max_delay=" << c.max_delay
      << " delay_seed=" << c.delay_seed
      << " loss=" << fmt_double(c.loss)
@@ -313,106 +329,85 @@ FuzzCase parse_fuzz_case(const std::string& line) {
     }
     kv[token.substr(0, eq)] = token.substr(eq + 1);
   }
-  auto take = [&kv](const char* key) {
+  // A key without a `fallback` is required.
+  auto value = [&kv](const char* key, const char* fallback = nullptr) {
     auto it = kv.find(key);
     if (it == kv.end()) {
+      if (fallback != nullptr) return std::string(fallback);
       throw std::invalid_argument(std::string("fuzz case: missing key '") +
                                   key + "'");
     }
-    std::string value = it->second;
+    std::string v = it->second;
     kv.erase(it);
-    return value;
-  };
-  auto to_i64 = [](const std::string& s) {
-    std::size_t pos = 0;
-    const long long v = std::stoll(s, &pos);
-    if (pos != s.size()) throw std::invalid_argument("fuzz case: bad int " + s);
-    return static_cast<std::int64_t>(v);
-  };
-  auto to_u64 = [](const std::string& s) {
-    std::size_t pos = 0;
-    const unsigned long long v = std::stoull(s, &pos);
-    if (pos != s.size()) throw std::invalid_argument("fuzz case: bad u64 " + s);
-    return static_cast<std::uint64_t>(v);
-  };
-  auto to_dbl = [](const std::string& s) {
-    std::size_t pos = 0;
-    const double v = std::stod(s, &pos);
-    if (pos != s.size()) throw std::invalid_argument("fuzz case: bad double " + s);
     return v;
+  };
+  auto u64 = [&](const char* key, const char* fallback = nullptr) {
+    return parse_whole<std::uint64_t>(value(key, fallback));
+  };
+  auto dbl = [&](const char* key) { return parse_whole<double>(value(key)); };
+  // Integer fields are ranged before they are narrowed, so an out-of-domain
+  // value throws instead of wrapping (k=4294967297 must not read as k=1).
+  auto ranged = [&](const char* key, std::int64_t lo, std::int64_t hi,
+                    const char* fallback = nullptr) {
+    const std::string s = value(key, fallback);
+    const auto v = parse_whole<std::int64_t>(s);
+    if (v < lo || v > hi) {
+      throw std::invalid_argument(
+          std::string("fuzz case: ") + key + "=" + s + " is outside [" +
+          std::to_string(lo) + ", " + std::to_string(hi) + "]");
+    }
+    return v;
+  };
+  auto flag = [&](const char* key, const char* fallback = nullptr) {
+    return ranged(key, 0, 1, fallback) != 0;
   };
 
   FuzzCase c;
-  c.case_seed = to_u64(take("case_seed"));
-  const auto family = to_i64(take("family"));
-  if (family < 0 || family >= kGraphFamilyCount) {
-    throw std::invalid_argument("fuzz case: family out of range");
-  }
-  c.family = static_cast<GraphFamily>(family);
-  c.n = static_cast<NodeId>(to_i64(take("n")));
-  c.p = to_dbl(take("p"));
-  c.aux = static_cast<NodeId>(to_i64(take("aux")));
-  c.avg_degree = to_dbl(take("avg_degree"));
-  c.graph_seed = to_u64(take("graph_seed"));
-  c.k = static_cast<std::int32_t>(to_i64(take("k")));
-  c.uniform_demand = to_i64(take("uniform_demand")) != 0;
-  c.t = static_cast<int>(to_i64(take("t")));
-  c.algo_seed = to_u64(take("algo_seed"));
-  c.threads = static_cast<int>(to_i64(take("threads")));
-  c.min_delay = to_i64(take("min_delay"));
-  c.max_delay = to_i64(take("max_delay"));
-  c.delay_seed = to_u64(take("delay_seed"));
-  c.loss = to_dbl(take("loss"));
-  const auto fault = to_i64(take("fault_kind"));
-  if (fault < 0 || fault > static_cast<std::int64_t>(FaultKind::kRegion)) {
-    throw std::invalid_argument("fuzz case: fault_kind out of range");
-  }
-  c.fault_kind = static_cast<FaultKind>(fault);
-  c.fault_rate = to_dbl(take("fault_rate"));
-  c.fault_count = static_cast<NodeId>(to_i64(take("fault_count")));
-  c.fault_seed = to_u64(take("fault_seed"));
-  c.horizon = to_i64(take("horizon"));
-  c.run_differential = to_i64(take("run_differential")) != 0;
-  c.run_async = to_i64(take("run_async")) != 0;
-  c.run_small_oracles = to_i64(take("run_small_oracles")) != 0;
-  c.run_obs = to_i64(take("run_obs")) != 0;
-  c.dup = to_dbl(take("dup"));
-  c.reorder = to_dbl(take("reorder"));
-  c.reorder_delay = static_cast<int>(to_i64(take("reorder_delay")));
-  c.burst = to_dbl(take("burst"));
-  c.burst_in = to_dbl(take("burst_in"));
-  c.burst_out = to_dbl(take("burst_out"));
-  c.asym = to_dbl(take("asym"));
-  c.run_transport = to_i64(take("run_transport")) != 0;
-  // Dynamic-churn keys are optional (defaults = "off"): repro lines written
-  // before the dimension existed must keep parsing.
-  auto take_opt = [&kv](const char* key) -> std::string {
-    auto it = kv.find(key);
-    if (it == kv.end()) return {};
-    std::string value = it->second;
-    kv.erase(it);
-    return value;
-  };
-  if (const std::string v = take_opt("run_dynamic"); !v.empty()) {
-    c.run_dynamic = to_i64(v) != 0;
-  }
-  if (const std::string v = take_opt("mutations"); !v.empty()) {
-    c.mutations = static_cast<std::int32_t>(to_i64(v));
-  }
-  if (const std::string v = take_opt("mutation_batch"); !v.empty()) {
-    c.mutation_batch = static_cast<std::int32_t>(to_i64(v));
-  }
-  if (const std::string v = take_opt("mutation_seed"); !v.empty()) {
-    c.mutation_seed = to_u64(v);
-  }
+  c.case_seed = u64("case_seed");
+  c.family =
+      static_cast<GraphFamily>(ranged("family", 0, kGraphFamilyCount - 1));
+  c.n = static_cast<NodeId>(ranged("n", 1, INT32_MAX));
+  c.p = dbl("p");
+  c.aux = static_cast<NodeId>(ranged("aux", 1, kFuzzMaxAux));
+  c.avg_degree = dbl("avg_degree");
+  c.graph_seed = u64("graph_seed");
+  c.k = static_cast<std::int32_t>(ranged("k", 1, kFuzzMaxK));
+  c.uniform_demand = flag("uniform_demand");
+  c.t = static_cast<int>(ranged("t", 1, kFuzzMaxT));
+  c.algo_seed = u64("algo_seed");
+  c.threads = static_cast<int>(ranged("threads", 1, kFuzzMaxThreads));
+  c.max_delay = static_cast<int>(ranged("max_delay", 1, INT_MAX));
+  c.delay_seed = u64("delay_seed");
+  c.loss = dbl("loss");
+  c.fault_kind = static_cast<FaultKind>(ranged(
+      "fault_kind", 0, static_cast<std::int64_t>(FaultKind::kRegion)));
+  c.fault_rate = dbl("fault_rate");
+  c.fault_count = static_cast<NodeId>(ranged("fault_count", 0, INT32_MAX));
+  c.fault_seed = u64("fault_seed");
+  c.horizon = ranged("horizon", kFuzzMinHorizon, kFuzzMaxHorizon);
+  c.run_differential = flag("run_differential");
+  c.run_async = flag("run_async");
+  c.run_small_oracles = flag("run_small_oracles");
+  c.run_obs = flag("run_obs");
+  c.dup = dbl("dup");
+  c.reorder = dbl("reorder");
+  c.reorder_delay = static_cast<int>(ranged("reorder_delay", 1, INT_MAX));
+  c.burst = dbl("burst");
+  c.burst_in = dbl("burst_in");
+  c.burst_out = dbl("burst_out");
+  c.asym = dbl("asym");
+  c.run_transport = flag("run_transport");
+  // Dynamic-churn keys fall back to FuzzCase's defaults ("off"): repro
+  // lines written before the dimension existed must keep parsing.
+  c.run_dynamic = flag("run_dynamic", "0");
+  c.mutations = static_cast<std::int32_t>(
+      ranged("mutations", 0, kFuzzMaxMutations, "0"));
+  c.mutation_batch = static_cast<std::int32_t>(
+      ranged("mutation_batch", 1, kFuzzMaxMutationBatch, "1"));
+  c.mutation_seed = u64("mutation_seed", "1");
   if (!kv.empty()) {
     throw std::invalid_argument("fuzz case: unknown key '" +
                                 kv.begin()->first + "'");
-  }
-  if (c.n < 1 || c.t < 1 || c.k < 1 || c.threads < 1 ||
-      c.min_delay < 1 || c.max_delay < c.min_delay || c.reorder_delay < 1 ||
-      c.mutations < 0 || c.mutation_batch < 1) {
-    throw std::invalid_argument("fuzz case: field out of range");
   }
   return c;
 }

@@ -5,8 +5,8 @@
 // patterns, and message schedules; hand-picked unit-test instances explore a
 // vanishingly small corner of that space. A FuzzCase is a declarative,
 // fully-serializable description of one randomized instance — topology
-// family and size, demands, algorithm parameters, engine width, async delay
-// schedule, loss rate, and fault plan — derived as a pure function of a
+// family and size, demands, algorithm parameters, engine width, synchronizer
+// delay schedule, loss rate, and fault plan — derived as a pure function of a
 // single 64-bit case seed. Everything downstream (materialization, the
 // invariant checks in invariants.h, the runner) is deterministic given the
 // case, which is what makes every failure a one-line repro and makes
@@ -65,6 +65,16 @@ inline constexpr double kFuzzMaxLoss = 0.3;  ///< maximum message loss
 inline constexpr graph::NodeId kFuzzExactOracleMaxN = 22;
 /// Longest mutation trace the generator draws.
 inline constexpr std::int32_t kFuzzMaxMutations = 20;
+/// Ranges the generator draws the family parameter `aux`, the fault-plan
+/// horizon and the mutation batch from (the shrinker keeps their floors).
+inline constexpr graph::NodeId kFuzzMaxAux = 6;
+inline constexpr std::int64_t kFuzzMinHorizon = 8;
+inline constexpr std::int64_t kFuzzMaxHorizon = 24;
+inline constexpr std::int32_t kFuzzMaxMutationBatch = 4;
+/// Widest engine a case may ask for. The generator draws from {1, 2, 3, 4,
+/// 8}; replaying a case starts this many pool threads, so a case line
+/// cannot ask for more.
+inline constexpr int kFuzzMaxThreads = 64;
 
 /// What a campaign chooses (ftc-fuzz --max-n, --lossy, --dynamic).
 struct FuzzConfig {
@@ -101,9 +111,8 @@ struct FuzzCase {
 
   // Schedule exploration.
   int threads = 1;               ///< parallel engine width to cross-check
-  std::int64_t min_delay = 1;    ///< async uniform link-delay bounds
-  std::int64_t max_delay = 8;
-  std::uint64_t delay_seed = 1;  ///< async delay randomness
+  int max_delay = 8;             ///< synchronizer latency: 1..max_delay rounds
+  std::uint64_t delay_seed = 1;  ///< synchronizer latency randomness
   double loss = 0.0;             ///< message-loss probability
 
   // Channel impairment beyond iid loss (sim/channel.h); all default to a
@@ -140,7 +149,7 @@ struct FuzzCase {
   // rounding battery always runs). Drawn as random toggles so a long fuzz
   // run amortizes the expensive oracles over the whole campaign.
   bool run_differential = true;   ///< mirror vs distributed vs parallel
-  bool run_async = false;         ///< sync vs async schedule independence
+  bool run_async = false;         ///< α-synchronizer schedule independence
   bool run_small_oracles = false; ///< exact / greedy cross-checks
   bool run_obs = false;           ///< observability-plane consistency
 
@@ -189,7 +198,11 @@ struct Instance {
 [[nodiscard]] std::string to_string(const FuzzCase& c);
 
 /// Parses a line produced by to_string(). Throws std::invalid_argument on
-/// malformed input or unknown keys.
+/// malformed input, unknown keys, or an integer field outside its domain:
+/// the generator's range where it draws from constants (k, t, aux, horizon,
+/// mutations, mutation_batch), threads in [1, kFuzzMaxThreads], n in
+/// [1, 2^31) and fault_count in [0, 2^31) (fault plans clamp it to n), and
+/// max_delay and reorder_delay in [1, INT_MAX], the channel's delay type.
 [[nodiscard]] FuzzCase parse_fuzz_case(const std::string& line);
 
 }  // namespace ftc::testing

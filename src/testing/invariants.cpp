@@ -21,9 +21,9 @@
 #include "testing/dynamic.h"
 #include "util/rng.h"
 #include "obs/plane.h"
-#include "sim/async.h"
 #include "sim/fault.h"
 #include "sim/network.h"
+#include "sim/synchronizer.h"
 #include "sim/transport.h"
 
 namespace ftc::testing {
@@ -293,29 +293,59 @@ void check_small_oracles(const FuzzCase& /*c*/, const Graph& g,
   }
 }
 
-// ----------------------------------------------------------------- async
+// ---------------------------------------------------------- synchronizer
 
-void check_async(const FuzzCase& c, const Graph& g, const Demands& demands,
-                 const algo::LpResult& mirror_lp,
+/// The α-synchronizer must make the delay schedule unobservable: under any
+/// (max_delay, delay_seed), at the case's engine width, Algorithms 1 and 2
+/// reproduce their mirrors and Algorithm 3 its synchronous run bit for bit,
+/// each in exactly the synchronous number of pulses.
+void check_async(const FuzzCase& c, const Instance& inst,
+                 const Demands& demands, const algo::LpResult& mirror_lp,
                  const algo::RoundingResult& mirror_rounding, Violations& out) {
-  // The α-synchronizer must make the delay schedule unobservable: any
-  // (bounds, seed) combination yields exactly the synchronous output.
+  const algo::UdgOptions udg_opts{.k = c.k};
+  algo::UdgResult sync_udg;
+  std::int64_t sync_udg_rounds = 0;
+  if (inst.has_udg) {
+    sim::SyncNetwork net(inst.udg, c.algo_seed);
+    configure(net, c.threads, sim::ChannelOptions{});
+    sync_udg = algo::run_udg_processes(net, udg_opts);
+    sync_udg_rounds = net.round();
+  }
   const std::uint64_t delay_seeds[] = {c.delay_seed,
                                        c.delay_seed ^ 0x5DEECE66DULL};
   for (const std::uint64_t dseed : delay_seeds) {
-    sim::AsyncOptions opts;
-    opts.min_delay = c.min_delay;
-    opts.max_delay = c.max_delay;
-    opts.delay_seed = dseed;
-    sim::AsyncNetwork net(g, c.algo_seed, opts);
-    const auto rounding =
-        algo::run_rounding_processes(net, mirror_lp.primal.x, demands);
-    check_rounds("term.rounding", "async", rounding.rounds,
-                 algo::kRoundingRounds, out);
-    if (rounding.set != mirror_rounding.set) {
+    const auto network = [&](const auto& topology) {
+      auto net = std::make_unique<sim::SynchronizedNetwork>(
+          topology, c.algo_seed, c.max_delay, dseed);
+      configure(net->network(), c.threads, sim::ChannelOptions{});
+      return net;
+    };
+    const auto changed = [&](const char* what) {
       add(out, "engine.async_schedule",
-          "async schedule (delay_seed=" + std::to_string(dseed) +
-              ") changed the rounding output");
+          "synchronizer schedule (delay_seed=" + std::to_string(dseed) +
+              ") changed the " + what + " output");
+    };
+    const auto lp =
+        algo::run_lp_processes(*network(inst.graph()), demands, c.t);
+    check_rounds("term.lp", "synchronized", lp.rounds,
+                 algo::lp_round_count(c.t), out);
+    if (lp.primal.x != mirror_lp.primal.x || lp.dual.y != mirror_lp.dual.y ||
+        lp.dual.z != mirror_lp.dual.z) {
+      changed("LP");
+    }
+    const auto rounding = algo::run_rounding_processes(
+        *network(inst.graph()), mirror_lp.primal.x, demands);
+    check_rounds("term.rounding", "synchronized", rounding.rounds,
+                 algo::kRoundingRounds, out);
+    if (rounding.set != mirror_rounding.set) changed("rounding");
+    if (!inst.has_udg) continue;
+    const auto udg_net = network(inst.udg);
+    const auto udg = algo::run_udg_processes(*udg_net, udg_opts);
+    check_rounds("term.udg", "synchronized", udg_net->metrics().pulses,
+                 sync_udg_rounds, out);
+    if (udg.leaders != sync_udg.leaders ||
+        udg.part1_leaders != sync_udg.part1_leaders) {
+      changed("Algorithm 3");
     }
   }
 }
@@ -811,7 +841,7 @@ Violations check_case(const FuzzCase& c, Mutation mutation) {
     check_differential(c, g, demands, lp, rounding, out);
   }
   if (c.run_async && c.loss == 0.0) {
-    check_async(c, g, demands, lp, rounding, out);
+    check_async(c, inst, demands, lp, rounding, out);
   }
   if (inst.has_udg) {
     check_udg(c, inst.udg, scratch, out);

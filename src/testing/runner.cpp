@@ -85,10 +85,7 @@ bool shrink_pass(FuzzCase& c, Mutation mutation, const std::string& invariant,
   try_mutation([](FuzzCase& f) { f.run_async = false; });
   try_mutation([](FuzzCase& f) { f.run_small_oracles = false; });
   try_mutation([](FuzzCase& f) { f.run_differential = false; });
-  try_mutation([](FuzzCase& f) {
-    f.min_delay = 1;
-    f.max_delay = 1;
-  });
+  try_mutation([](FuzzCase& f) { f.max_delay = 1; });
   try_mutation([](FuzzCase& f) { f.uniform_demand = true; });
 
   // Size reductions: halve toward the floor, then creep linearly.
@@ -98,8 +95,9 @@ bool shrink_pass(FuzzCase& c, Mutation mutation, const std::string& invariant,
   try_mutation([](FuzzCase& f) { f.t = std::max(1, f.t - 1); });
   try_mutation([](FuzzCase& f) { f.k = std::max(1, f.k - 1); });
   try_mutation([](FuzzCase& f) { f.aux = std::max<graph::NodeId>(1, f.aux / 2); });
-  try_mutation(
-      [](FuzzCase& f) { f.horizon = std::max<std::int64_t>(8, f.horizon / 2); });
+  try_mutation([](FuzzCase& f) {
+    f.horizon = std::max(kFuzzMinHorizon, f.horizon / 2);
+  });
   try_mutation([](FuzzCase& f) {
     f.fault_count = std::max<graph::NodeId>(1, f.fault_count / 2);
   });

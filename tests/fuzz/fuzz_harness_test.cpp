@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -87,6 +88,59 @@ TEST(FuzzGenerator, ParseRejectsMalformedInput) {
   std::string bad_value = good;
   bad_value.replace(bad_value.find("n="), 3, "n=x ");
   EXPECT_THROW((void)parse_fuzz_case(bad_value), std::invalid_argument);
+}
+
+// Every integer field is ranged before narrowing: an out-of-domain value
+// throws instead of wrapping or reaching the engine. Parse only — none of
+// these cases is run.
+TEST(FuzzGenerator, ParseRangesEveryIntegerField) {
+  const std::string good = to_string(generate_case(case_seed_of(1, 0)));
+  const auto with = [&good](const std::string& key, const std::string& value) {
+    std::string line = " " + good;
+    const auto at = line.find(" " + key + "=");
+    EXPECT_NE(at, std::string::npos) << key;
+    const auto begin = at + key.size() + 2;
+    line.replace(begin, line.find(' ', begin) - begin, value);
+    return line;
+  };
+  const std::pair<const char*, const char*> rejected[] = {
+      {"n", "0"},
+      {"n", "4294967297"},
+      {"k", "4294967297"},
+      {"k", "5"},
+      {"t", "0"},
+      {"t", "5"},
+      {"aux", "7"},
+      {"threads", "0"},
+      {"threads", "100000"},
+      {"max_delay", "0"},
+      {"max_delay", "2147483648"},
+      {"reorder_delay", "0"},
+      {"reorder_delay", "2147483648"},
+      {"fault_count", "-1"},
+      {"fault_count", "2147483648"},
+      {"horizon", "7"},
+      {"horizon", "25"},
+      {"mutations", "-1"},
+      {"mutations", "21"},
+      {"mutation_batch", "0"},
+      {"mutation_batch", "5"},
+      {"run_async", "2"},
+      {"case_seed", "-1"},
+      {"graph_seed", "18446744073709551616"},
+      {"p", "1e999"},
+  };
+  for (const auto& [key, value] : rejected) {
+    EXPECT_THROW((void)parse_fuzz_case(with(key, value)),
+                 std::invalid_argument)
+        << key << "=" << value;
+  }
+  // The bounds themselves parse.
+  const FuzzCase widest = parse_fuzz_case(
+      with("threads", std::to_string(kFuzzMaxThreads)));
+  EXPECT_EQ(widest.threads, kFuzzMaxThreads);
+  EXPECT_EQ(parse_fuzz_case(with("max_delay", "2147483647")).max_delay,
+            INT32_MAX);
 }
 
 // A short clean campaign over the real stack: every invariant must hold.

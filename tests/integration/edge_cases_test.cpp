@@ -4,8 +4,6 @@
 // on any of them.
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "algo/baseline/greedy.h"
 #include "algo/baseline/lrg.h"
 #include "algo/baseline/luby.h"
@@ -20,7 +18,6 @@
 #include "domination/lp_solver.h"
 #include "geom/udg.h"
 #include "graph/generators.h"
-#include "sim/async.h"
 #include "util/rng.h"
 
 namespace ftc {
@@ -126,28 +123,6 @@ TEST(EdgeCases, CdsOnSingletonSet) {
       algo::connect_dominating_set(g, std::vector<NodeId>{5});
   EXPECT_EQ(result.set, (std::vector<NodeId>{5}));
   EXPECT_EQ(result.connectors_added, 0);
-}
-
-TEST(EdgeCases, AsyncWithMinimumDelayBoundsEqual) {
-  // min_delay == max_delay (deterministic latency) must behave like a
-  // slowed-down synchronous network.
-  const Graph g = graph::cycle(8);
-  sim::AsyncOptions opts;
-  opts.min_delay = 5;
-  opts.max_delay = 5;
-  sim::AsyncNetwork net(g, 1, opts);
-  net.set_all_processes([](NodeId) {
-    class Probe final : public sim::Process {
-     public:
-      void on_round(sim::Context& ctx) override {
-        ctx.broadcast({static_cast<sim::Word>(ctx.round())});
-        if (ctx.round() >= 3) halt();
-      }
-    };
-    return std::make_unique<Probe>();
-  });
-  EXPECT_EQ(net.run(100), 4);
-  EXPECT_EQ(net.metrics().virtual_time, 4 * 5);
 }
 
 TEST(EdgeCases, WeightedExactZeroDemandIsEmpty) {
