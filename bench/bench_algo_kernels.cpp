@@ -38,7 +38,6 @@
 // --json=BENCH_algo.json   machine-readable output ("" = none)
 #include <algorithm>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -375,19 +374,8 @@ int run(const ftc::util::Args& args) {
             util::fmt(degree, 1) + ", t=" + util::fmt(t) + ", hw threads " +
             util::fmt(hw) + ")");
 
-  if (!json_path.empty()) {
-    std::ofstream json(json_path);
-    json << "{\n  \"bench\": \"algo_kernels\",\n"
-         << "  \"workload\": \"udg_uniform\",\n"
-         << "  \"degree\": " << util::fmt(degree, 1) << ",\n"
-         << "  \"hardware_threads\": " << hw << ",\n"
-         << "  \"results\": [\n";
-    for (std::size_t i = 0; i < json_rows.size(); ++i) {
-      json << json_rows[i] << (i + 1 < json_rows.size() ? ",\n" : "\n");
-    }
-    json << "  ]\n}\n";
-    std::cout << "wrote " << json_path << "\n";
-  }
+  bench::write_bench_json(json_path, "algo_kernels", "udg_uniform",
+                          {{"degree", util::fmt(degree, 1)}}, {}, json_rows);
   return g_all_equal ? 0 : 1;
 }
 

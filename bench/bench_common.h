@@ -9,9 +9,11 @@
 
 #include <chrono>
 #include <cstdint>
+#include <fstream>
 #include <iostream>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -26,6 +28,7 @@
 #include "util/csv.h"
 #include "util/stats.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 
 namespace ftc::bench {
 
@@ -102,10 +105,43 @@ inline std::string perf_attribution_json(const obs::PerfPlane& perf) {
   return s;
 }
 
-/// The engine benches' measured workload (bench_simcore_mt,
-/// bench_obs_overhead): every round, fold the inbox into local state and
-/// broadcast two words derived from it. Runs for a fixed number of rounds,
-/// so rounds/sec is a pure engine measurement.
+/// One top-level `"key": value` pair of a BENCH file; the value is JSON
+/// text.
+using JsonField = std::pair<std::string, std::string>;
+
+/// Writes a BENCH_*.json file and prints "wrote <path>": "bench" and
+/// "workload", the bench's `config` keys, "hardware_threads", its
+/// `verdicts`, then the "results" rows, one JSON object per line. An empty
+/// path writes nothing.
+inline void write_bench_json(const std::string& path, const std::string& bench,
+                             const std::string& workload,
+                             const std::vector<JsonField>& config,
+                             const std::vector<JsonField>& verdicts,
+                             const std::vector<std::string>& rows) {
+  if (path.empty()) return;
+  std::ofstream json(path);
+  const auto field = [&](const std::string& key, const std::string& value) {
+    json << "  \"" << key << "\": " << value << ",\n";
+  };
+  json << "{\n";
+  field("bench", "\"" + bench + "\"");
+  field("workload", "\"" + workload + "\"");
+  for (const auto& [key, value] : config) field(key, value);
+  field("hardware_threads",
+        std::to_string(util::ThreadPool::hardware_threads()));
+  for (const auto& [key, value] : verdicts) field(key, value);
+  json << "  \"results\": [\n";
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    json << rows[i] << (i + 1 < rows.size() ? ",\n" : "\n");
+  }
+  json << "  ]\n}\n";
+  std::cout << "wrote " << path << "\n";
+}
+
+/// The flood engine bench's measured workload (bench_simcore_mt): every
+/// round, fold the inbox into local state and broadcast two words derived
+/// from it. Runs for a fixed number of rounds, so rounds/sec is a pure
+/// engine measurement.
 /// tests/sim/flood_reference_test.cpp pins it against a naive engine.
 class FloodProcess final : public sim::Process {
  public:

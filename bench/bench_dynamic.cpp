@@ -26,7 +26,6 @@
 // --json=BENCH_dynamic.json  machine-readable output ("" = none)
 #include <algorithm>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -40,7 +39,6 @@
 #include "sim/mutation.h"
 #include "util/cli.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace {
 
@@ -210,21 +208,10 @@ int run(const ftc::util::Args& args) {
   out.print("DYNAMIC — incremental maintenance vs full re-solve (UDG, avg "
             "degree " + util::fmt(degree, 1) + ", k=" + util::fmt(k) + ")");
 
-  if (!json_path.empty()) {
-    std::ofstream json(json_path);
-    json << "{\n  \"bench\": \"dynamic\",\n"
-         << "  \"workload\": \"udg_uniform_churn\",\n"
-         << "  \"degree\": " << util::fmt(degree, 1) << ",\n"
-         << "  \"k\": " << k << ",\n"
-         << "  \"hardware_threads\": "
-         << util::ThreadPool::hardware_threads() << ",\n"
-         << "  \"results\": [\n";
-    for (std::size_t i = 0; i < json_rows.size(); ++i) {
-      json << json_rows[i] << (i + 1 < json_rows.size() ? ",\n" : "\n");
-    }
-    json << "  ]\n}\n";
-    std::cout << "wrote " << json_path << "\n";
-  }
+  bench::write_bench_json(
+      json_path, "dynamic", "udg_uniform_churn",
+      {{"degree", util::fmt(degree, 1)}, {"k", std::to_string(k)}}, {},
+      json_rows);
   return g_all_ok ? 0 : 1;
 }
 

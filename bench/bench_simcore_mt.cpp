@@ -16,15 +16,31 @@
 // Topology ingest is timed too: `build_s` is one uniform_udg_with_degree call
 // (point generation plus build_udg) per n, repeated on that n's rows.
 //
-// The determinism contract is asserted in passing: every width must produce
-// the exact digest of the single-thread run, or the bench exits nonzero.
+// The `obs` column prices the observability plane. The width rows run
+// detached (`off`); at threads = 1 every n also gets three plane rows:
 //
-// --sizes=10000,100000,1000000  node counts
+//   * metrics — plane attached with every trace category masked out, so
+//               only the counter/gauge/histogram path runs;
+//   * trace   — plane attached with full tracing (debug severity, all
+//               categories), the most expensive configuration;
+//   * perf    — plane attached with the perf-attribution plane on and
+//               tracing masked out: prices the phase/shard timing clocks.
+//
+// The perf row runs kOverheadPairs alternating off/perf pairs. Its `vs_off`
+// is the median perf/off rounds/sec ratio over the pairs, with min and max;
+// the budget is median >= kPerfBudget at every n, recorded as the top-level
+// "perf_within_budget" (scripts/check.sh perf fails on false).
+//
+// The determinism contract is asserted in passing: every width and every
+// plane mode must produce the exact digest of the detached single-thread
+// run, or the bench exits nonzero.
+//
+// --sizes=1000,10000,100000,1000000  node counts
 // --threads=1,2,4,8             engine widths; must start with 1 (the digest
 //                               and speedup baseline), else the bench exits 1
 // --degree=12                   target average UDG degree
 // --rounds=0                    measured rounds per run (0 = auto:
-//                               ~4M node-rounds, clamped to [5, 400])
+//                               ~4M node-rounds, clamped to [5, 2000])
 // --warmup=2                    unmeasured rounds before the clock starts
 //                               (lets arenas/inboxes reach high-water size,
 //                               so allocs/round reflects steady state)
@@ -32,7 +48,6 @@
 // --csv=path                    optional CSV mirror of the table
 #include <algorithm>
 #include <cstdint>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -53,6 +68,37 @@ using graph::NodeId;
 
 constexpr std::uint64_t kGraphSeed = 42;
 constexpr std::uint64_t kNetSeed = 7;
+/// Alternating off/perf pairs behind the perf row's vs_off (odd, so the
+/// median is one pair's ratio).
+constexpr int kOverheadPairs = 7;
+/// The perf-attribution budget: median paired perf/off rounds/sec.
+constexpr double kPerfBudget = 0.95;
+
+enum class Obs { kOff, kMetrics, kTrace, kPerf };
+
+const char* obs_name(Obs mode) {
+  static constexpr const char* kNames[] = {"off", "metrics", "trace", "perf"};
+  return kNames[static_cast<int>(mode)];
+}
+
+/// The plane a mode attaches (nullptr for off).
+std::unique_ptr<obs::Plane> plane_for(Obs mode) {
+  if (mode == Obs::kOff) return nullptr;
+  obs::PlaneOptions options;
+  if (mode == Obs::kTrace) {
+    options.trace.min_severity = obs::Severity::kDebug;
+    options.trace.category_mask = obs::kAllCategories;
+  } else {
+    options.trace.category_mask = 0;  // registry (and perf) only
+    options.perf = mode == Obs::kPerf;
+  }
+  auto plane = std::make_unique<obs::Plane>(options);
+  if (plane->perf() != nullptr) {
+    plane->perf()->set_alloc_source(
+        +[]() -> std::uint64_t { return bench::alloc_counts().count; });
+  }
+  return plane;
+}
 
 struct MtResult {
   std::int64_t rounds = 0;    // measured (post-warmup) rounds
@@ -65,9 +111,10 @@ struct MtResult {
 };
 
 MtResult run_flood(const geom::UnitDiskGraph& udg, std::int64_t total_rounds,
-                   std::int64_t warmup, int threads) {
+                   std::int64_t warmup, int threads, obs::Plane* plane) {
   sim::SyncNetwork net(udg, kNetSeed);
   net.set_threads(threads);
+  if (plane != nullptr) net.set_observability(plane);
   net.set_all_processes(
       [&](NodeId) { return std::make_unique<FloodProcess>(total_rounds); });
 
@@ -92,33 +139,24 @@ MtResult run_flood(const geom::UnitDiskGraph& udg, std::int64_t total_rounds,
   return result;
 }
 
-/// Short perf-instrumented pass for the phase_attribution block. Runs
-/// separately from the timed pass above: with the attribution plane on,
+/// Short perf-instrumented pass for an off row's phase_attribution block.
+/// Runs separately from the timed pass: with the attribution plane on,
 /// every phase boundary pays clock reads, which must not pollute the
 /// headline rounds/sec.
 std::string run_phase_attribution(const geom::UnitDiskGraph& udg,
                                   std::int64_t rounds, int threads) {
-  obs::PlaneOptions options;
-  options.trace.category_mask = 0;  // perf attribution only, no tracing
-  options.perf = true;
-  obs::Plane plane(options);
-  plane.perf()->set_alloc_source(
-      +[]() -> std::uint64_t { return bench::alloc_counts().count; });
-  sim::SyncNetwork net(udg, kNetSeed);
-  net.set_threads(threads);
-  net.set_observability(&plane);
-  net.set_all_processes(
-      [&](NodeId) { return std::make_unique<FloodProcess>(rounds); });
-  net.run(rounds + 1);
-  return bench::perf_attribution_json(*plane.perf());
+  const auto plane = plane_for(Obs::kPerf);
+  run_flood(udg, rounds, 0, threads, plane.get());
+  return bench::perf_attribution_json(*plane->perf());
 }
 
-std::string json_row(NodeId n, double build_s, int threads, const MtResult& r,
-                     double speedup, double efficiency) {
+std::string json_row(NodeId n, double build_s, int threads, Obs mode,
+                     const MtResult& r, double speedup, double efficiency) {
   std::string row = "    {";
   row += "\"n\": " + std::to_string(n);
   row += ", \"build_s\": " + util::fmt(build_s, 6);
   row += ", \"threads\": " + std::to_string(threads);
+  row += ", \"obs\": \"" + std::string(obs_name(mode)) + "\"";
   row += ", \"rounds\": " + std::to_string(r.rounds);
   row += ", \"messages\": " + std::to_string(r.messages);
   row += ", \"seconds\": " + util::fmt(r.seconds, 6);
@@ -133,11 +171,17 @@ std::string json_row(NodeId n, double build_s, int threads, const MtResult& r,
   return row;
 }
 
+/// Appends `", key: value"` inside a row's closing brace.
+void append_field(std::string& row, const std::string& key,
+                  const std::string& value) {
+  row.insert(row.size() - 1, ", \"" + key + "\": " + value);
+}
+
 }  // namespace
 
 int run(const ftc::util::Args& args) {
-  const auto sizes =
-      args.get_int_list("sizes", {10'000, 100'000, 1'000'000}, 2, INT32_MAX);
+  const auto sizes = args.get_int_list(
+      "sizes", {1'000, 10'000, 100'000, 1'000'000}, 2, INT32_MAX);
   const auto widths =
       args.get_int_list("threads", {1, 2, 4, 8}, 1, bench::kMaxThreads);
   const double degree = args.get_double("degree", 12.0);
@@ -152,11 +196,13 @@ int run(const ftc::util::Args& args) {
     return 1;
   }
 
-  bench::Output out({"n", "build s", "threads", "rounds", "msgs/sec",
-                     "words/sec", "rounds/sec", "allocs/rnd", "speedup", "eff"},
+  bench::Output out({"n", "build s", "threads", "obs", "rounds", "msgs/sec",
+                     "words/sec", "rounds/sec", "allocs/rnd", "speedup", "eff",
+                     "vs_off [min, max]"},
                     args);
   std::vector<std::string> json_rows;
   bool all_deterministic = true;
+  bool perf_within_budget = true;
 
   for (long long n_ll : sizes) {
     const auto n = static_cast<NodeId>(n_ll);
@@ -164,7 +210,7 @@ int run(const ftc::util::Args& args) {
         rounds_arg > 0
             ? rounds_arg
             : std::clamp<std::int64_t>(4'000'000 / std::max<NodeId>(n, 1), 5,
-                                       400);
+                                       2'000);
     util::Rng graph_rng(kGraphSeed);
     const bench::WallClock build_clock;
     const geom::UnitDiskGraph udg =
@@ -173,59 +219,112 @@ int run(const ftc::util::Args& args) {
 
     double seq_round_seconds = 0.0;
     std::uint64_t seq_digest = 0;
-    for (const long long t_ll : widths) {
-      const int threads = static_cast<int>(t_ll);
-      const MtResult r = run_flood(udg, warmup + rounds, warmup, threads);
-      if (threads == 1) {
-        seq_round_seconds = r.seconds / static_cast<double>(r.rounds);
-        seq_digest = r.digest;
-      } else if (r.digest != seq_digest) {
-        std::cerr << "FATAL: digest diverged at n=" << n
-                  << " threads=" << threads
-                  << " (determinism contract violated)\n";
-        all_deterministic = false;
-      }
+    const auto timed = [&](int threads, obs::Plane* plane) {
+      return run_flood(udg, warmup + rounds, warmup, threads, plane);
+    };
+    const auto check_digest = [&](const MtResult& r, int threads, Obs mode) {
+      if (r.digest == seq_digest) return;
+      std::cerr << "FATAL: digest diverged at n=" << n
+                << " threads=" << threads << " obs=" << obs_name(mode)
+                << " (determinism contract violated)\n";
+      all_deterministic = false;
+    };
+    const auto emit = [&](int threads, Obs mode, const MtResult& r,
+                          const std::string& vs_off_cell) {
       const double per_round = r.seconds / static_cast<double>(r.rounds);
       const double speedup = seq_round_seconds / per_round;
       // Normalize by the parallelism the machine can actually grant.
       const double efficiency = speedup / std::min(threads, std::max(hw, 1));
       out.row({util::fmt(static_cast<long long>(n)), util::fmt(build_s, 4),
-               util::fmt(threads),
-               util::fmt(r.rounds), util::fmt(r.messages / r.seconds, 0),
+               util::fmt(threads), obs_name(mode), util::fmt(r.rounds),
+               util::fmt(r.messages / r.seconds, 0),
                util::fmt(r.words / r.seconds, 0),
                util::fmt(r.rounds / r.seconds, 2),
                util::fmt(r.allocs_per_round, 1), util::fmt(speedup, 2),
-               util::fmt(efficiency, 2)});
+               util::fmt(efficiency, 2), vs_off_cell});
+      json_rows.push_back(
+          json_row(n, build_s, threads, mode, r, speedup, efficiency));
+      return &json_rows.back();
+    };
+
+    for (const long long t_ll : widths) {
+      const int threads = static_cast<int>(t_ll);
+      const MtResult r = timed(threads, nullptr);
+      if (threads == 1) {
+        seq_round_seconds = r.seconds / static_cast<double>(r.rounds);
+        seq_digest = r.digest;
+      }
+      check_digest(r, threads, Obs::kOff);
       // Phase attribution rides on a short perf-instrumented pass so every
       // BENCH row records where its round time goes (capped at 20 rounds —
       // run-wide means stabilize long before the timed pass's length).
       const std::int64_t perf_rounds = std::min<std::int64_t>(rounds, 20);
-      std::string row_json =
-          json_row(n, build_s, threads, r, speedup, efficiency);
-      row_json.insert(row_json.size() - 1,
-                      ", \"phase_attribution\": " +
-                          run_phase_attribution(udg, perf_rounds, threads));
-      json_rows.push_back(std::move(row_json));
+      append_field(*emit(threads, Obs::kOff, r, "-"), "phase_attribution",
+                   run_phase_attribution(udg, perf_rounds, threads));
     }
+
+    // The plane rows, at one thread. metrics and trace are one timed pass
+    // each; their phase_attribution is the off row's.
+    for (const Obs mode : {Obs::kMetrics, Obs::kTrace}) {
+      const auto plane = plane_for(mode);
+      const MtResult r = timed(1, plane.get());
+      check_digest(r, 1, mode);
+      emit(1, mode, r, "-");
+    }
+
+    // perf: alternating off/perf pairs, so slow drifts of a shared host hit
+    // both halves of a pair alike; the median pair is the row.
+    struct Pair {
+      double ratio = 0.0;
+      MtResult perf;
+      std::string attribution;
+    };
+    std::vector<Pair> pairs;
+    for (int p = 0; p < kOverheadPairs; ++p) {
+      const MtResult off = timed(1, nullptr);
+      check_digest(off, 1, Obs::kOff);
+      const auto plane = plane_for(Obs::kPerf);
+      const MtResult perf = timed(1, plane.get());
+      check_digest(perf, 1, Obs::kPerf);
+      // Equal round counts, so the rounds/sec ratio is a time ratio.
+      pairs.push_back({off.seconds / perf.seconds, perf,
+                       bench::perf_attribution_json(*plane->perf())});
+    }
+    std::sort(pairs.begin(), pairs.end(),
+              [](const Pair& a, const Pair& b) { return a.ratio < b.ratio; });
+    const Pair& median = pairs[pairs.size() / 2];
+    const double lo = pairs.front().ratio;
+    const double hi = pairs.back().ratio;
+    if (median.ratio < kPerfBudget) perf_within_budget = false;
+    std::string* row = emit(1, Obs::kPerf, median.perf,
+                            util::fmt(median.ratio, 3) + " [" +
+                                util::fmt(lo, 3) + ", " + util::fmt(hi, 3) +
+                                "]");
+    append_field(*row, "vs_off",
+                 "{\"pairs\": " + std::to_string(kOverheadPairs) +
+                     ", \"median\": " + util::fmt(median.ratio, 4) +
+                     ", \"min\": " + util::fmt(lo, 4) +
+                     ", \"max\": " + util::fmt(hi, 4) + "}");
+    append_field(*row, "phase_attribution", median.attribution);
     out.rule();
   }
 
   out.print("MT — round engine scaling, threads x n (flood, avg degree " +
             util::fmt(degree, 1) + ", hw threads " + util::fmt(hw) + ")");
-
-  if (!json_path.empty()) {
-    std::ofstream json(json_path);
-    json << "{\n  \"bench\": \"simcore_mt\",\n"
-         << "  \"workload\": \"udg_flood_broadcast\",\n"
-         << "  \"degree\": " << util::fmt(degree, 1) << ",\n"
-         << "  \"hardware_threads\": " << hw << ",\n"
-         << "  \"results\": [\n";
-    for (std::size_t i = 0; i < json_rows.size(); ++i) {
-      json << json_rows[i] << (i + 1 < json_rows.size() ? ",\n" : "\n");
-    }
-    json << "  ]\n}\n";
-    std::cout << "wrote " << json_path << "\n";
+  if (!perf_within_budget) {
+    std::cout << "WARNING: the perf plane's median paired rounds/sec fell "
+                 "below "
+              << util::fmt(kPerfBudget, 2) << " x off at some n\n";
   }
+
+  bench::write_bench_json(
+      json_path, "simcore_mt", "udg_flood_broadcast",
+      {{"degree", util::fmt(degree, 1)}},
+      {{"perf_budget", "\"median of " + std::to_string(kOverheadPairs) +
+                           " off/perf pairs: perf >= " +
+                           util::fmt(kPerfBudget, 2) + " * off\""},
+       {"perf_within_budget", perf_within_budget ? "true" : "false"}},
+      json_rows);
   return all_deterministic ? 0 : 1;
 }
 

@@ -30,7 +30,6 @@
 // --csv=path                  optional CSV mirror of the table
 #include <algorithm>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -42,7 +41,6 @@
 #include "sim/network.h"
 #include "sim/transport.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace {
 
@@ -265,22 +263,12 @@ int run(const ftc::util::Args& args) {
                  "95% of the reliable plane\n";
   }
 
-  if (!json_path.empty()) {
-    std::ofstream json(json_path);
-    json << "{\n  \"bench\": \"transport\",\n"
-         << "  \"workload\": \"udg_flood_and_closed_loop_pump\",\n"
-         << "  \"degree\": " << util::fmt(degree, 1) << ",\n"
-         << "  \"hardware_threads\": "
-         << util::ThreadPool::hardware_threads() << ",\n"
-         << "  \"budget\": \"channel(loss=0) >= 0.95 * plane\",\n"
-         << "  \"within_budget\": " << (within_budget ? "true" : "false")
-         << ",\n  \"results\": [\n";
-    for (std::size_t i = 0; i < json_rows.size(); ++i) {
-      json << json_rows[i] << (i + 1 < json_rows.size() ? ",\n" : "\n");
-    }
-    json << "  ]\n}\n";
-    std::cout << "wrote " << json_path << "\n";
-  }
+  bench::write_bench_json(
+      json_path, "transport", "udg_flood_and_closed_loop_pump",
+      {{"degree", util::fmt(degree, 1)}},
+      {{"budget", "\"channel(loss=0) >= 0.95 * plane\""},
+       {"within_budget", within_budget ? "true" : "false"}},
+      json_rows);
   return gate && !within_budget;
 }
 

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Regenerate BENCH_simcore_mt.json: Release-build the threads x n scaling
-# benchmark and run it on the full grid (threads 1,2,4,8 x n 1e4,1e5,1e6).
+# benchmark and run it on the full grid: threads 1,2,4,8 x n 1e3..1e6 with
+# no plane attached, plus the metrics, trace and perf plane rows at one
+# thread for every n (the perf row's vs_off is the median of paired runs).
 #
 #   scripts/bench_simcore_mt.sh [--quick] [build-dir] [bench args...]
 #

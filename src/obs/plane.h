@@ -4,7 +4,7 @@
 // A Plane is attached to a network with SyncNetwork::set_observability();
 // processes reach it through sim::Context::obs(), which hands them their
 // shard's Recorder. A detached network (the default) pays one null check
-// per round phase — the disabled path is benchmarked by bench_obs_overhead.
+// per round phase — bench_simcore_mt's `obs` rows price each mode.
 //
 // Determinism contract. Registry, Trace and PerfPlane are owner-thread
 // sinks. A worker writes observability state only through its shard's

@@ -28,31 +28,14 @@ void check_rate(const char* factory, const char* name, double p) {
 
 FaultPlan FaultPlan::none() { return {}; }
 
-FaultPlan FaultPlan::crashes_at(
-    std::vector<std::pair<std::int64_t, NodeId>> when) {
-  if (when.empty()) {
-    throw std::invalid_argument(
-        "FaultPlan::crashes_at: empty target set (use FaultPlan::none() for "
-        "the empty plan)");
-  }
-  FaultPlan plan;
-  Component c;
-  c.kind = Kind::kExplicit;
-  c.schedule = std::move(when);
-  plan.components_.push_back(std::move(c));
-  return plan;
-}
-
 FaultPlan FaultPlan::iid_crashes(double rate, std::int64_t from,
                                  std::int64_t until) {
   check_rate("iid_crashes", "rate", rate);
   FaultPlan plan;
-  Component c;
-  c.kind = Kind::kIid;
-  c.rate = rate;
-  c.from = from;
-  c.until = until;
-  plan.components_.push_back(c);
+  plan.kind_ = Kind::kIid;
+  plan.rate_ = rate;
+  plan.from_ = from;
+  plan.until_ = until;
   return plan;
 }
 
@@ -63,11 +46,9 @@ FaultPlan FaultPlan::targeted_by_degree(NodeId count, std::int64_t round) {
         std::to_string(count));
   }
   FaultPlan plan;
-  Component c;
-  c.kind = Kind::kTargeted;
-  c.count = count;
-  c.round = round;
-  plan.components_.push_back(c);
+  plan.kind_ = Kind::kTargeted;
+  plan.count_ = count;
+  plan.round_ = round;
   return plan;
 }
 
@@ -79,12 +60,10 @@ FaultPlan FaultPlan::region(geom::Point center, double radius,
         std::to_string(radius));
   }
   FaultPlan plan;
-  Component c;
-  c.kind = Kind::kRegion;
-  c.center = center;
-  c.radius = radius;
-  c.round = round;
-  plan.components_.push_back(c);
+  plan.kind_ = Kind::kRegion;
+  plan.center_ = center;
+  plan.radius_ = radius;
+  plan.round_ = round;
   return plan;
 }
 
@@ -99,28 +78,13 @@ FaultPlan FaultPlan::churn(double rate, std::int64_t min_downtime,
         "]");
   }
   FaultPlan plan;
-  Component c;
-  c.kind = Kind::kChurn;
-  c.rate = rate;
-  c.min_downtime = min_downtime;
-  c.max_downtime = max_downtime;
-  c.from = from;
-  c.until = until;
-  plan.components_.push_back(c);
+  plan.kind_ = Kind::kChurn;
+  plan.rate_ = rate;
+  plan.min_downtime_ = min_downtime;
+  plan.max_downtime_ = max_downtime;
+  plan.from_ = from;
+  plan.until_ = until;
   return plan;
-}
-
-FaultPlan FaultPlan::then(FaultPlan other) const {
-  FaultPlan combined = *this;
-  for (auto& c : other.components_) {
-    combined.components_.push_back(std::move(c));
-  }
-  return combined;
-}
-
-bool FaultPlan::has_recoveries() const noexcept {
-  return std::any_of(components_.begin(), components_.end(),
-                     [](const Component& c) { return c.kind == Kind::kChurn; });
 }
 
 std::vector<FaultEvent> compile_fault_plan(const FaultPlan& plan,
@@ -133,19 +97,13 @@ std::vector<FaultEvent> compile_fault_plan(const FaultPlan& plan,
   std::vector<FaultEvent> events;
   std::map<std::int64_t, std::vector<NodeId>> pending_recoveries;
 
-  // One independent stream per randomized component, so adding a component
-  // never perturbs the draws of the others.
-  const util::Rng root(seed);
-  std::vector<util::Rng> rngs;
-  rngs.reserve(plan.components_.size());
-  for (std::size_t i = 0; i < plan.components_.size(); ++i) {
-    rngs.push_back(root.split(i));
-  }
+  // Randomized plans draw from stream 0 of `seed`.
+  util::Rng rng = util::Rng(seed).split(0);
 
   std::vector<std::uint8_t> rejoined_this_round(n, 0);
   for (std::int64_t r = 0; r < horizon; ++r) {
     // Rejoins first: a node that comes back at round r executes at least
-    // one round before any component may kill it again (the per-node
+    // one round before the plan may kill it again (the per-node
     // alternating-events invariant the installer relies on).
     std::fill(rejoined_this_round.begin(), rejoined_this_round.end(), 0);
     if (const auto it = pending_recoveries.find(r);
@@ -158,71 +116,64 @@ std::vector<FaultEvent> compile_fault_plan(const FaultPlan& plan,
       pending_recoveries.erase(it);
     }
 
-    auto kill = [&](NodeId v, const FaultPlan::Component& c, util::Rng& rng) {
+    auto kill = [&](NodeId v) {
       const auto vi = static_cast<std::size_t>(v);
       if (!alive[vi] || rejoined_this_round[vi]) return;
       alive[vi] = 0;
       events.push_back({r, v, false});
-      if (c.kind == FaultPlan::Kind::kChurn) {
-        const std::int64_t down = rng.uniform_i64(c.min_downtime,
-                                                  c.max_downtime);
+      if (plan.kind_ == FaultPlan::Kind::kChurn) {
+        const std::int64_t down =
+            rng.uniform_i64(plan.min_downtime_, plan.max_downtime_);
         if (r + down < horizon) pending_recoveries[r + down].push_back(v);
       }
     };
 
-    for (std::size_t ci = 0; ci < plan.components_.size(); ++ci) {
-      const auto& c = plan.components_[ci];
-      util::Rng& rng = rngs[ci];
-      switch (c.kind) {
-        case FaultPlan::Kind::kExplicit:
-          for (const auto& [round, v] : c.schedule) {
-            if (round == r) kill(v, c, rng);
+    switch (plan.kind_) {
+      case FaultPlan::Kind::kNone:
+        break;
+      case FaultPlan::Kind::kIid:
+      case FaultPlan::Kind::kChurn:
+        if (r >= plan.from_ && r < plan.until_ && plan.rate_ > 0.0) {
+          for (NodeId v = 0; v < g.n(); ++v) {
+            // Draw for every node regardless of liveness so the stream
+            // stays aligned across plans with different victims.
+            const bool hit = rng.bernoulli(plan.rate_);
+            if (hit) kill(v);
           }
-          break;
-        case FaultPlan::Kind::kIid:
-        case FaultPlan::Kind::kChurn:
-          if (r >= c.from && r < c.until && c.rate > 0.0) {
-            for (NodeId v = 0; v < g.n(); ++v) {
-              // Draw for every node regardless of liveness so the stream
-              // stays aligned across plans with different victims.
-              const bool hit = rng.bernoulli(c.rate);
-              if (hit) kill(v, c, rng);
+        }
+        break;
+      case FaultPlan::Kind::kTargeted:
+        if (plan.round_ == r) {
+          std::vector<NodeId> order;
+          for (NodeId v = 0; v < g.n(); ++v) {
+            if (alive[static_cast<std::size_t>(v)] &&
+                !rejoined_this_round[static_cast<std::size_t>(v)]) {
+              order.push_back(v);
             }
           }
-          break;
-        case FaultPlan::Kind::kTargeted:
-          if (c.round == r) {
-            std::vector<NodeId> order;
-            for (NodeId v = 0; v < g.n(); ++v) {
-              if (alive[static_cast<std::size_t>(v)] &&
-                  !rejoined_this_round[static_cast<std::size_t>(v)]) {
-                order.push_back(v);
-              }
-            }
-            std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
-              if (g.degree(a) != g.degree(b)) return g.degree(a) > g.degree(b);
-              return a < b;
-            });
-            const auto take = std::min<std::size_t>(
-                order.size(), static_cast<std::size_t>(std::max<NodeId>(c.count, 0)));
-            for (std::size_t i = 0; i < take; ++i) kill(order[i], c, rng);
+          std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
+            if (g.degree(a) != g.degree(b)) return g.degree(a) > g.degree(b);
+            return a < b;
+          });
+          const auto take = std::min<std::size_t>(
+              order.size(), static_cast<std::size_t>(plan.count_));
+          for (std::size_t i = 0; i < take; ++i) kill(order[i]);
+        }
+        break;
+      case FaultPlan::Kind::kRegion:
+        if (plan.round_ == r) {
+          if (udg == nullptr) {
+            throw std::invalid_argument(
+                "compile_fault_plan: a region plan needs a UDG embedding");
           }
-          break;
-        case FaultPlan::Kind::kRegion:
-          if (c.round == r) {
-            if (udg == nullptr) {
-              throw std::invalid_argument(
-                  "compile_fault_plan: region component needs a UDG embedding");
-            }
-            for (NodeId v = 0; v < g.n(); ++v) {
-              if (geom::dist(udg->positions[static_cast<std::size_t>(v)],
-                             c.center) <= c.radius) {
-                kill(v, c, rng);
-              }
+          for (NodeId v = 0; v < g.n(); ++v) {
+            if (geom::dist(udg->positions[static_cast<std::size_t>(v)],
+                           plan.center_) <= plan.radius_) {
+              kill(v);
             }
           }
-          break;
-      }
+        }
+        break;
     }
   }
 

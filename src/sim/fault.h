@@ -12,13 +12,12 @@
 //                      every live node within a disk dies at once (power
 //                      outage, jamming, physical damage);
 //   * churn          — iid crashes where each victim later *rejoins* with
-//                      reset process state after a random downtime;
-//   * composition    — plans combine additively via then().
+//                      reset process state after a random downtime.
 //
 // Plans are pure descriptions. compile_fault_plan() expands a plan into a
 // deterministic, sorted FaultEvent schedule for a concrete (graph, horizon,
 // seed) — the fault process depends only on its own randomness, never on
-// protocol state, so the same schedule can drive either backend or feed an
+// protocol state, so the same schedule can drive the engine or feed an
 // offline oracle (e.g. repair_after_failures). FaultInjector installs a
 // compiled schedule into a SyncNetwork (crashes + recoveries).
 #pragma once
@@ -45,20 +44,15 @@ struct FaultEvent {
   friend bool operator==(const FaultEvent&, const FaultEvent&) = default;
 };
 
-/// Declarative description of a failure process (see file comment). Build
-/// via the static factories; combine via then(). Every factory validates
-/// its arguments and throws std::invalid_argument on out-of-range
-/// probabilities, empty target sets, or inverted parameter pairs — plans
-/// are rejected at construction, never silently clamped.
+/// Declarative description of one failure process (see file comment). Build
+/// via the static factories. Every factory validates its arguments and
+/// throws std::invalid_argument on out-of-range probabilities, empty target
+/// sets, or inverted parameter pairs — plans are rejected at construction,
+/// never silently clamped.
 class FaultPlan {
  public:
   /// The empty plan: no faults.
   static FaultPlan none();
-
-  /// Explicit schedule: crash each (round, node) pair as given. Throws if
-  /// `when` is empty (an explicit plan with no targets is a caller bug —
-  /// use none() for the empty plan).
-  static FaultPlan crashes_at(std::vector<std::pair<std::int64_t, graph::NodeId>> when);
 
   /// Every live node crashes independently with probability `rate` at the
   /// start of each round in [from, until).
@@ -85,11 +79,10 @@ class FaultPlan {
                          std::int64_t until =
                              std::numeric_limits<std::int64_t>::max());
 
-  /// Additive composition: this plan plus `other` run concurrently.
-  [[nodiscard]] FaultPlan then(FaultPlan other) const;
-
-  /// True if the plan can generate recovery events (any churn component).
-  [[nodiscard]] bool has_recoveries() const noexcept;
+  /// True if the plan can generate recovery events (a churn plan).
+  [[nodiscard]] bool has_recoveries() const noexcept {
+    return kind_ == Kind::kChurn;
+  }
 
  private:
   friend std::vector<FaultEvent> compile_fault_plan(const FaultPlan&,
@@ -98,34 +91,30 @@ class FaultPlan {
                                                     std::int64_t,
                                                     std::uint64_t);
   enum class Kind {
-    kExplicit,
+    kNone,
     kIid,
     kTargeted,
     kRegion,
     kChurn,
   };
-  struct Component {
-    Kind kind = Kind::kExplicit;
-    std::vector<std::pair<std::int64_t, graph::NodeId>> schedule;  // kExplicit
-    double rate = 0.0;                  // kIid, kChurn
-    std::int64_t from = 0;              // kIid, kChurn
-    std::int64_t until = 0;             // kIid, kChurn
-    std::int64_t min_downtime = 1;      // kChurn
-    std::int64_t max_downtime = 1;      // kChurn
-    graph::NodeId count = 0;            // kTargeted
-    std::int64_t round = 0;             // kTargeted, kRegion
-    geom::Point center{};               // kRegion
-    double radius = 0.0;                // kRegion
-  };
-  std::vector<Component> components_;
+  Kind kind_ = Kind::kNone;
+  double rate_ = 0.0;                  // kIid, kChurn
+  std::int64_t from_ = 0;              // kIid, kChurn
+  std::int64_t until_ = 0;             // kIid, kChurn
+  std::int64_t min_downtime_ = 1;      // kChurn
+  std::int64_t max_downtime_ = 1;      // kChurn
+  graph::NodeId count_ = 0;            // kTargeted
+  std::int64_t round_ = 0;             // kTargeted, kRegion
+  geom::Point center_{};               // kRegion
+  double radius_ = 0.0;                // kRegion
 };
 
 /// Expands `plan` over rounds [0, horizon) into a deterministic event
 /// schedule, sorted by (round, recover-last, node). `udg` may be nullptr
-/// unless the plan contains a region component (throws std::invalid_argument
+/// unless the plan is a region plan (throws std::invalid_argument
 /// otherwise). A node is never crashed while down nor recovered while up;
-/// same-node events are at least one round apart. Randomized components draw
-/// from streams derived from `seed` only.
+/// same-node events are at least one round apart. Randomized plans draw
+/// from a stream derived from `seed` only.
 [[nodiscard]] std::vector<FaultEvent> compile_fault_plan(
     const FaultPlan& plan, const graph::Graph& g,
     const geom::UnitDiskGraph* udg, std::int64_t horizon, std::uint64_t seed);

@@ -840,7 +840,7 @@ Violations check_case(const FuzzCase& c, Mutation mutation) {
   if (c.run_differential) {
     check_differential(c, g, demands, lp, rounding, out);
   }
-  if (c.run_async && c.loss == 0.0) {
+  if (c.run_async) {
     check_async(c, inst, demands, lp, rounding, out);
   }
   if (inst.has_udg) {

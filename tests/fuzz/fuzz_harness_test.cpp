@@ -240,6 +240,38 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+// The synchronizer builds its own delay channel and never reads the case's
+// loss, so its check runs on lossy cases too: a lossy run_async case whose
+// rounding the mutant changes must report the synchronized run's mismatch.
+TEST(FuzzMutation, SynchronizerCheckRunsOnLossyCases) {
+  FuzzConfig config;
+  config.force_lossy = true;
+  for (std::int64_t i = 0; i < 200; ++i) {
+    const FuzzCase c = generate_case(case_seed_of(1, i), config);
+    if (!c.run_async) continue;
+    ASSERT_GT(c.loss, 0.0);
+    const Instance inst = materialize(c);
+    const auto& g = inst.graph();
+    algo::LpOptions lp_options;
+    lp_options.t = c.t;
+    const auto lp = algo::solve_fractional_kmds(g, inst.demands, lp_options);
+    const auto real =
+        algo::round_fractional(g, lp.primal, inst.demands, c.algo_seed);
+    const auto mutant = round_fractional_mutant(
+        g, lp.primal, inst.demands, c.algo_seed,
+        Mutation::kRoundingUnderRequest);
+    if (mutant.set == real.set) continue;
+    const Violations found = run_case(c, Mutation::kRoundingUnderRequest);
+    EXPECT_TRUE(std::any_of(found.begin(), found.end(),
+                            [](const Violation& v) {
+                              return v.invariant == "engine.async_schedule";
+                            }))
+        << "case " << to_string(c);
+    return;
+  }
+  FAIL() << "no lossy run_async case the mutant changes in 200 cases";
+}
+
 TEST(FuzzShrink, ProducesSmallerCaseFailingSameInvariant) {
   // Find a failing case under the under-request mutant, then shrink it.
   FuzzOptions options;

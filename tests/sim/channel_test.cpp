@@ -349,7 +349,6 @@ TEST(SyncNetworkChannel, CrashPurgesDelayedDeliveries) {
 // ------------------------------------------------- FaultPlan node faults
 
 TEST(FaultPlan, CrashFactoriesRejectDegenerateInputs) {
-  EXPECT_THROW(FaultPlan::crashes_at({}), std::invalid_argument);
   EXPECT_THROW(FaultPlan::targeted_by_degree(0, 5), std::invalid_argument);
   EXPECT_THROW(FaultPlan::iid_crashes(1.5), std::invalid_argument);
   EXPECT_THROW(FaultPlan::churn(0.1, 3, 2), std::invalid_argument);

@@ -27,8 +27,7 @@ class TickProcess final : public Process {
 TEST(FaultPlan, CompileIsDeterministicPerSeed) {
   util::Rng rng(3);
   const graph::Graph g = graph::gnp(60, 0.1, rng);
-  const FaultPlan plan =
-      FaultPlan::iid_crashes(0.01).then(FaultPlan::targeted_by_degree(3, 10));
+  const FaultPlan plan = FaultPlan::churn(0.01, 2, 6);
   const auto a = compile_fault_plan(plan, g, nullptr, 100, 7);
   const auto b = compile_fault_plan(plan, g, nullptr, 100, 7);
   const auto c = compile_fault_plan(plan, g, nullptr, 100, 8);
