@@ -18,10 +18,10 @@
 // paths must agree that coverage holds — a perf number is never reported
 // for a broken maintainer.
 //
-// --sizes=10000,100000   deployment sizes (quick: 10000)
+// --sizes=10000,100000   deployment sizes
 // --degree=8             target average UDG degree
 // --k=2                  redundancy target
-// --mutations=400        single-mutation batches per size (quick: 120)
+// --mutations=400        single-mutation batches per size
 // --resolves=40          full re-solves measured (they are the slow side)
 // --json=BENCH_dynamic.json  machine-readable output ("" = none)
 #include <algorithm>
@@ -100,15 +100,12 @@ sim::Mutation next_mutation(const sim::DynamicWorld& world, double radius,
 }  // namespace
 
 int run(const ftc::util::Args& args) {
-  const bool quick = args.get_bool("quick", false);
-  const auto sizes = args.get_int_list(
-      "sizes", quick ? std::vector<long long>{10'000}
-                     : std::vector<long long>{10'000, 100'000},
-      2, INT32_MAX);
+  const auto sizes =
+      args.get_int_list("sizes", {10'000, 100'000}, 2, INT32_MAX);
   const double degree = args.get_double("degree", 8.0);
   const auto k = static_cast<std::int32_t>(args.get_int("k", 2, 1, INT32_MAX));
-  const auto mutations = static_cast<int>(
-      args.get_int("mutations", quick ? 120 : 400, 1, INT32_MAX));
+  const auto mutations =
+      static_cast<int>(args.get_int("mutations", 400, 1, INT32_MAX));
   const int resolves =
       static_cast<int>(args.get_int("resolves", 40, 1, INT32_MAX));
   const std::string json_path = args.get_string("json", "BENCH_dynamic.json");

@@ -92,12 +92,7 @@ std::unique_ptr<obs::Plane> plane_for(Obs mode) {
     options.trace.category_mask = 0;  // registry (and perf) only
     options.perf = mode == Obs::kPerf;
   }
-  auto plane = std::make_unique<obs::Plane>(options);
-  if (plane->perf() != nullptr) {
-    plane->perf()->set_alloc_source(
-        +[]() -> std::uint64_t { return bench::alloc_counts().count; });
-  }
-  return plane;
+  return std::make_unique<obs::Plane>(options);
 }
 
 struct MtResult {

@@ -1,13 +1,7 @@
-// P9 — Unreliable-channel runtime overhead and the price of reliability.
+// P9 — The price of reliability over the round engine.
 //
-// Three questions, one flood/pump workload family:
+// Two questions, one flood/pump workload family:
 //
-//   * What does the channel runtime cost at loss = 0? The acceptance
-//     number: the same raw workload with a clean channel installed must
-//     hold >= 95% of the plain reliable-plane rounds/sec. The engine
-//     hoists a single impaired() check per round, so installing the
-//     impairment machinery may not tax an unimpaired deployment by more
-//     than 5%.
 //   * What does the ARQ layer itself cost? A closed-loop reliable pump
 //     (every node keeps one payload in flight per neighbor, refilling as
 //     the transport drains) against a raw baseline pushing the identical
@@ -23,14 +17,10 @@
 // --degree=8                  target average UDG degree
 // --rounds=0                  rounds per run (0 = auto ~1M node-rounds)
 // --repeats=3                 timed repetitions per mode (best is kept)
-// --gate=1                    exit nonzero when the budget fails (0 for
-//                             smoke runs on loaded machines: the ratio is
-//                             still reported, the timing is not trusted)
 // --json=BENCH_transport.json machine-readable output ("" = none)
 // --csv=path                  optional CSV mirror of the table
 #include <algorithm>
 #include <cstdint>
-#include <iostream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -116,11 +106,10 @@ struct RunStats {
 };
 
 RunStats run_raw(const geom::UnitDiskGraph& udg, std::int64_t rounds,
-                 int repeats, bool install_channel) {
+                 int repeats) {
   RunStats best;
   for (int rep = 0; rep < repeats; ++rep) {
     sim::SyncNetwork net(udg, kNetSeed);
-    if (install_channel) net.set_channel(sim::ChannelOptions{});
     net.set_all_processes(
         [&](NodeId) { return std::make_unique<RawFlood>(rounds); });
     bench::WallClock clock;
@@ -175,7 +164,6 @@ int run(const ftc::util::Args& args) {
   const auto rounds_arg = args.get_int("rounds", 0, 0, INT32_MAX);
   const int repeats =
       static_cast<int>(args.get_int("repeats", 3, 1, INT32_MAX));
-  const bool gate = args.get_int("gate", 1, 0, 1) != 0;
   const std::string json_path =
       args.get_string("json", "BENCH_transport.json");
   constexpr double kLosses[] = {0.0, 0.1, 0.3};
@@ -184,7 +172,6 @@ int run(const ftc::util::Args& args) {
                      "frames", "retrans", "goodput/link"},
                     args);
   std::vector<std::string> json_rows;
-  bool within_budget = true;
 
   for (long long n_ll : sizes) {
     const auto n = static_cast<NodeId>(n_ll);
@@ -198,7 +185,7 @@ int run(const ftc::util::Args& args) {
         geom::uniform_udg_with_degree(n, degree, graph_rng);
     const double links = static_cast<double>(2 * udg.graph.m());
 
-    const RunStats raw = run_raw(udg, rounds, repeats, false);
+    const RunStats raw = run_raw(udg, rounds, repeats);
     const double raw_rps = static_cast<double>(raw.rounds) / raw.seconds;
     out.row({util::fmt(static_cast<long long>(n)), "plane", "-",
              util::fmt(raw.rounds), util::fmt(raw_rps, 1), "1.000", "-", "-",
@@ -208,21 +195,6 @@ int run(const ftc::util::Args& args) {
         ", \"loss\": 0.0, \"rounds\": " + std::to_string(raw.rounds) +
         ", \"seconds\": " + util::fmt(raw.seconds, 6) +
         ", \"rounds_per_sec\": " + util::fmt(raw_rps, 3) + "}");
-
-    // The acceptance row: identical workload, clean channel installed.
-    const RunStats chan = run_raw(udg, rounds, repeats, true);
-    const double chan_rps = static_cast<double>(chan.rounds) / chan.seconds;
-    const double chan_vs = chan_rps / raw_rps;
-    if (chan_vs < 0.95) within_budget = false;
-    out.row({util::fmt(static_cast<long long>(n)), "channel", "0.0",
-             util::fmt(chan.rounds), util::fmt(chan_rps, 1),
-             util::fmt(chan_vs, 3), "-", "-", "-"});
-    json_rows.push_back(
-        "    {\"n\": " + std::to_string(n) + ", \"mode\": \"channel\"" +
-        ", \"loss\": 0.0, \"rounds\": " + std::to_string(chan.rounds) +
-        ", \"seconds\": " + util::fmt(chan.seconds, 6) +
-        ", \"rounds_per_sec\": " + util::fmt(chan_rps, 3) +
-        ", \"vs_plane\": " + util::fmt(chan_vs, 4) + "}");
 
     for (const double loss : kLosses) {
       const RunStats t = run_transport(udg, rounds, loss, repeats);
@@ -256,20 +228,13 @@ int run(const ftc::util::Args& args) {
     out.rule();
   }
 
-  out.print("P9 — channel runtime + reliable-transport cost (avg degree " +
+  out.print("P9 — reliable-transport cost (avg degree " +
             util::fmt(degree, 1) + ", best of " + util::fmt(repeats) + ")");
-  if (!within_budget) {
-    std::cout << "WARNING: zero-loss channel-runtime throughput fell below "
-                 "95% of the reliable plane\n";
-  }
 
-  bench::write_bench_json(
-      json_path, "transport", "udg_flood_and_closed_loop_pump",
-      {{"degree", util::fmt(degree, 1)}},
-      {{"budget", "\"channel(loss=0) >= 0.95 * plane\""},
-       {"within_budget", within_budget ? "true" : "false"}},
-      json_rows);
-  return gate && !within_budget;
+  bench::write_bench_json(json_path, "transport",
+                          "udg_flood_and_closed_loop_pump",
+                          {{"degree", util::fmt(degree, 1)}}, {}, json_rows);
+  return 0;
 }
 
 int main(int argc, char** argv) {

@@ -118,19 +118,11 @@ HistogramSnapshot Registry::histogram_snapshot(MetricId id) const {
   return HistogramSnapshot{h.bounds, h.counts};
 }
 
-void Registry::write_json(std::ostream& os,
-                          std::string_view exclude_prefix) const {
+void Registry::write_json(std::ostream& os) const {
   os << "{\n";
-  bool first = true;
   for (std::size_t i = 0; i < defs_.size(); ++i) {
     const Def& d = defs_[i];
-    if (!exclude_prefix.empty() &&
-        std::string_view(d.name).substr(0, exclude_prefix.size()) ==
-            exclude_prefix) {
-      continue;
-    }
-    if (!first) os << ",\n";
-    first = false;
+    if (i != 0) os << ",\n";
     os << "  \"" << d.name << "\": ";
     if (d.kind == MetricKind::kHistogram) {
       const Hist& h = hists_[d.slot];
@@ -149,7 +141,7 @@ void Registry::write_json(std::ostream& os,
       os << scalars_[d.slot];
     }
   }
-  if (!first) os << "\n";
+  if (!defs_.empty()) os << "\n";
   os << "}\n";
 }
 

@@ -73,14 +73,10 @@ class Registry {
   [[nodiscard]] HistogramSnapshot histogram_snapshot(MetricId id) const;
 
   /// Writes the whole registry as a single JSON object: counters and gauges
-  /// as numbers, histograms as {"bounds": [...], "counts": [...]}.
-  void write_json(std::ostream& os) const { write_json(os, {}); }
-
-  /// Same, skipping metrics whose name starts with `exclude_prefix` (empty
-  /// = none). Determinism tests compare registries with "perf." excluded:
-  /// the perf plane's gauges are wall-clock/OS facts and may legitimately
-  /// differ across bitwise-identical runs.
-  void write_json(std::ostream& os, std::string_view exclude_prefix) const;
+  /// as numbers, histograms as {"bounds": [...], "counts": [...]}. Every
+  /// metric is a logical fact, so the document is bitwise identical at
+  /// every engine width.
+  void write_json(std::ostream& os) const;
 
   /// Bucket index of `value` for the given bounds (shared with the tests):
   /// first i with value < bounds[i], or bounds.size() for overflow.

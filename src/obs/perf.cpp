@@ -5,10 +5,6 @@
 #include <chrono>
 #include <ostream>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/resource.h>
-#endif
-
 namespace ftc::obs {
 
 namespace {
@@ -18,21 +14,6 @@ constexpr std::string_view kPhaseNames[kPerfPhaseCount] = {
     "deliver_count", "deliver_prefix", "deliver_place", "finalize",
     "channel_decide", "barrier_wait", "claim_stall",  "lp_x_update",
     "lp_dual_color", "lp_degree",    "lp_z_pass"};
-
-/// Peak resident set size in KiB (getrusage; 0 where unsupported).
-std::int64_t peak_rss_kb() noexcept {
-#if defined(__unix__) || defined(__APPLE__)
-  struct rusage ru {};
-  if (getrusage(RUSAGE_SELF, &ru) != 0) return 0;
-#if defined(__APPLE__)
-  return static_cast<std::int64_t>(ru.ru_maxrss) / 1024;  // bytes there
-#else
-  return static_cast<std::int64_t>(ru.ru_maxrss);  // KiB on Linux
-#endif
-#else
-  return 0;
-#endif
-}
 
 }  // namespace
 
@@ -99,17 +80,6 @@ std::int64_t PerfRoundSample::attributed_ns() const noexcept {
 }
 
 PerfPlane::PerfPlane() { ring_.reserve(1024); }
-
-void PerfPlane::bind_registry(Registry* registry) {
-  registry_ = registry;
-  if (registry_ == nullptr) {
-    peak_rss_gauge_ = kInvalidMetric;
-    allocs_gauge_ = kInvalidMetric;
-    return;
-  }
-  peak_rss_gauge_ = registry_->gauge("perf.peak_rss_kb");
-  allocs_gauge_ = registry_->gauge("perf.allocs");
-}
 
 std::int64_t PerfPlane::now_ns() noexcept {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -183,16 +153,6 @@ void PerfPlane::end_round(std::int64_t round, std::int64_t total_ns,
     ring_[head_] = std::move(sample);
     head_ = (head_ + 1) % kRingCapacity;
   }
-
-  refresh_gauges();
-}
-
-void PerfPlane::refresh_gauges() {
-  if (registry_ == nullptr) return;
-  registry_->set(peak_rss_gauge_, peak_rss_kb());
-  if (alloc_source_ != nullptr) {
-    registry_->set(allocs_gauge_, static_cast<std::int64_t>(alloc_source_()));
-  }
 }
 
 std::vector<PerfRoundSample> PerfPlane::recent() const {
@@ -240,8 +200,7 @@ void write_phase_object(std::ostream& os, const std::int64_t (&ns)[kPerfPhaseCou
 
 }  // namespace
 
-void PerfPlane::export_jsonl(std::ostream& os,
-                             std::int64_t clamped_spans) const {
+void PerfPlane::export_jsonl(std::ostream& os) const {
   for (const PerfRoundSample& r : recent()) {
     os << "{\"type\":\"round\",\"round\":" << r.round
        << ",\"total_ns\":" << r.total_ns
@@ -265,11 +224,10 @@ void PerfPlane::export_jsonl(std::ostream& os,
   os << "{\"type\":\"summary\",\"rounds\":" << rounds_
      << ",\"retained\":" << ring_.size()
      << ",\"shards\":" << shard_totals_.size()
-     << ",\"wall_ns\":" << agg_total_ns_
+     << ",\"total_ns\":" << agg_total_ns_
      << ",\"coverage\":" << attribution_coverage()
      << ",\"imbalance_mean\":" << mean_imbalance()
-     << ",\"imbalance_max\":" << imb_max_
-     << ",\"clamped_spans\":" << clamped_spans << ",\"phases\":";
+     << ",\"imbalance_max\":" << imb_max_ << ",\"phases\":";
   write_phase_object(os, agg_phase_ns_);
   os << ",\"shard_totals\":[";
   for (std::size_t s = 0; s < shard_totals_.size(); ++s) {

@@ -9,14 +9,13 @@
 // attribution coverage (how much of the measured wall time the phase
 // intervals explain).
 //
+// This is the one plane that holds wall time: the trace and the metric
+// registry are logical-only, and every clock reading the library takes
+// (engine phase laps, LP phases, the thread pool's stall counters) lands
+// here, in this side structure and its own JSONL export, and nowhere else.
 // The plane is owner-thread only: per-shard timing reaches it as the span
 // end_round() takes (the determinism contract is in plane.h), so *enabling*
-// the plane never perturbs the simulated execution. The recorded
-// nanoseconds themselves are of course wall-clock facts: they live in this
-// side structure and its own JSONL export, never in the deterministic trace
-// stream; the only registry contact is the "perf."-prefixed steady-state
-// gauges, which determinism comparisons drop via
-// Registry::write_json(os, "perf.").
+// the plane never perturbs the simulated execution or any other export.
 #pragma once
 
 #include <cstdint>
@@ -24,8 +23,6 @@
 #include <span>
 #include <string_view>
 #include <vector>
-
-#include "obs/metrics.h"
 
 namespace ftc::obs {
 
@@ -120,25 +117,13 @@ class PerfPlane {
   PerfPlane(const PerfPlane&) = delete;
   PerfPlane& operator=(const PerfPlane&) = delete;
 
-  /// Registers the steady-state gauges perf.peak_rss_kb and perf.allocs on
-  /// `registry` (refreshed at every end_round). The "perf." prefix is the
-  /// exclusion key determinism comparisons pass to Registry::write_json.
-  void bind_registry(Registry* registry);
-
-  /// Optional allocation-counter source (the bench layer wires
-  /// bench/alloc_hooks.cpp in; library users leave it unset and the
-  /// perf.allocs gauge stays 0). Read once per end_round.
-  void set_alloc_source(std::uint64_t (*source)()) noexcept {
-    alloc_source_ = source;
-  }
-
   /// Attribution of `ns` to `phase` for the current round.
   void add(PerfPhase phase, std::int64_t ns) noexcept;
 
   /// Round barrier: takes the round's per-shard samples (empty for a
   /// producer without shards, like the LP mirror) in ascending shard order,
-  /// computes imbalance + straggler, appends the ring sample, folds the
-  /// run-wide aggregates, and refreshes the registry gauges.
+  /// computes imbalance + straggler, appends the ring sample, and folds the
+  /// run-wide aggregates.
   void end_round(std::int64_t round, std::int64_t total_ns,
                  std::span<const PerfShardSample> shards);
 
@@ -163,13 +148,11 @@ class PerfPlane {
   [[nodiscard]] static std::int64_t now_ns() noexcept;
 
   /// Writes the side-channel JSONL: one "round" line per retained sample,
-  /// then one "summary" line with run-wide aggregates, coverage, imbalance,
-  /// per-shard totals, and the trace's clamped-span count.
-  void export_jsonl(std::ostream& os, std::int64_t clamped_spans = 0) const;
+  /// then one "summary" line with run-wide aggregates, coverage, imbalance
+  /// and per-shard totals.
+  void export_jsonl(std::ostream& os) const;
 
  private:
-  void refresh_gauges();
-
   std::int64_t cur_phase_ns_[kPerfPhaseCount] = {};
   std::vector<PerfRoundSample> ring_;
   std::size_t head_ = 0;  ///< next write position once the ring is full
@@ -180,11 +163,6 @@ class PerfPlane {
   std::vector<PerfShardTotals> shard_totals_;
   double imb_sum_ = 0.0;
   double imb_max_ = 0.0;
-  // Registry gauges.
-  Registry* registry_ = nullptr;
-  MetricId peak_rss_gauge_ = kInvalidMetric;
-  MetricId allocs_gauge_ = kInvalidMetric;
-  std::uint64_t (*alloc_source_)() = nullptr;
 };
 
 }  // namespace ftc::obs

@@ -10,10 +10,7 @@
 namespace ftc::obs {
 
 Plane::Plane(PlaneOptions options) : trace_(options.trace) {
-  if (options.perf) {
-    perf_ = std::make_unique<PerfPlane>();
-    perf_->bind_registry(&metrics_);
-  }
+  if (options.perf) perf_ = std::make_unique<PerfPlane>();
   Registry& r = metrics_;
   builtin_.rounds = r.counter("sim.rounds");
   builtin_.messages = r.counter("sim.messages");
@@ -48,10 +45,6 @@ Plane::Plane(PlaneOptions options) : trace_(options.trace) {
 
   Trace& t = trace_;
   builtin_.n_round = t.intern("round");
-  builtin_.n_fault_apply = t.intern("fault.apply");
-  builtin_.n_execute = t.intern("engine.execute");
-  builtin_.n_merge = t.intern("engine.merge");
-  builtin_.n_deliver = t.intern("engine.deliver");
   builtin_.n_crash = t.intern("crash");
   builtin_.n_recover = t.intern("recover");
   builtin_.n_fault_plan = t.intern("fault.plan");
@@ -147,9 +140,8 @@ void export_plane(const Plane& plane, const util::ObsFlags& flags) {
                [&](std::ostream& os) { plane.metrics().write_json(os); });
   }
   if (plane.perf() != nullptr && !flags.perf_path.empty()) {
-    write_file(flags.perf_path, [&](std::ostream& os) {
-      plane.perf()->export_jsonl(os, plane.trace().clamped_spans());
-    });
+    write_file(flags.perf_path,
+               [&](std::ostream& os) { plane.perf()->export_jsonl(os); });
   }
   if (!flags.trace_path.empty()) {
     if (ends_with(flags.trace_path, ".jsonl")) {

@@ -14,9 +14,10 @@
 // Trace::emit. Shards cover ascending contiguous node ranges and run their
 // nodes in ascending order, so the folded trace stream is the one-thread
 // emission order at every width, and counter and histogram folds are
-// integer sums. Filtering and the wall_ns stamp happen at emission, so a
-// folded event keeps its emission time. Per-shard perf timing takes the
-// same route without a Recorder: the engine stages one PerfShardSample per
+// integer sums. Registry and Trace hold logical facts only — rounds,
+// counts, node ids — so every export is bitwise identical at every width.
+// Wall time lives in the PerfPlane alone: per-shard timing takes the same
+// route without a Recorder, as the engine stages one PerfShardSample per
 // shard and hands them to PerfPlane::end_round in shard order.
 #pragma once
 
@@ -72,10 +73,6 @@ struct Builtin {
 
   // Trace event names.
   NameId n_round = 0;           ///< per-round engine summary
-  NameId n_fault_apply = 0;     ///< engine phase spans…
-  NameId n_execute = 0;
-  NameId n_merge = 0;
-  NameId n_deliver = 0;
   NameId n_crash = 0;           ///< instant fault events
   NameId n_recover = 0;
   NameId n_fault_plan = 0;      ///< injector installed a compiled schedule
@@ -115,7 +112,6 @@ class Recorder {
     e.name = name;
     e.a0 = a0;
     e.a1 = a1;
-    e.wall_ns = trace_->now_ns();
     events_.push_back(e);
   }
 

@@ -1,5 +1,6 @@
 #include "obs/trace.h"
 
+#include <algorithm>
 #include <cassert>
 #include <ostream>
 
@@ -49,9 +50,11 @@ bool parse_severity(std::string_view name, Severity& out) noexcept {
 
 Trace::Trace() : Trace(Options{}) {}
 
-Trace::Trace(Options options)
-    : options_(options), epoch_(std::chrono::steady_clock::now()) {
+Trace::Trace(Options options) : options_(options) {
   assert(options_.capacity >= 1);
+  // A small ring is allocated whole here, so emitting into it never
+  // allocates; a larger one grows on demand up to its capacity.
+  ring_.reserve(std::min<std::size_t>(options_.capacity, 1024));
   names_.emplace_back("?");  // NameId 0: events emitted without interning
 }
 
@@ -68,13 +71,8 @@ const std::string& Trace::name(NameId id) const {
   return names_[id];
 }
 
-std::int64_t Trace::now_ns() const {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now() - epoch_)
-      .count();
-}
-
-void Trace::push(const TraceEvent& e) {
+void Trace::emit(const TraceEvent& e) {
+  if (!enabled(e.category, e.severity)) return;
   if (ring_.size() < options_.capacity) {
     ring_.push_back(e);
     ++count_;
@@ -86,22 +84,6 @@ void Trace::push(const TraceEvent& e) {
   ring_[head_] = e;
   head_ = (head_ + 1) % options_.capacity;
   ++dropped_;
-}
-
-void Trace::emit(TraceEvent e) {
-  if (!enabled(e.category, e.severity)) return;
-  if (e.wall_ns == 0) e.wall_ns = now_ns();
-  push(e);
-}
-
-void Trace::finish_span(TraceEvent e) {
-  if (e.dur_ns <= 0) {
-    // Clamp so the span still renders, but make the fabrication visible:
-    // a clamped duration means the clock could not resolve the interval.
-    e.dur_ns = 1;
-    ++clamped_spans_;
-  }
-  emit(e);
 }
 
 std::vector<TraceEvent> Trace::events() const {
@@ -127,56 +109,22 @@ void Trace::export_jsonl(std::ostream& os) const {
 }
 
 void Trace::export_chrome(std::ostream& os) const {
+  // The display clock is the logical one: round r sits at r ms (ts is in
+  // µs), and events of one round keep their emission order in the file.
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
   const auto evs = events();
   for (std::size_t i = 0; i < evs.size(); ++i) {
     const TraceEvent& e = evs[i];
-    const double ts_us = static_cast<double>(e.wall_ns) / 1000.0;
     const long long tid = e.node >= 0 ? static_cast<long long>(e.node) + 1 : 0;
     os << "{\"name\":\"" << name(e.name) << "\",\"cat\":\""
-       << category_name(e.category) << "\",\"ph\":\""
-       << (e.dur_ns > 0 ? 'X' : 'i') << "\",\"pid\":0,\"tid\":" << tid
-       << ",\"ts\":" << ts_us;
-    if (e.dur_ns > 0) {
-      os << ",\"dur\":" << static_cast<double>(e.dur_ns) / 1000.0;
-    } else {
-      os << ",\"s\":\"t\"";  // instant scope: thread
-    }
-    os << ",\"args\":{\"round\":" << e.round << ",\"sev\":\""
-       << severity_name(e.severity) << "\",\"a0\":" << e.a0
+       << category_name(e.category)
+       << "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":" << tid
+       << ",\"ts\":" << e.round * 1000 << ",\"args\":{\"round\":" << e.round
+       << ",\"sev\":\"" << severity_name(e.severity) << "\",\"a0\":" << e.a0
        << ",\"a1\":" << e.a1 << "}}";
     os << (i + 1 < evs.size() ? ",\n" : "\n");
   }
   os << "]}\n";
-}
-
-SpanTimer::SpanTimer(Trace* trace, Category category, Severity severity,
-                     NameId name, std::int64_t round, std::int32_t node)
-    : trace_(trace != nullptr && trace->enabled(category, severity) ? trace
-                                                                    : nullptr) {
-  if (trace_ == nullptr) return;
-  event_.round = round;
-  event_.node = node;
-  event_.category = category;
-  event_.severity = severity;
-  event_.name = name;
-  event_.wall_ns = trace_->now_ns();
-}
-
-SpanTimer::SpanTimer(SpanTimer&& other) noexcept
-    : trace_(other.trace_), event_(other.event_) {
-  other.trace_ = nullptr;
-}
-
-void SpanTimer::set_args(std::int64_t a0, std::int64_t a1) noexcept {
-  event_.a0 = a0;
-  event_.a1 = a1;
-}
-
-SpanTimer::~SpanTimer() {
-  if (trace_ == nullptr) return;
-  event_.dur_ns = trace_->now_ns() - event_.wall_ns;
-  trace_->finish_span(event_);
 }
 
 }  // namespace ftc::obs

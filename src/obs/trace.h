@@ -5,20 +5,19 @@
 // filtered by severity and a category bitmask, so an attached-but-quiet
 // trace costs one predicate per candidate event.
 //
-// Determinism contract: an event carries two clocks.
-//   * The logical clock — (round, emission order) — is fully determined by
-//     the simulated execution. The trace itself is owner-thread only;
-//     events from worker shards reach it through obs::Recorder staging,
-//     folded at the round barrier in the order plane.h pins down.
-//   * The wall clock — wall_ns / dur_ns, stamped from a steady clock — is
-//     inherently nondeterministic and is confined to the Chrome exporter.
+// Determinism contract: an event carries the logical clock only — (round,
+// emission order) — which is fully determined by the simulated execution.
+// The trace is owner-thread only; events from worker shards reach it
+// through obs::Recorder staging, folded at the round barrier in the order
+// plane.h pins down. Wall time never enters the trace: obs::PerfPlane is
+// the one place it is kept (DESIGN.md §12).
 //
-// export_jsonl() writes logical fields only and is therefore bitwise
-// reproducible across thread counts and runs; export_chrome() writes the
-// trace_event format (load in Perfetto / about:tracing) using wall time.
+// Both exports are therefore bitwise reproducible across thread counts and
+// runs: export_jsonl() writes the structured log, export_chrome() the
+// trace_event format (load in Perfetto / about:tracing) with every event an
+// instant placed by its round.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -56,8 +55,7 @@ enum class Severity : std::uint8_t { kDebug = 0, kInfo = 1, kWarn = 2, kError = 
 using NameId = std::uint16_t;
 
 /// One trace record. `a0`/`a1` are event-defined arguments (node ids,
-/// counts, phase indices) and must be deterministic quantities; wall_ns /
-/// dur_ns never reach the JSONL stream (see file comment).
+/// counts, phase indices) and must be deterministic quantities.
 struct TraceEvent {
   std::int64_t round = 0;
   std::int32_t node = -1;  ///< -1 = engine-wide
@@ -66,12 +64,10 @@ struct TraceEvent {
   NameId name = 0;
   std::int64_t a0 = 0;
   std::int64_t a1 = 0;
-  std::int64_t wall_ns = 0;  ///< start, ns since trace construction
-  std::int64_t dur_ns = 0;   ///< span duration; 0 = instant event
 };
 
 /// Ring-buffered event sink, owner-thread only (like obs::Registry). Worker
-/// threads may call the const enabled() and now_ns() while staging.
+/// threads may call the const enabled() while staging.
 class Trace {
  public:
   struct Options {
@@ -95,71 +91,28 @@ class Trace {
   }
 
   /// Appends an event (owner thread). Filtered events are dropped for free.
-  /// wall_ns is stamped here when the caller left it 0.
-  void emit(TraceEvent e);
-
-  /// Finishes a span event: a non-positive duration is clamped to 1 ns (so
-  /// it still renders as a span) and counted in clamped_spans(). Called by
-  /// ~SpanTimer; exposed so tests can drive the clamp path deterministically.
-  void finish_span(TraceEvent e);
+  void emit(const TraceEvent& e);
 
   [[nodiscard]] std::size_t size() const noexcept { return count_; }
   [[nodiscard]] std::int64_t dropped() const noexcept { return dropped_; }
-  /// Spans whose measured duration was <= 0 and was clamped to 1 ns. A
-  /// wall-clock fact (clock resolution dependent), so it is reported via
-  /// the perf JSONL summary, never the deterministic registry.
-  [[nodiscard]] std::int64_t clamped_spans() const noexcept {
-    return clamped_spans_;
-  }
   /// Retained events, oldest first.
   [[nodiscard]] std::vector<TraceEvent> events() const;
 
   /// Deterministic structured log: one JSON object per line, logical fields
   /// only (round, node, cat, sev, name, a0, a1), in emission order.
   void export_jsonl(std::ostream& os) const;
-  /// Chrome trace_event JSON (Perfetto / about:tracing). Spans render as
-  /// complete ("X") events on tid = node + 1 (tid 0 = engine); instants as
-  /// "i". Timestamps come from the wall clock.
+  /// Chrome trace_event JSON (Perfetto / about:tracing): every event is an
+  /// instant ("i") on tid = node + 1 (tid 0 = engine), at ts = round ms —
+  /// one round is 1 ms of display time.
   void export_chrome(std::ostream& os) const;
 
-  /// Nanoseconds since construction (steady clock; callable from workers).
-  [[nodiscard]] std::int64_t now_ns() const;
-
  private:
-  void push(const TraceEvent& e);
-
   Options options_;
   std::vector<std::string> names_;
   std::vector<TraceEvent> ring_;
   std::size_t head_ = 0;  ///< next write position
   std::size_t count_ = 0;
   std::int64_t dropped_ = 0;
-  std::int64_t clamped_spans_ = 0;
-  std::chrono::steady_clock::time_point epoch_;
-};
-
-/// RAII span: records construction→destruction as one complete event. The
-/// wall-clock duration only ever reaches the Chrome exporter; a0/a1 (via
-/// set_args) must be deterministic. A SpanTimer built with a null trace, or
-/// whose (category, severity) is filtered out, is a no-op. Owner thread
-/// only, like the trace it records into.
-class SpanTimer {
- public:
-  SpanTimer() = default;
-  SpanTimer(Trace* trace, Category category, Severity severity, NameId name,
-            std::int64_t round, std::int32_t node = -1);
-  SpanTimer(SpanTimer&& other) noexcept;
-  SpanTimer& operator=(SpanTimer&&) = delete;
-  SpanTimer(const SpanTimer&) = delete;
-  SpanTimer& operator=(const SpanTimer&) = delete;
-  ~SpanTimer();
-
-  /// Attaches deterministic arguments to the span event.
-  void set_args(std::int64_t a0, std::int64_t a1 = 0) noexcept;
-
- private:
-  Trace* trace_ = nullptr;
-  TraceEvent event_;
 };
 
 }  // namespace ftc::obs

@@ -664,14 +664,9 @@ bool SyncNetwork::step() {
   // Observability is published at the sequential barriers only; `pl` stays
   // null on the default path, which then costs one branch per phase.
   obs::Plane* const pl = plane_;
-  obs::Trace* const tr = pl != nullptr ? &pl->trace() : nullptr;
   const obs::Builtin* const b = pl != nullptr ? &pl->builtin() : nullptr;
   const std::int64_t executed_round = round_;
   if (pl != nullptr) sync_observability_shards();
-  auto phase_span = [&](obs::NameId name) {
-    return obs::SpanTimer(tr, obs::Category::kEngine, obs::Severity::kDebug,
-                          name, executed_round);
-  };
 
   // Perf attribution: the owner laps each sequential phase boundary; the
   // dispatched phases stage per-shard time from the workers into
@@ -690,10 +685,7 @@ bool SyncNetwork::step() {
     t_mark = now;
   };
 
-  {
-    obs::SpanTimer span = phase_span(b != nullptr ? b->n_fault_apply : 0);
-    apply_scheduled_events();
-  }
+  apply_scheduled_events();
   lap(obs::PerfPhase::kFaultApply);
 
   // Run every live, unhalted process against the inbox delivered at the end
@@ -706,55 +698,45 @@ bool SyncNetwork::step() {
     const auto [lo, hi] = shard_range(s);
     execute_nodes(lo, hi, s);
   };
-  {
-    obs::SpanTimer span = phase_span(b != nullptr ? b->n_execute : 0);
-    dispatch_shards(shards, run_shard);
-  }
+  dispatch_shards(shards, run_shard);
   lap(obs::PerfPhase::kCompute);
 
   std::int64_t round_messages = 0;
   std::int64_t round_words = 0;
   std::int64_t arena_words = 0;
-  {
-    obs::SpanTimer span = phase_span(b != nullptr ? b->n_merge : 0);
-    for (std::size_t s = 0; s < shard_stats_.size(); ++s) {
-      const ShardStats& st = shard_stats_[s];
-      if (st.double_broadcast) {
-        throw InboxOverflow(
-            "SyncNetwork: a node broadcast twice in one round (at most one "
-            "message per neighbour per round)");
-      }
-      round_messages += st.messages;
-      round_words += st.words;
-      metrics_.max_message_words =
-          std::max(metrics_.max_message_words, st.max_words);
-      running_count_ -= st.newly_halted;
-      if (pf != nullptr) {
-        perf_shards_[s].nodes = st.nodes_run;
-        perf_shards_[s].messages = st.messages;
-      }
+  for (std::size_t s = 0; s < shard_stats_.size(); ++s) {
+    const ShardStats& st = shard_stats_[s];
+    if (st.double_broadcast) {
+      throw InboxOverflow(
+          "SyncNetwork: a node broadcast twice in one round (at most one "
+          "message per neighbour per round)");
     }
-    metrics_.messages_sent += round_messages;
-    metrics_.words_sent += round_words;
-    if (pl != nullptr) {
-      // The registry receives the same merged deltas as metrics_, from this
-      // same barrier — the two views cannot drift apart.
-      pl->metrics().add(b->messages, round_messages);
-      pl->metrics().add(b->words, round_words);
-      for (const auto& arena : arena_cur_) {
-        arena_words += static_cast<std::int64_t>(arena.size());
-      }
-      lap(obs::PerfPhase::kStatsMerge);
-      pl->merge_shards();  // worker-staged process events, shard order
-      span.set_args(round_messages, round_words);
+    round_messages += st.messages;
+    round_words += st.words;
+    metrics_.max_message_words =
+        std::max(metrics_.max_message_words, st.max_words);
+    running_count_ -= st.newly_halted;
+    if (pf != nullptr) {
+      perf_shards_[s].nodes = st.nodes_run;
+      perf_shards_[s].messages = st.messages;
     }
+  }
+  metrics_.messages_sent += round_messages;
+  metrics_.words_sent += round_words;
+  if (pl != nullptr) {
+    // The registry receives the same merged deltas as metrics_, from this
+    // same barrier — the two views cannot drift apart.
+    pl->metrics().add(b->messages, round_messages);
+    pl->metrics().add(b->words, round_words);
+    for (const auto& arena : arena_cur_) {
+      arena_words += static_cast<std::int64_t>(arena.size());
+    }
+    lap(obs::PerfPhase::kStatsMerge);
+    pl->merge_shards();  // worker-staged process events, shard order
   }
   lap(obs::PerfPhase::kObsMerge);
 
-  {
-    obs::SpanTimer span = phase_span(b != nullptr ? b->n_deliver : 0);
-    deliver_round(shards);  // laps kDeliverCount/Prefix/Place itself
-  }
+  deliver_round(shards);  // laps kDeliverCount/Prefix/Place itself
   if (pf != nullptr) t_mark = obs::PerfPlane::now_ns();
 
   // Generation swap: the arena just written now backs the new inboxes; the
@@ -789,7 +771,7 @@ bool SyncNetwork::step() {
     e.name = b->n_round;
     e.a0 = round_messages;
     e.a1 = live_count_;
-    tr->emit(e);
+    pl->trace().emit(e);
   }
 
   if (pf != nullptr) {

@@ -787,7 +787,7 @@ void check_obs(const FuzzCase& c, const Graph& g, const Demands& demands,
     }
     std::ostringstream metrics_os;
     std::ostringstream trace_os;
-    reg.write_json(metrics_os, "perf.");
+    reg.write_json(metrics_os);
     plane.trace().export_jsonl(trace_os);
     if (threads == 1) {
       base_metrics = metrics_os.str();

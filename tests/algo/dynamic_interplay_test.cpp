@@ -136,9 +136,7 @@ InterplayRun run_interplay(int threads, bool with_perf) {
   plane.trace().export_jsonl(trace_os);
   out.jsonl = trace_os.str();
   std::ostringstream metrics_os;
-  // "perf." gauges hold wall-clock timings and are the documented exclusion
-  // for determinism comparisons (obs/perf.h).
-  plane.metrics().write_json(metrics_os, "perf.");
+  plane.metrics().write_json(metrics_os);
   out.metrics_json = metrics_os.str();
 
   // Shared postconditions, checked at every width.

@@ -139,26 +139,6 @@ TEST(MetricsRegistry, WriteJsonRendersEmptyHistograms) {
             std::string::npos);
 }
 
-TEST(MetricsRegistry, WriteJsonExcludePrefixDropsOnlyMatchingMetrics) {
-  // Registry::write_json(os, "perf.") is how determinism comparisons drop
-  // the wall-clock perf gauges while keeping everything else bit-exact.
-  Registry reg;
-  reg.set(reg.gauge("perf.allocs"), 123);
-  reg.set(reg.gauge("perf.peak_rss_kb"), 456);
-  reg.add(reg.counter("sim.messages"), 7);
-  reg.record(reg.histogram("perf.h", {1.0}), 0.5);
-  std::ostringstream all_os, excl_os;
-  reg.write_json(all_os);
-  reg.write_json(excl_os, "perf.");
-  EXPECT_NE(all_os.str().find("perf.allocs"), std::string::npos);
-  EXPECT_EQ(excl_os.str().find("perf."), std::string::npos);
-  EXPECT_NE(excl_os.str().find("\"sim.messages\": 7"), std::string::npos);
-  // An empty prefix excludes nothing.
-  std::ostringstream empty_os;
-  reg.write_json(empty_os, "");
-  EXPECT_EQ(empty_os.str(), all_os.str());
-}
-
 TEST(MetricsRegistry, WriteJsonShape) {
   Registry reg;
   reg.add(reg.counter("a.count"), 3);

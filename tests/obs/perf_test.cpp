@@ -1,7 +1,8 @@
 // Perf-attribution plane (obs/perf.h, DESIGN.md §12): the end_round fold of
 // per-shard samples, derived imbalance/straggler/coverage statistics,
-// the ring buffer, the JSONL side channel, and the "perf."-gauge exclusion
-// contract, plus end-to-end wiring through SyncNetwork and the LP solver.
+// the ring buffer and the JSONL side channel, plus end-to-end wiring through
+// SyncNetwork and the LP solver — which must leave the registry and the
+// trace exactly as a perf-off run writes them.
 #include "obs/perf.h"
 
 #include <gtest/gtest.h>
@@ -175,7 +176,7 @@ TEST(PerfPlane, ExportJsonlShape) {
   shards[0].messages = 9;
   perf.end_round(3, 250, shards);
   std::ostringstream os;
-  perf.export_jsonl(os, /*clamped_spans=*/7);
+  perf.export_jsonl(os);
   const std::string out = os.str();
   // One round line, then the summary line.
   EXPECT_NE(out.find("\"type\":\"round\""), std::string::npos);
@@ -183,33 +184,13 @@ TEST(PerfPlane, ExportJsonlShape) {
   EXPECT_NE(out.find("\"total_ns\":250"), std::string::npos);
   EXPECT_NE(out.find("\"compute\":200"), std::string::npos);
   EXPECT_NE(out.find("\"type\":\"summary\""), std::string::npos);
-  EXPECT_NE(out.find("\"clamped_spans\":7"), std::string::npos);
+  EXPECT_NE(out.find("\"rounds\":1,\"retained\":1,\"shards\":2,"
+                     "\"total_ns\":250"),
+            std::string::npos);
   EXPECT_NE(out.find("\"shard_totals\""), std::string::npos);
   EXPECT_NE(out.find("\"straggler_rounds\""), std::string::npos);
   // Exactly two lines.
   EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 2);
-}
-
-TEST(PerfPlane, RegistryGaugesCarryThePerfPrefixAndAreExcludable) {
-  obs::Registry reg;
-  PerfPlane perf;
-  perf.bind_registry(&reg);
-  perf.set_alloc_source(+[]() -> std::uint64_t { return 42; });
-  perf.end_round(0, 100, {});
-  const obs::MetricId allocs = reg.find("perf.allocs");
-  ASSERT_NE(allocs, obs::kInvalidMetric);
-  EXPECT_EQ(reg.value(allocs), 42);
-  ASSERT_NE(reg.find("perf.peak_rss_kb"), obs::kInvalidMetric);
-
-  // Determinism comparisons drop exactly these gauges via the prefix
-  // overload; everything else must survive the exclusion.
-  reg.add(reg.counter("sim.messages"), 5);
-  std::ostringstream all_os, excl_os;
-  reg.write_json(all_os);
-  reg.write_json(excl_os, "perf.");
-  EXPECT_NE(all_os.str().find("perf.allocs"), std::string::npos);
-  EXPECT_EQ(excl_os.str().find("perf."), std::string::npos);
-  EXPECT_NE(excl_os.str().find("\"sim.messages\": 5"), std::string::npos);
 }
 
 /// Two-word chatter, enough rounds to exercise every engine phase.
@@ -261,8 +242,16 @@ TEST(PerfWiring, SyncNetworkAttributesItsRounds) {
 }
 
 TEST(PerfWiring, AttachingThePerfPlaneDoesNotPerturbTheRun) {
+  // Wall time stays in the perf plane: the run, the registry and both
+  // trace exports are the perf-off run's, byte for byte.
   util::Rng rng(23);
   const auto udg = geom::uniform_udg_with_degree(80, 8.0, rng);
+  struct Run {
+    sim::Metrics metrics;
+    std::string registry;
+    std::string jsonl;
+    std::string chrome;
+  };
   auto run = [&](bool with_perf) {
     obs::PlaneOptions options;
     options.perf = with_perf;
@@ -273,9 +262,18 @@ TEST(PerfWiring, AttachingThePerfPlaneDoesNotPerturbTheRun) {
     net.set_all_processes(
         [](NodeId) { return std::make_unique<ChatterProcess>(25); });
     net.run(30);
-    return net.metrics();
+    std::ostringstream registry, jsonl, chrome;
+    plane.metrics().write_json(registry);
+    plane.trace().export_jsonl(jsonl);
+    plane.trace().export_chrome(chrome);
+    return Run{net.metrics(), registry.str(), jsonl.str(), chrome.str()};
   };
-  EXPECT_EQ(run(true), run(false));
+  const Run with_perf = run(true);
+  const Run without = run(false);
+  EXPECT_EQ(with_perf.metrics, without.metrics);
+  EXPECT_EQ(with_perf.registry, without.registry);
+  EXPECT_EQ(with_perf.jsonl, without.jsonl);
+  EXPECT_EQ(with_perf.chrome, without.chrome);
 }
 
 TEST(PerfWiring, LpSolverAttributesItsInnerIterations) {

@@ -1,7 +1,7 @@
 // The observability plane must not weaken the round engine's determinism
 // contract: with a plane attached, a seeded churn run produces a JSONL
-// trace and a metric registry that are BITWISE identical at every thread
-// count (DESIGN.md §7). Suite names matter: scripts/check.sh runs
+// trace, a Chrome trace and a metric registry that are BITWISE identical at
+// every thread count, with or without the perf plane (DESIGN.md §7). Suite names matter: scripts/check.sh runs
 // TraceDeterminism under TSan alongside the engine determinism suites.
 #include <gtest/gtest.h>
 
@@ -28,16 +28,27 @@ using graph::NodeId;
 
 struct SoakCapture {
   std::string jsonl;
+  std::string chrome;
   std::string metrics_json;
   algo::SoakReport report;
   std::int64_t perf_rounds = 0;  ///< rounds the perf plane attributed
   std::int64_t deficit_samples = 0;  ///< repair.coverage_deficit records
 };
 
+/// The plane's three exports, whole: none of them holds a wall-clock fact.
+void capture_exports(const obs::Plane& plane, SoakCapture& capture) {
+  std::ostringstream trace_os;
+  plane.trace().export_jsonl(trace_os);
+  capture.jsonl = trace_os.str();
+  std::ostringstream chrome_os;
+  plane.trace().export_chrome(chrome_os);
+  capture.chrome = chrome_os.str();
+  std::ostringstream metrics_os;
+  plane.metrics().write_json(metrics_os);
+  capture.metrics_json = metrics_os.str();
+}
+
 /// One seeded churn soak with an attached plane at the given thread count.
-/// The registry export always drops the "perf."-prefixed gauges — that is
-/// the documented exclusion determinism comparisons use (obs/perf.h), and
-/// with perf off it excludes nothing.
 SoakCapture run_traced_soak(int threads, bool with_perf = false) {
   util::Rng rng(12345);
   const auto udg = geom::uniform_udg_with_degree(150, 10.0, rng);
@@ -58,12 +69,7 @@ SoakCapture run_traced_soak(int threads, bool with_perf = false) {
 
   SoakCapture capture;
   capture.report = algo::run_soak(g, &udg, demands, base, plan, opts);
-  std::ostringstream trace_os;
-  plane.trace().export_jsonl(trace_os);
-  capture.jsonl = trace_os.str();
-  std::ostringstream metrics_os;
-  plane.metrics().write_json(metrics_os, "perf.");
-  capture.metrics_json = metrics_os.str();
+  capture_exports(plane, capture);
   if (plane.perf() != nullptr) capture.perf_rounds = plane.perf()->rounds();
   return capture;
 }
@@ -80,6 +86,8 @@ TEST(TraceDeterminism, JsonlIdenticalAcrossThreadCounts) {
     const SoakCapture par = run_traced_soak(threads);
     EXPECT_EQ(seq.jsonl, par.jsonl) << "JSONL diverged at " << threads
                                     << " threads";
+    EXPECT_EQ(seq.chrome, par.chrome) << "Chrome trace diverged at "
+                                      << threads << " threads";
     EXPECT_EQ(seq.metrics_json, par.metrics_json)
         << "registry diverged at " << threads << " threads";
     EXPECT_EQ(seq.report.promotions, par.report.promotions);
@@ -91,8 +99,8 @@ TEST(TraceDeterminism, PerfPlaneKeepsBitwiseInvariance) {
   // The perf-attribution plane times the run with wall clocks, but its
   // staging discipline (shard-owned slots, ascending-order fold at the
   // barrier) confines every timestamp to the perf side channel: with perf
-  // ON, the trace and the registry (minus the "perf." gauges) must stay
-  // bitwise identical to the perf-OFF single-thread run at every width.
+  // ON, the trace and the whole registry must stay bitwise identical to the
+  // perf-OFF single-thread run at every width.
   const SoakCapture base = run_traced_soak(1, /*with_perf=*/false);
   ASSERT_FALSE(base.jsonl.empty());
 
@@ -101,13 +109,12 @@ TEST(TraceDeterminism, PerfPlaneKeepsBitwiseInvariance) {
     ASSERT_GT(par.perf_rounds, 0) << "perf plane never engaged";
     EXPECT_EQ(base.jsonl, par.jsonl)
         << "JSONL diverged with perf on at " << threads << " threads";
+    EXPECT_EQ(base.chrome, par.chrome)
+        << "Chrome trace diverged with perf on at " << threads << " threads";
     EXPECT_EQ(base.metrics_json, par.metrics_json)
         << "registry diverged with perf on at " << threads << " threads";
     EXPECT_EQ(base.report.promotions, par.report.promotions);
     EXPECT_EQ(base.report.violation_rounds, par.report.violation_rounds);
-    // The exclusion did its job: no wall-clock gauge leaked into the
-    // compared document.
-    EXPECT_EQ(par.metrics_json.find("perf."), std::string::npos);
   }
 }
 
@@ -115,8 +122,8 @@ TEST(TraceDeterminism, PerfPlaneKeepsBitwiseInvariance) {
 /// the parallel grain and the engine runs it inline. This run forces the
 /// pool (grain 0): workers really stage RepairProcess and heartbeat
 /// emissions in their Recorders while crashes and loss keep the detector
-/// and the repair waves busy.
-SoakCapture run_pooled_repair(int threads) {
+/// and the repair waves busy — and, with perf on, time their shards.
+SoakCapture run_pooled_repair(int threads, bool with_perf) {
   util::Rng rng(4242);
   const auto udg = geom::uniform_udg_with_degree(160, 9.0, rng);
   const graph::Graph& g = udg.graph;
@@ -126,7 +133,9 @@ SoakCapture run_pooled_repair(int threads) {
   std::vector<std::uint8_t> member(static_cast<std::size_t>(g.n()), 0);
   for (NodeId v : base) member[static_cast<std::size_t>(v)] = 1;
 
-  obs::Plane plane;
+  obs::PlaneOptions plane_options;
+  plane_options.perf = with_perf;
+  obs::Plane plane(plane_options);
   sim::SyncNetwork net(udg, 17);
   net.set_observability(&plane);
   net.set_threads(threads);
@@ -143,12 +152,8 @@ SoakCapture run_pooled_repair(int threads) {
   net.run(200);
 
   SoakCapture capture;
-  std::ostringstream trace_os;
-  plane.trace().export_jsonl(trace_os);
-  capture.jsonl = trace_os.str();
-  std::ostringstream metrics_os;
-  plane.metrics().write_json(metrics_os, "perf.");
-  capture.metrics_json = metrics_os.str();
+  capture_exports(plane, capture);
+  if (plane.perf() != nullptr) capture.perf_rounds = plane.perf()->rounds();
   const obs::Builtin& b = plane.builtin();
   capture.report.promotions = plane.metrics().value(b.promotions);
   capture.report.suspicions_raised = plane.metrics().value(b.suspicions);
@@ -159,17 +164,22 @@ SoakCapture run_pooled_repair(int threads) {
 }
 
 TEST(TraceDeterminism, PooledRecorderStagingIsWidthInvariant) {
-  const SoakCapture seq = run_pooled_repair(1);
+  const SoakCapture seq = run_pooled_repair(1, /*with_perf=*/false);
   // Every Recorder path must fire, or equality proves nothing.
   EXPECT_GT(seq.report.promotions, 0);
   EXPECT_GT(seq.report.suspicions_raised, 0);
   EXPECT_GT(seq.report.refuted_suspicions, 0);
   EXPECT_GT(seq.deficit_samples, 0);
 
-  for (int threads : {2, 4, 8}) {
-    const SoakCapture par = run_pooled_repair(threads);
+  // With the perf plane attached and the pool forced, all three exports
+  // are the perf-off one-thread run's, string for string.
+  for (int threads : {1, 2, 4, 8}) {
+    const SoakCapture par = run_pooled_repair(threads, /*with_perf=*/true);
+    ASSERT_GT(par.perf_rounds, 0) << "perf plane never engaged";
     EXPECT_EQ(seq.jsonl, par.jsonl) << "JSONL diverged at " << threads
                                     << " threads";
+    EXPECT_EQ(seq.chrome, par.chrome) << "Chrome trace diverged at "
+                                      << threads << " threads";
     EXPECT_EQ(seq.metrics_json, par.metrics_json)
         << "registry diverged at " << threads << " threads";
   }

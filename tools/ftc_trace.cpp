@@ -10,13 +10,13 @@
 //   ftc-trace report soak.perf.jsonl [--out=perf_report.html]
 //   ftc-trace summarize soak_metrics.json
 //
-// The trace JSONL stream is the deterministic half of a trace (logical
-// fields only; see DESIGN.md §7), so everything `summary`/`dump` print is
-// bitwise reproducible across runs and thread counts. The perf JSONL
-// (obs/perf.h, written by --perf) is the wall-clock side channel: `phases`
-// renders the run-wide per-phase attribution table, `imbalance` the
-// per-shard heatmap and straggler report, and `report` a self-contained
-// HTML page with phase stacks and the imbalance timeline. `summarize`
+// The trace JSONL stream holds logical fields only (DESIGN.md §7), so
+// everything `summary`/`dump` print is bitwise reproducible across runs
+// and thread counts. The perf JSONL (obs/perf.h, written by --perf) is the
+// one wall-clock record: `phases` renders the run-wide per-phase
+// attribution table, `imbalance` the per-shard heatmap and straggler
+// report, and `report` a self-contained HTML page with phase stacks and
+// the imbalance timeline. `summarize`
 // renders a --metrics registry dump with histogram percentiles
 // (p50/p90/p99, linear interpolation within buckets) instead of the raw
 // bounds/counts arrays.
@@ -218,8 +218,7 @@ struct PerfFile {
   long long total_rounds = 0;
   long long retained = 0;
   long long shards = 0;
-  long long wall_ns = 0;
-  long long clamped_spans = 0;
+  long long total_ns = 0;
   double coverage = 0.0;
   double imb_mean = 0.0;
   double imb_max = 0.0;
@@ -271,8 +270,7 @@ bool load_perf(const std::string& path, PerfFile& out) {
       get_ll(raw, "rounds", out.total_rounds);
       get_ll(raw, "retained", out.retained);
       get_ll(raw, "shards", out.shards);
-      get_ll(raw, "wall_ns", out.wall_ns);
-      get_ll(raw, "clamped_spans", out.clamped_spans);
+      get_ll(raw, "total_ns", out.total_ns);
       get_dbl(raw, "coverage", out.coverage);
       get_dbl(raw, "imbalance_mean", out.imb_mean);
       get_dbl(raw, "imbalance_max", out.imb_max);
@@ -302,14 +300,10 @@ int run_phases(const std::string& path) {
   if (!load_perf(path, pf)) return 1;
   std::printf("%s: %lld rounds (%lld retained), %lld shards, wall %s\n",
               path.c_str(), pf.total_rounds, pf.retained, pf.shards,
-              fmt_ns(static_cast<double>(pf.wall_ns)).c_str());
+              fmt_ns(static_cast<double>(pf.total_ns)).c_str());
   std::printf(
       "coverage: %.1f%% of wall time attributed to top-level phases\n",
       pf.coverage * 100.0);
-  if (pf.clamped_spans > 0) {
-    std::printf("clamped spans: %lld (zero-duration spans bumped to 1ns)\n",
-                pf.clamped_spans);
-  }
 
   const double rounds =
       pf.total_rounds > 0 ? static_cast<double>(pf.total_rounds) : 1.0;
@@ -329,9 +323,9 @@ int run_phases(const std::string& path) {
     std::printf("  %-16s %12s %8s %12s\n", "phase", "total", "%wall",
                 "per-round");
     for (const auto& [name, ns] : rows) {
-      const double pct = pf.wall_ns > 0
+      const double pct = pf.total_ns > 0
                              ? 100.0 * static_cast<double>(ns) /
-                                   static_cast<double>(pf.wall_ns)
+                                   static_cast<double>(pf.total_ns)
                              : 0.0;
       std::printf("  %-16s %12s %7.1f%% %12s\n", name.c_str(),
                   fmt_ns(static_cast<double>(ns)).c_str(), pct,
@@ -345,12 +339,12 @@ int run_phases(const std::string& path) {
   for (const auto& [name, ns] : pf.phases) {
     if (phase_is_top_level(name)) attributed += ns;
   }
-  const long long unattributed = pf.wall_ns - attributed;
-  if (pf.wall_ns > 0) {
+  const long long unattributed = pf.total_ns - attributed;
+  if (pf.total_ns > 0) {
     std::printf("unattributed: %s (%.1f%%)\n",
                 fmt_ns(static_cast<double>(unattributed)).c_str(),
                 100.0 * static_cast<double>(unattributed) /
-                    static_cast<double>(pf.wall_ns));
+                    static_cast<double>(pf.total_ns));
   }
   return 0;
 }
@@ -519,14 +513,14 @@ int run_report(const std::string& path, const std::string& out_path) {
   html << "<h2>Summary</h2><table>\n"
        << "<tr><th>rounds</th><th>retained</th><th>shards</th>"
        << "<th>wall</th><th>coverage</th><th>imbalance mean</th>"
-       << "<th>imbalance max</th><th>clamped spans</th></tr>\n"
+       << "<th>imbalance max</th></tr>\n"
        << "<tr><td>" << pf.total_rounds << "</td><td>" << pf.retained
        << "</td><td>" << pf.shards << "</td><td>"
-       << fmt_ns(static_cast<double>(pf.wall_ns)) << "</td><td>"
+       << fmt_ns(static_cast<double>(pf.total_ns)) << "</td><td>"
        << static_cast<double>(static_cast<long long>(pf.coverage * 1000.0)) /
               10.0
        << "%</td><td>" << pf.imb_mean << "</td><td>" << pf.imb_max
-       << "</td><td>" << pf.clamped_spans << "</td></tr></table>\n";
+       << "</td></tr></table>\n";
 
   // Run-wide phase totals as horizontal bars.
   long long phase_max = 1;
@@ -540,8 +534,8 @@ int run_report(const std::string& path, const std::string& out_path) {
        << "<tr><th>phase</th><th>total</th><th>%wall</th><th></th></tr>\n";
   for (const auto& [name, ns] : sorted) {
     if (ns <= 0) continue;
-    const double pct = pf.wall_ns > 0 ? 100.0 * static_cast<double>(ns) /
-                                            static_cast<double>(pf.wall_ns)
+    const double pct = pf.total_ns > 0 ? 100.0 * static_cast<double>(ns) /
+                                            static_cast<double>(pf.total_ns)
                                       : 0.0;
     const int width = static_cast<int>(
         300.0 * static_cast<double>(ns) / static_cast<double>(phase_max));
