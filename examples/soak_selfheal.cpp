@@ -73,8 +73,8 @@ int run(const ftc::util::Args& args) {
     // streak for a crash, flooding the repair daemon with false waves.
     // M-of-N windowed detection forgives isolated drops and still bounds
     // crash-detection latency by the window.
-    opts.detection_window = 12;
-    opts.detection_misses = 9;
+    opts.detection.window = 12;
+    opts.detection.misses_to_suspect = 9;
   }
   const auto rep = algo::run_soak(g, &udg, demands, base, plan, opts);
   if (plane != nullptr) obs::export_plane(*plane, obs_flags);

@@ -158,52 +158,36 @@ for w in json.load(open("BENCHMARK.json"))["workloads"]: print(w["name"])'); do
   exit 0
 fi
 
-if [ "${1:-}" = "fuzz-smoke" ]; then
+case "${1:-}" in fuzz-smoke | loss-fuzz | dynamic-fuzz)
   # Short adversarial campaign under ASan+UBSan: 2000 fixed-seed cases
   # through the full invariant library (see DESIGN.md §8). Deterministic, so
-  # a failure is a regression with a one-line repro, never a flake.
-  BUILD_DIR="${2:-build-asan}"
-  configure -B "$BUILD_DIR" -S . "${ASAN_CONFIG[@]}"
-  cmake --build "$BUILD_DIR" -j "$(nproc)" --target ftc-fuzz
-  "$BUILD_DIR/tools/ftc-fuzz" run --cases=2000 --seed=1 --progress=500
-  exit 0
-fi
-
-if [ "${1:-}" = "loss-fuzz" ]; then
-  # The fuzz-smoke campaign with --lossy: every case runs over an impaired
-  # channel (iid/burst loss, duplication, reordering, asymmetry) so the
-  # channel model, the reliable transport, and the loss-aware invariants
-  # (engine equivalence under lossy schedules, transport convergence) all
-  # get ASan+UBSan coverage. Deterministic, like fuzz-smoke.
-  BUILD_DIR="${2:-build-asan}"
-  configure -B "$BUILD_DIR" -S . "${ASAN_CONFIG[@]}"
-  cmake --build "$BUILD_DIR" -j "$(nproc)" --target ftc-fuzz
-  "$BUILD_DIR/tools/ftc-fuzz" run --cases=2000 --seed=1 --progress=500 --lossy
-  exit 0
-fi
-
-if [ "${1:-}" = "dynamic-fuzz" ]; then
-  # The fuzz-smoke campaign with --dynamic: every case carries a seed-pure
-  # mutation trace (joins, departures, moves, edge flips) replayed through
-  # the incremental maintenance path and checked against the DynamicOracle
-  # (full re-solve, locality, bounded over-promotion, width determinism) —
-  # all under ASan+UBSan. Deterministic, like fuzz-smoke; the verdict is
-  # appended to bench_history.jsonl so the dynamic gate has a timeline too.
+  # a failure is a regression with a one-line repro, never a flake. The mode
+  # picks the case family (see the usage above): loss-fuzz adds --lossy,
+  # dynamic-fuzz adds --dynamic and appends its verdict to
+  # bench_history.jsonl.
+  flags=()
+  case "$1" in
+    loss-fuzz) flags=(--lossy) ;;
+    dynamic-fuzz) flags=(--dynamic) ;;
+  esac
   BUILD_DIR="${2:-build-asan}"
   configure -B "$BUILD_DIR" -S . "${ASAN_CONFIG[@]}"
   cmake --build "$BUILD_DIR" -j "$(nproc)" --target ftc-fuzz
   status=0
   "$BUILD_DIR/tools/ftc-fuzz" run --cases=2000 --seed=1 --progress=500 \
-    --dynamic || status=$?
-  overall=ok
-  [ "$status" -ne 0 ] && overall=fail
-  append_history dynamic-fuzz "$overall" "\"dynamic_fuzz\": \"$overall\""
+    "${flags[@]}" || status=$?
+  if [ "$1" = "dynamic-fuzz" ]; then
+    overall=ok
+    [ "$status" -ne 0 ] && overall=fail
+    append_history dynamic-fuzz "$overall" "\"dynamic_fuzz\": \"$overall\""
+  fi
   if [ "$status" -ne 0 ]; then
-    echo "check.sh: dynamic-fuzz campaign failed — see repro line above" >&2
+    echo "check.sh: $1 campaign failed — see repro line above" >&2
     exit 1
   fi
   exit 0
-fi
+  ;;
+esac
 
 if [ "${1:-}" = "perf" ]; then
   # Fleet perf-regression gate (opt-in: it re-runs real benchmarks, minutes

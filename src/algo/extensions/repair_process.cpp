@@ -24,10 +24,8 @@ constexpr Word prev_phase(std::int64_t round) {
 }  // namespace
 
 RepairProcess::RepairProcess(std::int32_t demand, bool initially_member,
-                             RepairProcessOptions options)
-    : monitor_(sim::HeartbeatMonitor::Options{options.detection_timeout,
-                                              options.detection_window,
-                                              options.detection_misses}),
+                             sim::HeartbeatMonitor::Options detection)
+    : monitor_(detection),
       demand_(demand),
       member_(initially_member) {}
 

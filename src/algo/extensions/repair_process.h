@@ -67,30 +67,18 @@ namespace ftc::algo {
 /// Rounds per repair wave (phases P0..P3 above).
 inline constexpr std::int64_t kRepairRoundsPerWave = 4;
 
-/// Knobs for the self-healing daemon, which maintains closed-neighborhood
-/// coverage (domination::Mode::kClosedNeighborhood).
-struct RepairProcessOptions {
-  /// Heartbeat timeout in rounds: a silent neighbor is suspected dead after
-  /// timeout rounds beyond the normal one-round delivery gap (the M-of-N
-  /// rule with window = misses = timeout + 1; see sim::HeartbeatMonitor).
-  std::int64_t detection_timeout = 4;
-  /// When > 0, replaces the timeout: suspect a neighbor after
-  /// detection_misses missed beats within a sliding window of
-  /// detection_window rounds. Use under lossy links, where a short timeout
-  /// false-suspects too eagerly.
-  int detection_window = 0;
-  /// Misses needed to suspect (0 defaults to the full window).
-  int detection_misses = 0;
-};
-
-/// Per-node self-healing daemon. Never halts — run the network for a round
-/// budget and inspect member() afterwards.
+/// Per-node self-healing daemon, which maintains closed-neighborhood
+/// coverage (domination::Mode::kClosedNeighborhood). Never halts — run the
+/// network for a round budget and inspect member() afterwards.
 class RepairProcess final : public sim::Process {
  public:
   /// `demand` is this node's k_i; `initially_member` marks the backbone
   /// membership computed by whichever construction algorithm ran before.
+  /// `detection` configures the embedded failure detector: a timeout by
+  /// default, or an M-of-N window under lossy links, where a short timeout
+  /// false-suspects too eagerly (see sim::HeartbeatMonitor).
   RepairProcess(std::int32_t demand, bool initially_member,
-                RepairProcessOptions options = {});
+                sim::HeartbeatMonitor::Options detection = {});
 
   void on_round(sim::Context& ctx) override;
 

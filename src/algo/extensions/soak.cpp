@@ -22,25 +22,12 @@ SoakReport run_soak(const graph::Graph& g, const geom::UnitDiskGraph* udg,
   SoakReport report;
   std::int32_t max_demand = 0;
   for (std::int32_t k : demands) max_demand = std::max(max_demand, k);
-  // Detection latency: the timeout, or up to a full window when one is set
-  // (a crash is suspected once the required misses accumulate, at worst
-  // detection_window rounds later).
-  const std::int64_t detection_latency =
-      options.detection_window > 0
-          ? std::max<std::int64_t>(options.detection_timeout,
-                                   options.detection_window)
-          : options.detection_timeout;
   report.repair_threshold =
-      detection_latency +
+      sim::detection_latency(options.detection) +
       kRepairRoundsPerWave * (static_cast<std::int64_t>(max_demand) + 3);
 
   std::vector<std::uint8_t> initial_member(n, 0);
   for (NodeId v : initial_set) initial_member[static_cast<std::size_t>(v)] = 1;
-
-  RepairProcessOptions popts;
-  popts.detection_timeout = options.detection_timeout;
-  popts.detection_window = options.detection_window;
-  popts.detection_misses = options.detection_misses;
 
   // Build from the embedding when one is provided so region fault plans can
   // see it; the repair protocol itself never uses distances.
@@ -59,7 +46,7 @@ SoakReport run_soak(const graph::Graph& g, const geom::UnitDiskGraph* udg,
   net.set_all_processes([&](NodeId v) {
     return std::make_unique<RepairProcess>(
         demands[static_cast<std::size_t>(v)],
-        initial_member[static_cast<std::size_t>(v)] != 0, popts);
+        initial_member[static_cast<std::size_t>(v)] != 0, options.detection);
   });
 
   // Rejoining nodes boot as fresh non-members and re-request coverage
@@ -67,7 +54,7 @@ SoakReport run_soak(const graph::Graph& g, const geom::UnitDiskGraph* udg,
   sim::FaultInjector injector(plan, options.fault_seed);
   injector.install(net, options.rounds, [&](NodeId v) {
     return std::make_unique<RepairProcess>(
-        demands[static_cast<std::size_t>(v)], false, popts);
+        demands[static_cast<std::size_t>(v)], false, options.detection);
   });
   report.crashes = injector.crash_count();
   report.recoveries = injector.recovery_count();

@@ -30,18 +30,16 @@
 #include "graph/graph.h"
 #include "obs/plane.h"
 #include "sim/fault.h"
+#include "sim/heartbeat.h"
 
 namespace ftc::algo {
 
 /// Knobs for one soak run.
 struct SoakOptions {
   std::int64_t rounds = 2000;          ///< total rounds to execute
-  std::int64_t detection_timeout = 4;  ///< heartbeat timeout (rounds)
-  /// M-of-N loss-aware detection (sim::HeartbeatMonitor): window of N
-  /// rounds (0 = the timeout above, i.e. N = M = timeout + 1) and the
-  /// misses M needed to suspect within it (0 = the full window).
-  int detection_window = 0;
-  int detection_misses = 0;
+  /// Every RepairProcess's failure detector: a heartbeat timeout, or an
+  /// M-of-N window under lossy links (sim::HeartbeatMonitor).
+  sim::HeartbeatMonitor::Options detection;
   double message_loss = 0.0;           ///< link loss probability
   std::uint64_t network_seed = 1;      ///< per-node process randomness
   std::uint64_t fault_seed = 2;        ///< fault plan compilation

@@ -1,6 +1,5 @@
 #include "algo/pipeline.h"
 
-#include <algorithm>
 #include <cassert>
 
 #include "algo/lp/lp_kmds_process.h"
@@ -28,24 +27,16 @@ PipelineResult run_mirror(const graph::Graph& g,
 PipelineResult run_distributed(const graph::Graph& g,
                                const domination::Demands& demands,
                                const PipelineOptions& options) {
+  // One network runs both protocols back to back. Algorithm 1 draws no
+  // randomness and its last round sends nothing, and Algorithm 2 counts its
+  // own steps, so the rounding sees fresh per-node streams and empty
+  // inboxes, exactly as on a network of its own.
   PipelineResult result;
-  sim::SyncNetwork lp_net(g, options.seed);
-  result.lp = run_lp_processes(lp_net, demands, options.t);
-
-  // Fresh network, same seed: Algorithm 1 consumes no randomness, so
-  // per-node streams align with the mirror.
-  sim::SyncNetwork rounding_net(g, options.seed);
-  result.rounding =
-      run_rounding_processes(rounding_net, result.lp.primal.x, demands);
-
+  sim::SyncNetwork net(g, options.seed);
+  result.lp = run_lp_processes(net, demands, options.t);
+  result.rounding = run_rounding_processes(net, result.lp.primal.x, demands);
   result.total_rounds = result.lp.rounds + result.rounding.rounds;
-  result.metrics = lp_net.metrics();
-  result.metrics.rounds += rounding_net.metrics().rounds;
-  result.metrics.messages_sent += rounding_net.metrics().messages_sent;
-  result.metrics.words_sent += rounding_net.metrics().words_sent;
-  result.metrics.max_message_words =
-      std::max(result.metrics.max_message_words,
-               rounding_net.metrics().max_message_words);
+  result.metrics = net.metrics();
   return result;
 }
 

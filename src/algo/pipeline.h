@@ -10,7 +10,10 @@
 //  * kMirror      — centralized mirrors; fast, used for large sweeps;
 //  * kDistributed — per-node processes on the synchronous simulator; used
 //                   when round/message metrics are measured, and as the
-//                   ground truth the mirror is tested against.
+//                   ground truth the mirror is tested against. Algorithms
+//                   1 and 2 run back to back on one sim::SyncNetwork,
+//                   configured once before round 0, so `metrics` is that
+//                   network's.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +45,8 @@ struct PipelineResult {
   RoundingResult rounding;   ///< Algorithm 2 output (the integral set)
   std::int64_t total_rounds = 0;  ///< LP rounds + rounding rounds
 
-  /// Simulator metrics; meaningful only for Execution::kDistributed.
+  /// The network's metrics over both protocols; meaningful only for
+  /// Execution::kDistributed.
   sim::Metrics metrics;
 
   /// The integral k-fold dominating set (alias of rounding.set).

@@ -150,8 +150,8 @@ class Plane {
   [[nodiscard]] PerfPlane* perf() noexcept { return perf_.get(); }
   [[nodiscard]] const PerfPlane* perf() const noexcept { return perf_.get(); }
 
-  /// Sizes the per-shard recorders. Call between rounds, when they are
-  /// empty (a fresh plane has none).
+  /// Sizes the per-shard recorders while they are empty: SyncNetwork calls
+  /// it when the plane is attached or the width set, before round 0.
   void set_shards(int shards);
   /// The staging handle of `shard` < the set_shards() count.
   [[nodiscard]] Recorder& recorder(int shard) noexcept {

@@ -65,11 +65,9 @@ void ChannelOptions::validate() const {
   }
 }
 
-void Channel::set_options(const ChannelOptions& options,
-                          std::int64_t epoch_round) {
+void Channel::set_options(const ChannelOptions& options) {
   options.validate();
   options_ = options;
-  epoch_ = epoch_round;
 }
 
 double Channel::u01(NodeId from, NodeId to, std::int64_t round,
@@ -103,11 +101,7 @@ double Channel::directed_loss(NodeId from, NodeId to) const noexcept {
 
 bool Channel::in_burst(NodeId from, NodeId to, std::int64_t round,
                        BurstMap& burst) const {
-  BurstState& st = burst[pack_link(from, to)];
-  if (st.round < epoch_ - 1) {
-    st.round = epoch_ - 1;  // chain starts in the good state at the epoch
-    st.bursting = false;
-  }
+  BurstState& st = burst[pack_link(from, to)];  // good before round 0
   while (st.round < round) {
     ++st.round;
     const double u = u01(from, to, st.round, kSaltBurst);

@@ -27,7 +27,9 @@
 // per-link Markov chain, but each step's coin is the same stateless hash of
 // (link, round), so the state at round r is itself a pure function of
 // (seed, link, r) — the cached state in a ShardState's burst map is only an
-// incremental evaluation of that function.
+// incremental evaluation of that function. A network's channel is
+// configured before round 0 (SyncNetwork::set_channel) and holds for the
+// whole run, so every chain starts in the good state before round 0.
 #pragma once
 
 #include <cstdint>
@@ -119,26 +121,15 @@ class Channel {
   struct ShardState {
     BurstMap burst;
     Counters counters;
-
-    /// Invalidates the memoized burst chains (required when the options
-    /// change; counters are zeroed too — callers absorb them every round,
-    /// so nothing is pending between rounds).
-    void clear() {
-      burst.clear();
-      counters = Counters{};
-    }
   };
 
   Channel() = default;
-  explicit Channel(const ChannelOptions& options) { set_options(options, 0); }
+  explicit Channel(const ChannelOptions& options) { set_options(options); }
 
-  /// Replaces the options (validating them). `epoch_round` restarts every
-  /// burst chain in the good state as of that round, which keeps mid-run
-  /// reconfiguration (a set_channel between rounds) deterministic.
-  /// Counters persist.
-  /// Callers holding ShardStates must clear() them — their burst caches
-  /// memoize the old options.
-  void set_options(const ChannelOptions& options, std::int64_t epoch_round);
+  /// Replaces the options (validating them). Counters persist. Call it
+  /// before the first decide(): a ShardState memoizes burst chains under
+  /// the options they were evaluated with.
+  void set_options(const ChannelOptions& options);
 
   [[nodiscard]] const ChannelOptions& options() const noexcept {
     return options_;
@@ -174,7 +165,6 @@ class Channel {
                               std::int64_t round, BurstMap& burst) const;
 
   ChannelOptions options_;
-  std::int64_t epoch_ = 0;  ///< burst chains start good at this round
   Counters counters_;
 };
 

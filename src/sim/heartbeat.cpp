@@ -44,6 +44,13 @@ HeartbeatMonitor::HeartbeatMonitor(Options options) {
   mask_ = (std::uint64_t{1} << window_) - 1;
 }
 
+std::int64_t detection_latency(
+    const HeartbeatMonitor::Options& options) noexcept {
+  return options.window > 0
+             ? std::max<std::int64_t>(options.timeout, options.window)
+             : options.timeout;
+}
+
 std::size_t HeartbeatMonitor::index_of(NodeId w) const {
   const auto it = std::lower_bound(neighbors_.begin(), neighbors_.end(), w);
   assert(it != neighbors_.end() && *it == w &&

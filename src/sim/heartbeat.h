@@ -104,4 +104,11 @@ class HeartbeatMonitor {
   std::int64_t refuted_suspicions_ = 0;
 };
 
+/// Worst-case rounds from a neighbour's crash to its suspicion, as soak
+/// accounting budgets it: the timeout, or the longer of the timeout and the
+/// window when a window is set (a crash is suspected once the required
+/// misses accumulate, at worst `window` rounds later).
+[[nodiscard]] std::int64_t detection_latency(
+    const HeartbeatMonitor::Options& options) noexcept;
+
 }  // namespace ftc::sim

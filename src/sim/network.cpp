@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace ftc::sim {
 
@@ -81,18 +82,7 @@ SyncNetwork::SyncNetwork(const graph::Graph& g, std::uint64_t seed)
   inbox_len_.assign(n, 0);
   bcast_.assign(n, BroadcastStamp{});
   live_count_ = g.n();
-  arena_cur_.resize(1);
-  arena_prev_.resize(1);
-  arena_base_.resize(1);
-  xfer_cur_.resize(1);
-  xfer_cur_[0].reserve(n);
-  shard_stats_.resize(1);
-  perf_shards_.resize(1);
-  delivery_.resize(1);
-  channel_shards_.resize(1);
-  delayed_pending_.resize(1);
-  delayed_live_.resize(1);
-  shard_block_ = std::max<std::size_t>(n, 1);
+  set_threads(1);
   rngs_.reserve(n);
   const util::Rng root(seed);
   for (std::size_t v = 0; v < n; ++v) {
@@ -108,6 +98,7 @@ SyncNetwork::SyncNetwork(const geom::UnitDiskGraph& udg, std::uint64_t seed)
 SyncNetwork::~SyncNetwork() = default;
 
 void SyncNetwork::set_threads(int threads) {
+  check_not_started("set_threads");
   if (threads <= 0) threads = util::ThreadPool::hardware_threads();
   threads_ = threads;
   if (threads_ == 1) {
@@ -118,10 +109,10 @@ void SyncNetwork::set_threads(int threads) {
   const auto n = static_cast<std::size_t>(graph_->n());
   const auto shards = static_cast<std::size_t>(threads_);
   shard_block_ = std::max<std::size_t>(1, (n + shards - 1) / shards);
-  // Only the (empty between rounds) current arenas and unicast lists are
-  // reshaped; the previous arenas still back live inbox views until the
-  // next round-end swap recycles them.
+  // Before round 0 every per-shard container is empty, so resizing is the
+  // whole reshard.
   arena_cur_.resize(shards);
+  arena_prev_.resize(shards);
   arena_base_.resize(shards);
   xfer_cur_.resize(shards * shards);
   // Room for one unicast per node before the first growth, so the first
@@ -130,33 +121,24 @@ void SyncNetwork::set_threads(int threads) {
   shard_stats_.resize(shards);
   perf_shards_.resize(shards);
   delivery_.resize(shards);
-  // Shard channel caches are memoizations of a pure per-link function, so
-  // dropping some (shrink) or starting fresh ones (grow) changes nothing.
   channel_shards_.resize(shards);
-  // Delayed messages are bucketed by destination shard: re-bucket under the
-  // new sharding. Iterating old buckets in order keeps each receiver's
-  // bucket order intact (all of a receiver's copies live in one bucket),
-  // which is the only order delivery depends on. The payload word vectors
-  // are heap buffers, so moving the structs cannot invalidate the inbox
-  // views delayed_live_ still backs.
-  auto rebucket = [&](std::vector<std::vector<DelayedMessage>>& buckets) {
-    std::vector<std::vector<DelayedMessage>> fresh(shards);
-    for (auto& bucket : buckets) {
-      for (DelayedMessage& m : bucket) {
-        fresh[shard_of(m.to)].push_back(std::move(m));
-      }
-    }
-    buckets = std::move(fresh);
-  };
-  rebucket(delayed_pending_);
-  rebucket(delayed_live_);
+  delayed_pending_.resize(shards);
+  delayed_live_.resize(shards);
   sync_observability_shards();
 }
 
 void SyncNetwork::set_observability(obs::Plane* plane) {
+  check_not_started("set_observability");
   plane_ = plane;
-  published_ = channel_.counters();
   sync_observability_shards();
+}
+
+void SyncNetwork::check_not_started(const char* setter) const {
+  if (round_ > 0) {
+    throw std::logic_error(std::string("SyncNetwork::") + setter +
+                           ": a network is configured before its first "
+                           "step()");
+  }
 }
 
 void SyncNetwork::sync_observability_shards() {
@@ -269,10 +251,6 @@ void SyncNetwork::erase_inbox_entries(graph::NodeId sender,
     std::move(last, end, it);
     inbox_len_[idx] -= static_cast<std::uint32_t>(last - it);
   }
-}
-
-void SyncNetwork::reset_channel_shard_state() {
-  for (Channel::ShardState& st : channel_shards_) st.clear();
 }
 
 void SyncNetwork::crash(graph::NodeId v) {
@@ -666,7 +644,6 @@ bool SyncNetwork::step() {
   obs::Plane* const pl = plane_;
   const obs::Builtin* const b = pl != nullptr ? &pl->builtin() : nullptr;
   const std::int64_t executed_round = round_;
-  if (pl != nullptr) sync_observability_shards();
 
   // Perf attribution: the owner laps each sequential phase boundary; the
   // dispatched phases stage per-shard time from the workers into
@@ -744,7 +721,6 @@ bool SyncNetwork::step() {
   std::swap(arena_cur_, arena_prev_);
   for (auto& list : xfer_cur_) list.clear();
   for (auto& arena : arena_cur_) arena.clear();
-  arena_cur_.resize(static_cast<std::size_t>(threads_));
 
   ++round_;
   metrics_.rounds = round_;
@@ -817,8 +793,8 @@ void SyncNetwork::schedule_recovery(graph::NodeId v, std::int64_t round,
 }
 
 void SyncNetwork::set_channel(const ChannelOptions& options) {
-  channel_.set_options(options, round_);  // validates
-  reset_channel_shard_state();
+  check_not_started("set_channel");
+  channel_.set_options(options);  // validates
 }
 
 }  // namespace ftc::sim

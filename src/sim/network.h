@@ -106,9 +106,6 @@ struct Metrics {
   std::int64_t words_sent = 0;        ///< total payload words
   std::int64_t max_message_words = 0; ///< largest single message
 
-  /// Zeroes every counter.
-  void reset() noexcept { *this = Metrics{}; }
-
   friend bool operator==(const Metrics&, const Metrics&) = default;
 };
 
@@ -253,6 +250,12 @@ class SyncNetwork final : public NetworkBackend {
  public:
   /// Builds a network over `g`. `seed` derives every node's private random
   /// stream; two runs with equal (graph, processes, seed) are identical.
+  ///
+  /// A network is configured before its first step() and never after: the
+  /// engine width (set_threads), the channel (set_channel) and the plane
+  /// (set_observability) throw std::logic_error once round() > 0. Installing
+  /// processes is not configuration, so protocols may run back to back on
+  /// one network (run_kmds_pipeline runs Algorithms 1 and 2 that way).
   SyncNetwork(const graph::Graph& g, std::uint64_t seed);
 
   /// Builds a network over a unit disk graph, enabling distance sensing.
@@ -279,7 +282,7 @@ class SyncNetwork final : public NetworkBackend {
   /// one per hardware thread). Results are bitwise identical for every
   /// value — same process states, metrics, inbox orders, and RNG draws —
   /// because rounds stage per-shard state that is merged in a fixed order.
-  /// May be called between rounds at any time.
+  /// Call before the first step(); throws std::logic_error after it.
   void set_threads(int threads);
 
   /// Execution streams step() currently uses.
@@ -303,11 +306,12 @@ class SyncNetwork final : public NetworkBackend {
   static constexpr std::size_t kDefaultParallelGrain = 4096;
 
   /// Attaches an observability plane (metrics registry + structured trace);
-  /// nullptr detaches. The plane must outlive the network. All publication
-  /// happens at the sequential round barrier (per-shard staging merged in
-  /// shard order), so attaching a plane preserves the bitwise determinism
-  /// of set_threads; wall-clock timings only ever reach the Chrome trace
-  /// exporter, never the deterministic JSONL stream.
+  /// nullptr detaches. Call before the first step(); throws
+  /// std::logic_error after it. The plane must outlive the network, and its
+  /// recorders are sized to this network's width. All publication happens
+  /// at the sequential round barrier (per-shard staging merged in shard
+  /// order), so attaching a plane preserves the bitwise determinism of
+  /// set_threads; wall time only ever reaches the plane's PerfPlane.
   void set_observability(obs::Plane* plane);
 
   /// The attached plane, or nullptr.
@@ -322,14 +326,13 @@ class SyncNetwork final : public NetworkBackend {
   bool step();
 
   /// Installs a link-impairment model (loss, asymmetry, bursts,
-  /// duplication, bounded reordering — see sim/channel.h) effective from
-  /// the current round. This is the only way to impair links: call it
-  /// before round 0, or between step()s to reconfigure mid-run (burst
-  /// chains restart at the current round and the shard caches are reset).
-  /// Decisions are stateless-hashed per (link, round), so the set_threads
-  /// determinism contract is unaffected; the processes' own randomness is
-  /// untouched. Throws std::invalid_argument on invalid options. Default:
-  /// clean channel.
+  /// duplication, bounded reordering — see sim/channel.h) for the whole
+  /// run. This is the only way to impair links. Call it before the first
+  /// step(); throws std::logic_error after it. Decisions are
+  /// stateless-hashed per (link, round), so the set_threads determinism
+  /// contract is unaffected; the processes' own randomness is untouched.
+  /// Throws std::invalid_argument on invalid options. Default: clean
+  /// channel.
   void set_channel(const ChannelOptions& options);
 
   /// The active channel model (counters included).
@@ -526,8 +529,8 @@ class SyncNetwork final : public NetworkBackend {
   /// move + length decrement; idempotent, no-op when absent).
   void erase_inbox_entries(graph::NodeId sender, graph::NodeId to) noexcept;
 
-  /// Clears the per-shard channel decision caches (options changed).
-  void reset_channel_shard_state();
+  /// Throws std::logic_error naming `setter` once a round has run.
+  void check_not_started(const char* setter) const;
 
   /// Debug-only O(n) cross-check of live_count_ / running_count_ and the
   /// node_flags_ cache against the authoritative process states.
@@ -586,8 +589,8 @@ class SyncNetwork final : public NetworkBackend {
   // delivery passes touch only shard-owned buckets; per-receiver order
   // within a bucket is (enqueue round, sender), which is width-invariant.
   // `delayed_live_` holds the copies whose views sit in current inboxes
-  // (the inner word vectors are heap buffers, stable under bucket growth
-  // and re-bucketing moves); `delayed_pending_` holds copies in flight.
+  // (the inner word vectors are heap buffers, stable under bucket growth);
+  // `delayed_pending_` holds copies in flight.
   struct DelayedMessage {
     std::int64_t due = 0;  ///< round whose inbox receives the message
     graph::NodeId from = -1;

@@ -162,8 +162,7 @@ void check_dynamic_parallel(const FuzzCase& c, const Graph& g,
                             const std::vector<std::uint8_t>& member,
                             Violations& out) {
   const Demands demands = effective_demands(g, active, c.k);
-  algo::RepairProcessOptions popts;
-  popts.detection_timeout = 3;
+  const sim::HeartbeatMonitor::Options detection{.timeout = 3};
 
   auto run_width = [&](int threads) {
     sim::SyncNetwork net(g, c.algo_seed);
@@ -177,7 +176,7 @@ void check_dynamic_parallel(const FuzzCase& c, const Graph& g,
     net.set_all_processes([&](NodeId v) {
       const auto i = static_cast<std::size_t>(v);
       return std::make_unique<algo::RepairProcess>(
-          demands[i], member[i] != 0, popts);
+          demands[i], member[i] != 0, detection);
     });
     net.run(40);
     Run run;

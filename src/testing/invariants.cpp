@@ -450,11 +450,10 @@ RepairRun run_repair(const FuzzCase& c, const Instance& inst,
                      const Demands& demands, int threads,
                      std::vector<NodeId>* failed_out) {
   const Graph& g = inst.graph();
-  algo::RepairProcessOptions popts;
-  popts.detection_timeout = 3;
+  const sim::HeartbeatMonitor::Options detection{.timeout = 3};
   auto make_process = [&](NodeId v, bool member) {
     return std::make_unique<algo::RepairProcess>(
-        demands[static_cast<std::size_t>(v)], member, popts);
+        demands[static_cast<std::size_t>(v)], member, detection);
   };
 
   std::unique_ptr<sim::SyncNetwork> net;

@@ -91,8 +91,7 @@ InterplayRun run_interplay(int threads, bool with_perf) {
   plane_options.perf = with_perf;
   obs::Plane plane(plane_options);
 
-  RepairProcessOptions popts;
-  popts.detection_timeout = 3;
+  const sim::HeartbeatMonitor::Options detection{.timeout = 3};
   sim::SyncNetwork net(udg, 42);
   net.set_threads(threads);
   net.set_parallel_grain(0);  // n is small; force the pool path
@@ -100,7 +99,7 @@ InterplayRun run_interplay(int threads, bool with_perf) {
   net.set_all_processes([&](NodeId v) {
     return std::make_unique<RepairProcess>(
         demands[static_cast<std::size_t>(v)],
-        base_member[static_cast<std::size_t>(v)] != 0, popts);
+        base_member[static_cast<std::size_t>(v)] != 0, detection);
   });
   for (const Departure& d : departures) net.schedule_crash(d.node, d.round);
 

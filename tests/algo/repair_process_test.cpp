@@ -86,13 +86,12 @@ TEST_P(RepairDifferential, MatchesCentralizedOracleWithinSlack) {
       break;
   }
 
-  RepairProcessOptions popts;
-  popts.detection_timeout = 3;
+  const sim::HeartbeatMonitor::Options detection{.timeout = 3};
   sim::SyncNetwork net(udg, 1);
   net.set_all_processes([&](NodeId v) {
     return std::make_unique<RepairProcess>(
         d[static_cast<std::size_t>(v)],
-        base_member[static_cast<std::size_t>(v)] != 0, popts);
+        base_member[static_cast<std::size_t>(v)] != 0, detection);
   });
   sim::FaultInjector injector(plan, 900 + static_cast<std::uint64_t>(trial));
   const auto& schedule = injector.install(net, 20);
@@ -181,16 +180,15 @@ TEST(RepairProcess, ChurnedNodeRejoinsAndIsCoveredAgain) {
   const Graph g = graph::complete(4);
   const auto d = uniform_demands(4, 2);
   const std::vector<NodeId> base{0, 1};
-  RepairProcessOptions popts;
-  popts.detection_timeout = 2;
+  const sim::HeartbeatMonitor::Options detection{.timeout = 2};
 
   sim::SyncNetwork net(g, 1);
   net.set_all_processes([&](NodeId v) {
-    return std::make_unique<RepairProcess>(2, v <= 1, popts);
+    return std::make_unique<RepairProcess>(2, v <= 1, detection);
   });
   net.schedule_crash(1, 8);
   net.schedule_recovery(1, 30,
-                        std::make_unique<RepairProcess>(2, false, popts));
+                        std::make_unique<RepairProcess>(2, false, detection));
   net.run(80);
 
   ASSERT_FALSE(net.crashed(1));

@@ -7,11 +7,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "algo/baseline/greedy.h"
+#include "algo/lp/lp_kmds_process.h"
+#include "algo/rounding/rounding_process.h"
 #include "domination/bounds.h"
 #include "geom/udg.h"
 #include "graph/generators.h"
+#include "sim/network.h"
 #include "util/rng.h"
 
 namespace ftc::algo {
@@ -56,6 +63,71 @@ TEST(Pipeline, DistributedMatchesMirror) {
     for (NodeId v = 0; v < g.n(); ++v) {
       const auto i = static_cast<std::size_t>(v);
       EXPECT_DOUBLE_EQ(mirror.lp.primal.x[i], dist.lp.primal.x[i]);
+    }
+  }
+}
+
+/// Algorithm 1 and Algorithm 2 each on a fresh network with the same seed,
+/// metrics folded by hand.
+PipelineResult two_network_pipeline(const Graph& g,
+                                    const domination::Demands& d, int t,
+                                    std::uint64_t seed) {
+  PipelineResult r;
+  sim::SyncNetwork lp_net(g, seed);
+  r.lp = run_lp_processes(lp_net, d, t);
+  sim::SyncNetwork rounding_net(g, seed);
+  r.rounding = run_rounding_processes(rounding_net, r.lp.primal.x, d);
+  r.total_rounds = r.lp.rounds + r.rounding.rounds;
+  const sim::Metrics& a = lp_net.metrics();
+  const sim::Metrics& b = rounding_net.metrics();
+  r.metrics = {a.rounds + b.rounds, a.messages_sent + b.messages_sent,
+               a.words_sent + b.words_sent,
+               std::max(a.max_message_words, b.max_message_words)};
+  return r;
+}
+
+/// G(n, p) plus one hub adjacent to every other node.
+Graph hub_graph(NodeId n, double p, util::Rng& rng) {
+  const Graph base = graph::gnp(n, p, rng);
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (NodeId v = 0; v < n; ++v) {
+    for (const NodeId w : base.neighbors(v)) {
+      if (v < w) edges.emplace_back(v, w);
+    }
+    edges.emplace_back(v, n);
+  }
+  return Graph::from_edges(n + 1, edges);
+}
+
+TEST(Pipeline, OneNetworkMatchesTwoNetworkComposition) {
+  util::Rng rng(29);
+  std::vector<Graph> graphs;
+  graphs.push_back(graph::gnp(80, 0.08, rng));
+  graphs.push_back(hub_graph(60, 0.05, rng));
+  for (const Graph& g : graphs) {
+    const auto d = clamp_demands(g, uniform_demands(g.n(), 3));
+    for (const int t : {1, 3}) {
+      for (const std::uint64_t seed : {5ULL, 41ULL}) {
+        PipelineOptions opts;
+        opts.t = t;
+        opts.seed = seed;
+        opts.execution = Execution::kDistributed;
+        const PipelineResult one = run_kmds_pipeline(g, d, opts);
+        const PipelineResult two = two_network_pipeline(g, d, t, seed);
+        const std::string where = "n " + std::to_string(g.n()) + ", t " +
+                                  std::to_string(t) + ", seed " +
+                                  std::to_string(seed);
+        EXPECT_EQ(one.set(), two.set()) << where;
+        EXPECT_EQ(one.rounding.chosen_by_coin, two.rounding.chosen_by_coin)
+            << where;
+        EXPECT_EQ(one.lp.primal.x, two.lp.primal.x) << where;
+        EXPECT_EQ(one.lp.dual.y, two.lp.dual.y) << where;
+        EXPECT_EQ(one.lp.dual.z, two.lp.dual.z) << where;
+        EXPECT_EQ(one.metrics, two.metrics) << where;
+        EXPECT_EQ(one.total_rounds, two.total_rounds) << where;
+        // The coins must fire for the rounding comparison to mean anything.
+        EXPECT_GT(one.rounding.chosen_by_coin, 0) << where;
+      }
     }
   }
 }

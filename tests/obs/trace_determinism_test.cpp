@@ -233,16 +233,6 @@ TEST(ObsWiring, RegistryAgreesWithMetricsStruct) {
             static_cast<std::int64_t>(udg.n()) - 2);
 }
 
-TEST(ObsWiring, MetricsStructResetZeroes) {
-  sim::Metrics m;
-  m.rounds = 5;
-  m.messages_sent = 10;
-  m.words_sent = 20;
-  m.max_message_words = 3;
-  m.reset();
-  EXPECT_EQ(m, sim::Metrics{});
-}
-
 TEST(ObsWiring, AttachingThePlaneDoesNotPerturbTheRun) {
   util::Rng rng(21);
   const auto udg = geom::uniform_udg_with_degree(60, 8.0, rng);

@@ -120,7 +120,7 @@ struct Outcome {
 
 /// Configures a network (crashes, channel) before the run.
 using SetupFn = void (*)(SyncNetwork&, Logs*, Kind kind);
-/// Drives the rounds (plain run, or step-wise with width changes).
+/// Drives the rounds (plain run, or step-wise with crashes between rounds).
 using DriveFn = void (*)(SyncNetwork&, Logs*, Kind kind);
 
 void run_to_end(SyncNetwork& net, Logs*, Kind) { net.run(kRounds + 1); }
@@ -143,17 +143,18 @@ Outcome execute(const graph::Graph& g, int threads, Kind kind, SetupFn setup,
   return out;
 }
 
-/// Runs `setup` at every width for `kind` and its unicast-only twin: both
-/// agree at each width, and every width ≡ width 1. Returns the width-1
-/// outcome.
+/// Runs `setup` and `drive` at every width for `kind` and its unicast-only
+/// twin: both agree at each width, and every width ≡ width 1. Returns the
+/// width-1 outcome.
 Outcome expect_equivalent(const graph::Graph& g, SetupFn setup,
-                          Kind kind = Kind::kBroadcast) {
+                          Kind kind = Kind::kBroadcast,
+                          DriveFn drive = run_to_end) {
   const Kind twin =
       kind == Kind::kBroadcast ? Kind::kUnicast : Kind::kMixedUnicast;
-  const Outcome reference = execute(g, 1, twin, setup);
+  const Outcome reference = execute(g, 1, twin, setup, drive);
   for (const int threads : kWidths) {
-    const Outcome fan_out = execute(g, threads, kind, setup);
-    const Outcome unicast = execute(g, threads, twin, setup);
+    const Outcome fan_out = execute(g, threads, kind, setup, drive);
+    const Outcome unicast = execute(g, threads, twin, setup, drive);
     EXPECT_EQ(fan_out.metrics, unicast.metrics) << "threads " << threads;
     EXPECT_EQ(fan_out.channel, unicast.channel) << "threads " << threads;
     EXPECT_EQ(fan_out.logs, unicast.logs) << "threads " << threads;
@@ -225,21 +226,11 @@ TEST(BroadcastFanOut, LossDuplicationReorderingMatchPerNeighbourSends) {
   }
 }
 
-TEST(BroadcastFanOut, CrashAndRejoinMatchPerNeighbourSends) {
-  for (const graph::Graph& g : test_graphs()) {
-    const Outcome ref = expect_equivalent(g, churn);
-    EXPECT_FALSE(ref.crashed[1]);
-    EXPECT_FALSE(ref.crashed.back());
-  }
-}
-
 /// Crashes a node after every fifth round (with a lossy channel keeping
-/// the delayed-copy buckets busy), rejoins one victim, and runs to the end.
-/// With `reshard`, the width also changes 1 → 3 → 8 → 2 right before each
-/// crash, so crash() purges messages delivered under the previous sharding
-/// and delayed copies are re-bucketed.
-void crash_between_rounds(SyncNetwork& net, Logs* logs, Kind kind,
-                          bool reshard) {
+/// the delayed-copy buckets busy), so crash() purges messages already
+/// delivered and delayed copies still pending; then rejoins one victim and
+/// runs to the end.
+void crash_between_rounds(SyncNetwork& net, Logs* logs, Kind kind) {
   ChannelOptions options;
   options.loss = 0.1;
   options.duplicate = 0.1;
@@ -247,48 +238,31 @@ void crash_between_rounds(SyncNetwork& net, Logs* logs, Kind kind,
   options.seed = 5;
   net.set_channel(options);
   const NodeId n = net.graph().n();
-  const int widths[] = {1, 3, 8, 2};
   const NodeId victims[] = {-1, n - 2, 3, n / 2 + 1};
-  for (int phase = 0; phase < 4; ++phase) {
-    if (reshard) net.set_threads(widths[phase]);
-    if (victims[phase] >= 0) net.crash(victims[phase]);
+  for (const NodeId victim : victims) {
+    if (victim >= 0) net.crash(victim);
     for (int i = 0; i < 5; ++i) net.step();
   }
   net.recover(n - 2, std::make_unique<FanOutProcess>(logs, kind));
   net.run(kRounds);
 }
 
-void drive_resharding(SyncNetwork& net, Logs* logs, Kind kind) {
-  crash_between_rounds(net, logs, kind, /*reshard=*/true);
-}
-
-void drive_fixed_width(SyncNetwork& net, Logs* logs, Kind kind) {
-  crash_between_rounds(net, logs, kind, /*reshard=*/false);
-}
-
-/// `kind` under the resharding schedule ≡ its unicast-only twin, and ≡ the
-/// same schedule at every fixed width.
-void expect_resharding_equivalent(const graph::Graph& g, Kind kind,
-                                  Kind twin) {
-  const Outcome fan_out = execute(g, 1, kind, nullptr, drive_resharding);
-  const Outcome unicast = execute(g, 1, twin, nullptr, drive_resharding);
-  EXPECT_EQ(fan_out, unicast);
-  EXPECT_GT(fan_out.channel.dropped, 0);
-  for (const int threads : kWidths) {
-    EXPECT_EQ(execute(g, threads, kind, nullptr, drive_fixed_width), fan_out)
-        << "threads " << threads;
-  }
-}
-
-TEST(BroadcastFanOut, WidthChangesBetweenRoundsPurgeOlderShardings) {
+TEST(BroadcastFanOut, CrashAndRejoinMatchPerNeighbourSends) {
   for (const graph::Graph& g : test_graphs()) {
-    expect_resharding_equivalent(g, Kind::kBroadcast, Kind::kUnicast);
+    const Outcome ref = expect_equivalent(g, churn);
+    EXPECT_FALSE(ref.crashed[1]);
+    EXPECT_FALSE(ref.crashed.back());
+    const Outcome stepped =
+        expect_equivalent(g, nullptr, Kind::kBroadcast, crash_between_rounds);
+    EXPECT_GT(stepped.channel.dropped, 0);
+    EXPECT_FALSE(stepped.crashed[static_cast<std::size_t>(g.n() - 2)]);
   }
 }
 
 /// Receivers that get broadcasts and sends in one round merge the two
 /// sender-sorted runs in place; the result must equal the same messages
-/// all sent one by one, under every channel, churn and width schedule.
+/// all sent one by one, under every channel and churn schedule, at every
+/// width.
 TEST(BroadcastFanOut, MixedBroadcastAndSendRoundsMatchPerNeighbourSends) {
   for (const graph::Graph& g : test_graphs()) {
     const Outcome clean = expect_equivalent(g, nullptr, Kind::kMixed);
@@ -298,7 +272,9 @@ TEST(BroadcastFanOut, MixedBroadcastAndSendRoundsMatchPerNeighbourSends) {
     EXPECT_GT(lossy.channel.reordered, 0);
     const Outcome churned = expect_equivalent(g, churn, Kind::kMixed);
     EXPECT_FALSE(churned.crashed[1]);
-    expect_resharding_equivalent(g, Kind::kMixed, Kind::kMixedUnicast);
+    const Outcome stepped =
+        expect_equivalent(g, nullptr, Kind::kMixed, crash_between_rounds);
+    EXPECT_GT(stepped.channel.dropped, 0);
   }
 }
 

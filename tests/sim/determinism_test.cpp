@@ -2,11 +2,14 @@
 // processes, seed), SyncNetwork must produce bitwise-identical executions
 // for every thread count — identical Metrics, identical per-node final
 // states, and identical inbox orderings — including under crash and churn
-// schedules compiled from a FaultPlan and channels reconfigured mid-run.
+// schedules compiled from a FaultPlan and impaired channels; and a network
+// refuses to be reconfigured once its first round has run.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "algo/baseline/luby_process.h"
@@ -152,32 +155,19 @@ LossyRunResult run_lossy_channel(const graph::Graph& g, std::uint64_t seed,
       [](NodeId) { return std::make_unique<RecordingProcess>(kRounds); });
   FaultInjector injector(FaultPlan::iid_crashes(0.01, 5, 15), seed ^ 0xABCDEF);
   injector.install(net, kRounds + 1);
-  // Two full impairment mixes swapped in mid-run, with delayed deliveries
-  // in flight and burst chains cached per shard: each set_channel restarts
-  // the chains at the current round and resets the shard caches, so the
-  // run must replay bitwise-identically at any engine width.
-  const ChannelOptions first{.loss = 0.2,
-                             .asymmetry = 0.9,
-                             .duplicate = 0.3,
-                             .max_reorder_delay = 2,
-                             .burst_loss = 0.8,
-                             .p_enter_burst = 0.1,
-                             .p_exit_burst = 0.4,
-                             .seed = seed ^ 0xC4A27E1};
-  const ChannelOptions second{.loss = 0.1,
-                              .reorder = 0.25,
-                              .max_reorder_delay = 3,
-                              .burst_loss = 0.6,
-                              .p_enter_burst = 0.2,
-                              .p_exit_burst = 0.3,
-                              .seed = seed ^ 0x5EED};
-  std::int64_t executed = 0;
-  while (executed < kRounds + 1) {
-    if (net.round() == 3) net.set_channel(first);
-    if (net.round() == 12) net.set_channel(second);
-    ++executed;
-    if (!net.step()) break;
-  }
+  // One full impairment mix installed before round 0: delayed deliveries
+  // stay in flight across rounds and burst chains are cached per shard, and
+  // the run must replay bitwise-identically at any engine width.
+  net.set_channel({.loss = 0.15,
+                   .asymmetry = 0.9,
+                   .duplicate = 0.3,
+                   .reorder = 0.25,
+                   .max_reorder_delay = 3,
+                   .burst_loss = 0.8,
+                   .p_enter_burst = 0.1,
+                   .p_exit_burst = 0.4,
+                   .seed = seed ^ 0xC4A27E1});
+  const std::int64_t executed = net.run(kRounds + 1);
   LossyRunResult r{collect(net, executed)};
   const auto& reg = plane.metrics();
   r.duplicated = reg.value(plane.builtin().messages_duplicated);
@@ -204,27 +194,32 @@ TEST(ParallelDeterminism, LossyChannelScheduleMatchesAtWidths148) {
   }
 }
 
-TEST(ParallelDeterminism, ThreadCountMayChangeBetweenRounds) {
+TEST(ParallelDeterminism, SettersThrowAfterTheFirstRound) {
   util::Rng rng(11);
   const graph::Graph g = graph::gnp(90, 0.1, rng);
-  const RunResult sequential = run_plain(g, 11, 1);
-
-  SyncNetwork net(g, 11);
-  net.set_parallel_grain(0);
-  net.set_all_processes(
-      [](NodeId) { return std::make_unique<RecordingProcess>(kRounds); });
-  std::int64_t executed = 0;
-  // Reconfigure the engine width mid-run; the execution must not notice.
-  for (const int threads : {1, 4, 2, 16, 8}) {
-    net.set_threads(threads);
-    for (int i = 0; i < 4; ++i) {
-      ++executed;
-      if (!net.step()) break;
-    }
+  const RunResult reference = run_plain(g, 11, 1);
+  obs::Plane plane;
+  // Width, channel and plane are fixed before round 0. A late setter throws
+  // and changes nothing: the run continues to the unconfigured result.
+  const std::function<void(SyncNetwork&)> setters[] = {
+      [](SyncNetwork& net) { net.set_threads(4); },
+      [](SyncNetwork& net) { net.set_channel({.loss = 0.5}); },
+      [&plane](SyncNetwork& net) { net.set_observability(&plane); },
+  };
+  for (const auto& setter : setters) {
+    SyncNetwork net(g, 11);
+    net.set_parallel_grain(0);
+    net.set_all_processes(
+        [](NodeId) { return std::make_unique<RecordingProcess>(kRounds); });
+    ASSERT_TRUE(net.step());
+    EXPECT_THROW(setter(net), std::logic_error);
+    EXPECT_EQ(net.threads(), 1);
+    EXPECT_FALSE(net.channel().impaired());
+    EXPECT_EQ(net.observability(), nullptr);
+    const std::int64_t executed = 1 + net.run(kRounds);
+    EXPECT_EQ(reference, collect(net, executed));
   }
-  net.set_threads(3);
-  executed += net.run(kRounds);
-  EXPECT_EQ(sequential, collect(net, executed));
+  EXPECT_EQ(plane.metrics().value(plane.builtin().rounds), 0);
 }
 
 RunResult run_crash_recover(const graph::Graph& g, std::uint64_t seed,
