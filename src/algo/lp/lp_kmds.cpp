@@ -3,7 +3,9 @@
 // This is the kernelized rewrite of the reference solver
 // (lp_kmds_reference.cpp); it must produce a bitwise-identical LpResult —
 // the property tests and the kernel.lp_reference_equiv fuzz invariant
-// enforce exactly that. Four structural changes carry the speedup:
+// enforce exactly that. The reference quantizes with libm's std::llround
+// and this file with the inline sim::encode_fixed, so the same checks also
+// pin the codec. Four structural changes carry the speedup:
 //
 //   * Power tables. The reference calls std::pow(d1v[i], e/t) three times
 //     per node per (p, q) phase. All exponents come from the finite set
@@ -11,14 +13,16 @@
 //     flat tables (one shared row under global-Δ knowledge, where every
 //     node has the same base; one row per node under kTwoHop). Hoisting a
 //     pure call is exact: the tables hold the very doubles the reference
-//     computes inline.
-//   * Flat CSR arenas. The per-node vector<vector<double>> alpha/beta
-//     tables (2n allocations, pointer-chasing per access) become two flat
-//     arenas of n + 2m doubles indexed by closed-neighborhood slot:
+//     computes inline. neg_wire holds the same table as receivers see it,
+//     so an x⁺ that 1 − x does not clip is never re-quantized.
+//   * One flat α/β arena. The per-node vector<vector<double>> alpha/beta
+//     tables (2n allocations, pointer-chasing per access) become one flat
+//     arena of n + 2m {α, β} pairs indexed by closed-neighborhood slot:
 //     arena[base[i]] is node i's self slot, arena[base[i] + 1 + s] its s-th
-//     sorted neighbor. The final z-pass replaces per-edge binary searches
-//     with a precomputed reverse-slot array (the position of v inside w's
-//     adjacency row, built in one O(m) counting sweep).
+//     sorted neighbor. The coloring pass writes one stream and the z-pass
+//     reads one cache line per arc. The z-pass replaces per-edge binary
+//     searches with a precomputed reverse-slot array (the position of v
+//     inside w's adjacency row, built in one O(m) counting sweep).
 //   * Pool-parallel phases. Each of the two per-phase node loops (and
 //     the z-pass) is embarrassingly parallel: every node writes only its
 //     own slots and reads only values fixed before the loop started. The
@@ -86,6 +90,13 @@ namespace {
 double transmit(double value, bool quantize) {
   return quantize ? sim::decode_fixed(sim::encode_fixed(value)) : value;
 }
+
+/// Node i's α/β pair for one closed-neighborhood slot: the coloring pass
+/// adds to both and the z-pass reads both, so they share a cache line.
+struct AlphaBeta {
+  double alpha = 0.0;
+  double beta = 0.0;
+};
 
 /// Fixed-block parallel-for over [0, n). The block decomposition depends
 /// only on (n, block) — never on the thread count — so any reduction merged
@@ -190,6 +201,7 @@ LpResult solve_fractional_kmds(const graph::Graph& g, const Demands& demands,
   const std::size_t row_stride_neg = two_hop ? ts : 0;
   std::vector<double> pos_pow(rows * (ts + 1));
   std::vector<double> neg_pow(rows * ts);
+  std::vector<double> neg_wire(rows * ts);  // neg_pow as seen by receivers
   for (std::size_t r = 0; r < rows; ++r) {
     const double base = two_hop ? d1v[r] : d1;
     for (std::size_t e = 0; e <= ts; ++e) {
@@ -199,6 +211,7 @@ LpResult solve_fractional_kmds(const graph::Graph& g, const Demands& demands,
     for (std::size_t q = 0; q < ts; ++q) {
       neg_pow[r * ts + q] =
           std::pow(base, -static_cast<double>(q) / t);
+      neg_wire[r * ts + q] = transmit(neg_pow[r * ts + q], quantize);
     }
   }
 
@@ -211,7 +224,7 @@ LpResult solve_fractional_kmds(const graph::Graph& g, const Demands& demands,
     dyn_deg[static_cast<std::size_t>(v)] = g.degree(v) + 1;
   }
 
-  // Flat alpha/beta arenas in closed-neighborhood slot order: node i owns
+  // Flat α/β arena in closed-neighborhood slot order: node i owns
   // [base[i], base[i] + deg(i)] — slot 0 is i itself, slot 1+s its s-th
   // sorted neighbor. base[i] = i + (sum of degrees of nodes < i).
   std::vector<std::size_t> adj_prefix(n + 1, 0);
@@ -222,8 +235,7 @@ LpResult solve_fractional_kmds(const graph::Graph& g, const Demands& demands,
   const auto base = [&adj_prefix](std::size_t i) {
     return i + adj_prefix[i];
   };
-  std::vector<double> alpha(n + adj_prefix[n], 0.0);
-  std::vector<double> beta(n + adj_prefix[n], 0.0);
+  std::vector<AlphaBeta> ab(n + adj_prefix[n]);
 
   // Reverse slots: for the directed edge at position e = adj_prefix[v] + s
   // (v's s-th neighbor w), rev_slot[e] is v's position inside w's adjacency
@@ -291,26 +303,43 @@ LpResult solve_fractional_kmds(const graph::Graph& g, const Demands& demands,
       const auto qe = static_cast<std::size_t>(q);
       // Lines 5-8: x-update (plus Lemma 4.1 audit), all nodes in lockstep.
       // Each node touches only its own x/x_plus/wire slots; the Lemma 4.1
-      // ratio reduces into the task's block slot and is merged below.
+      // ratio reduces into the task's block slot and is merged below. An
+      // unclipped x⁺ is a table entry, so its wire value is read from
+      // neg_wire; only a clipped 1 − x is quantized here. Under global Δ
+      // every node divides by the same bound, and correctly rounded
+      // division by a positive constant is monotone, so the block's max
+      // δ̃ over that bound is the max of the per-node ratios.
       runner.run([&](std::size_t first, std::size_t last, std::size_t b) {
         double ratio = 0.0;
+        std::int32_t max_deg = 0;
         for (std::size_t i = first; i < last; ++i) {
           const std::size_t row_pos = row_stride_pos * i;
           const std::size_t row_neg = row_stride_neg * i;
           const double threshold = pos_pow[row_pos + pe];
-          const double lemma41_bound = pos_pow[row_pos + pe + 1];
           x_plus[i] = 0.0;
+          x_plus_wire[i] = 0.0;
           if (x[i] < 1.0) {
-            ratio = std::max(ratio,
-                             static_cast<double>(dyn_deg[i]) / lemma41_bound);
+            if (two_hop) {
+              ratio = std::max(ratio, static_cast<double>(dyn_deg[i]) /
+                                          pos_pow[row_pos + pe + 1]);
+            } else {
+              max_deg = std::max(max_deg, dyn_deg[i]);
+            }
             if (static_cast<double>(dyn_deg[i]) >= threshold) {
-              x_plus[i] = std::min(neg_pow[row_neg + qe], 1.0 - x[i]);
+              const double room = 1.0 - x[i];
+              if (room < neg_pow[row_neg + qe]) {
+                x_plus[i] = room;
+                x_plus_wire[i] = transmit(room, quantize);
+              } else {
+                x_plus[i] = neg_pow[row_neg + qe];
+                x_plus_wire[i] = neg_wire[row_neg + qe];
+              }
               x[i] += x_plus[i];
             }
           }
-          x_plus_wire[i] = transmit(x_plus[i], quantize);
         }
-        block_ratio[b] = ratio;
+        block_ratio[b] =
+            two_hop ? ratio : static_cast<double>(max_deg) / pos_pow[pe + 1];
       });
       for (std::size_t b = 0; b < runner.blocks(); ++b) {
         result.max_lemma41_ratio =
@@ -339,15 +368,14 @@ LpResult solve_fractional_kmds(const graph::Graph& g, const Demands& demands,
           if (c_plus > 0.0) {
             const double lambda = std::min(1.0, (k_i - c[i]) / c_plus);
             c[i] += c_plus;
-            double* const alpha_i = alpha.data() + base(i);
-            double* const beta_i = beta.data() + base(i);
-            alpha_i[0] += lambda * x_plus[i];
-            beta_i[0] += lambda * x_plus[i] * inv_dp;
+            AlphaBeta* const ab_i = ab.data() + base(i);
+            ab_i[0].alpha += lambda * x_plus[i];
+            ab_i[0].beta += lambda * x_plus[i] * inv_dp;
             std::size_t slot = 1;
             for (NodeId w : g.neighbors(v)) {
               const double xj = x_plus_wire[static_cast<std::size_t>(w)];
-              alpha_i[slot] += lambda * xj;
-              beta_i[slot] += lambda * xj * inv_dp;
+              ab_i[slot].alpha += lambda * xj;
+              ab_i[slot].beta += lambda * xj * inv_dp;
               ++slot;
             }
           }
@@ -389,12 +417,13 @@ LpResult solve_fractional_kmds(const graph::Graph& g, const Demands& demands,
   runner.run([&](std::size_t first, std::size_t last, std::size_t) {
     for (std::size_t i = first; i < last; ++i) {
       const NodeId v = static_cast<NodeId>(i);
-      double z = alpha[base(i)] * result.dual.y[i] - beta[base(i)];  // j = i
+      const AlphaBeta& own = ab[base(i)];
+      double z = own.alpha * result.dual.y[i] - own.beta;  // j = i
       std::size_t e = adj_prefix[i];
       for (NodeId w : g.neighbors(v)) {
         const auto j = static_cast<std::size_t>(w);
-        const std::size_t slot = base(j) + 1 + rev_slot[e++];
-        const double share = alpha[slot] * result.dual.y[j] - beta[slot];
+        const AlphaBeta& slot = ab[base(j) + 1 + rev_slot[e++]];
+        const double share = slot.alpha * result.dual.y[j] - slot.beta;
         z += transmit(share, quantize);
       }
       result.dual.z[i] = z;

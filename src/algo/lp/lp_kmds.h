@@ -128,7 +128,7 @@ inline constexpr double kCoverageEps = 1e-6;
 [[nodiscard]] std::vector<double> two_hop_d1(const graph::Graph& g);
 
 /// Runs the centralized mirror of Algorithm 1 (optimized: precomputed
-/// power tables, flat CSR-indexed alpha/beta arenas, optionally
+/// power tables, one flat CSR-indexed arena of α/β pairs, optionally
 /// pool-parallel phase loops — see lp_kmds.cpp).
 /// Preconditions: demands.size() == g.n(), t >= 1.
 [[nodiscard]] LpResult solve_fractional_kmds(const graph::Graph& g,

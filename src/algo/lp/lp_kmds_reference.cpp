@@ -28,9 +28,14 @@ using graph::NodeId;
 namespace {
 
 /// Applies the message quantization the distributed processes incur, or the
-/// identity when modeling exact real-valued messages.
+/// identity when modeling exact real-valued messages. Spelled with libm's
+/// std::llround rather than sim::encode_fixed, so that every comparison
+/// against this solver also checks the inline codec against libm.
 double transmit(double value, bool quantize) {
-  return quantize ? sim::decode_fixed(sim::encode_fixed(value)) : value;
+  return quantize ? static_cast<double>(std::llround(
+                        value * sim::kFixedPointScale)) /
+                        sim::kFixedPointScale
+                  : value;
 }
 
 }  // namespace

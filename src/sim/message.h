@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cassert>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -82,10 +83,28 @@ struct Message {
 /// allows any polynomially bounded value).
 inline constexpr double kFixedPointScale = 1099511627776.0;  // 2^40
 
-/// Quantizes a non-negative real to a fixed-point word (round to nearest).
-[[nodiscard]] Word encode_fixed(double value) noexcept;
+/// Quantizes a real to a fixed-point word: std::llround(value · 2^40),
+/// bit for bit, without the libm call on the hot path.
+///
+/// For |s| < 2^63 the cast truncates s toward zero without UB, and
+/// (double)i is exactly trunc(s), so f = s − (double)i is the exact
+/// fraction (Sterbenz: trunc(s) lies within a factor 2 of s once |s| ≥ 1,
+/// and is 0 below). Adding ±1 when |f| ≥ 0.5 is llround's round half away
+/// from zero, and cannot overflow: at |s| ≥ 2^52 every double is an
+/// integer, so f = 0. NaN and |s| ≥ 2^63 take libm's own answer.
+[[nodiscard]] inline Word encode_fixed(double value) noexcept {
+  const double s = value * kFixedPointScale;
+  if (!(std::fabs(s) < 0x1p63)) [[unlikely]] {
+    return static_cast<Word>(std::llround(s));
+  }
+  const auto i = static_cast<Word>(s);
+  const double f = s - static_cast<double>(i);
+  return i + static_cast<Word>(f >= 0.5) - static_cast<Word>(f <= -0.5);
+}
 
 /// Inverse of encode_fixed.
-[[nodiscard]] double decode_fixed(Word word) noexcept;
+[[nodiscard]] inline double decode_fixed(Word word) noexcept {
+  return static_cast<double>(word) / kFixedPointScale;
+}
 
 }  // namespace ftc::sim

@@ -3,12 +3,12 @@
 // the counting operator new of bench/alloc_hooks.cpp.
 //
 // A single-thread solve sizes all of its state once: the result vectors,
-// the power tables, the alpha/beta arenas, the reverse slots, and the
-// per-block white and gray lists. So the number of allocations of one solve
-// must not depend on n (which changes the number of node blocks and the
-// size of every array) or on t (which changes the number of inner
-// iterations). A list grown by push_back, or any per-iteration or per-block
-// allocation, breaks the gate.
+// the power tables and the wire table beside them, the one α/β pair
+// arena, the reverse slots, and the per-block white and gray lists. So the
+// number of allocations of one solve must not depend on n (which changes
+// the number of node blocks and the size of every array) or on t (which
+// changes the number of inner iterations). A list grown by push_back, or
+// any per-iteration or per-block allocation, breaks the gate.
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -83,10 +83,15 @@ TEST(LpParallel, BlockSizeUnobservable) {
 }
 
 TEST(LpParallel, OptimizedMatchesReferenceSolver) {
+  // The reference quantizes with libm's std::llround, the mirror with the
+  // inline sim::encode_fixed. Under kTwoHop at t = 3, the sparse
+  // G(400, 0.01) sends z-shares α·y − β that land on a tie (…0.5 after
+  // scaling), so a codec that rounds ties any other way fails here.
   util::Rng rng(5);
   const std::vector<Graph> graphs = {
       graph::gnp(120, 0.08, rng), graph::grid(9, 13), graph::star(64),
-      graph::complete(40), graph::random_tree(90, rng)};
+      graph::complete(40), graph::random_tree(90, rng),
+      graph::gnp(400, 0.01, rng)};
   for (const Graph& g : graphs) {
     const Demands demands = mixed_demands(g, 17);
     for (const int t : {1, 3}) {
