@@ -98,8 +98,9 @@ inline std::string perf_attribution_json(const obs::PerfPlane& perf) {
     if (ns == 0) continue;
     if (!first) s += ", ";
     first = false;
-    s += "\"" + std::string(obs::perf_phase_name(phase)) +
-         "\": " + util::fmt(static_cast<double>(ns) / rounds, 1);
+    s += '"';
+    s += obs::perf_phase_name(phase);
+    s += "\": " + util::fmt(static_cast<double>(ns) / rounds, 1);
   }
   s += "}}";
   return s;

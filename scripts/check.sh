@@ -64,9 +64,10 @@ MODE="${FTC_SANITIZE:-address}"
 # Every ASan+UBSan tree (the default gate and the fuzz campaigns share
 # build-asan): RelWithDebInfo optimization and debug info, but without its
 # default -DNDEBUG, so assert() checks run under the sanitizers. No other
-# gate builds with assertions on.
+# gate builds with assertions on. -Werror makes this the warning gate too:
+# a new -Wall -Wextra warning anywhere in the tree fails the build.
 ASAN_CONFIG=(-DCMAKE_BUILD_TYPE=RelWithDebInfo -DFTC_SANITIZE=address
-             "-DCMAKE_CXX_FLAGS_RELWITHDEBINFO=-O2 -g")
+             "-DCMAKE_CXX_FLAGS_RELWITHDEBINFO=-O2 -g" -DCMAKE_CXX_FLAGS=-Werror)
 
 # Appends one JSON line to bench_history.jsonl recording a perf gate run:
 #   {"utc": ..., "git_sha": ..., "mode": ..., "status": ..., "benches": {...}}

@@ -146,6 +146,31 @@ class BlockRunner {
 
 }  // namespace
 
+double lp_power(double d1, int t, int e) {
+  assert(t >= 1 && e > -t && e <= t);
+  constexpr int kMemoMaxT = 32;  // 2t entries, one bit each in `filled`
+  if (t > kMemoMaxT) return std::pow(d1, static_cast<double>(e) / t);
+  struct Memo {
+    double d1 = 0.0;  // Δ+1 ≥ 1, and t ≥ 1: a fresh memo never hits
+    int t = 0;
+    std::uint64_t filled = 0;  // bit e + t − 1: power[e + t − 1] holds e
+    double power[2 * kMemoMaxT] = {};
+  };
+  thread_local Memo memo;
+  if (memo.d1 != d1 || memo.t != t) {
+    memo.d1 = d1;
+    memo.t = t;
+    memo.filled = 0;
+  }
+  const auto slot = static_cast<unsigned>(e + t - 1);
+  const std::uint64_t bit = std::uint64_t{1} << slot;
+  if ((memo.filled & bit) == 0) {
+    memo.power[slot] = std::pow(d1, static_cast<double>(e) / t);
+    memo.filled |= bit;
+  }
+  return memo.power[slot];
+}
+
 std::vector<double> two_hop_d1(const graph::Graph& g) {
   const auto n = static_cast<std::size_t>(g.n());
   std::vector<double> hop1(n, 0.0);
@@ -193,9 +218,8 @@ LpResult solve_fractional_kmds(const graph::Graph& g, const Demands& demands,
   // Power tables: pos_pow[row·(t+1) + e] = base^{e/t} for e ∈ [0, t],
   // neg_pow[row·t + q] = base^{-q/t} for q ∈ [0, t). Under global Δ every
   // node shares one row (stride 0); under kTwoHop each node has its own.
-  // Entries are computed with the exact std::pow expressions the reference
-  // solver (and the distributed process) evaluates inline, so reading the
-  // table is bitwise-equivalent to recomputing.
+  // Entries come from lp_power, the process's own source, which is bitwise
+  // the std::pow expression the reference solver evaluates inline.
   const std::size_t rows = two_hop ? n : 1;
   const std::size_t row_stride_pos = two_hop ? ts + 1 : 0;
   const std::size_t row_stride_neg = two_hop ? ts : 0;
@@ -204,14 +228,14 @@ LpResult solve_fractional_kmds(const graph::Graph& g, const Demands& demands,
   std::vector<double> neg_wire(rows * ts);  // neg_pow as seen by receivers
   for (std::size_t r = 0; r < rows; ++r) {
     const double base = two_hop ? d1v[r] : d1;
-    for (std::size_t e = 0; e <= ts; ++e) {
-      pos_pow[r * (ts + 1) + e] =
-          std::pow(base, static_cast<double>(e) / t);
+    for (int e = 0; e <= t; ++e) {
+      pos_pow[r * (ts + 1) + static_cast<std::size_t>(e)] =
+          lp_power(base, t, e);
     }
-    for (std::size_t q = 0; q < ts; ++q) {
-      neg_pow[r * ts + q] =
-          std::pow(base, -static_cast<double>(q) / t);
-      neg_wire[r * ts + q] = transmit(neg_pow[r * ts + q], quantize);
+    for (int q = 0; q < t; ++q) {
+      const std::size_t at = r * ts + static_cast<std::size_t>(q);
+      neg_pow[at] = lp_power(base, t, -q);
+      neg_wire[at] = transmit(neg_pow[at], quantize);
     }
   }
 

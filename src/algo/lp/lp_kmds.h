@@ -123,6 +123,17 @@ inline constexpr double kCoverageEps = 1e-6;
 /// a final 2-round exchange computing the z-values.
 [[nodiscard]] std::int64_t lp_round_count(int t);
 
+/// Entry e of Algorithm 1's power row for base d1 = Δ+1 and parameter t:
+/// (Δ+1)^{e/t} for e ∈ [−(t−1), t], bitwise std::pow(d1, double(e) / t).
+/// e = p ≥ 0 gives the thresholds (Δ+1)^{p/t}; e = −q gives the increments
+/// and y-values (Δ+1)^{−q/t}. The mirror's tables and the process both read
+/// their powers here. A per-thread memo of the last (d1, t) computes each
+/// entry on first use, so under global Δ a network pays each std::pow once
+/// per worker thread, and under kTwoHop, where the base changes from node
+/// to node, a lookup costs at most the one call it replaces. Rows with
+/// t > 32 bypass the memo.
+[[nodiscard]] double lp_power(double d1, int t, int e);
+
 /// Per-node Δ_v + 1 where Δ_v is the maximum degree within v's closed
 /// 2-hop neighborhood — what the kTwoHop warm-up computes distributively.
 [[nodiscard]] std::vector<double> two_hop_d1(const graph::Graph& g);

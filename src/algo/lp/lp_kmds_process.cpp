@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 #include "obs/plane.h"
 #include "sim/message.h"
@@ -24,8 +23,8 @@ LpKmdsProcess::LpKmdsProcess(std::int32_t demand, int t,
 void LpKmdsProcess::set_outer_index(int p) {
   if (p == outer_p_) return;
   outer_p_ = p;
-  threshold_ = std::pow(d1_, static_cast<double>(p) / t_);
-  inv_dp_ = std::pow(d1_, -static_cast<double>(p) / t_);
+  threshold_ = lp_power(d1_, t_, p);
+  inv_dp_ = lp_power(d1_, t_, -p);
 }
 
 void LpKmdsProcess::ensure_initialized(sim::Context& ctx) {
@@ -59,7 +58,7 @@ void LpKmdsProcess::do_x_update_and_send(sim::Context& ctx) {
 
   x_plus_ = 0.0;
   if (x_ < 1.0 && static_cast<double>(dyn_deg_) >= threshold_) {
-    const double increment = std::pow(d1_, -static_cast<double>(q) / t_);
+    const double increment = lp_power(d1_, t_, -q);
     x_plus_ = std::min(increment, 1.0 - x_);
     x_ += x_plus_;
   }

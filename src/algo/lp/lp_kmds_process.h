@@ -63,9 +63,10 @@ class LpKmdsProcess final : public sim::Process {
   void send_z_shares(sim::Context& ctx);
   void finish_z(sim::Context& ctx);
 
-  /// Enters outer iteration p: recomputes threshold_ and inv_dp_ only when
-  /// p changed (every t inner iterations). The expressions are fixed, so a
-  /// cached value is bitwise the value a fresh std::pow would give.
+  /// Enters outer iteration p: reads threshold_ and inv_dp_ from lp_power
+  /// only when p changed (every t inner iterations), so under kTwoHop,
+  /// where neighbouring nodes evict each other's memo row, a node still
+  /// makes at most 2 std::pow calls per p.
   void set_outer_index(int p);
 
   // Configuration.

@@ -11,6 +11,18 @@ namespace ftc::algo {
 using domination::Demands;
 using graph::NodeId;
 
+double rounding_log_d1(NodeId max_degree) {
+  struct Memo {
+    NodeId max_degree = -1;  // Δ ≥ 0: a fresh memo never hits
+    double ln_d1 = 0.0;
+  };
+  thread_local Memo memo;
+  if (memo.max_degree != max_degree) {
+    memo = {max_degree, std::log(static_cast<double>(max_degree) + 1.0)};
+  }
+  return memo.ln_d1;
+}
+
 void round_fractional(const graph::Graph& g,
                       const domination::FractionalSolution& x,
                       const Demands& demands, std::uint64_t seed,
@@ -20,7 +32,7 @@ void round_fractional(const graph::Graph& g,
   assert(static_cast<NodeId>(demands.size()) == g.n());
   assert(weights.empty() || static_cast<NodeId>(weights.size()) == g.n());
   const auto n = static_cast<std::size_t>(g.n());
-  const double ln_d1 = std::log(static_cast<double>(g.max_degree()) + 1.0);
+  const double ln_d1 = rounding_log_d1(g.max_degree());
 
   out.set.clear();
   out.chosen_by_coin = 0;

@@ -38,6 +38,12 @@ namespace ftc::algo {
 /// Synchronous rounds Algorithm 2 takes: coin, request, join.
 inline constexpr std::int64_t kRoundingRounds = 3;
 
+/// ln(Δ+1), the coin's scale p_i = min{1, x_i·ln(Δ+1)}: bitwise
+/// std::log(double(max_degree) + 1). The mirror and the process both read
+/// it here. A per-thread memo of the last Δ makes a network pay the libm
+/// call once per worker thread, not once per node.
+[[nodiscard]] double rounding_log_d1(graph::NodeId max_degree);
+
 /// Outcome of the rounding step.
 struct RoundingResult {
   std::vector<graph::NodeId> set;  ///< the integral dominating set, sorted

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 #include "obs/plane.h"
 
@@ -18,9 +17,7 @@ RoundingProcess::RoundingProcess(double x, std::int32_t demand)
 
 void RoundingProcess::on_round(sim::Context& ctx) {
   if (step_ == 0) {
-    const double ln_d1 =
-        std::log(static_cast<double>(ctx.max_degree()) + 1.0);
-    const double p = std::min(1.0, x_ * ln_d1);
+    const double p = std::min(1.0, x_ * rounding_log_d1(ctx.max_degree()));
     if (ctx.rng().bernoulli(p)) {
       in_set_ = true;
       by_coin_ = true;

@@ -47,6 +47,23 @@ std::uint64_t udg_id_range(NodeId n) {
   return static_cast<std::uint64_t>(fourth < cap ? fourth : cap);
 }
 
+UdgSchedule udg_schedule(NodeId n, const UdgOptions& options) {
+  struct Memo {
+    NodeId n = -1;  // no network has -1 nodes: a fresh memo never hits
+    double xi = 0.0;
+    double theta_scale = 0.0;
+    UdgSchedule schedule;
+  };
+  thread_local Memo memo;
+  if (memo.n != n || memo.xi != options.xi ||
+      memo.theta_scale != options.theta_scale) {
+    memo = {n, options.xi, options.theta_scale,
+            {udg_part1_rounds_ex(n, options.xi), udg_id_range(n),
+             udg_initial_theta_ex(n, options.xi, options.theta_scale)}};
+  }
+  return memo.schedule;
+}
+
 UdgResult solve_udg_kmds(const geom::UnitDiskGraph& udg,
                          const UdgOptions& options, std::uint64_t seed) {
   assert(options.k >= 1);
@@ -56,8 +73,9 @@ UdgResult solve_udg_kmds(const geom::UnitDiskGraph& udg,
   UdgResult result;
   if (n == 0) return result;
 
-  const std::int64_t rounds = udg_part1_rounds_ex(g.n(), options.xi);
-  const std::uint64_t id_max = udg_id_range(g.n());
+  const UdgSchedule schedule = udg_schedule(g.n(), options);
+  const std::int64_t rounds = schedule.part1_rounds;
+  const std::uint64_t id_max = schedule.id_max;
   result.part1_rounds = rounds;
 
   // Per-node random streams identical to the simulator's.
@@ -70,8 +88,7 @@ UdgResult solve_udg_kmds(const geom::UnitDiskGraph& udg,
   std::vector<std::uint8_t> active(n, 1);
   std::vector<std::uint64_t> id(n, 0);
   std::vector<std::uint8_t> elected(n, 0);
-  double theta =
-      udg_initial_theta_ex(g.n(), options.xi, options.theta_scale);
+  double theta = schedule.theta1;
 
   for (std::int64_t r = 0; r < rounds; ++r) {
     // Fresh ids for active nodes (passive nodes stopped executing Part I

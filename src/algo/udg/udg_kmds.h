@@ -81,6 +81,22 @@ struct UdgResult {
 /// Upper bound of the per-round random id range: min(n⁴, 2⁶²).
 [[nodiscard]] std::uint64_t udg_id_range(graph::NodeId n);
 
+/// Algorithm 3's global schedule: what every node derives from n and the
+/// options alone.
+struct UdgSchedule {
+  std::int64_t part1_rounds = 0;  ///< R: udg_part1_rounds_ex(n, ξ)
+  std::uint64_t id_max = 0;       ///< udg_id_range(n)
+  double theta1 = 0.0;            ///< udg_initial_theta_ex(n, ξ, θ-scale)
+};
+
+/// The schedule for n nodes under `options`, bitwise the three functions
+/// above. It is the one source of those values for the mirror, the process
+/// and udg_round_budget. Every node of a network asks for the same
+/// schedule, so a per-thread memo of the last (n, ξ, θ-scale) makes a
+/// network pay the libm calls once per worker thread, not once per node.
+[[nodiscard]] UdgSchedule udg_schedule(graph::NodeId n,
+                                       const UdgOptions& options);
+
 /// Runs the centralized mirror of Algorithm 3 on `udg`. `seed` must equal
 /// the SyncNetwork seed for mirror/simulator equality.
 [[nodiscard]] UdgResult solve_udg_kmds(const geom::UnitDiskGraph& udg,

@@ -17,9 +17,9 @@ UdgKmdsProcess::UdgKmdsProcess(std::int32_t k)
     : UdgKmdsProcess(UdgOptions{.k = k}) {}
 
 UdgKmdsProcess::UdgKmdsProcess(const UdgOptions& options)
-    : k_(options.k), xi_(options.xi), theta_scale_(options.theta_scale) {
+    : options_(options) {
   assert(options.k >= 1);
-  known_leaders_.reserve(static_cast<std::size_t>(k_));
+  known_leaders_.reserve(static_cast<std::size_t>(options.k));
 }
 
 void UdgKmdsProcess::ensure_initialized(sim::Context& ctx) {
@@ -27,9 +27,10 @@ void UdgKmdsProcess::ensure_initialized(sim::Context& ctx) {
   initialized_ = true;
   assert(ctx.has_distances() &&
          "Algorithm 3 requires a UDG network (distance sensing)");
-  rounds_part1_ = udg_part1_rounds_ex(ctx.n(), xi_);
-  id_max_ = udg_id_range(ctx.n());
-  theta_ = udg_initial_theta_ex(ctx.n(), xi_, theta_scale_);
+  const UdgSchedule schedule = udg_schedule(ctx.n(), options_);
+  rounds_part1_ = schedule.part1_rounds;
+  id_max_ = schedule.id_max;
+  theta_ = schedule.theta1;
   // Positions are fixed, so one sensing pass bounds every later probe: no
   // neighbour is within θ while θ < nearest_.
   nearest_ = std::numeric_limits<double>::infinity();
@@ -105,7 +106,7 @@ void UdgKmdsProcess::part2(sim::Context& ctx, std::int64_t phase) {
       // Only coverage < k is ever asked, and leadership never reverts, so
       // k known leaders settle it for good.
       for (const sim::Message& msg : ctx.inbox()) {
-        if (std::cmp_greater_equal(known_leaders_.size(), k_)) break;
+        if (std::cmp_greater_equal(known_leaders_.size(), options_.k)) break;
         if (msg.words.size() != 1) continue;
         if (msg.words[0] == 1) {
           const auto it = std::lower_bound(known_leaders_.begin(),
@@ -117,14 +118,14 @@ void UdgKmdsProcess::part2(sim::Context& ctx, std::int64_t phase) {
       }
       const auto coverage = static_cast<std::int32_t>(known_leaders_.size()) +
                             (leader_ ? 1 : 0);
-      deficient_ = !leader_ && coverage < k_;
+      deficient_ = !leader_ && coverage < options_.k;
       ctx.broadcast({deficient_ ? Word{1} : Word{0}});
       break;
     }
     case 2: {  // B2: leaders promote; everyone checks for quiescence.
       bool neighborhood_deficient = deficient_;
       if (leader_) {
-        std::int32_t budget = k_;
+        std::int32_t budget = options_.k;
         for (const sim::Message& msg : ctx.inbox()) {  // ascending sender id
           if (msg.words.size() != 1) continue;
           if (msg.words[0] != 1) continue;
@@ -175,7 +176,7 @@ void UdgKmdsProcess::on_round(sim::Context& ctx) {
 }
 
 std::int64_t udg_round_budget(NodeId n, const UdgOptions& options) {
-  return 2 * udg_part1_rounds_ex(n, options.xi) +
+  return 2 * udg_schedule(n, options).part1_rounds +
          3 * (static_cast<std::int64_t>(n) + 3);
 }
 

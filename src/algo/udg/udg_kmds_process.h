@@ -3,7 +3,8 @@
 // Requires a network built from a UnitDiskGraph (distance sensing).
 //
 // Schedule — Part I (R = udg_part1_rounds(n) paper rounds, 2 network rounds
-// each; θ doubles every paper round):
+// each; θ doubles every paper round). R, the id range and the first θ come
+// from udg_schedule(n, options), which every node of a network shares:
 //
 //   round 2r:   [r > 0: process election messages; unelected actives go
 //               passive] active nodes draw a fresh id from [1, n⁴] and send
@@ -63,9 +64,7 @@ class UdgKmdsProcess final : public sim::Process {
   void part1_odd(sim::Context& ctx);
   void part2(sim::Context& ctx, std::int64_t phase);
 
-  std::int32_t k_ = 1;
-  double xi_ = 1.5;
-  double theta_scale_ = 1.0;
+  UdgOptions options_;
 
   bool initialized_ = false;
   std::int64_t rounds_part1_ = 0;  // R
@@ -88,7 +87,7 @@ class UdgKmdsProcess final : public sim::Process {
 };
 
 /// Round budget of run_udg_processes on n nodes: Part I's 2R rounds
-/// (R = udg_part1_rounds_ex(n, options.xi)) plus 3 rounds for each of
+/// (R = udg_schedule(n, options).part1_rounds) plus 3 rounds for each of
 /// n + 3 Part II iterations. Some lossy runs stop at this cap, which is
 /// part of bench A6's table, so it must not grow.
 [[nodiscard]] std::int64_t udg_round_budget(graph::NodeId n,
@@ -114,7 +113,7 @@ UdgResult run_udg_processes(Net& net, const UdgOptions& options) {
   net.run(udg_round_budget(n, options));
 
   UdgResult result;
-  result.part1_rounds = udg_part1_rounds_ex(n, options.xi);
+  result.part1_rounds = udg_schedule(n, options).part1_rounds;
   for (graph::NodeId v = 0; v < n; ++v) {
     const auto& proc = net.template process_as<UdgKmdsProcess>(v);
     if (proc.part1_leader()) result.part1_leaders.push_back(v);

@@ -12,12 +12,19 @@
 // hands processes WordSpan views into it (broadcasts share one payload
 // across all receivers). A Message is therefore only valid for the duration
 // of the `on_round()` call that delivered it.
+//
+// A Message is one 16-byte inbox slot: the payload pointer, a 32-bit length
+// (the engine already caps arena offsets and lengths at uint32) and the
+// sender id packed into the view's tail padding. The inbox store holds 2m
+// slots, so the slot size sets both its footprint and the bytes every
+// delivery pass and inbox walk moves per message.
 #pragma once
 
 #include <cassert>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -35,9 +42,11 @@ class WordSpan {
  public:
   constexpr WordSpan() noexcept = default;
   constexpr WordSpan(const Word* data, std::size_t size) noexcept
-      : data_(data), size_(size) {}
+      : data_(data), size_(static_cast<std::uint32_t>(size)) {
+    assert(size <= std::numeric_limits<std::uint32_t>::max());
+  }
   explicit WordSpan(const std::vector<Word>& words) noexcept
-      : data_(words.data()), size_(words.size()) {}
+      : WordSpan(words.data(), words.size()) {}
   // A view over a temporary vector would dangle as soon as the full
   // expression ends; force callers to bind to an lvalue they keep alive.
   explicit WordSpan(std::vector<Word>&&) = delete;
@@ -63,16 +72,18 @@ class WordSpan {
 
  private:
   const Word* data_ = nullptr;
-  std::size_t size_ = 0;
+  std::uint32_t size_ = 0;
 };
 
 /// A delivered message. `from` is filled in by the network, not the sender.
 /// Valid only during the on_round() call it was delivered to (the payload
-/// view points into the network's round arena).
+/// view points into the network's round arena). `from` sits in the tail
+/// padding of `words` ([[no_unique_address]]), so a slot is 16 bytes.
 struct Message {
+  [[no_unique_address]] WordSpan words;
   graph::NodeId from = -1;
-  WordSpan words;
 };
+static_assert(sizeof(Message) == 16, "an inbox slot is 16 bytes");
 
 /// Fixed-point encoding for fractional values carried in messages.
 ///

@@ -526,7 +526,7 @@ void SyncNetwork::deliver_round(int shards) {
           continue;
         }
         store[inbox_off_[to] + inbox_len_[to]++] =
-            Message{e.from, WordSpan(payload, e.len)};
+            Message{WordSpan(payload, e.len), e.from};
       }
     }
 
@@ -559,7 +559,7 @@ void SyncNetwork::deliver_round(int shards) {
             if (b.round != now) continue;
             const Word* const payload = payload_of(w, b);
             if (impaired && !admit(w, v, payload, b.len)) continue;
-            *out++ = Message{w, WordSpan(payload, b.len)};
+            *out++ = Message{WordSpan(payload, b.len), w};
           }
         } else {
           Message* const uni_end = base + nbrs.size();
@@ -575,7 +575,7 @@ void SyncNetwork::deliver_round(int shards) {
               ds.overflow = true;
               continue;
             }
-            *out++ = Message{w, WordSpan(payload, b.len)};
+            *out++ = Message{WordSpan(payload, b.len), w};
           }
           out = std::copy(uni, uni_end, out);
         }
@@ -607,7 +607,7 @@ void SyncNetwork::deliver_round(int shards) {
           begin, end, lm.from,
           [](graph::NodeId id, const Message& msg) { return id < msg.from; });
       std::move_backward(pos, end, end + 1);
-      *pos = Message{lm.from, WordSpan(lm.words.data(), lm.words.size())};
+      *pos = Message{WordSpan(lm.words.data(), lm.words.size()), lm.from};
       ++inbox_len_[to];
     }
     pending.resize(keep);

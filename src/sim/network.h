@@ -10,7 +10,10 @@
 // only observe:
 //   * their own id, degree, and sorted neighbor ids,
 //   * global parameters the paper assumes known (n, Δ — see the Remark at
-//     the end of Section 4.2),
+//     the end of Section 4.2). They are equal at every node, so a protocol
+//     constant derived from them alone (Alg 3's schedule, Alg 1's power
+//     row, Alg 2's ln(Δ+1)) comes from a per-thread memo and costs its
+//     libm calls once per worker thread, not once per node,
 //   * distances to neighbors when the network was built from a unit disk
 //     graph (the distance-sensing assumption of Sections 3/5),
 //   * their private random stream,
@@ -29,8 +32,9 @@
 // Throughput architecture (see DESIGN.md "Simulator performance" and
 // "Million-node rounds"):
 //   * Message plane: payloads live in per-round word arenas; an inbox is a
-//     contiguous run of (sender, payload-view) pairs in one flat per-round
-//     store, pointing into the arena of the round the message was sent in.
+//     contiguous run of 16-byte Message slots (payload view with a 32-bit
+//     length, sender id in its tail padding) in one flat per-round store,
+//     pointing into the arena of the round the message was sent in.
 //     A broadcast writes its payload once and every receiver's view aliases
 //     it — no per-neighbor copies.
 //   * Pull delivery into fixed inbox regions: receiver v's fresh messages

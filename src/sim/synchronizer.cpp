@@ -108,7 +108,7 @@ class Synchronized final : public Process, private NetworkBackend {
     sort_by_node(in.held);
     inbox_.clear();
     for (const Held& h : in.held) {
-      inbox_.push_back({h.node, WordSpan(in.words.data() + h.offset, h.len)});
+      inbox_.push_back({WordSpan(in.words.data() + h.offset, h.len), h.node});
     }
     out_words_.clear();
     out_.clear();

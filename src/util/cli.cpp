@@ -4,6 +4,7 @@
 #include <limits>
 #include <optional>
 #include <stdexcept>
+#include <string_view>
 
 namespace ftc::util {
 
@@ -38,17 +39,19 @@ double to_d(const std::string& s, std::size_t* used) {
 
 Args::Args(int argc, const char* const* argv) {
   program_ = argc > 0 ? argv[0] : "";
+  // Parsed through string_view: building key and value from std::string
+  // substr copies trips GCC 12's -Wrestrict false positive in libstdc++.
+  // With no '=', eq - 2 is past the end and the key runs to it.
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--", 0) == 0) {
+    const std::string_view arg = argv[i];
+    if (arg.starts_with("--")) {
       const auto eq = arg.find('=');
-      if (eq == std::string::npos) {
-        values_[arg.substr(2)] = "1";
-      } else {
-        values_[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
-      }
+      const std::string_view value =
+          eq == std::string_view::npos ? "1" : arg.substr(eq + 1);
+      values_.insert_or_assign(std::string(arg.substr(2, eq - 2)),
+                               std::string(value));
     } else {
-      positional_.push_back(arg);
+      positional_.emplace_back(arg);
     }
   }
 }

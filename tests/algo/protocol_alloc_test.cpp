@@ -185,11 +185,13 @@ class MixedTrafficProcess final : public sim::Process {
     const std::uint64_t mix =
         static_cast<std::uint64_t>(self) * 0x9E3779B97F4A7C15ULL + phase;
     if ((mix >> 33) % 2 == 0) {
-      ctx.broadcast({static_cast<sim::Word>(self), phase});
+      ctx.broadcast(
+          {static_cast<sim::Word>(self), static_cast<sim::Word>(phase)});
     } else {
       for (const NodeId w : ctx.neighbors()) {
         if ((mix ^ static_cast<std::uint64_t>(w)) % 3 != 0) {
-          ctx.send(w, {static_cast<sim::Word>(w), phase});
+          ctx.send(w, {static_cast<sim::Word>(w),
+                       static_cast<sim::Word>(phase)});
         }
       }
     }

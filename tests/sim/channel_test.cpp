@@ -199,7 +199,9 @@ TEST(Channel, DuplicateArrivesStrictlyLater) {
     ASSERT_TRUE(fate.duplicate);
     EXPECT_GT(fate.dup_delay, fate.delay);
     EXPECT_LE(fate.dup_delay, fate.delay + o.max_reorder_delay);
-    if (fate.delay > 0) EXPECT_LE(fate.delay, o.max_reorder_delay);
+    if (fate.delay > 0) {
+      EXPECT_LE(fate.delay, o.max_reorder_delay);
+    }
   }
   ch.absorb(st);
   EXPECT_EQ(ch.counters().duplicated, 200);

@@ -13,6 +13,29 @@
 namespace ftc::sim {
 namespace {
 
+// A WordSpan keeps a 32-bit length (the engine caps payloads at uint32
+// words); the largest length still round-trips, and the view is never read
+// here, so no payload is needed.
+TEST(WordSpan, KeepsTheLargest32BitLength) {
+  constexpr std::size_t kMax = std::numeric_limits<std::uint32_t>::max();
+  const WordSpan span(nullptr, kMax);
+  EXPECT_EQ(span.size(), kMax);
+  const Message msg{span, 7};
+  EXPECT_EQ(msg.words.size(), kMax);
+  EXPECT_EQ(msg.from, 7);
+}
+
+TEST(WordSpanDeathTest, LengthPast32BitsAsserts) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the 32-bit length check is a debug assert";
+#else
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::size_t too_long =
+      std::size_t{std::numeric_limits<std::uint32_t>::max()} + 1;
+  EXPECT_DEATH((void)WordSpan(nullptr, too_long), "");
+#endif
+}
+
 TEST(FixedPoint, RoundTripExactForRepresentable) {
   for (double v : {0.0, 0.5, 0.25, 1.0, 123.0, 0.0009765625}) {
     EXPECT_DOUBLE_EQ(decode_fixed(encode_fixed(v)), v);

@@ -114,8 +114,8 @@ TEST(ThreadPool, PerfCountersAccumulateAndDrainZeroes) {
   // zero on a pathological schedule; across 20 jobs their sum cannot be.
   for (int job = 0; job < 20; ++job) {
     pool.run(8, [&](int i) {
-      for (volatile int spin = 0; spin < 20000; spin = spin + 1) {
-      }
+      volatile int spin = 0;
+      while (spin < 20000) spin = spin + 1;
       sum += i;
     });
   }
