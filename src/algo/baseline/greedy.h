@@ -34,7 +34,14 @@ struct GreedyResult {
 /// selects the node minimizing cost / (still-deficient closed neighbors),
 /// where cost is `weights[v]` (all > 0) or 1 when `weights` is empty. Ties
 /// are broken toward the smaller node id, making the result deterministic.
-/// O((n + m) log n) via a lazy priority queue.
+///
+/// Unit cost selects by span level: each node waits on the level of its
+/// last computed span, re-checked when visited, and the top level is
+/// scanned in ascending id through one n-bit set (DESIGN.md §11, "Greedy by
+/// span levels"). Beyond the span re-checks, each level costs
+/// O(members + id range / 64), with no comparisons. Weighted calls keep a
+/// lazy priority queue on cost/span, O((n + m) log n): a cost/span key is
+/// not a small integer, so there are no levels to bucket by.
 [[nodiscard]] GreedyResult greedy_kmds(const graph::Graph& g,
                                        const domination::Demands& demands,
                                        std::span<const double> weights = {});

@@ -241,12 +241,12 @@ void check_differential(const FuzzCase& c, const Graph& g,
 void check_small_oracles(const FuzzCase& /*c*/, const Graph& g,
                          const Demands& demands, const algo::LpResult& lp,
                          const algo::RoundingResult& rounding,
+                         const algo::GreedyResult& greedy,
                          domination::CoverageScratch& scratch,
                          Violations& out) {
   algo::ExactOptions eopts;
   eopts.node_budget = 300'000;
   const auto exact = algo::exact_kmds(g, demands, eopts);
-  const auto greedy = algo::greedy_kmds(g, demands);
   if (!exact.feasible) {
     // clamp_demands guarantees feasibility; an infeasible verdict is a bug.
     add(out, "oracle.exact_feasible",
@@ -500,10 +500,10 @@ RepairRun run_repair(const FuzzCase& c, const Instance& inst,
 }
 
 void check_repair(const FuzzCase& c, const Instance& inst,
+                  const std::vector<NodeId>& base,
                   domination::CoverageScratch& scratch, Violations& out) {
   const Graph& g = inst.graph();
   const Demands& demands = inst.demands;
-  const auto base = algo::greedy_kmds(g, demands).set;
   std::vector<std::uint8_t> base_member(static_cast<std::size_t>(g.n()), 0);
   for (NodeId v : base) base_member[static_cast<std::size_t>(v)] = 1;
 
@@ -666,15 +666,26 @@ void check_transport(const FuzzCase& c, const Graph& g, Violations& out) {
 // ---------------------------------------------------------------- kernels
 
 /// kernel.* invariants: the packed coverage/deficiency kernels (kernels.h)
-/// must agree exactly with the scalar references in domination.h, and the
+/// must agree exactly with the scalar references in domination.h, the
 /// optimized LP solver must reproduce the kept reference solver bitwise at
 /// every thread width (the same contract the simulator's parallel round
-/// engine ships). Runs on every case — the kernels are now what the rest of
+/// engine ships), and the unit-cost greedy (span levels) must make the lazy
+/// heap's picks. Runs on every case — the kernels are now what the rest of
 /// the invariant battery itself computes with.
 void check_kernels(const FuzzCase& c, const Graph& g, const Demands& demands,
                    const algo::LpResult& lp, const algo::RoundingResult& r,
+                   const algo::GreedyResult& greedy,
                    domination::CoverageScratch& scratch, Violations& out) {
   const auto n = static_cast<std::size_t>(g.n());
+
+  // All-ones weights take the weighted selector (lazy heap on 1/span).
+  const auto unit = algo::greedy_kmds(g, demands, std::vector<double>(n, 1.0));
+  if (unit.set != greedy.set || unit.fully_satisfied != greedy.fully_satisfied) {
+    add(out, "kernel.greedy_unit_equiv",
+        "level-selector greedy != unit-weight heap greedy (" +
+            std::to_string(greedy.set.size()) + " vs " +
+            std::to_string(unit.set.size()) + " picks)");
+  }
 
   // Packed vs scalar over a membership bitmap: coverage counts, fused
   // deficiency, and the node-list scratch overload, in both modes.
@@ -830,11 +841,13 @@ Violations check_case(const FuzzCase& c, Mutation mutation) {
   check_rounding_result(g, demands, rounding, scratch, out);
 
   // Mandatory kernel battery: packed kernels == scalar references, optimized
-  // LP == reference LP at every thread width (DESIGN.md §11).
-  check_kernels(c, g, demands, lp, rounding, scratch, out);
+  // LP == reference LP at every thread width (DESIGN.md §11), level-selector
+  // greedy == heap greedy.
+  const algo::GreedyResult greedy = algo::greedy_kmds(g, demands);
+  check_kernels(c, g, demands, lp, rounding, greedy, scratch, out);
 
   if (c.run_small_oracles) {
-    check_small_oracles(c, g, demands, lp, rounding, scratch, out);
+    check_small_oracles(c, g, demands, lp, rounding, greedy, scratch, out);
   }
   if (c.run_differential) {
     check_differential(c, g, demands, lp, rounding, out);
@@ -846,7 +859,7 @@ Violations check_case(const FuzzCase& c, Mutation mutation) {
     check_udg(c, inst.udg, scratch, out);
   }
   if (c.fault_kind != FaultKind::kNone) {
-    check_repair(c, inst, scratch, out);
+    check_repair(c, inst, greedy.set, scratch, out);
   }
   if (c.run_transport) {
     check_transport(c, g, out);

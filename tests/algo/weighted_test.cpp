@@ -4,12 +4,15 @@
 
 #include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "algo/baseline/greedy.h"
 #include "algo/exact/exact.h"
 #include "algo/lp/lp_kmds.h"
 #include "algo/rounding/rounding.h"
 #include "domination/bounds.h"
+#include "geom/udg.h"
 #include "graph/generators.h"
 #include "util/rng.h"
 
@@ -38,15 +41,52 @@ TEST(Weights, SetWeight) {
   EXPECT_DOUBLE_EQ(set_weight({}, w), 0.0);
 }
 
+/// Disjoint stars of 1, 2, ..., `max_size` nodes (the first node of each is
+/// its hub): every star size is its own span level, one hub per level.
+Graph star_union(NodeId max_size) {
+  std::vector<graph::Edge> edges;
+  NodeId base = 0;
+  for (NodeId size = 1; size <= max_size; ++size) {
+    for (NodeId leaf = 1; leaf < size; ++leaf) {
+      edges.push_back({base, base + leaf});
+    }
+    base += size;
+  }
+  return Graph::from_edges(base, edges);
+}
+
+// Unit cost takes the span-level selector; all-ones weights take the lazy
+// heap on cost/span = 1/span. Both must pick the same nodes (largest span
+// first, ties to the smaller id) and agree on fully_satisfied, with clamped
+// demands and with unclamped (infeasible) ones.
 TEST(WeightedGreedy, UnweightedMatchesPlainGreedy) {
   util::Rng rng(2);
-  const Graph g = graph::gnp(50, 0.1, rng);
-  const auto d = clamp_demands(g, uniform_demands(50, 2));
-  const auto plain = greedy_kmds(g, d);
-  const auto weighted = greedy_kmds(g, d, NodeWeights(50, 1.0));
-  // Same tie-breaking and same criterion (weight/span = 1/span), so the
-  // result sets should coincide.
-  EXPECT_EQ(weighted.set, plain.set);
+  std::vector<std::pair<std::string, Graph>> graphs;
+  for (const int degree : {2, 6, 15}) {
+    graphs.emplace_back("udg_deg" + std::to_string(degree),
+                        geom::uniform_udg_with_degree(300, degree, rng).graph);
+  }
+  graphs.emplace_back("gnp_sparse", graph::gnp(200, 0.01, rng));
+  graphs.emplace_back("gnp", graph::gnp(150, 0.08, rng));
+  graphs.emplace_back("ba", graph::barabasi_albert(300, 3, rng));
+  graphs.emplace_back("star", graph::star(40));
+  graphs.emplace_back("complete", graph::complete(25));
+  graphs.emplace_back("caveman", graph::caveman(12, 6));
+  graphs.emplace_back("path", graph::path(101));
+  graphs.emplace_back("star_union", star_union(20));
+  graphs.emplace_back("isolated", graph::empty(7));
+  for (const auto& [name, g] : graphs) {
+    for (const std::int32_t k : {1, 2, 3, 5}) {
+      const auto raw = uniform_demands(g.n(), k);
+      for (const auto& d : {clamp_demands(g, raw), raw}) {
+        const auto plain = greedy_kmds(g, d);
+        const auto weighted = greedy_kmds(g, d, NodeWeights(g.n(), 1.0));
+        EXPECT_EQ(weighted.set, plain.set) << name << " k=" << k;
+        EXPECT_EQ(weighted.fully_satisfied, plain.fully_satisfied)
+            << name << " k=" << k;
+      }
+    }
+  }
 }
 
 TEST(WeightedGreedy, AvoidsExpensiveCenter) {
