@@ -6,8 +6,11 @@
 // bench replays seeded single-mutation batches (join / leave / move on a
 // UDG deployment) down both paths and reports
 //
-//   * mutations/sec for the incremental path (world delta + maintainer),
-//     and its heap allocations per mutation (JSON allocs_per_mutation),
+//   * mutations/sec for the incremental path (world delta + maintainer):
+//     the mutations are timed in chunks of kChunk and the rate is the
+//     median chunk's, so one preempted or cold chunk does not move it; its
+//     heap allocations per mutation (JSON allocs_per_mutation) cover all
+//     mutations,
 //   * full re-solves/sec for the rebuild path: each timed re-solve is the
 //     mutation, the CSR snapshot of the live topology, its effective
 //     demands and greedy_kmds — the rebuild counterpart of the incremental
@@ -24,7 +27,7 @@
 // --sizes=10000,100000   deployment sizes
 // --degree=8             target average UDG degree
 // --k=2                  redundancy target
-// --mutations=400        single-mutation batches per size
+// --mutations=2000       single-mutation batches per size
 // --resolves=40          full re-solves measured (they are the slow side)
 // --json=BENCH_dynamic.json  machine-readable output ("" = none)
 #include <algorithm>
@@ -51,6 +54,9 @@ using graph::NodeId;
 
 constexpr std::uint64_t kGraphSeed = 42;
 constexpr std::uint64_t kChurnSeed = 7;
+/// Mutations per timed chunk of the incremental path (the last chunk may
+/// be shorter).
+constexpr int kChunk = 50;
 
 bool g_all_ok = true;
 
@@ -108,7 +114,7 @@ int run(const ftc::util::Args& args) {
   const double degree = args.get_double("degree", 8.0);
   const auto k = static_cast<std::int32_t>(args.get_int("k", 2, 1, INT32_MAX));
   const auto mutations =
-      static_cast<int>(args.get_int("mutations", 400, 1, INT32_MAX));
+      static_cast<int>(args.get_int("mutations", 2000, 1, INT32_MAX));
   const int resolves =
       static_cast<int>(args.get_int("resolves", 40, 1, INT32_MAX));
   const std::string json_path = args.get_string("json", "BENCH_dynamic.json");
@@ -133,6 +139,9 @@ int run(const ftc::util::Args& args) {
     util::Rng churn(kChurnSeed);
     std::int64_t sum_ball2 = 0;
     std::int64_t sum_changed = 0;
+    std::vector<double> chunk_rates;  // reserved outside the alloc count
+    chunk_rates.reserve(
+        static_cast<std::size_t>((mutations + kChunk - 1) / kChunk));
     const std::uint64_t inc_allocs0 = bench::alloc_counts().count;
     bench::WallClock inc_clock;
     for (int i = 0; i < mutations; ++i) {
@@ -147,9 +156,13 @@ int run(const ftc::util::Args& args) {
                            std::to_string(n) + " mutation " +
                            std::to_string(i));
       }
+      if ((i + 1) % kChunk == 0 || i + 1 == mutations) {
+        const int done = (i % kChunk) + 1;
+        chunk_rates.push_back(done / inc_clock.restart());
+      }
     }
-    const double inc_seconds = inc_clock.seconds();
-    const double inc_per_sec = mutations / inc_seconds;
+    std::sort(chunk_rates.begin(), chunk_rates.end());
+    const double inc_per_sec = chunk_rates[chunk_rates.size() / 2];
     const double allocs_per_mutation =
         static_cast<double>(bench::alloc_counts().count - inc_allocs0) /
         mutations;
@@ -196,6 +209,7 @@ int run(const ftc::util::Args& args) {
         std::string("    {\"n\": ") + std::to_string(n) +
         ", \"mutations\": " + std::to_string(mutations) +
         ", \"full_resolves\": " + std::to_string(full_runs) +
+        ", \"chunk_mutations\": " + std::to_string(kChunk) +
         ", \"inc_mutations_per_sec\": " + util::fmt(inc_per_sec, 3) +
         ", \"allocs_per_mutation\": " + util::fmt(allocs_per_mutation, 3) +
         ", \"full_resolves_per_sec\": " + util::fmt(full_per_sec, 3) +

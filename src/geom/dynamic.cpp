@@ -72,20 +72,24 @@ DynamicUdg::DynamicUdg(const UnitDiskGraph& udg)
   assert(radius_ > 0.0);
   // Size the table once for the initial cells: at most one per node and at
   // most the bounding box's cell count. Growing it from a small table
-  // instead fragments the heap for the rest of the run.
+  // instead fragments the heap for the rest of the run. cell_index is
+  // monotone in its coordinate, so the box's corner cells are the cells of
+  // the coordinate extremes, and each node's cell is computed only once,
+  // by grid_insert.
   double cells = 0.0;
   if (!pos_.empty()) {
-    CellKey lo = cell_of(pos_.front());
-    CellKey hi = lo;
+    Point lo = pos_.front();
+    Point hi = lo;
     for (const Point& p : pos_) {
-      const CellKey c = cell_of(p);
-      lo = {std::min(lo.cx, c.cx), std::min(lo.cy, c.cy)};
-      hi = {std::max(hi.cx, c.cx), std::max(hi.cy, c.cy)};
+      lo = {std::min(lo.x, p.x), std::min(lo.y, p.y)};
+      hi = {std::max(hi.x, p.x), std::max(hi.y, p.y)};
     }
+    const CellKey clo = cell_of(lo);
+    const CellKey chi = cell_of(hi);
     cells = std::min(
         static_cast<double>(pos_.size()),
-        (static_cast<double>(hi.cx) - static_cast<double>(lo.cx) + 1.0) *
-            (static_cast<double>(hi.cy) - static_cast<double>(lo.cy) + 1.0));
+        (static_cast<double>(chi.cx) - static_cast<double>(clo.cx) + 1.0) *
+            (static_cast<double>(chi.cy) - static_cast<double>(clo.cy) + 1.0));
   }
   rehash(std::bit_ceil(std::max<std::size_t>(
       16, 2 * static_cast<std::size_t>(cells))));
@@ -206,6 +210,7 @@ void DynamicUdg::node_move(NodeId v, Point p, EdgeDelta& delta) {
   in_range(p, v);
   // Diff the current (sorted) adjacency against near_: count, reserve each
   // side of the delta once, fill it, then edit the graph from the delta.
+  // `old` is read only before the first edit, which may move any row.
   const std::span<const NodeId> old = g_.neighbors(v);
   std::size_t gone = 0;
   std::size_t fresh = 0;

@@ -16,7 +16,7 @@
 // erase is O(1) and allocates nothing. A slot whose list empties stays in
 // place until the next rehash drops it. Range queries fill a reused scratch
 // vector, so a leave or a move allocates only the exact reserves of its
-// edge delta (and whatever adjacency rows outgrow their capacity).
+// edge delta (and, rarely, the adjacency slab when it grows or compacts).
 //
 // Conventions shared with the rest of the repo:
 //   - Departed nodes keep their id and become isolated (the

@@ -158,11 +158,10 @@ AppliedMutation DynamicWorld::apply(const Mutation& m) {
       if (active(m.peer)) {
         plain_.add_edge(v, m.peer);
         delta.added.push_back(norm(v, m.peer));
-        // The peer's list was captured before v linked in, so iterate a
-        // copy: add_edge(v, w) never touches peer's other neighbors.
+        // Iterate a copy of the peer's row: add_edge may move any row.
         const auto nbrs = plain_.neighbors(m.peer);
-        const std::vector<NodeId> anchor(nbrs.begin(), nbrs.end());
-        for (NodeId w : anchor) {
+        anchor_.assign(nbrs.begin(), nbrs.end());
+        for (NodeId w : anchor_) {
           if (w == v) continue;
           if (plain_.add_edge(v, w)) delta.added.push_back(norm(v, w));
         }
@@ -186,8 +185,8 @@ AppliedMutation DynamicWorld::apply(const Mutation& m) {
         plain_.add_edge(m.node, m.peer);
         delta.added.push_back(norm(m.node, m.peer));
         const auto nbrs = plain_.neighbors(m.peer);
-        const std::vector<NodeId> anchor(nbrs.begin(), nbrs.end());
-        for (NodeId w : anchor) {
+        anchor_.assign(nbrs.begin(), nbrs.end());
+        for (NodeId w : anchor_) {
           if (w == m.node) continue;
           if (plain_.add_edge(m.node, w)) delta.added.push_back(norm(m.node, w));
         }

@@ -134,6 +134,7 @@ class DynamicWorld {
   std::unique_ptr<geom::DynamicUdg> udg_;  ///< geometric mode only
   graph::MutableGraph plain_;              ///< combinatorial mode only
   std::vector<std::uint8_t> active_;       ///< combinatorial mode only
+  std::vector<graph::NodeId> anchor_;      ///< apply's copy of N(peer)
 };
 
 }  // namespace ftc::sim

@@ -5,24 +5,21 @@
 //
 // After 200 warm-up batches, for every measured batch:
 //  * DynamicWorld::apply of a leave allocates at most the one exact reserve
-//    of delta.removed. A move allocates at most the two exact reserves of
-//    its delta, plus the adjacency rows the new edges outgrew: rows are
-//    thawed at their exact size (row slack does not pay, DESIGN.md §13), so
-//    a row that gains an edge may move. A moved row is seen as a changed
-//    neighbors(x).data(); a neighbour's row gains one edge, so it moves at
-//    most once, and the mover's own row at most once per added edge.
+//    of delta.removed, and a move at most the two exact reserves of its
+//    delta. Adjacency rows live in one slab (DESIGN.md §13), so a row that
+//    outgrows its capacity moves within it and allocates nothing.
 //  * apply_batch allocates at most one block — the returned `changed` list —
 //    and only when that list is non-empty.
-// Scratch that reaches a new high-water mark (the maintainer's arrays when
-// joins push n past their capacity, its seed/ball/worklist vectors, the
-// cell table, the range-query buffer) may allocate beyond that, but only a
-// small total that does not depend on n. A per-batch assign(n) or a node-
-// allocating worklist breaks the gate.
+// Scratch that reaches a new high-water mark (the slab when it grows or
+// compacts, the maintainer's arrays when joins push n past their capacity,
+// its seed/ball/worklist vectors, the cell table, the range-query buffer)
+// may allocate beyond that, but only a small total that does not depend on
+// n. A per-batch assign(n), a per-row allocation or a node-allocating
+// worklist breaks the gate.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "alloc_hooks.h"
 #include "algo/baseline/greedy.h"
@@ -79,31 +76,6 @@ void expect_churn_allocs_bounded(NodeId n, std::uint64_t seed) {
                                    {.k = kFold});
   const graph::MutableGraph& g = world.graph();
 
-  // Row storage of every node, to see which rows an apply moved.
-  std::vector<const NodeId*> row(static_cast<std::size_t>(n));
-  for (NodeId v = 0; v < n; ++v) {
-    row[static_cast<std::size_t>(v)] = g.neighbors(v).data();
-  }
-  // Re-reads the rows an apply may have grown; returns how many moved,
-  // the mover's own row apart.
-  auto moved_rows = [&](const sim::AppliedMutation& am, bool& own_moved) {
-    row.resize(static_cast<std::size_t>(g.n()), nullptr);
-    std::uint64_t moved = 0;
-    own_moved = false;
-    auto reread = [&](NodeId x) {
-      const NodeId* now = g.neighbors(x).data();
-      const bool changed = now != row[static_cast<std::size_t>(x)];
-      row[static_cast<std::size_t>(x)] = now;
-      return changed;
-    };
-    for (const graph::Edge& e : am.delta.added) {
-      const NodeId other = e.u == am.m.node ? e.v : e.u;
-      if (reread(other)) ++moved;
-    }
-    if (am.m.node >= 0 && reread(am.m.node)) own_moved = true;
-    return moved;
-  };
-
   std::uint64_t world_excess = 0;
   std::uint64_t batch_excess = 0;
   auto add_excess = [](std::uint64_t& excess, std::uint64_t allocs,
@@ -115,8 +87,6 @@ void expect_churn_allocs_bounded(NodeId n, std::uint64_t seed) {
     const std::uint64_t a0 = allocs_now();
     const sim::AppliedMutation am = world.apply(m);
     const std::uint64_t apply_allocs = allocs_now() - a0;
-    bool own_moved = false;
-    const std::uint64_t moved = moved_rows(am, own_moved);
     const std::uint64_t a1 = allocs_now();
     const MaintainResult r =
         maintainer.apply_batch(g, world.active_flags(), {&am, 1});
@@ -127,8 +97,7 @@ void expect_churn_allocs_bounded(NodeId n, std::uint64_t seed) {
     if (am.applied && m.kind == sim::MutationKind::kLeave) {
       add_excess(world_excess, apply_allocs, 1);
     } else if (am.applied && m.kind == sim::MutationKind::kMove) {
-      const std::uint64_t own = own_moved ? am.delta.added.size() : 0;
-      add_excess(world_excess, apply_allocs, 2 + moved + own);
+      add_excess(world_excess, apply_allocs, 2);
     }
     add_excess(batch_excess, batch_allocs, r.changed.empty() ? 0 : 1);
   }

@@ -1,10 +1,12 @@
 // MutableGraph: the dynamic companion to the immutable CSR Graph. The
 // contract under test is rebuild-vs-mutate equivalence — any mutation
 // sequence, frozen via to_graph(), equals Graph::from_edges over the same
-// edge list — plus the shared uint32 CSR bound (csr_arcs_fit).
+// edge list — plus the shared uint32 CSR bound (csr_arcs_fit) and the
+// slab that holds every row.
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <set>
 #include <stdexcept>
 #include <vector>
 
@@ -139,6 +141,111 @@ TEST(MutableGraph, FreezeAfterChurnMatchesFromEdgesRebuild) {
     }
     if (step % 97 == 0) mg.add_node();
   }
+  expect_same_adjacency(mg.to_graph(), Graph::from_edges(mg.n(), mg.edges()));
+}
+
+// The slab: rows that outgrow their capacity move to its tail, and dead
+// slots are compacted away. Hubs pass their capacity many times; nodes
+// appended after those relocations join, gain edges and leave again, which
+// strands capacity until a compaction reclaims it. Every row must match a
+// std::set model after each phase, a compaction must leave exactly the
+// thaw footprint (2m + kRowSlack per node), and the slab must never pass
+// twice the largest footprint the topology has had.
+TEST(MutableGraph, SlabRelocationAndCompactionMatchReference) {
+  util::Rng rng(33);
+  const Graph g = gnp(60, 0.1, rng);
+  MutableGraph mg(g);
+  std::vector<std::set<NodeId>> model(static_cast<std::size_t>(g.n()));
+  for (const Edge& e : g.edges()) {
+    model[static_cast<std::size_t>(e.u)].insert(e.v);
+    model[static_cast<std::size_t>(e.v)].insert(e.u);
+  }
+  const auto footprint = [&] {
+    return mg.arcs() + std::size_t{MutableGraph::kRowSlack} *
+                           static_cast<std::size_t>(mg.n());
+  };
+  EXPECT_EQ(mg.slab_size(), footprint()) << "a thaw leaves kRowSlack per row";
+
+  auto expect_rows_match = [&](const char* phase) {
+    SCOPED_TRACE(phase);
+    ASSERT_EQ(static_cast<std::size_t>(mg.n()), model.size());
+    std::size_t arcs = 0;
+    for (NodeId v = 0; v < mg.n(); ++v) {
+      const auto row = mg.neighbors(v);
+      const auto& want = model[static_cast<std::size_t>(v)];
+      ASSERT_TRUE(std::equal(row.begin(), row.end(), want.begin(), want.end()))
+          << "row " << v << " differs from the model";
+      arcs += want.size();
+    }
+    ASSERT_EQ(mg.arcs(), arcs);
+  };
+
+  std::size_t max_footprint = footprint();
+  int compactions = 0;
+  auto add = [&](NodeId u, NodeId v) {
+    const std::size_t before = mg.slab_size();
+    const bool inserted = mg.add_edge(u, v);
+    EXPECT_EQ(inserted, model[static_cast<std::size_t>(u)].insert(v).second);
+    model[static_cast<std::size_t>(v)].insert(u);
+    max_footprint = std::max(max_footprint, footprint());
+    if (mg.slab_size() < before) {
+      ++compactions;
+      EXPECT_LE(mg.slab_size(), footprint()) << "compaction left dead slots";
+    }
+    EXPECT_LE(mg.slab_size(), 2 * max_footprint);
+  };
+  auto leave = [&](NodeId v) {
+    std::vector<Edge> removed;
+    mg.isolate(v, removed);
+    auto& nbrs = model[static_cast<std::size_t>(v)];
+    EXPECT_EQ(removed.size(), nbrs.size());
+    for (const NodeId w : nbrs) model[static_cast<std::size_t>(w)].erase(v);
+    nbrs.clear();
+  };
+  auto random_node = [&] {
+    return static_cast<NodeId>(rng.index(static_cast<std::size_t>(mg.n())));
+  };
+
+  // Hubs: three rows grow from their thawed capacity to n - 1 neighbours.
+  for (NodeId hub = 0; hub < 3; ++hub) {
+    for (NodeId w = 0; w < g.n(); ++w) {
+      if (w != hub) add(hub, w);
+    }
+  }
+  expect_rows_match("hubs");
+
+  // Leave/re-add cycles: 20 fresh nodes join with ~12 edges each and
+  // leave again; hub 0 leaves and re-adds 30 edges.
+  for (int cycle = 0; cycle < 40; ++cycle) {
+    std::vector<NodeId> fresh;
+    for (int i = 0; i < 20; ++i) {
+      fresh.push_back(mg.add_node());
+      model.emplace_back();
+    }
+    for (const NodeId v : fresh) {
+      for (int j = 0; j < 12; ++j) {
+        const NodeId w = random_node();
+        if (w != v) add(v, w);
+      }
+    }
+    expect_rows_match("joins");
+    for (const NodeId v : fresh) leave(v);
+    leave(0);
+    for (int j = 0; j < 30; ++j) {
+      const NodeId w = random_node();
+      if (w != 0) add(0, w);
+    }
+    expect_rows_match("leaves");
+  }
+  EXPECT_GE(compactions, 5) << "the cycles never forced a compaction";
+
+  std::vector<Edge> edges;
+  for (NodeId u = 0; u < mg.n(); ++u) {
+    for (const NodeId v : model[static_cast<std::size_t>(u)]) {
+      if (u < v) edges.push_back({u, v});
+    }
+  }
+  EXPECT_EQ(mg.edges(), edges);
   expect_same_adjacency(mg.to_graph(), Graph::from_edges(mg.n(), mg.edges()));
 }
 
