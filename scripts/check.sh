@@ -277,8 +277,11 @@ if [ "$MODE" = "thread" ]; then
   # (per-process ARQ state under the parallel engine), and the flood
   # reference suite (the bench flood workload on a pool forced on by
   # set_parallel_grain(0), against a naive engine), and the LP mirror's
-  # width suite (per-block white/gray lists written by pool workers,
-  # decrements applied after the barrier), the dynamic interplay suite
+  # width suite (per-block white/gray/raiser lists written by pool
+  # workers, raisers pushing into their own α/β rows while reading the
+  # λ frozen at the coloring barrier — LpParallel.SenderSlotsMatchReference
+  # at widths 1 and 3 — and decrements and λ resets applied after the
+  # push's barrier), the dynamic interplay suite
   # (the pool forced on over RepairProcess and HeartbeatMonitor, with the
   # incremental maintainer publishing to the same plane between rounds),
   # and the synchronizer width suite (Synchronized adapters buffering

@@ -15,31 +15,42 @@
 //     pure call is exact: the tables hold the very doubles the reference
 //     computes inline. neg_wire holds the same table as receivers see it,
 //     so an x⁺ that 1 − x does not clip is never re-quantized.
-//   * One flat α/β arena. The per-node vector<vector<double>> alpha/beta
-//     tables (2n allocations, pointer-chasing per access) become one flat
-//     arena of n + 2m {α, β} pairs indexed by closed-neighborhood slot:
-//     arena[base[i]] is node i's self slot, arena[base[i] + 1 + s] its s-th
-//     sorted neighbor. The coloring pass writes one stream and the z-pass
-//     reads one cache line per arc. The z-pass replaces per-edge binary
-//     searches with a precomputed reverse-slot array (the position of v
-//     inside w's adjacency row, built in one O(m) counting sweep).
-//   * Pool-parallel phases. Each of the two per-phase node loops (and
-//     the z-pass) is embarrassingly parallel: every node writes only its
-//     own slots and reads only values fixed before the loop started. The
-//     loops run over fixed node blocks on a util::ThreadPool; the one
-//     reduction (Lemma 4.1's max ratio) is collected per block and merged
-//     in block order after the barrier. Blocks are carved independently of
-//     the thread count and max is order-insensitive over a fixed set, so
-//     the output is bitwise identical at ANY width — the same determinism
-//     contract the simulator's round engine ships (DESIGN.md §11).
-//   * White frontier. Only white nodes take part in the coloring pass, and
-//     each turns gray once. Every block keeps its white nodes in ascending
-//     order in its own segment of one flat list and compacts it as it goes,
-//     so gray nodes cost nothing after they turn. A white node whose c⁺ is
-//     +0.0 (every summand is ≥ +0.0) has λ = 1 and would add +0.0 to each
-//     α/β slot and to c, so its row loop is skipped; the gray test still
-//     runs, which grays zero-demand nodes in the first iteration. δ̃ is no
-//     longer recounted: after the barrier the owner thread walks the nodes
+//   * One flat α/β arena, kept at the sender. The per-node
+//     vector<vector<double>> alpha/beta tables (2n allocations,
+//     pointer-chasing per access) become one flat arena of n + 2m {α, β}
+//     pairs indexed by closed-neighborhood slot: arena[base[j]] is node j's
+//     self slot, arena[base[j] + 1 + s] the slot of its s-th sorted
+//     neighbor i, holding α_{j,i} and β_{j,i} — the shares of x⁺_j that i
+//     charged, which j sends to i in line 27. The reference keeps that slot
+//     in the receiver i's row; keeping it at the sender lets each raiser
+//     j push λ_i·x⁺_j into its own row (one stream per raiser, only over
+//     raiser arcs), and lets the z-pass stream i's own row and gather only
+//     y_j, with no reverse-slot lookup.
+//   * Pool-parallel phases. Each per-phase node loop (and the z-pass) is
+//     embarrassingly parallel: every node writes only its own slots and
+//     reads only values fixed before the loop started. The loops run over
+//     fixed node blocks on a util::ThreadPool; the one reduction (Lemma
+//     4.1's max ratio) is collected per block and merged in block order
+//     after the barrier. Blocks are carved independently of the thread
+//     count and max is order-insensitive over a fixed set, so the output
+//     is bitwise identical at ANY width — the same determinism contract
+//     the simulator's round engine ships (DESIGN.md §11).
+//   * White frontier and raiser push. Only white nodes take part in the
+//     coloring pass, and each turns gray once. Every block keeps its white
+//     nodes in ascending order in its own segment of one flat list and
+//     compacts it as it goes, so gray nodes cost nothing after they turn.
+//     The pass sums c⁺, stores λ_i (+0 when c⁺ is +0.0: every summand is
+//     ≥ +0.0, so no neighbor raised anything i could charge), updates the
+//     self slot and runs the gray test, which grays zero-demand nodes in
+//     the first iteration. The x-update lists each block's raisers
+//     (x⁺ > 0) the same way, and after the coloring barrier each raiser
+//     adds λ_i·x⁺_j to its own slots: a gray neighbor holds λ = +0 (reset
+//     after the push of the iteration it turned gray in), and adding +0 to
+//     a slot ≥ +0 changes nothing, so every slot gets the reference's
+//     nonzero addends in the reference's order. In an iteration with no
+//     raiser every c⁺ is +0, so no c, λ, α or β changes and no node turns
+//     gray: it skips the coloring pass, the push and the decrements. δ̃ is no longer
+//     recounted: after the push's barrier the owner thread walks the nodes
 //     each block turned gray, in block order, and decrements δ̃ over their
 //     closed neighborhoods. Integer decrements are exact and order-free,
 //     and they cost n + 2m over the whole solve instead of n + 2m per
@@ -90,13 +101,6 @@ namespace {
 double transmit(double value, bool quantize) {
   return quantize ? sim::decode_fixed(sim::encode_fixed(value)) : value;
 }
-
-/// Node i's α/β pair for one closed-neighborhood slot: the coloring pass
-/// adds to both and the z-pass reads both, so they share a cache line.
-struct AlphaBeta {
-  double alpha = 0.0;
-  double beta = 0.0;
-};
 
 /// Fixed-block parallel-for over [0, n). The block decomposition depends
 /// only on (n, block) — never on the thread count — so any reduction merged
@@ -248,9 +252,11 @@ LpResult solve_fractional_kmds(const graph::Graph& g, const Demands& demands,
     dyn_deg[static_cast<std::size_t>(v)] = g.degree(v) + 1;
   }
 
-  // Flat α/β arena in closed-neighborhood slot order: node i owns
-  // [base[i], base[i] + deg(i)] — slot 0 is i itself, slot 1+s its s-th
-  // sorted neighbor. base[i] = i + (sum of degrees of nodes < i).
+  // Flat α/β arena in closed-neighborhood slot order, kept at the sender:
+  // node j owns [base[j], base[j] + deg(j)]. Slot 0 holds α_{j,j} and
+  // β_{j,j}; slot 1+s holds α_{j,i} and β_{j,i} for j's s-th sorted
+  // neighbor i — the part of x⁺_j that i's λ_i charged, which j sends to i
+  // in line 27. base[j] = j + (sum of degrees of nodes < j).
   std::vector<std::size_t> adj_prefix(n + 1, 0);
   for (std::size_t i = 0; i < n; ++i) {
     adj_prefix[i + 1] =
@@ -260,34 +266,23 @@ LpResult solve_fractional_kmds(const graph::Graph& g, const Demands& demands,
     return i + adj_prefix[i];
   };
   std::vector<AlphaBeta> ab(n + adj_prefix[n]);
-
-  // Reverse slots: for the directed edge at position e = adj_prefix[v] + s
-  // (v's s-th neighbor w), rev_slot[e] is v's position inside w's adjacency
-  // row. One counting sweep: scanning v ascending, v is appended to each
-  // neighbor w's row in sorted order, so v's position in w's row equals the
-  // number of smaller neighbors of w seen so far.
-  std::vector<std::uint32_t> rev_slot(adj_prefix[n]);
-  {
-    std::vector<std::uint32_t> cursor(n, 0);
-    for (NodeId v = 0; v < g.n(); ++v) {
-      std::size_t e = adj_prefix[static_cast<std::size_t>(v)];
-      for (const NodeId w : g.neighbors(v)) {
-        rev_slot[e++] = cursor[static_cast<std::size_t>(w)]++;
-      }
-    }
-  }
+  // λ_i of the current iteration: set by the coloring pass, read by the
+  // raiser push, and +0 at every node that is gray or saw c⁺ = +0.
+  std::vector<double> lambda(n, 0.0);
 
   const BlockRunner runner(n, options.threads, options.parallel_block);
   std::vector<double> block_ratio(runner.blocks(), 0.0);
 
-  // White frontier: block b's still-white nodes, ascending, sit at
-  // white_list[first(b) .. first(b) + white_count[b]). The coloring pass
-  // compacts that segment and writes the nodes it turns gray to the same
-  // segment of gray_list. Both lists are sized once here.
+  // Per-block node lists, each block's ascending run at list[first(b) ..
+  // first(b) + count[b]): its still-white nodes (compacted by the coloring
+  // pass), the nodes it turned gray in this iteration, and the nodes that
+  // raised x in this iteration. All three are sized once here.
   std::vector<NodeId> white_list(n);
   std::vector<NodeId> gray_list(n);
+  std::vector<NodeId> raiser_list(n);
   std::vector<std::size_t> white_count(runner.blocks(), 0);
   std::vector<std::size_t> gray_count(runner.blocks(), 0);
+  std::vector<std::size_t> raiser_count(runner.blocks(), 0);
   runner.run([&](std::size_t first, std::size_t last, std::size_t b) {
     for (std::size_t i = first; i < last; ++i) {
       white_list[i] = static_cast<NodeId>(i);
@@ -326,7 +321,8 @@ LpResult solve_fractional_kmds(const graph::Graph& g, const Demands& demands,
       const auto pe = static_cast<std::size_t>(p);
       const auto qe = static_cast<std::size_t>(q);
       // Lines 5-8: x-update (plus Lemma 4.1 audit), all nodes in lockstep.
-      // Each node touches only its own x/x_plus/wire slots; the Lemma 4.1
+      // Each node touches only its own x/x_plus/wire slots, and block b
+      // lists its raisers in its own segment of raiser_list; the Lemma 4.1
       // ratio reduces into the task's block slot and is merged below. An
       // unclipped x⁺ is a table entry, so its wire value is read from
       // neg_wire; only a clipped 1 − x is quantized here. Under global Δ
@@ -334,6 +330,8 @@ LpResult solve_fractional_kmds(const graph::Graph& g, const Demands& demands,
       // division by a positive constant is monotone, so the block's max
       // δ̃ over that bound is the max of the per-node ratios.
       runner.run([&](std::size_t first, std::size_t last, std::size_t b) {
+        NodeId* const raisers = raiser_list.data() + first;
+        std::size_t raised = 0;
         double ratio = 0.0;
         std::int32_t max_deg = 0;
         for (std::size_t i = first; i < last; ++i) {
@@ -359,74 +357,107 @@ LpResult solve_fractional_kmds(const graph::Graph& g, const Demands& demands,
                 x_plus_wire[i] = neg_wire[row_neg + qe];
               }
               x[i] += x_plus[i];
+              raisers[raised++] = static_cast<NodeId>(i);
             }
           }
         }
         block_ratio[b] =
             two_hop ? ratio : static_cast<double>(max_deg) / pos_pow[pe + 1];
+        raiser_count[b] = raised;
       });
+      std::size_t raised = 0;
       for (std::size_t b = 0; b < runner.blocks(); ++b) {
         result.max_lemma41_ratio =
             std::max(result.max_lemma41_ratio, block_ratio[b]);
+        raised += raiser_count[b];
       }
       lap(obs::PerfPhase::kLpXUpdate);
 
-      // Lines 10-21: dual bookkeeping and coloring at white nodes. Block b
-      // walks its own white segment; node i writes only the c/alpha/beta/y
-      // slots it owns and reads only x_plus values fixed by the previous
-      // loop's barrier.
-      runner.run([&](std::size_t first, std::size_t, std::size_t b) {
-        NodeId* const whites = white_list.data() + first;
-        NodeId* const grayed = gray_list.data() + first;
-        std::size_t kept = 0;
-        std::size_t turned = 0;
-        for (std::size_t s = 0; s < white_count[b]; ++s) {
-          const NodeId v = whites[s];
-          const auto i = static_cast<std::size_t>(v);
-          const double inv_dp = neg_pow[row_stride_neg * i + pe];
-          double c_plus = x_plus[i];  // own increase, known exactly
-          for (NodeId w : g.neighbors(v)) {
-            c_plus += x_plus_wire[static_cast<std::size_t>(w)];
-          }
-          const double k_i = static_cast<double>(demands[i]);
-          if (c_plus > 0.0) {
-            const double lambda = std::min(1.0, (k_i - c[i]) / c_plus);
-            c[i] += c_plus;
-            AlphaBeta* const ab_i = ab.data() + base(i);
-            ab_i[0].alpha += lambda * x_plus[i];
-            ab_i[0].beta += lambda * x_plus[i] * inv_dp;
-            std::size_t slot = 1;
+      // With no raiser every c⁺ is +0, so no c, α, β or λ changes and no
+      // node turns gray: the rest of the iteration is the identity. The
+      // first iteration always has a raiser (a max-degree node has
+      // δ̃ = Δ+1 ≥ its threshold), so zero-demand nodes still gray there.
+      if (raised > 0) {
+        // Lines 10-21: c⁺, λ, the self slot and the gray test at white
+        // nodes. Block b walks its own white segment; node i writes only
+        // the c/lambda/self-slot/y values it owns and reads only x_plus
+        // values fixed by the previous loop's barrier.
+        runner.run([&](std::size_t first, std::size_t, std::size_t b) {
+          NodeId* const whites = white_list.data() + first;
+          NodeId* const grayed = gray_list.data() + first;
+          std::size_t kept = 0;
+          std::size_t turned = 0;
+          for (std::size_t s = 0; s < white_count[b]; ++s) {
+            const NodeId v = whites[s];
+            const auto i = static_cast<std::size_t>(v);
+            const double inv_dp = neg_pow[row_stride_neg * i + pe];
+            double c_plus = x_plus[i];  // own increase, known exactly
             for (NodeId w : g.neighbors(v)) {
-              const double xj = x_plus_wire[static_cast<std::size_t>(w)];
-              ab_i[slot].alpha += lambda * xj;
-              ab_i[slot].beta += lambda * xj * inv_dp;
-              ++slot;
+              c_plus += x_plus_wire[static_cast<std::size_t>(w)];
+            }
+            const double k_i = static_cast<double>(demands[i]);
+            if (c_plus > 0.0) {
+              const double lam = std::min(1.0, (k_i - c[i]) / c_plus);
+              lambda[i] = lam;
+              c[i] += c_plus;
+              AlphaBeta& own = ab[base(i)];
+              own.alpha += lam * x_plus[i];
+              own.beta += lam * x_plus[i] * inv_dp;
+            } else {
+              lambda[i] = 0.0;
+            }
+            if (c[i] + kCoverageEps >= k_i) {
+              grayed[turned++] = v;
+              result.dual.y[i] = inv_dp;
+            } else {
+              whites[kept++] = v;
             }
           }
-          if (c[i] + kCoverageEps >= k_i) {
-            grayed[turned++] = v;
-            result.dual.y[i] = inv_dp;
-          } else {
-            whites[kept++] = v;
-          }
-        }
-        white_count[b] = kept;
-        gray_count[b] = turned;
-      });
-      lap(obs::PerfPhase::kLpDualColor);
+          white_count[b] = kept;
+          gray_count[b] = turned;
+        });
 
-      // Lines 23-24: exchange colors. Each node that turned gray leaves the
-      // white count of every node in its closed neighborhood; the owner
-      // thread applies those decrements after the barrier, in block order.
-      for (std::size_t b = 0; b < runner.blocks(); ++b) {
-        const NodeId* const grayed = gray_list.data() + runner.first(b);
-        for (std::size_t s = 0; s < gray_count[b]; ++s) {
-          const NodeId j = grayed[s];
-          --dyn_deg[static_cast<std::size_t>(j)];
-          for (NodeId w : g.neighbors(j)) {
-            --dyn_deg[static_cast<std::size_t>(w)];
+        // The α/β half of lines 10-21, kept at the sender: each raiser j
+        // adds λ_i·x⁺_j and λ_i·x⁺_j·(Δ_i+1)^{-p/t} to the slot of every
+        // neighbor i, in its own row. λ is frozen at the barrier above, and
+        // a gray or c⁺ = +0 neighbor adds +0, which leaves a slot ≥ +0
+        // unchanged — so each slot sees the reference's nonzero addends in
+        // the reference's order.
+        runner.run([&](std::size_t first, std::size_t, std::size_t b) {
+          const NodeId* const raisers = raiser_list.data() + first;
+          for (std::size_t s = 0; s < raiser_count[b]; ++s) {
+            const NodeId v = raisers[s];
+            const auto j = static_cast<std::size_t>(v);
+            const double xj = x_plus_wire[j];
+            AlphaBeta* slot = ab.data() + base(j);
+            for (NodeId w : g.neighbors(v)) {
+              const auto i = static_cast<std::size_t>(w);
+              const double a = lambda[i] * xj;
+              ++slot;
+              slot->alpha += a;
+              slot->beta += a * neg_pow[row_stride_neg * i + pe];
+            }
+          }
+        });
+        lap(obs::PerfPhase::kLpDualColor);
+
+        // Lines 23-24: exchange colors. Each node that turned gray leaves
+        // the white count of every node in its closed neighborhood and
+        // stops charging raisers; the owner thread applies both after the
+        // push's barrier, in block order.
+        for (std::size_t b = 0; b < runner.blocks(); ++b) {
+          const NodeId* const grayed = gray_list.data() + runner.first(b);
+          for (std::size_t s = 0; s < gray_count[b]; ++s) {
+            const NodeId j = grayed[s];
+            lambda[static_cast<std::size_t>(j)] = 0.0;
+            --dyn_deg[static_cast<std::size_t>(j)];
+            for (NodeId w : g.neighbors(j)) {
+              --dyn_deg[static_cast<std::size_t>(w)];
+            }
           }
         }
+      } else {
+        lap(obs::PerfPhase::kLpDualColor);
       }
       lap(obs::PerfPhase::kLpDegree);
       perf_end_iter(iter_t0);
@@ -434,20 +465,21 @@ LpResult solve_fractional_kmds(const graph::Graph& g, const Demands& demands,
   }
   const std::int64_t z_t0 = t_mark;
 
-  // Line 27: z_i = Σ_{j∈N_i} (α_{i,j}·y_j − β_{i,j}). α_{i,j} lives at node
-  // j (in i's slot — rev_slot gives it without a binary search); in the
-  // distributed version j sends the share across the edge, so neighbor
-  // shares are quantized like any other message.
+  // Line 27: z_i = Σ_{j∈N_i} (α_{i,j}·y_j − β_{i,j}). Node i's own row
+  // holds α_{i,j} and β_{i,j} in slot 1+s for its s-th neighbor j, so the
+  // pass streams that row and gathers only y_j. In the distributed version
+  // i's neighbor j computes the share and sends it across the edge, so
+  // neighbor shares are quantized like any other message.
   runner.run([&](std::size_t first, std::size_t last, std::size_t) {
     for (std::size_t i = first; i < last; ++i) {
       const NodeId v = static_cast<NodeId>(i);
-      const AlphaBeta& own = ab[base(i)];
-      double z = own.alpha * result.dual.y[i] - own.beta;  // j = i
-      std::size_t e = adj_prefix[i];
+      const AlphaBeta* slot = ab.data() + base(i);
+      double z = slot->alpha * result.dual.y[i] - slot->beta;  // j = i
       for (NodeId w : g.neighbors(v)) {
-        const auto j = static_cast<std::size_t>(w);
-        const AlphaBeta& slot = ab[base(j) + 1 + rev_slot[e++]];
-        const double share = slot.alpha * result.dual.y[j] - slot.beta;
+        ++slot;
+        const double share =
+            slot->alpha * result.dual.y[static_cast<std::size_t>(w)] -
+            slot->beta;
         z += transmit(share, quantize);
       }
       result.dual.z[i] = z;

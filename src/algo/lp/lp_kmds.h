@@ -66,13 +66,13 @@ struct LpOptions {
 
   /// ThreadPool width for the mirror's per-phase node loops (1 = fully
   /// sequential, no pool). Every width runs the same body, including the
-  /// white-frontier coloring pass. The solver's output is bitwise identical
-  /// at any width: every loop writes only node-owned state and its block's
-  /// own segment of the white/gray lists between barriers, the node-block
-  /// decomposition is independent of the thread count, the single
-  /// reduction (Lemma 4.1's max) merges per-block maxima in block order,
-  /// and the dynamic-degree decrements run on the calling thread after the
-  /// coloring barrier (DESIGN.md §11).
+  /// white-frontier coloring pass and the raiser push. The solver's output
+  /// is bitwise identical at any width: every loop writes only node-owned
+  /// state and its block's own segment of the white/gray/raiser lists
+  /// between barriers, the node-block decomposition is independent of the
+  /// thread count, the single reduction (Lemma 4.1's max) merges per-block
+  /// maxima in block order, and the dynamic-degree decrements and λ resets
+  /// run on the calling thread after the push's barrier (DESIGN.md §11).
   int threads = 1;
 
   /// Nodes per parallel task (0 = default 8192). Exposed so determinism
@@ -115,6 +115,14 @@ struct LpResult {
 /// y = 0 and a negative z. The epsilon is far below any genuine x-increment
 /// (the smallest is (Δ+1)^{-(t-1)/t}), so it can never gray a node early.
 inline constexpr double kCoverageEps = 1e-6;
+
+/// One closed-neighborhood slot of Algorithm 1's dual bookkeeping: α and β
+/// of one arc. Both are added together and read together, so they share a
+/// cache line in the mirror's arena and in each process's row.
+struct AlphaBeta {
+  double alpha = 0.0;
+  double beta = 0.0;
+};
 
 /// Theorem 4.5's approximation-ratio bound t((Δ+1)^{2/t} + (Δ+1)^{1/t}).
 [[nodiscard]] double theorem45_bound(int t, graph::NodeId max_degree);

@@ -33,8 +33,7 @@ void LpKmdsProcess::ensure_initialized(sim::Context& ctx) {
   // In kTwoHop mode d1_ is learned in the warm-up instead.
   d1_ = static_cast<double>(ctx.max_degree()) + 1.0;
   dyn_deg_ = ctx.degree() + 1;
-  alpha_.assign(static_cast<std::size_t>(ctx.degree()) + 1, 0.0);
-  beta_.assign(static_cast<std::size_t>(ctx.degree()) + 1, 0.0);
+  ab_.assign(static_cast<std::size_t>(ctx.degree()) + 1, AlphaBeta{});
 }
 
 void LpKmdsProcess::update_dynamic_degree(sim::Context& ctx) {
@@ -91,8 +90,8 @@ void LpKmdsProcess::do_cover_update_and_send(sim::Context& ctx) {
     const double lambda =
         c_plus > 0.0 ? std::min(1.0, (k_i - c_) / c_plus) : 1.0;
     c_ += c_plus;
-    alpha_[0] += lambda * x_plus_;
-    beta_[0] += lambda * x_plus_ * inv_dp;
+    ab_[0].alpha += lambda * x_plus_;
+    ab_[0].beta += lambda * x_plus_ * inv_dp;
     // One forward walk of the sorted neighbour row finds each sender's slot
     // (slot k + 1 for neighbour k); a sender repeated by a duplicating
     // channel reuses its slot.
@@ -103,8 +102,8 @@ void LpKmdsProcess::do_cover_update_and_send(sim::Context& ctx) {
       while (nbrs[k] < msg.from) ++k;
       assert(k < nbrs.size() && nbrs[k] == msg.from);
       const double xj = sim::decode_fixed(msg.words[1]);
-      alpha_[k + 1] += lambda * xj;
-      beta_[k + 1] += lambda * xj * inv_dp;
+      ab_[k + 1].alpha += lambda * xj;
+      ab_[k + 1].beta += lambda * xj * inv_dp;
     }
     if (c_ + kCoverageEps >= k_i) {
       white_ = false;
@@ -117,13 +116,13 @@ void LpKmdsProcess::do_cover_update_and_send(sim::Context& ctx) {
 void LpKmdsProcess::send_z_shares(sim::Context& ctx) {
   const auto nbrs = ctx.neighbors();
   for (std::size_t k = 0; k < nbrs.size(); ++k) {
-    const double share = alpha_[k + 1] * y_ - beta_[k + 1];
+    const double share = ab_[k + 1].alpha * y_ - ab_[k + 1].beta;
     ctx.send(nbrs[k], {sim::encode_fixed(share)});
   }
 }
 
 void LpKmdsProcess::finish_z(sim::Context& ctx) {
-  double z = alpha_[0] * y_ - beta_[0];  // own share (j = i), exact
+  double z = ab_[0].alpha * y_ - ab_[0].beta;  // own share (j = i), exact
   for (const sim::Message& msg : ctx.inbox()) {
     if (msg.words.size() != 1) continue;
     z += sim::decode_fixed(msg.words[0]);

@@ -91,8 +91,9 @@ class LpKmdsProcess final : public sim::Process {
   double z_ = 0.0;
   bool white_ = true;
   std::int32_t dyn_deg_ = 0;
-  std::vector<double> alpha_;  // α_{j,i} by slot (0 = self, k+1 = nbr k)
-  std::vector<double> beta_;   // β_{j,i} by slot
+  // α_{j,i} and β_{j,i} by closed-neighborhood slot: 0 = self, k+1 = the
+  // k-th neighbor. One block per node, allocated at round 0.
+  std::vector<AlphaBeta> ab_;
 
   // Schedule position.
   std::int64_t step_ = 0;  // local round counter

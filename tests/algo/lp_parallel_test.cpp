@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algo/lp/lp_kmds.h"
@@ -171,6 +172,54 @@ TEST(LpParallel, FrontierMatchesReferenceOnEdgeCases) {
                     ref, solve_fractional_kmds(g, demands, opts),
                     "frontier vs reference");
               }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(LpParallel, SenderSlotsMatchReference) {
+  // Each raiser pushes λ_i·x⁺ into its own row after the coloring barrier,
+  // gray nodes get λ := 0 after that push, and an iteration in which no
+  // node raised skips the coloring pass, the push and the decrements. The
+  // hub joined to a sparse G(n, p) has iterations with no raiser (once the
+  // hub is full, nothing reaches the high thresholds until p drops), and
+  // the hub's last raise is clipped by 1 − x; zero demands gray nodes in
+  // the first iteration, so gray nodes with a stale λ sit next to later
+  // raisers. G(6000, deg 10) at t = 5 has both as well, and its Δ + 1 is
+  // not a power of two, so (λ·x⁺)·(Δ+1)^{-p/t} and λ·(x⁺·(Δ+1)^{-p/t})
+  // differ in rounding there. Blocks of 1 and 7 nodes leave most blocks
+  // without a raiser in iterations where some other block has one.
+  util::Rng rng(29);
+  const std::vector<std::pair<Graph, std::vector<int>>> cases = {
+      {gnp_with_extras(300, 0.01, 10, true, rng), {2, 5}},
+      {graph::gnp(6000, 10.0 / 5999.0, rng), {5}}};
+  for (const auto& [g, ts] : cases) {
+    Demands demands = mixed_demands(g, 31);
+    for (std::size_t i = 0; i < demands.size(); i += 5) demands[i] = 0;
+    for (const int t : ts) {
+      for (const auto dk :
+           {DegreeKnowledge::kGlobal, DegreeKnowledge::kTwoHop}) {
+        for (const bool quantize : {true, false}) {
+          LpOptions opts;
+          opts.t = t;
+          opts.degree_knowledge = dk;
+          opts.quantize_messages = quantize;
+          const LpResult ref = solve_fractional_kmds_reference(g, demands, opts);
+          for (const int block : {1, 7, 1 << 20}) {
+            opts.parallel_block = block;
+            for (const int width : {1, 3}) {
+              opts.threads = width;
+              SCOPED_TRACE("n=" + std::to_string(g.n()) + " t=" +
+                           std::to_string(t) + " two_hop=" +
+                           std::to_string(dk == DegreeKnowledge::kTwoHop) +
+                           " quantize=" + std::to_string(quantize) +
+                           " block=" + std::to_string(block) +
+                           " width=" + std::to_string(width));
+              expect_bitwise_equal(ref, solve_fractional_kmds(g, demands, opts),
+                                   "sender slots vs reference");
             }
           }
         }

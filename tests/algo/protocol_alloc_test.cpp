@@ -13,10 +13,11 @@
 //    buffers have reached their high-water mark, so a round must not
 //    allocate at all.
 //  * Algorithm 1 (LpKmdsProcess, t = 3): rounds 0 and 1 size the per-node
-//    state and the engine. Every later round allocates nothing except round
-//    2t², the first z-share round: it is the first with one message per
-//    neighbour instead of one broadcast, so the engine's transfer buffers
-//    grow once — by a handful of blocks, independent of n.
+//    state and the engine. Round 0 may allocate one block per node (its
+//    α/β row) plus an engine constant. Every later round allocates nothing
+//    except round 2t², the first z-share round: it is the first with one
+//    message per neighbour instead of one broadcast, so the engine's
+//    transfer buffers grow once — by a handful of blocks, independent of n.
 //  * Algorithm 2 (RoundingProcess): nothing after round 0.
 //  * Mixed rounds (a test process): in one round some nodes broadcast and
 //    others send to some neighbours, so receivers merge a pulled broadcast
@@ -51,6 +52,10 @@ namespace {
 using graph::NodeId;
 
 constexpr NodeId kNodes = 4000;
+
+/// Blocks the engine and a plane may allocate in a network's first round,
+/// independent of n (14–28 at n = 4000 with the configurations below).
+constexpr std::uint64_t kEngineFirstRoundAllocs = 64;
 
 /// Runs `body(options, seed)` for seeds 1–3 under each plane configuration
 /// (options == nullptr: no plane).
@@ -135,6 +140,9 @@ void expect_lp_and_rounding_steady_rounds(const graph::Graph& g,
   });
   const auto lp_allocs = step_counting_allocs(lp_net, lp_round_count(t) + 1);
   ASSERT_EQ(static_cast<std::int64_t>(lp_allocs.size()), lp_round_count(t));
+  EXPECT_LE(lp_allocs[0],
+            static_cast<std::uint64_t>(g.n()) + kEngineFirstRoundAllocs)
+      << "LP round 0 (one α/β row per node)";
   const auto z_round = static_cast<std::size_t>(2 * t * t);
   for (std::size_t r = 2; r < lp_allocs.size(); ++r) {
     if (r == z_round) {

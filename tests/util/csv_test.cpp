@@ -1,6 +1,7 @@
 #include "util/csv.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -17,9 +18,15 @@ std::string read_file(const std::string& path) {
   return out.str();
 }
 
+/// Each test writes its own file, named after the test and the process, so
+/// tests run side by side (ctest -j starts one process per test) never
+/// write or delete each other's file.
 class CsvWriterTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/ftc_csv_test.csv";
+  std::string path_ =
+      ::testing::TempDir() + "/ftc_csv_test_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+      std::to_string(::getpid()) + ".csv";
   void TearDown() override { std::remove(path_.c_str()); }
 };
 
