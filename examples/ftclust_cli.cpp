@@ -218,12 +218,15 @@ int run(const util::Args& args) {
     return 2;
   }
 
+  bool connected_backbone = true;
   if (args.get_bool("connect", false)) {
     const auto connected = algo::connect_dominating_set(g, set);
-    std::printf("connect: +%lld connectors over %lld bridges\n",
-                static_cast<long long>(connected.connectors_added),
-                static_cast<long long>(connected.bridges_used));
     set = connected.set;
+    connected_backbone = algo::is_connected_within_components(g, set);
+    std::printf("connect: +%lld connectors over %lld bridges, connected: %s\n",
+                static_cast<long long>(connected.connectors_added),
+                static_cast<long long>(connected.bridges_used),
+                connected_backbone ? "yes" : "NO");
   }
 
   const bool valid = domination::is_k_dominating(g, set, demands, mode);
@@ -271,7 +274,7 @@ int run(const util::Args& args) {
     geom::save_svg(svg_path, net.udg, layers);
     std::printf("svg written to %s\n", svg_path.c_str());
   }
-  return valid ? 0 : 1;
+  return valid && connected_backbone ? 0 : 1;
 }
 
 }  // namespace

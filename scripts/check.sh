@@ -51,6 +51,19 @@
 #                                           benchmark/pinned.json; fails
 #                                           unless every workload reports
 #                                           "correct": true, "failed": 0
+#   scripts/check.sh coverage [build-dir]   record-only line coverage:
+#                                           a Debug --coverage -O0 tree
+#                                           (default build dir:
+#                                           build-coverage) builds the
+#                                           examples, benches and tools,
+#                                           runs their ctest cases (every
+#                                           smoke, reject and selftest plus
+#                                           the FUZZ campaigns; no gtest
+#                                           binary) and prints, per file of
+#                                           src/ outside src/testing, lines
+#                                           executed, unexecuted ranges and
+#                                           functions never called
+#                                           (scripts/coverage_report.py)
 #   scripts/check.sh selftest               verify that a failing ctest
 #                                           propagates to this script's exit
 #                                           code, and that bench_check.py's
@@ -156,6 +169,24 @@ for w in json.load(open("BENCHMARK.json"))["workloads"]: print(w["name"])'); do
   done
   [ "$bad" -ne 0 ] && exit 1
   echo "check.sh: bench-smoke OK — every workload correct, fingerprints pinned"
+  exit 0
+fi
+
+if [ "${1:-}" = "coverage" ]; then
+  # The program directories are built and tested one by one, so the gtest
+  # binaries are never compiled; stale .gcda counts from an earlier run are
+  # dropped first. No bound: the report is a record.
+  BUILD_DIR="${2:-build-coverage}"
+  configure -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Debug \
+    "-DCMAKE_CXX_FLAGS=--coverage -O0"
+  for dir in bench examples tools; do
+    cmake --build "$BUILD_DIR/$dir" -j "$(nproc)"
+  done
+  find "$BUILD_DIR" -name '*.gcda' -delete
+  for dir in bench examples tools; do
+    run_ctest --test-dir "$BUILD_DIR/$dir" --output-on-failure -j "$(nproc)"
+  done
+  python3 scripts/coverage_report.py "$BUILD_DIR"
   exit 0
 fi
 

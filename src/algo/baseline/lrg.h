@@ -15,10 +15,10 @@
 //   4. coverage counts are updated; repeat until no node is deficient.
 //
 // Each iteration costs kLrgRoundsPerIteration = 6 communication rounds —
-// the schedule the faithful distributed implementation (lrg_process.h)
-// actually uses: deficiency flags, spans, two hops of max-relaying,
-// candidate flags, supports, and join announcements (joins fold into the
-// next iteration's first round).
+// the schedule the faithful distributed implementation
+// (tests/support/lrg_process.h) actually uses: deficiency flags, spans, two
+// hops of max-relaying, candidate flags, supports, and join announcements
+// (joins fold into the next iteration's first round).
 //
 // This adaptation (residual demands instead of a covered bit) follows the
 // k-MDS variant sketched in their Section 5; it is a faithful comparator,
@@ -33,7 +33,8 @@
 
 namespace ftc::algo {
 
-/// Communication rounds per LRG iteration (see lrg_process.h's schedule).
+/// Communication rounds per LRG iteration (the schedule of
+/// tests/support/lrg_process.h).
 inline constexpr std::int64_t kLrgRoundsPerIteration = 6;
 
 /// The iteration safety cap shared by mirror and process (both compute it

@@ -21,7 +21,7 @@ LubyResult luby_mis_kfold(const graph::Graph& g, std::int32_t k,
 
   LubyResult result;
   // 2 network rounds per paper round, plus the final join-absorption round
-  // the distributed schedule needs (see luby_process.h).
+  // the distributed schedule needs (see tests/support/luby_process.h).
   result.rounds =
       2 * static_cast<std::int64_t>(k) * luby_phase_rounds(g.n()) + 1;
 

@@ -233,12 +233,4 @@ void DynamicUdg::node_move(NodeId v, Point p, EdgeDelta& delta) {
   }
 }
 
-UnitDiskGraph DynamicUdg::to_udg() const {
-  UnitDiskGraph udg;
-  udg.graph = g_.to_graph();
-  udg.positions = pos_;
-  udg.radius = radius_;
-  return udg;
-}
-
 }  // namespace ftc::geom

@@ -82,10 +82,6 @@ class DynamicUdg {
   /// nothing, if p is not finite.
   void node_move(graph::NodeId v, Point p, graph::EdgeDelta& delta);
 
-  /// Freezes the current state into a UnitDiskGraph (inactive nodes stay as
-  /// isolated ids, keeping indices aligned).
-  [[nodiscard]] UnitDiskGraph to_udg() const;
-
  private:
   struct CellKey {
     std::int64_t cx;

@@ -34,14 +34,6 @@ bool perf_phase_top_level(PerfPhase p) noexcept {
   }
 }
 
-PerfPhase perf_shard_phase(int slot) noexcept {
-  assert(slot >= 0 && slot < kPerfShardPhaseCount);
-  constexpr PerfPhase kSlots[kPerfShardPhaseCount] = {
-      PerfPhase::kCompute, PerfPhase::kDeliverCount, PerfPhase::kDeliverPlace,
-      PerfPhase::kChannelDecide};
-  return kSlots[slot];
-}
-
 int perf_shard_slot(PerfPhase p) noexcept {
   switch (p) {
     case PerfPhase::kCompute:

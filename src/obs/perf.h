@@ -61,10 +61,10 @@ inline constexpr int kPerfPhaseCount = 15;
 /// overlapping phases would claim >100% coverage).
 [[nodiscard]] bool perf_phase_top_level(PerfPhase p) noexcept;
 
-/// Phases with per-shard resolution, in slot order. Everything else is
-/// owner-side only (sequential barriers have no shard dimension).
+/// Phases with per-shard resolution: compute, deliver_count, deliver_place
+/// and channel_decide, in slot order. Everything else is owner-side only
+/// (sequential barriers have no shard dimension).
 inline constexpr int kPerfShardPhaseCount = 4;
-[[nodiscard]] PerfPhase perf_shard_phase(int slot) noexcept;
 /// Slot of a per-shard phase, or -1 for owner-only phases.
 [[nodiscard]] int perf_shard_slot(PerfPhase p) noexcept;
 

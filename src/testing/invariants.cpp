@@ -755,6 +755,26 @@ void check_kernels(const FuzzCase& c, const Graph& g, const Demands& demands,
     if (width == c.threads) break;  // c.threads == 2: single iteration
   }
 
+  // Exact mode (no wire quantization): the 2^-40 rounding of the z-shares
+  // would hide a 1-ulp error in a mirror value such as β, so the unrounded
+  // solve must match the reference too, at width 1 and at the case's width.
+  algo::LpOptions exact;
+  exact.t = c.t;
+  exact.quantize_messages = false;
+  const algo::LpResult exact_ref =
+      solve_fractional_kmds_reference(g, demands, exact);
+  for (const int width : {1, c.threads}) {
+    exact.threads = width;
+    exact.parallel_block = width > 1 ? 2 : 0;
+    if (!lp_results_equal(exact_ref,
+                          algo::solve_fractional_kmds(g, demands, exact))) {
+      add(out, "kernel.lp_exact_equiv",
+          "exact-mode LP solver != reference at threads=" +
+              std::to_string(width));
+    }
+    if (c.threads <= 1) break;
+  }
+
   // The per-node power-table rows (kTwoHop) must match the reference too.
   algo::LpOptions th_opts;
   th_opts.t = c.t;

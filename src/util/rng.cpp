@@ -99,15 +99,6 @@ double Rng::normal() noexcept {
          std::cos(2.0 * std::numbers::pi * u2);
 }
 
-double Rng::exponential(double lambda) noexcept {
-  assert(lambda > 0.0);
-  double u = uniform01();
-  while (u <= 0.0) {
-    u = uniform01();
-  }
-  return -std::log(u) / lambda;
-}
-
 Rng Rng::split(std::uint64_t stream) const noexcept {
   // Hash (seed, stream) into a fresh seed; children of distinct streams are
   // decorrelated because SplitMix64 is a bijective avalanche mixer.

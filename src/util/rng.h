@@ -62,8 +62,6 @@ class Rng {
   /// Returns a standard normal (mean 0, stddev 1) variate via Box-Muller.
   [[nodiscard]] double normal() noexcept;
 
-  /// Returns an exponentially distributed variate with rate lambda > 0.
-  [[nodiscard]] double exponential(double lambda) noexcept;
 
   /// Derives an independent child generator identified by `stream`.
   /// split(a) and split(b) for a != b yield decorrelated sequences, and the

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstdio>
 #include <ostream>
-#include <sstream>
 
 namespace ftc::util {
 
@@ -64,12 +63,6 @@ void Table::print(std::ostream& os, const std::string& title) const {
     os << " |\n";
   }
   emit_rule();
-}
-
-std::string Table::to_string(const std::string& title) const {
-  std::ostringstream oss;
-  print(oss, title);
-  return oss.str();
 }
 
 std::string fmt(double value, int precision) {

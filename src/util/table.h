@@ -34,9 +34,6 @@ class Table {
   /// Renders the table to `os`, with an optional title line above it.
   void print(std::ostream& os, const std::string& title = "") const;
 
-  /// Renders the table to a string (same format as print()).
-  [[nodiscard]] std::string to_string(const std::string& title = "") const;
-
  private:
   std::vector<std::string> header_;
   // A row with the special sentinel {kRuleSentinel} renders as a rule.

@@ -1,6 +1,6 @@
 // Equivalence of the distributed LRG (sim::Process) and its centralized
 // mirror, plus schedule/quiescence behavior.
-#include "algo/baseline/lrg_process.h"
+#include "support/lrg_process.h"
 
 #include <gtest/gtest.h>
 

@@ -5,7 +5,7 @@
 #include <memory>
 #include <tuple>
 
-#include "algo/baseline/luby_process.h"
+#include "support/luby_process.h"
 #include "domination/domination.h"
 #include "geom/udg.h"
 #include "graph/generators.h"

@@ -44,10 +44,12 @@ TEST(PerfPhases, NamesAndClassificationAreConsistent) {
   EXPECT_FALSE(obs::perf_phase_top_level(PerfPhase::kChannelDecide));
   EXPECT_FALSE(obs::perf_phase_top_level(PerfPhase::kBarrierWait));
   EXPECT_FALSE(obs::perf_phase_top_level(PerfPhase::kClaimStall));
-  // Shard slots round-trip; owner-only phases have no slot.
-  for (int slot = 0; slot < obs::kPerfShardPhaseCount; ++slot) {
-    EXPECT_EQ(obs::perf_shard_slot(obs::perf_shard_phase(slot)), slot);
-  }
+  // The per-shard phases take slots 0..3 in order; owner-only phases have
+  // no slot.
+  EXPECT_EQ(obs::perf_shard_slot(PerfPhase::kCompute), 0);
+  EXPECT_EQ(obs::perf_shard_slot(PerfPhase::kDeliverCount), 1);
+  EXPECT_EQ(obs::perf_shard_slot(PerfPhase::kDeliverPlace), 2);
+  EXPECT_EQ(obs::perf_shard_slot(PerfPhase::kChannelDecide), 3);
   EXPECT_EQ(obs::perf_shard_slot(PerfPhase::kFinalize), -1);
   EXPECT_EQ(obs::perf_shard_slot(PerfPhase::kDeliverPrefix), -1);
 }

@@ -12,7 +12,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "algo/baseline/luby_process.h"
+#include "support/luby_process.h"
 #include "geom/udg.h"
 #include "graph/generators.h"
 #include "obs/plane.h"

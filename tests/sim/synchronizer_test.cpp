@@ -17,9 +17,9 @@
 #include "algo/udg/udg_kmds.h"
 #include "algo/udg/udg_kmds_process.h"
 #include "algo/baseline/lrg.h"
-#include "algo/baseline/lrg_process.h"
+#include "support/lrg_process.h"
 #include "algo/baseline/luby.h"
-#include "algo/baseline/luby_process.h"
+#include "support/luby_process.h"
 #include "domination/domination.h"
 #include "geom/udg.h"
 #include "graph/generators.h"

@@ -1,4 +1,4 @@
-#include "algo/baseline/lrg_process.h"
+#include "support/lrg_process.h"
 
 #include <algorithm>
 #include <cassert>

@@ -1,6 +1,10 @@
 // LRG (Jia–Rajaraman–Suel style) as a faithful per-node program for the
 // synchronous simulator (mirror: lrg.h).
 //
+// Test support, compiled only into ftc_tests: no program runs it. The tests
+// that drive it pin the mirror's rounds formula (iterations ×
+// kLrgRoundsPerIteration), which bench E8 reports.
+//
 // One LRG iteration spans kLrgRoundsPerIteration = 6 network rounds:
 //
 //   A0: absorb JOIN announcements (previous iteration) into the residual

@@ -1,4 +1,4 @@
-#include "algo/baseline/luby_process.h"
+#include "support/luby_process.h"
 
 #include <cassert>
 

@@ -1,6 +1,10 @@
 // Luby k-fold MIS as a faithful per-node program for the synchronous
 // simulator (mirror: luby.h).
 //
+// Test support, compiled only into ftc_tests: no program runs it. The tests
+// that drive it pin the mirror's rounds formula (2·k·luby_phase_rounds(n) +
+// 1), which bench E8 reports.
+//
 // Global schedule, derived from n (which every node knows): each of the k
 // phases spans luby_phase_rounds(n) paper rounds of 2 network rounds each:
 //

@@ -114,14 +114,6 @@ TEST(Rng, NormalMoments) {
   EXPECT_NEAR(sq / trials, 1.0, 0.03);
 }
 
-TEST(Rng, ExponentialMean) {
-  Rng rng(37);
-  double sum = 0.0;
-  const int trials = 100000;
-  for (int i = 0; i < trials; ++i) sum += rng.exponential(2.0);
-  EXPECT_NEAR(sum / trials, 0.5, 0.01);
-}
-
 TEST(Rng, SplitIsDeterministic) {
   const Rng parent(99);
   Rng a = parent.split(5);

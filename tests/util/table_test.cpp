@@ -7,9 +7,15 @@
 namespace ftc::util {
 namespace {
 
+std::string render(const Table& t, const std::string& title = "") {
+  std::ostringstream out;
+  t.print(out, title);
+  return out.str();
+}
+
 TEST(Table, HeaderOnlyRenders) {
   Table t({"a", "b"});
-  const std::string out = t.to_string();
+  const std::string out = render(t);
   EXPECT_NE(out.find("| a"), std::string::npos);
   EXPECT_NE(out.find("b |"), std::string::npos);
 }
@@ -17,7 +23,7 @@ TEST(Table, HeaderOnlyRenders) {
 TEST(Table, RowCellsAppear) {
   Table t({"name", "value"});
   t.add_row({"alpha", "42"});
-  const std::string out = t.to_string();
+  const std::string out = render(t);
   EXPECT_NE(out.find("alpha"), std::string::npos);
   EXPECT_NE(out.find("42"), std::string::npos);
 }
@@ -26,7 +32,7 @@ TEST(Table, ShortRowsArePadded) {
   Table t({"a", "b", "c"});
   t.add_row({"x"});
   // The missing cells render empty, so the row spans all three columns.
-  EXPECT_NE(t.to_string().find("| x |   |   |"), std::string::npos);
+  EXPECT_NE(render(t).find("| x |   |   |"), std::string::npos);
 }
 
 TEST(Table, RuleNotCountedAsRow) {
@@ -35,13 +41,13 @@ TEST(Table, RuleNotCountedAsRow) {
   t.add_rule();
   t.add_row({"2"});
   // The added rule renders as a rule line, not as an empty data row.
-  EXPECT_EQ(t.to_string(),
+  EXPECT_EQ(render(t),
             "+---+\n| a |\n+---+\n| 1 |\n+---+\n| 2 |\n+---+\n");
 }
 
 TEST(Table, TitleAppearsFirst) {
   Table t({"a"});
-  const std::string out = t.to_string("My Title");
+  const std::string out = render(t, "My Title");
   EXPECT_EQ(out.rfind("My Title", 0), 0u);
 }
 
@@ -49,7 +55,7 @@ TEST(Table, ColumnsAlignByWidth) {
   Table t({"n", "x"});
   t.add_row({"1", "short"});
   t.add_row({"100000", "y"});
-  std::istringstream lines(t.to_string());
+  std::istringstream lines(render(t));
   std::string line;
   std::size_t width = 0;
   bool first = true;
@@ -66,7 +72,7 @@ TEST(Table, ColumnsAlignByWidth) {
 TEST(Table, LeftAlignDefault) {
   Table t({"label", "num"});
   t.add_row({"ab", "1"});
-  const std::string out = t.to_string();
+  const std::string out = render(t);
   // Label column is left aligned: "ab" followed by padding spaces.
   EXPECT_NE(out.find("| ab "), std::string::npos);
 }

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 namespace ftc::util {
@@ -108,14 +110,21 @@ TEST(ThreadPool, PerfCountersAccumulateAndDrainZeroes) {
   ThreadPool pool(4);
   pool.set_perf_enabled(true);
   std::atomic<long long> sum{0};
-  // Tasks long enough that workers are still busy when the caller reaches
-  // the barrier (barrier_wait) and that wakeup latency shows up as drain
-  // time not spent executing (claim_stall). Either counter alone can be
-  // zero on a pathological schedule; across 20 jobs their sum cannot be.
+  // Independent of the schedule: a task the caller claims waits until some
+  // task has started on a worker, and a worker task sleeps ~1 ms. So every
+  // job runs a task on a worker, whose drain time is counted (claim_stall),
+  // and the caller, done with its own tasks while that worker sleeps,
+  // blocks at the barrier (barrier_wait).
+  const std::thread::id caller = std::this_thread::get_id();
   for (int job = 0; job < 20; ++job) {
+    std::atomic<bool> worker_started{false};
     pool.run(8, [&](int i) {
-      volatile int spin = 0;
-      while (spin < 20000) spin = spin + 1;
+      if (std::this_thread::get_id() == caller) {
+        while (!worker_started.load()) std::this_thread::yield();
+      } else {
+        worker_started.store(true);
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
       sum += i;
     });
   }
