@@ -22,8 +22,8 @@ not scaling: it is printed with an `oversubscribed` label and left out of
 the gate.
 
 `--selftest` exercises the gate against synthetic fixtures (pass, fail,
-missing file, malformed JSON, no-metric baseline, ungated build_s, a per-run
-vs_plane ratio, hardware mismatch, oversubscribed rows) and exits nonzero on
+missing file, malformed JSON, no-metric baseline, ungated build_s, hardware
+mismatch, oversubscribed rows) and exits nonzero on
 any deviation — `check.sh selftest` runs it so the gate itself is
 regression-guarded.
 """
@@ -41,8 +41,6 @@ MEASUREMENT_KEYS = frozenset({
     "peak_rss_mb", "allocs_per_round", "allocs_per_trial", "wall_s",
     "speedup_vs_1t", "speedup_vs_scalar", "speedup_vs_reference",
     "efficiency", "vs_off",
-    # bench_transport: a row's throughput over the plane row's, per run.
-    "vs_plane",
     # Topology ingest time (bench_simcore_mt): reported, never gated.
     "build_s",
     # Perf-attribution block and its components (bench_common.h
@@ -237,19 +235,6 @@ def selftest():
             {"section": "x", "n": 20, "ops_per_sec": 50.0},
         ]})
 
-        # vs_plane (bench_transport) is a ratio of two timings and moves
-        # with every run: rows must still match on n, mode and loss.
-        plane_base = write("plane_base.json", {"results": [
-            {"n": 10, "mode": "plane", "loss": 0.0, "rounds_per_sec": 100.0},
-            {"n": 10, "mode": "transport", "loss": 0.1, "frames": 7,
-             "rounds_per_sec": 40.0, "vs_plane": 0.4},
-        ]})
-        plane_same = write("plane_same.json", {"results": [
-            {"n": 10, "mode": "plane", "loss": 0.0, "rounds_per_sec": 90.0},
-            {"n": 10, "mode": "transport", "loss": 0.1, "frames": 7,
-             "rounds_per_sec": 41.0, "vs_plane": 0.4556},
-        ]})
-
         # build_s differs tenfold and is missing from one fresh row: rows
         # still match on n, and the slower ingest is not a regression.
         build_base = write("build_base.json", {"results": [
@@ -307,14 +292,6 @@ def selftest():
                run(attrib_base, attrib_same), want_fail=False)
         expect("regression caught despite matching attribution",
                run(attrib_base, attrib_slow), want_fail=True)
-        # Both rows must be matched, not just pass: a transport row that
-        # failed to match would only warn.
-        report = io.StringIO()
-        with contextlib.redirect_stdout(report):
-            got = compare(plane_base, plane_same, 0.15)
-        expect("vs_plane excluded from identity", got, want_fail=False)
-        if "WARNING" in report.getvalue():
-            failures.append("vs_plane row left unmatched")
         expect("build_s neither identity nor gated",
                run(build_base, build_slow), want_fail=False)
         expect("same hardware_threads compared", run(hw_base, hw_base),

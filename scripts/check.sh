@@ -12,7 +12,8 @@
 #                                           campaign under ASan+UBSan
 #   scripts/check.sh loss-fuzz [build-dir]  same, but every case gets a lossy
 #                                           channel (--lossy): exercises the
-#                                           link-impairment + transport paths
+#                                           link-impairment paths and the
+#                                           α-synchronizer over lossy links
 #   scripts/check.sh dynamic-fuzz [build-dir] same, but every case carries a
 #                                           mutation trace (--dynamic):
 #                                           exercises the dynamic-clustering
@@ -21,8 +22,8 @@
 #                                           verdict line
 #   scripts/check.sh perf [build-dir]       opt-in perf gate: Release-build
 #                                           the whole bench fleet
-#                                           (simcore_mt, transport,
-#                                           algo kernels), re-run each on
+#                                           (simcore_mt, algo kernels),
+#                                           re-run each on
 #                                           its committed grid, fail on a
 #                                           >5% throughput regression vs
 #                                           the checked-in BENCH_*.json,
@@ -64,6 +65,14 @@
 #                                           executed, unexecuted ranges and
 #                                           functions never called
 #                                           (scripts/coverage_report.py)
+#   scripts/check.sh mutants [patch...]     mutant catalogue: each
+#                                           tests/mutants/*.patch (or the
+#                                           named ones) must make the
+#                                           command on its "Caught-by:"
+#                                           line fail; a survivor or a
+#                                           stale patch fails the mode
+#                                           (self-check: tests/mutants/
+#                                           selfcheck/harmless.patch)
 #   scripts/check.sh selftest               verify that a failing ctest
 #                                           propagates to this script's exit
 #                                           code, and that bench_check.py's
@@ -190,6 +199,51 @@ if [ "${1:-}" = "coverage" ]; then
   exit 0
 fi
 
+if [ "${1:-}" = "mutants" ]; then
+  # The tree under test is the working tree's tracked files (staged or
+  # edited; stage new files first), or HEAD when nothing changed. Each
+  # mutant resets the worktree to it, so only the files a patch touches
+  # are rebuilt.
+  shift
+  patches=("$@")
+  [ "${#patches[@]}" -eq 0 ] && patches=(tests/mutants/*.patch)
+  ROOT="$(pwd)"
+  TREE=build-mutants/tree
+  BUILD_DIR="$ROOT/build-mutants/build"
+  base="$(git stash create)"
+  [ -n "$base" ] || base="$(git rev-parse HEAD)"
+  if ! git -C "$TREE" rev-parse --git-dir >/dev/null 2>&1; then
+    git worktree add --detach "$TREE" "$base" >/dev/null
+  fi
+  status=0
+  printf '%-24s %-9s %7s  %s\n' mutant verdict seconds "caught by"
+  for patch in "${patches[@]}"; do
+    name="$(basename "$patch" .patch)"
+    cmd="$(sed -n 's/^Caught-by: //p' "$patch" | head -1)"
+    git -C "$TREE" reset -q --hard "$base"
+    if [ -z "$cmd" ] || ! git -C "$TREE" apply "$ROOT/$patch"; then
+      printf '%-24s %-9s %7s  %s\n' "$name" stale - "${cmd:-no Caught-by line}"
+      status=1
+      continue
+    fi
+    configure -B "$BUILD_DIR" -S "$TREE" -DCMAKE_BUILD_TYPE=Release >/dev/null
+    binary="${cmd%% *}"
+    cmake --build "$BUILD_DIR" -j "$(nproc)" --target "$(basename "$binary")" \
+      >/dev/null
+    start=$(date +%s)
+    verdict=caught
+    if (cd "$BUILD_DIR" && $cmd) >"$BUILD_DIR/$name.log" 2>&1; then
+      verdict=survived
+      status=1
+    fi
+    printf '%-24s %-9s %7s  %s\n' "$name" "$verdict" \
+      "$(( $(date +%s) - start ))" "$cmd"
+  done
+  git -C "$TREE" reset -q --hard "$base"
+  [ "$status" -ne 0 ] && echo "check.sh: a mutant survived or went stale" >&2
+  exit "$status"
+fi
+
 case "${1:-}" in fuzz-smoke | loss-fuzz | dynamic-fuzz)
   # Short adversarial campaign under ASan+UBSan: 2000 fixed-seed cases
   # through the full invariant library (see DESIGN.md §8). Deterministic, so
@@ -231,10 +285,9 @@ if [ "${1:-}" = "perf" ]; then
   BUILD_DIR="${2:-build}"
   configure -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
   cmake --build "$BUILD_DIR" -j "$(nproc)" \
-    --target bench_simcore_mt bench_transport bench_algo_kernels
+    --target bench_simcore_mt bench_algo_kernels
   # name : binary : committed baseline (binaries take the default grid).
   FLEET="simcore_mt:bench_simcore_mt:BENCH_simcore_mt.json
-transport:bench_transport:BENCH_transport.json
 algo:bench_algo_kernels:BENCH_algo.json"
   status=0
   bench_states=""
@@ -304,8 +357,7 @@ if [ "$MODE" = "thread" ]; then
   # forces the pool so workers stage into obs::Recorder), the obs wiring
   # suites (a plane, and a perf plane, attached with the pool forced on),
   # the broadcast fan-out equivalence suite (broadcasts pulled and sends
-  # pushed by the parallel placement pass), the reliable-transport suite
-  # (per-process ARQ state under the parallel engine), and the flood
+  # pushed by the parallel placement pass), the flood
   # reference suite (the bench flood workload on a pool forced on by
   # set_parallel_grain(0), against a naive engine), and the LP mirror's
   # width suite (per-block white/gray/raiser lists written by pool
@@ -315,10 +367,12 @@ if [ "$MODE" = "thread" ]; then
   # push's barrier), the dynamic interplay suite
   # (the pool forced on over RepairProcess and HeartbeatMonitor, with the
   # incremental maintainer publishing to the same plane between rounds),
-  # and the synchronizer width suite (Synchronized adapters buffering
-  # envelopes on pool workers for the three protocol drivers).
+  # and the synchronizer width suite (Synchronized adapters buffering,
+  # deduplicating and resending envelopes on pool workers for the three
+  # protocol drivers, over delay-only, lossy, bursty and duplicating
+  # channels).
   run_ctest --test-dir "$BUILD_DIR" --output-on-failure \
-    -R 'ThreadPool|ParallelDeterminism|TraceDeterminism|ObsWiring|PerfWiring|BroadcastFanOut|ReliableTransport|FloodReference|LpParallel|DynamicInterplay|SynchronizerParallel'
+    -R 'ThreadPool|ParallelDeterminism|TraceDeterminism|ObsWiring|PerfWiring|BroadcastFanOut|FloodReference|LpParallel|DynamicInterplay|SynchronizerParallel'
 else
   BUILD_DIR="${1:-build-asan}"
   configure -B "$BUILD_DIR" -S . "${ASAN_CONFIG[@]}"

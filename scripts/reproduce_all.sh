@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Runs every bench binary with its default parameters: the experiments
 # E1..E11 and A1..A7 of EXPERIMENTS.md, the A8 soak, and the perf benches
-# (MT with its observability-plane rows, transport, dynamic). CSVs and the
+# (MT with its observability-plane rows, algo kernels, dynamic). CSVs and the
 # console transcript land in results/.
 #
 #   scripts/reproduce_all.sh [build-dir] [results-dir]

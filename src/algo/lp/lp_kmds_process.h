@@ -101,7 +101,7 @@ class LpKmdsProcess final : public sim::Process {
 
 /// Runs Algorithm 1 as a protocol on `net` (a sim::SyncNetwork the caller
 /// has configured — threads, grain, channel, plane, scheduled crashes — or
-/// a sim::SynchronizedNetwork, whose delays are set at construction and
+/// a sim::SynchronizedNetwork, whose channel is set at construction and
 /// whose threads and plane are set on network()). Installs one
 /// LpKmdsProcess per node, runs under the protocol's budget — the exact
 /// schedule (lp_round_count(t), +2 with kTwoHop) plus slack, so an overrun

@@ -46,7 +46,7 @@ class RoundingProcess final : public sim::Process {
 
 /// Runs Algorithm 2 as a protocol on `net` (a sim::SyncNetwork the caller
 /// has configured — threads, grain, channel, plane, scheduled crashes — or
-/// a sim::SynchronizedNetwork, whose delays are set at construction and
+/// a sim::SynchronizedNetwork, whose channel is set at construction and
 /// whose threads and plane are set on network()). Installs one
 /// RoundingProcess per node with x[v] and demands[v], runs under
 /// kRoundingRounds plus slack, and collects the sorted set and its

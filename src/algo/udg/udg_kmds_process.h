@@ -96,8 +96,8 @@ class UdgKmdsProcess final : public sim::Process {
 /// Runs Algorithm 3 as a protocol on `net` (a sim::SyncNetwork or
 /// sim::SynchronizedNetwork built from a UnitDiskGraph and configured by
 /// the caller: on SyncNetwork threads, grain, channel, plane, scheduled
-/// crashes; on SynchronizedNetwork delays at construction, threads and
-/// plane on network()). Installs one
+/// crashes; on SynchronizedNetwork the channel at construction, threads
+/// and plane on network()). Installs one
 /// UdgKmdsProcess per node, runs under udg_round_budget() and collects
 /// `leaders`, `part1_leaders` and `part1_rounds` (R). No process can know
 /// `part2_iterations`, `active_after_round` or `fully_satisfied`: they are

@@ -18,10 +18,6 @@ Plane::Plane(PlaneOptions options) : trace_(options.trace) {
   builtin_.messages_lost = r.counter("sim.messages_lost");
   builtin_.messages_duplicated = r.counter("sim.messages_duplicated");
   builtin_.messages_reordered = r.counter("sim.messages_reordered");
-  builtin_.transport_frames = r.counter("transport.frames");
-  builtin_.transport_retransmissions = r.counter("transport.retransmissions");
-  builtin_.transport_dup_drops = r.counter("transport.duplicates_dropped");
-  builtin_.transport_acks = r.counter("transport.acks");
   builtin_.crashes = r.counter("sim.crashes");
   builtin_.recoveries = r.counter("sim.recoveries");
   builtin_.scheduled_crashes = r.counter("fault.scheduled_crashes");

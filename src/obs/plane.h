@@ -46,10 +46,6 @@ struct Builtin {
   MetricId messages_lost = kInvalidMetric;     ///< sim.messages_lost
   MetricId messages_duplicated = kInvalidMetric;  ///< sim.messages_duplicated
   MetricId messages_reordered = kInvalidMetric;   ///< sim.messages_reordered
-  MetricId transport_frames = kInvalidMetric;     ///< transport.frames
-  MetricId transport_retransmissions = kInvalidMetric;  ///< transport.retransmissions
-  MetricId transport_dup_drops = kInvalidMetric;  ///< transport.duplicates_dropped
-  MetricId transport_acks = kInvalidMetric;       ///< transport.acks
   MetricId crashes = kInvalidMetric;           ///< sim.crashes
   MetricId recoveries = kInvalidMetric;        ///< sim.recoveries
   MetricId scheduled_crashes = kInvalidMetric;     ///< fault.scheduled_crashes

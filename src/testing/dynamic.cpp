@@ -234,40 +234,43 @@ sim::MutationTrace trace_from_case(const FuzzCase& c, const Instance& inst) {
     if (i > 0 && i % batch == 0) round += rng.uniform_i64(1, 3);
     sim::Mutation m;
     const double u = rng.uniform01();
-    if (inst.has_udg) {
-      if (u < 0.25) {
-        m.kind = sim::MutationKind::kJoin;
+    const auto draw_node = [&] {
+      return static_cast<NodeId>(
+          rng.index(static_cast<std::size_t>(current_n)));
+    };
+    // Every world draws all four kinds, so both of DynamicWorld::apply's
+    // branches run for each: a plain world's move re-anchors the node to a
+    // peer, and an embedded world's flip is a no-op (its edges follow the
+    // embedding).
+    const double join = inst.has_udg ? 0.25 : 0.30;
+    const double leave = inst.has_udg ? 0.55 : 0.60;
+    const double moves = inst.has_udg ? 0.35 : 0.10;
+    if (u < join) {
+      m.kind = sim::MutationKind::kJoin;
+      if (inst.has_udg) {
         m.x = rng.uniform(lo_x, hi_x);
         m.y = rng.uniform(lo_y, hi_y);
-      } else if (u < 0.60) {
-        m.kind = sim::MutationKind::kLeave;
-        m.node = static_cast<NodeId>(rng.index(
-            static_cast<std::size_t>(current_n)));
       } else {
-        m.kind = sim::MutationKind::kMove;
-        m.node = static_cast<NodeId>(rng.index(
-            static_cast<std::size_t>(current_n)));
+        m.peer = draw_node();
+      }
+    } else if (u < leave) {
+      m.kind = sim::MutationKind::kLeave;
+      m.node = draw_node();
+    } else if (u < leave + moves) {
+      m.kind = sim::MutationKind::kMove;
+      m.node = draw_node();
+      if (inst.has_udg) {
         m.x = rng.uniform(lo_x, hi_x);
         m.y = rng.uniform(lo_y, hi_y);
+      } else {
+        m.peer = draw_node();
       }
     } else {
-      if (u < 0.30) {
-        m.kind = sim::MutationKind::kJoin;
-        m.peer = static_cast<NodeId>(rng.index(
-            static_cast<std::size_t>(current_n)));
-      } else if (u < 0.65) {
-        m.kind = sim::MutationKind::kLeave;
-        m.node = static_cast<NodeId>(rng.index(
-            static_cast<std::size_t>(current_n)));
-      } else {
-        // Flip may draw node == peer; DynamicWorld clamps that to a no-op,
-        // which is itself a path worth fuzzing.
-        m.kind = sim::MutationKind::kFlip;
-        m.node = static_cast<NodeId>(rng.index(
-            static_cast<std::size_t>(current_n)));
-        m.peer = static_cast<NodeId>(rng.index(
-            static_cast<std::size_t>(current_n)));
-      }
+      // Flip may draw node == peer; DynamicWorld clamps that to a no-op,
+      // which is itself a path worth fuzzing.
+      m.kind = sim::MutationKind::kFlip;
+      m.node = draw_node();
+      m.peer = draw_node();
     }
     if (m.kind == sim::MutationKind::kJoin) ++current_n;
     trace.push_back({round, m});

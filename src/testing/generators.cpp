@@ -105,7 +105,7 @@ FuzzCase generate_case(std::uint64_t case_seed, const FuzzConfig& config) {
     c.burst_out = rng.uniform(0.2, 0.8);
   }
   c.asym = rng.bernoulli(0.2) ? rng.uniform(0.0, 1.0) : 0.0;
-  c.run_transport = rng.bernoulli(0.35);
+  c.run_lossy_sync = rng.bernoulli(0.35);
   if (config.force_lossy && c.loss == 0.0) {
     c.loss = rng.uniform(0.05, kFuzzMaxLoss);
   }
@@ -310,7 +310,7 @@ std::string to_string(const FuzzCase& c) {
      << " burst_in=" << fmt_double(c.burst_in)
      << " burst_out=" << fmt_double(c.burst_out)
      << " asym=" << fmt_double(c.asym)
-     << " run_transport=" << (c.run_transport ? 1 : 0)
+     << " run_lossy_sync=" << (c.run_lossy_sync ? 1 : 0)
      << " run_dynamic=" << (c.run_dynamic ? 1 : 0)
      << " mutations=" << c.mutations
      << " mutation_batch=" << c.mutation_batch
@@ -396,7 +396,7 @@ FuzzCase parse_fuzz_case(const std::string& line) {
   c.burst_in = dbl("burst_in");
   c.burst_out = dbl("burst_out");
   c.asym = dbl("asym");
-  c.run_transport = flag("run_transport");
+  c.run_lossy_sync = flag("run_lossy_sync");
   // Dynamic-churn keys fall back to FuzzCase's defaults ("off"): repro
   // lines written before the dimension existed must keep parsing.
   c.run_dynamic = flag("run_dynamic", "0");

@@ -124,7 +124,7 @@ struct FuzzCase {
   double burst_in = 0.0;         ///< per-round good→burst probability
   double burst_out = 0.5;        ///< per-round burst→good probability
   double asym = 0.0;             ///< directed-link loss asymmetry in [0, 1]
-  bool run_transport = false;    ///< reliable-transport invariant suite
+  bool run_lossy_sync = false;   ///< α-synchronizer over this channel
 
   // Fault process.
   FaultKind fault_kind = FaultKind::kNone;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <sstream>
 
 #include "algo/baseline/greedy.h"
@@ -24,7 +25,6 @@
 #include "sim/fault.h"
 #include "sim/network.h"
 #include "sim/synchronizer.h"
-#include "sim/transport.h"
 
 namespace ftc::testing {
 
@@ -295,58 +295,160 @@ void check_small_oracles(const FuzzCase& /*c*/, const Graph& g,
 
 // ---------------------------------------------------------- synchronizer
 
-/// The α-synchronizer must make the delay schedule unobservable: under any
-/// (max_delay, delay_seed), at the case's engine width, Algorithms 1 and 2
-/// reproduce their mirrors and Algorithm 3 its synchronous run bit for bit,
-/// each in exactly the synchronous number of pulses.
+/// Algorithm 3's clean synchronous run at the case's width: the reference a
+/// synchronized UDG run must reproduce.
+struct SyncUdg {
+  algo::UdgResult result;
+  std::int64_t rounds = 0;
+};
+
+std::optional<SyncUdg> clean_udg_run(const FuzzCase& c, const Instance& inst) {
+  if (!inst.has_udg) return std::nullopt;
+  sim::SyncNetwork net(inst.udg, c.algo_seed);
+  configure(net, c.threads, sim::ChannelOptions{});
+  SyncUdg ref{algo::run_udg_processes(net, {.k = c.k}), 0};
+  ref.rounds = net.round();
+  return ref;
+}
+
+/// What one synchronized run of the protocols produced.
+struct SynchronizedRun {
+  algo::LpResult lp;
+  algo::RoundingResult rounding;
+  algo::UdgResult udg;
+  std::vector<sim::SynchronizerMetrics> metrics;  ///< LP, rounding[, UDG]
+};
+
+bool same_run(const SynchronizedRun& a, const SynchronizedRun& b) {
+  return lp_results_equal(a.lp, b.lp) && a.rounding.set == b.rounding.set &&
+         a.rounding.rounds == b.rounding.rounds &&
+         a.udg.leaders == b.udg.leaders &&
+         a.udg.part1_leaders == b.udg.part1_leaders && a.metrics == b.metrics;
+}
+
+/// The α-synchronizer must make the channel unobservable: over `channel`,
+/// at engine width `threads`, Algorithms 1 and 2 reproduce their mirrors and
+/// Algorithm 3 its synchronous run bit for bit, each in exactly the
+/// synchronous number of pulses (term.*, labelled `label`), within
+/// sim::round_budget (sync.virtual_time) and in frames of at most two
+/// envelopes of the protocol's own message bound (sync.frame_words). A
+/// changed output is reported as `changed_invariant`.
+SynchronizedRun check_synchronized(
+    const FuzzCase& c, const Instance& inst, const Demands& demands,
+    const algo::LpResult& mirror_lp,
+    const algo::RoundingResult& mirror_rounding,
+    const std::optional<SyncUdg>& sync_udg, const sim::ChannelOptions& channel,
+    int threads, const char* label, const char* changed_invariant,
+    Violations& out) {
+  const auto network = [&](const auto& topology) {
+    auto net = std::make_unique<sim::SynchronizedNetwork>(topology,
+                                                          c.algo_seed, channel);
+    configure(net->network(), threads, sim::ChannelOptions{});
+    return net;
+  };
+  const auto changed = [&](const char* what) {
+    add(out, changed_invariant,
+        std::string(label) + " run (channel seed " +
+            std::to_string(channel.seed) + ") changed the " + what +
+            " output");
+  };
+  SynchronizedRun run;
+  const auto audit = [&](sim::SynchronizedNetwork& net,
+                         std::int64_t payload_words, const char* what) {
+    const sim::SynchronizerMetrics& m = net.metrics();
+    run.metrics.push_back(m);
+    const std::int64_t budget =
+        sim::round_budget(m.pulses, 2 * net.graph().m(), channel);
+    if (m.virtual_time > budget) {
+      add(out, "sync.virtual_time",
+          std::string(label) + " " + what + " run took " +
+              std::to_string(m.virtual_time) + " rounds, budget " +
+              std::to_string(budget));
+    }
+    const std::int64_t words = net.network().metrics().max_message_words;
+    if (words > sim::max_frame_words(payload_words)) {
+      add(out, "sync.frame_words",
+          std::string(label) + " " + what + " frame of " +
+              std::to_string(words) + " words exceeds " +
+              std::to_string(sim::max_frame_words(payload_words)));
+    }
+  };
+
+  {
+    const auto net = network(inst.graph());
+    run.lp = algo::run_lp_processes(*net, demands, c.t);
+    audit(*net, 3, "LP");
+  }
+  check_rounds("term.lp", label, run.lp.rounds, algo::lp_round_count(c.t),
+               out);
+  if (run.lp.primal.x != mirror_lp.primal.x ||
+      run.lp.dual.y != mirror_lp.dual.y || run.lp.dual.z != mirror_lp.dual.z) {
+    changed("LP");
+  }
+  {
+    const auto net = network(inst.graph());
+    run.rounding =
+        algo::run_rounding_processes(*net, mirror_lp.primal.x, demands);
+    audit(*net, 1, "rounding");
+  }
+  check_rounds("term.rounding", label, run.rounding.rounds,
+               algo::kRoundingRounds, out);
+  if (run.rounding.set != mirror_rounding.set) changed("rounding");
+  if (!sync_udg) return run;
+  const auto net = network(inst.udg);
+  run.udg = algo::run_udg_processes(*net, {.k = c.k});
+  audit(*net, 2, "Algorithm 3");
+  check_rounds("term.udg", label, net->metrics().pulses, sync_udg->rounds,
+               out);
+  if (run.udg.leaders != sync_udg->result.leaders ||
+      run.udg.part1_leaders != sync_udg->result.part1_leaders) {
+    changed("Algorithm 3");
+  }
+  return run;
+}
+
+/// The delay schedule is unobservable: two delay seeds at the case's width.
 void check_async(const FuzzCase& c, const Instance& inst,
                  const Demands& demands, const algo::LpResult& mirror_lp,
                  const algo::RoundingResult& mirror_rounding, Violations& out) {
-  const algo::UdgOptions udg_opts{.k = c.k};
-  algo::UdgResult sync_udg;
-  std::int64_t sync_udg_rounds = 0;
-  if (inst.has_udg) {
-    sim::SyncNetwork net(inst.udg, c.algo_seed);
-    configure(net, c.threads, sim::ChannelOptions{});
-    sync_udg = algo::run_udg_processes(net, udg_opts);
-    sync_udg_rounds = net.round();
-  }
+  const auto sync_udg = clean_udg_run(c, inst);
   const std::uint64_t delay_seeds[] = {c.delay_seed,
                                        c.delay_seed ^ 0x5DEECE66DULL};
   for (const std::uint64_t dseed : delay_seeds) {
-    const auto network = [&](const auto& topology) {
-      auto net = std::make_unique<sim::SynchronizedNetwork>(
-          topology, c.algo_seed, c.max_delay, dseed);
-      configure(net->network(), c.threads, sim::ChannelOptions{});
-      return net;
-    };
-    const auto changed = [&](const char* what) {
-      add(out, "engine.async_schedule",
-          "synchronizer schedule (delay_seed=" + std::to_string(dseed) +
-              ") changed the " + what + " output");
-    };
-    const auto lp =
-        algo::run_lp_processes(*network(inst.graph()), demands, c.t);
-    check_rounds("term.lp", "synchronized", lp.rounds,
-                 algo::lp_round_count(c.t), out);
-    if (lp.primal.x != mirror_lp.primal.x || lp.dual.y != mirror_lp.dual.y ||
-        lp.dual.z != mirror_lp.dual.z) {
-      changed("LP");
-    }
-    const auto rounding = algo::run_rounding_processes(
-        *network(inst.graph()), mirror_lp.primal.x, demands);
-    check_rounds("term.rounding", "synchronized", rounding.rounds,
-                 algo::kRoundingRounds, out);
-    if (rounding.set != mirror_rounding.set) changed("rounding");
-    if (!inst.has_udg) continue;
-    const auto udg_net = network(inst.udg);
-    const auto udg = algo::run_udg_processes(*udg_net, udg_opts);
-    check_rounds("term.udg", "synchronized", udg_net->metrics().pulses,
-                 sync_udg_rounds, out);
-    if (udg.leaders != sync_udg.leaders ||
-        udg.part1_leaders != sync_udg.part1_leaders) {
-      changed("Algorithm 3");
-    }
+    (void)check_synchronized(c, inst, demands, mirror_lp, mirror_rounding,
+                             sync_udg, sim::delay_channel(c.max_delay, dseed),
+                             c.threads, "synchronized",
+                             "engine.async_schedule", out);
+  }
+}
+
+/// Loss is unobservable too: the case's loss, asymmetry, bursts and
+/// duplication composed with its synchronizer delay, at width 1 and at the
+/// case's width, which must agree bit for bit.
+void check_lossy_sync(const FuzzCase& c, const Instance& inst,
+                      const Demands& demands, const algo::LpResult& mirror_lp,
+                      const algo::RoundingResult& mirror_rounding,
+                      Violations& out) {
+  const auto sync_udg = clean_udg_run(c, inst);
+  sim::ChannelOptions channel = channel_from_case(c);
+  const sim::ChannelOptions delay =
+      sim::delay_channel(c.max_delay, c.delay_seed);
+  channel.reorder = delay.reorder;
+  channel.max_reorder_delay = delay.max_reorder_delay;
+  const SynchronizedRun serial =
+      check_synchronized(c, inst, demands, mirror_lp, mirror_rounding,
+                         sync_udg, channel, 1, "lossy",
+                         "engine.lossy_schedule", out);
+  if (c.threads <= 1) return;
+  Violations repeated;  // the serial run already reported these
+  const SynchronizedRun parallel =
+      check_synchronized(c, inst, demands, mirror_lp, mirror_rounding,
+                         sync_udg, channel, c.threads, "lossy",
+                         "engine.lossy_schedule", repeated);
+  if (!same_run(parallel, serial)) {
+    add(out, "engine.lossy_parallel",
+        "lossy synchronized run differs at threads=" +
+            std::to_string(c.threads));
   }
 }
 
@@ -547,119 +649,6 @@ void check_repair(const FuzzCase& c, const Instance& inst,
     add(out, "repair.unsatisfied",
         std::to_string(serial.unsatisfied) +
             " nodes stuck although the oracle repaired everything");
-  }
-}
-
-// -------------------------------------------------------------- transport
-
-/// Max-id flood where every update travels through the reliable transport:
-/// the channel may drop, duplicate, and reorder frames, yet every node must
-/// still converge to its component's maximum id — the end-to-end statement
-/// of the transport's exactly-once, in-order delivery contract.
-class TransportFloodProcess final : public sim::Process {
- public:
-  void on_round(sim::Context& ctx) override {
-    if (value_ < 0) {
-      value_ = static_cast<sim::Word>(ctx.self());
-      dirty_ = true;
-    }
-    for (const auto& d : transport_.receive(ctx)) {
-      if (d.words.at(0) > value_) {
-        value_ = d.words.at(0);
-        dirty_ = true;
-      }
-    }
-    if (dirty_) {
-      transport_.broadcast(ctx, {value_});
-      dirty_ = false;
-    }
-    transport_.flush(ctx);
-  }
-
-  [[nodiscard]] sim::Word value() const noexcept { return value_; }
-  [[nodiscard]] const sim::ReliableTransport& transport() const noexcept {
-    return transport_;
-  }
-
- private:
-  sim::ReliableTransport transport_;
-  sim::Word value_ = -1;
-  bool dirty_ = false;
-};
-
-struct TransportRun {
-  std::vector<sim::Word> values;
-  std::int64_t frames = 0;
-  std::int64_t retransmissions = 0;
-  std::int64_t duplicates = 0;
-  std::int64_t delivered = 0;
-  sim::Metrics metrics;
-
-  friend bool operator==(const TransportRun&, const TransportRun&) = default;
-};
-
-TransportRun run_transport_flood(const FuzzCase& c, const Graph& g,
-                                 int threads, std::int64_t budget) {
-  sim::SyncNetwork net(g, c.algo_seed);
-  configure(net, threads, channel_from_case(c));
-  net.set_all_processes(
-      [](NodeId) { return std::make_unique<TransportFloodProcess>(); });
-  net.run(budget);
-  TransportRun run;
-  for (NodeId v = 0; v < g.n(); ++v) {
-    const auto& p = net.process_as<TransportFloodProcess>(v);
-    run.values.push_back(p.value());
-    run.frames += p.transport().frames_sent();
-    run.retransmissions += p.transport().retransmissions();
-    run.duplicates += p.transport().duplicates_suppressed();
-    run.delivered += p.transport().delivered();
-  }
-  run.metrics = net.metrics();
-  return run;
-}
-
-void check_transport(const FuzzCase& c, const Graph& g, Violations& out) {
-  // Retransmission latency is geometric, so the budget is generous: the
-  // flood's longest per-link backlog is O(n) payloads at a couple of rounds
-  // each, inflated by loss. A failure to converge inside it is a transport
-  // bug for any channel the generator can produce, not bad luck.
-  const std::int64_t budget = 160 + 16 * static_cast<std::int64_t>(g.n());
-  const TransportRun serial = run_transport_flood(c, g, 1, budget);
-
-  // Reliable-equivalence: the impaired-channel flood must end exactly where
-  // a clean-channel run ends — every node at its component's maximum id.
-  std::vector<sim::Word> expected(static_cast<std::size_t>(g.n()), -1);
-  for (NodeId v = g.n() - 1; v >= 0; --v) {
-    if (expected[static_cast<std::size_t>(v)] >= 0) continue;
-    std::vector<NodeId> stack{v};
-    expected[static_cast<std::size_t>(v)] = v;
-    while (!stack.empty()) {
-      const NodeId u = stack.back();
-      stack.pop_back();
-      for (const NodeId w : g.neighbors(u)) {
-        if (expected[static_cast<std::size_t>(w)] < 0) {
-          expected[static_cast<std::size_t>(w)] = v;
-          stack.push_back(w);
-        }
-      }
-    }
-  }
-  if (serial.values != expected) {
-    std::int64_t stuck = 0;
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      if (serial.values[i] != expected[i]) ++stuck;
-    }
-    add(out, "transport.convergence",
-        std::to_string(stuck) + " nodes missed their component max over " +
-            std::to_string(budget) + " rounds");
-  }
-
-  if (c.threads > 1) {
-    const TransportRun parallel = run_transport_flood(c, g, c.threads, budget);
-    if (parallel != serial) {
-      add(out, "engine.transport_parallel",
-          "transport flood differs at threads=" + std::to_string(c.threads));
-    }
   }
 }
 
@@ -881,8 +870,8 @@ Violations check_case(const FuzzCase& c, Mutation mutation) {
   if (c.fault_kind != FaultKind::kNone) {
     check_repair(c, inst, greedy.set, scratch, out);
   }
-  if (c.run_transport) {
-    check_transport(c, g, out);
+  if (c.run_lossy_sync) {
+    check_lossy_sync(c, inst, demands, lp, rounding, out);
   }
   if (c.run_obs) {
     check_obs(c, g, demands, lp, out);

@@ -13,9 +13,12 @@
 //   * oracle.*    — differential cross-checks on small instances: exact
 //                   branch-and-bound vs greedy vs LP+rounding orderings;
 //   * engine.*    — serial-vs-parallel bitwise equality of the round engine
-//                   (set_threads) and delay-schedule independence of
-//                   Algorithms 1–3 (the α-synchronizer must make delay
-//                   schedules unobservable);
+//                   (set_threads) and channel independence of Algorithms
+//                   1–3 (the α-synchronizer must make delay schedules,
+//                   loss, bursts and duplication unobservable);
+//   * sync.*      — a synchronized run stays within the virtual-time budget
+//                   (sim::round_budget) and sends frames of at most two
+//                   envelopes;
 //   * udg.*       — Theorem 5.7 / Lemmas 5.1: Algorithm 3's leader sets
 //                   dominate, and mirror == distributed;
 //   * repair.*    — the self-healing daemon restores coverage and promotes

@@ -78,7 +78,7 @@ bool shrink_pass(FuzzCase& c, Mutation mutation, const std::string& invariant,
     f.burst_in = 0.0;
   });
   try_mutation([](FuzzCase& f) { f.asym = 0.0; });
-  try_mutation([](FuzzCase& f) { f.run_transport = false; });
+  try_mutation([](FuzzCase& f) { f.run_lossy_sync = false; });
   try_mutation([](FuzzCase& f) { f.run_dynamic = false; });
   try_mutation([](FuzzCase& f) { f.threads = 1; });
   try_mutation([](FuzzCase& f) { f.run_obs = false; });

@@ -161,6 +161,26 @@ TEST(FuzzCampaign, CleanRunFindsNoFailures) {
   }
 }
 
+// Three lossy cases once failed a transport-convergence check (seed 7: the
+// first two, seed 3: the third). They draw the lossy synchronizer check,
+// whose outputs, pulse counts, virtual-time budget, frame size and width
+// equality must all hold.
+TEST(FuzzCampaign, PinnedLossyCasesRunTheSynchronizerCheckClean) {
+  FuzzConfig lossy;
+  lossy.force_lossy = true;
+  for (const std::uint64_t seed :
+       {641971966785604671ULL, 7736677973659092990ULL,
+        13682088805634673402ULL}) {
+    const FuzzCase c = generate_case(seed, lossy);
+    EXPECT_TRUE(c.run_lossy_sync) << seed;
+    EXPECT_GT(c.burst, 0.0) << seed;
+    for (const Violation& v : run_case(c)) {
+      ADD_FAILURE() << "case_seed=" << seed << " " << v.invariant << ": "
+                    << v.detail;
+    }
+  }
+}
+
 TEST(FuzzCampaign, ReplayIsBitForBit) {
   for (std::int64_t i = 0; i < 25; ++i) {
     const FuzzCase c = generate_case(case_seed_of(99, i));
